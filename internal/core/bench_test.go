@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -97,6 +98,61 @@ func benchmarkGenerate(b *testing.B, n, workers int) {
 		}
 		if len(got) == 0 {
 			b.Fatal("no candidates")
+		}
+	}
+}
+
+// benchDecodeVecs draws 100k categorical vectors, one flat row each, from
+// the generation benchmark model's network.
+func benchDecodeVecs(b *testing.B) (*Model, []int, int) {
+	b.Helper()
+	m := benchGenerateModel(b)
+	s := m.Net.NewSampler()
+	nv := s.NumVars()
+	vecs := make([]int, 100_000*nv)
+	rng := rand.New(rand.NewSource(1))
+	for j := 0; j < len(vecs); j += nv {
+		s.SampleInto(rng, vecs[j:j+nv])
+	}
+	return m, vecs, nv
+}
+
+// sinkAddr keeps decode results live in the benchmark loops.
+var sinkAddr ip6.Addr
+
+// BenchmarkDecode100k is the CI-gated decode hot loop: 100k vectors drawn
+// from the generation model's network per op, decoded through the
+// compiled decoder generation runs on. Steady state must be 0 allocs/op;
+// the speedup over the readable decode is measured against
+// BenchmarkDecodeReference100k.
+func BenchmarkDecode100k(b *testing.B) {
+	m, vecs, nv := benchDecodeVecs(b)
+	dec := m.Encoder().Decoder()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < len(vecs); j += nv {
+			sinkAddr = dec.Decode(vecs[j:j+nv], rng)
+		}
+	}
+}
+
+// BenchmarkDecodeReference100k is the readable per-segment decode
+// (mining.Encoder.DecodeReference) over the same vectors.
+func BenchmarkDecodeReference100k(b *testing.B) {
+	m, vecs, nv := benchDecodeVecs(b)
+	enc := m.Encoder()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < len(vecs); j += nv {
+			a, err := enc.DecodeReference(vecs[j:j+nv], rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkAddr = a
 		}
 	}
 }

@@ -100,36 +100,44 @@ func setCapacity(count int) int {
 }
 
 // drawFunc draws one candidate address using a stream-local rng and
-// assignment buffer. Implementations are safe for concurrent use as long
-// as each goroutine owns its rng and buf.
-type drawFunc func(rng *rand.Rand, buf []int) (ip6.Addr, error)
+// assignment buffer, leaving the drawn codes in buf. Implementations are
+// safe for concurrent use as long as each goroutine owns its rng and buf.
+type drawFunc func(rng *rand.Rand, buf []int) ip6.Addr
 
-// newDraw compiles the model into a draw function: an unconditional
-// forward sampler, or — when evidence is set — a conditional sampler
-// whose variable-elimination work runs once here instead of once per
-// variable per draw. mask64 truncates drawn addresses to their /64.
+// newDraw compiles the model into a draw function: a forward sampler —
+// unconditional, or conditional on the evidence, whose variable-
+// elimination work runs once here instead of once per variable per draw
+// — fused with the compiled decoder, whose tables the drawn codes index
+// directly. mask64 truncates drawn addresses to their /64.
 func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
-	enc := m.Encoder()
+	// The decoder trusts the sampler's codes, so the network's arities
+	// must match the mined segments; check that once, here.
+	if len(m.Net.Vars) != len(m.Segments) {
+		return nil, fmt.Errorf("core: network has %d variables for %d segments", len(m.Net.Vars), len(m.Segments))
+	}
+	for i, sm := range m.Segments {
+		if m.Net.Vars[i].Arity != sm.Arity() {
+			return nil, fmt.Errorf("core: segment %s arity %d does not match network arity %d",
+				sm.Seg.Label, sm.Arity(), m.Net.Vars[i].Arity)
+		}
+	}
+	var sample func(*rand.Rand, []int) []int
 	if len(evidence) == 0 {
-		s := m.Net.NewSampler()
-		return func(rng *rand.Rand, buf []int) (ip6.Addr, error) {
-			a, err := enc.Decode(s.SampleInto(rng, buf), rng)
-			if err == nil && mask64 {
-				a = ip6.Mask(a, 64)
-			}
-			return a, err
-		}, nil
+		sample = m.Net.NewSampler().SampleInto
+	} else {
+		cs, err := m.Net.NewCondSampler(evidence)
+		if err != nil {
+			return nil, err
+		}
+		sample = cs.SampleInto
 	}
-	cs, err := m.Net.NewCondSampler(evidence)
-	if err != nil {
-		return nil, err
-	}
-	return func(rng *rand.Rand, buf []int) (ip6.Addr, error) {
-		a, err := enc.Decode(cs.SampleInto(rng, buf), rng)
-		if err == nil && mask64 {
+	dec := m.Encoder().Decoder()
+	return func(rng *rand.Rand, buf []int) ip6.Addr {
+		a := dec.Decode(sample(rng, buf), rng)
+		if mask64 {
 			a = ip6.Mask(a, 64)
 		}
-		return a, err
+		return a
 	}, nil
 }
 
@@ -152,7 +160,8 @@ type genRun struct {
 // generate is the engine shared by address and prefix generation: yield
 // receives unique, non-excluded candidate addresses (masked to /64 when
 // mask64 is set) until Count candidates were emitted, the attempt budget
-// is exhausted, Stop reports true, or yield returns false.
+// is exhausted, Stop reports true, or yield returns false. Every error is
+// found while compiling the run; drawing cannot fail.
 func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Addr) bool, yield func(ip6.Addr) bool) error {
 	evidence, err := m.evidenceIndices(opts.Evidence)
 	if err != nil {
@@ -182,12 +191,13 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 	}
 	switch {
 	case r.workers <= 1 || r.count < genParallelCutoff:
-		return r.runSequential()
+		r.runSequential()
 	case opts.Unordered:
-		return r.runUnordered()
+		r.runUnordered()
 	default:
-		return r.runOrdered()
+		r.runOrdered()
 	}
+	return nil
 }
 
 // pollStop reports whether generation should halt at this attempt.
@@ -204,44 +214,33 @@ func (r *genRun) pollStop(attempts int) bool {
 // runSequential is the single-goroutine execution; it defines the
 // canonical candidate order the ordered-parallel execution reproduces:
 // attempt k consumes the next draw of substream k % genSubstreams.
-func (r *genRun) runSequential() error {
+func (r *genRun) runSequential() {
 	rngs := make([]*rand.Rand, genSubstreams)
-	bufs := make([][]int, genSubstreams)
-	flat := make([]int, genSubstreams*r.bufLen)
 	for i := range rngs {
 		rngs[i] = stats.Split(r.seed, int64(i))
-		bufs[i] = flat[i*r.bufLen : (i+1)*r.bufLen]
 	}
+	// The sampler overwrites every code of buf on each draw, so the
+	// substreams can share one buffer.
+	buf := make([]int, r.bufLen)
 	seen := ip6.NewSet(setCapacity(r.count))
 	emitted, attempts := 0, 0
 	for emitted < r.count && attempts < r.maxAttempts {
 		s := attempts % genSubstreams
 		attempts++
 		if r.pollStop(attempts) {
-			return nil
+			return
 		}
-		a, err := r.draw(rngs[s], bufs[s])
-		if err != nil {
-			return err
-		}
+		a := r.draw(rngs[s], buf)
 		if r.excluded(a) {
 			continue
 		}
 		if seen.Add(a) {
 			emitted++
 			if !r.yield(a) {
-				return nil
+				return
 			}
 		}
 	}
-	return nil
-}
-
-// drawBatch is a run of consecutive draws of one substream, in draw
-// order. err terminates the substream after the accumulated draws.
-type drawBatch struct {
-	addrs []ip6.Addr
-	err   error
 }
 
 // batchSize picks how many draws producers hand over at once: large
@@ -264,40 +263,31 @@ func (r *genRun) batchSize() int {
 // round-robin order runSequential uses, applying dedup, exclusion, the
 // attempt budget and Stop on the merged sequence — so the emitted
 // candidates are byte-identical to the sequential ones.
-func (r *genRun) runOrdered() error {
+func (r *genRun) runOrdered() {
 	done := make(chan struct{})
 	defer close(done)
 	sem := make(chan struct{}, r.workers)
-	chans := make([]chan drawBatch, genSubstreams)
+	chans := make([]chan []ip6.Addr, genSubstreams)
 	batch := r.batchSize()
 	for i := range chans {
-		chans[i] = make(chan drawBatch, 2)
+		chans[i] = make(chan []ip6.Addr, 2)
 		go r.produce(i, chans[i], sem, done, batch)
 	}
 	seen := ip6.NewSet(setCapacity(r.count))
-	var cur [genSubstreams]drawBatch
+	var cur [genSubstreams][]ip6.Addr
 	var idx [genSubstreams]int
 	emitted, attempts := 0, 0
 	for emitted < r.count && attempts < r.maxAttempts {
 		s := attempts % genSubstreams
 		attempts++
 		if r.pollStop(attempts) {
-			return nil
+			return
 		}
-		if idx[s] == len(cur[s].addrs) {
-			if err := cur[s].err; err != nil {
-				return err
-			}
+		if idx[s] == len(cur[s]) {
 			cur[s] = <-chans[s]
 			idx[s] = 0
-			if len(cur[s].addrs) == 0 {
-				if cur[s].err != nil {
-					return cur[s].err
-				}
-				continue // defensive: empty errorless batch
-			}
 		}
-		a := cur[s].addrs[idx[s]]
+		a := cur[s][idx[s]]
 		idx[s]++
 		if r.excluded(a) {
 			continue
@@ -305,18 +295,17 @@ func (r *genRun) runOrdered() error {
 		if seen.Add(a) {
 			emitted++
 			if !r.yield(a) {
-				return nil
+				return
 			}
 		}
 	}
-	return nil
 }
 
-// produce draws batches for one substream until done closes. The
+// produce draws full batches for one substream until done closes. The
 // semaphore bounds how many substreams compute simultaneously (the
 // Workers option); while blocked on a full output buffer a producer
 // holds no semaphore slot.
-func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, done <-chan struct{}, batch int) {
+func (r *genRun) produce(stream int, out chan<- []ip6.Addr, sem chan struct{}, done <-chan struct{}, batch int) {
 	rng := stats.Split(r.seed, int64(stream))
 	buf := make([]int, r.bufLen)
 	for {
@@ -325,8 +314,8 @@ func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, do
 		case <-done:
 			return
 		}
-		b := drawBatch{addrs: make([]ip6.Addr, 0, batch)}
-		for len(b.addrs) < batch {
+		b := make([]ip6.Addr, batch)
+		for i := range b {
 			if r.perAttemptStop {
 				// Expensive draws: notice cancellation mid-batch instead
 				// of finishing it.
@@ -337,20 +326,12 @@ func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, do
 				default:
 				}
 			}
-			a, err := r.draw(rng, buf)
-			if err != nil {
-				b.err = err
-				break
-			}
-			b.addrs = append(b.addrs, a)
+			b[i] = r.draw(rng, buf)
 		}
 		<-sem
 		select {
 		case out <- b:
 		case <-done:
-			return
-		}
-		if b.err != nil {
 			return
 		}
 	}
@@ -398,14 +379,13 @@ func (s *shardedSet) add(a ip6.Addr) bool {
 // sharded dedup set, with a shared atomic attempt budget. The consuming
 // goroutine only forwards to yield, so candidate order depends on
 // scheduling.
-func (r *genRun) runUnordered() error {
+func (r *genRun) runUnordered() {
 	done := make(chan struct{})
 	var once sync.Once
 	finish := func() { once.Do(func() { close(done) }) }
 	defer finish()
 
 	out := make(chan ip6.Addr, 64*r.workers)
-	errc := make(chan error, r.workers)
 	var attempts atomic.Int64
 	seen := newShardedSet(r.count)
 	var wg sync.WaitGroup
@@ -428,12 +408,7 @@ func (r *genRun) runUnordered() error {
 					finish()
 					return
 				}
-				a, err := r.draw(rng, buf)
-				if err != nil {
-					errc <- err
-					finish()
-					return
-				}
+				a := r.draw(rng, buf)
 				if r.excluded(a) || !seen.add(a) {
 					continue
 				}
@@ -459,14 +434,6 @@ func (r *genRun) runUnordered() error {
 			break
 		}
 	}
-	if emitted < r.count {
-		select {
-		case err := <-errc:
-			return err
-		default:
-		}
-	}
-	return nil
 }
 
 // GenerateStream draws unique candidate IPv6 addresses from the model's

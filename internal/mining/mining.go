@@ -598,13 +598,18 @@ func (m *SegmentModel) FormatValue(v Value) string {
 // codes of every segment, the representation used to train and query the
 // Bayesian network. Encode is the readable reference scan; the bulk and
 // serving paths run on the compiled flat-table form (Compiled), which
-// answers identically. An Encoder must not be copied after first use
-// (the compiled form is cached behind a sync.Once).
+// answers identically. Decoding has the same split: DecodeReference is
+// the readable form, Decoder the compiled one generation runs on. An
+// Encoder must not be copied after first use (the compiled forms are
+// cached behind sync.Onces).
 type Encoder struct {
 	Models []*SegmentModel
 
 	compileOnce sync.Once
 	compiled    *CompiledEncoder
+
+	decodeOnce sync.Once
+	decoder    *CompiledDecoder
 }
 
 // NewEncoder returns an encoder over the given per-segment models.
@@ -677,20 +682,50 @@ func (e *Encoder) EncodeAllWorkers(addrs []ip6.Addr, workers int) [][]int {
 
 // Decode materializes a concrete address from a categorical vector by
 // sampling a concrete value from every selected element (exact values are
-// deterministic; ranges sample uniformly).
+// deterministic; ranges sample uniformly). It checks the vector, then
+// runs the compiled decoder (Decoder); generation, whose sampler draws
+// only valid vectors, calls the compiled decoder directly.
 func (e *Encoder) Decode(vec []int, rng *rand.Rand) (ip6.Addr, error) {
-	if len(vec) != len(e.Models) {
-		return ip6.Addr{}, fmt.Errorf("mining: Decode needs %d categories, got %d", len(e.Models), len(vec))
+	if err := e.checkVec(vec); err != nil {
+		return ip6.Addr{}, err
+	}
+	return e.Decoder().Decode(vec, rng), nil
+}
+
+// DecodeReference is the readable decode: every selected element's value
+// written through Segment.Set, one Nybbles round trip per segment. It is
+// kept only as the test oracle and benchmark baseline of the compiled
+// decoder, which answers identically for every rng state.
+func (e *Encoder) DecodeReference(vec []int, rng *rand.Rand) (ip6.Addr, error) {
+	if err := e.checkVec(vec); err != nil {
+		return ip6.Addr{}, err
 	}
 	var a ip6.Addr
 	for i, m := range e.Models {
-		if vec[i] < 0 || vec[i] >= m.Arity() {
-			return ip6.Addr{}, fmt.Errorf("mining: category %d out of range for segment %s", vec[i], m.Seg.Label)
-		}
-		v := m.Values[vec[i]]
-		a = m.Seg.Set(a, v.Sample(rng))
+		a = m.Seg.Set(a, m.Values[vec[i]].Sample(rng))
 	}
 	return a, nil
+}
+
+// checkVec reports an error unless vec holds one valid element index per
+// segment.
+func (e *Encoder) checkVec(vec []int) error {
+	if len(vec) != len(e.Models) {
+		return fmt.Errorf("mining: Decode needs %d categories, got %d", len(e.Models), len(vec))
+	}
+	for i, m := range e.Models {
+		if vec[i] < 0 || vec[i] >= m.Arity() {
+			return fmt.Errorf("mining: category %d out of range for segment %s", vec[i], m.Seg.Label)
+		}
+	}
+	return nil
+}
+
+// Decoder returns the encoder's compiled decoder, built once and cached;
+// it is safe for concurrent use, like Encoder itself.
+func (e *Encoder) Decoder() *CompiledDecoder {
+	e.decodeOnce.Do(func() { e.decoder = e.compileDecoder() })
+	return e.decoder
 }
 
 // Codes returns the vector of code strings for a categorical vector, e.g.

@@ -54,13 +54,13 @@ ALLOC_THRESHOLD="${BENCH_GATE_ALLOC_THRESHOLD:-1.30}"
 # The hot-path benchmarks the gate protects (top-level names only; the
 # regex below deliberately excludes /workers=... sub-benchmarks).
 BENCHES=(NewProfile10k NewProfile100k Learn10k Learn100k Build10k Build100k
-         Generate10k Generate100k Encode100k ParseFormat ObserveIngest
-         GenerateNDJSON GenerateBinary100k ObserveBinary10k MetricsHotPath
-         SpanHotPath)
+         Generate10k Generate100k Encode100k Decode100k ParseFormat
+         ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
+         MetricsHotPath SpanHotPath)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, baseline or not.
-ZERO_ALLOC=(Encode100k ParseFormat ObserveIngest GenerateNDJSON
+ZERO_ALLOC=(Encode100k Decode100k ParseFormat ObserveIngest GenerateNDJSON
             GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath)
 
 if command -v benchstat >/dev/null 2>&1; then
