@@ -21,6 +21,10 @@
 //     one-off json.NewDecoder of a request body is per-request, not
 //     per-record, and stays legal.
 //
+// A configured name that matches no function of its package is itself
+// reported (at the package clause): a rename must not switch a check
+// off silently.
+//
 // Deliberate allocations are annotated in place with a justification:
 //
 //	if err := json.Unmarshal(line, &ol); … //eip:alloc-ok JSON-framed lines are the documented slow path
@@ -28,6 +32,7 @@ package hotpath
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -89,9 +94,13 @@ func run(pass *analysis.Pass, cfg Config) {
 	decls := make(map[types.Object]*ast.FuncDecl)
 	keys := make(map[types.Object]string)
 	var entryObjs, warmObjs []types.Object
+	var pkgPos token.Pos
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
+		}
+		if !pkgPos.IsValid() {
+			pkgPos = f.Package
 		}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -111,8 +120,14 @@ func run(pass *analysis.Pass, cfg Config) {
 			if warm[key] {
 				warmObjs = append(warmObjs, obj)
 			}
+			delete(entries, key)
+			delete(warm, key)
 		}
 	}
+	// What is left names nothing: a renamed function or a stale config
+	// entry, whose check would otherwise be off without a word.
+	reportUnresolved(pass, pkgPos, "entry point", cfg.EntryPoints, entries)
+	reportUnresolved(pass, pkgPos, "warm function", cfg.WarmFuncs, warm)
 
 	// BFS over static intra-package calls from the entry points.
 	reached := make(map[types.Object]bool)
@@ -148,6 +163,17 @@ func run(pass *analysis.Pass, cfg Config) {
 	for _, obj := range warmObjs {
 		if !reached[obj] { // strict tier subsumes the warm rules
 			checkBody(pass, decls[obj], keys[obj], false)
+		}
+	}
+}
+
+// reportUnresolved reports at pos, in configuration order, each
+// configured name of this package that is still in unresolved.
+func reportUnresolved(pass *analysis.Pass, pos token.Pos, tier string, configured []string, unresolved map[string]bool) {
+	for _, e := range configured {
+		if pkg, fn := splitEntry(e); pkg == pass.Pkg.Path() && unresolved[fn] {
+			pass.Reportf(pos, "%s %s matches no function declared in %s, so its check is off; fix or remove the entry",
+				tier, e, pkg)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 func TestHotpath(t *testing.T) {
 	const pkg = "entropyip/internal/analysis/testdata/src/hotpath"
 	a := hotpath.New(hotpath.Config{
-		EntryPoints: []string{pkg + ".AppendRecord"},
-		WarmFuncs:   []string{pkg + ".Handle", pkg + ".HandleJustified"},
+		EntryPoints: []string{pkg + ".AppendRecord", pkg + ".Renamed"},
+		WarmFuncs:   []string{pkg + ".Handle", pkg + ".HandleJustified", pkg + ".Gone.Handle"},
 	})
 	analysistest.Run(t, "../testdata/src/hotpath", a)
 }

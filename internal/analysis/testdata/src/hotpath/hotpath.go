@@ -1,7 +1,9 @@
 // Package hotpathtest is the golden fixture for the hotpath analyzer.
 // The test config declares AppendRecord a zero-alloc entry point and
-// Handle a warm handler.
-package hotpathtest
+// Handle a warm handler. It also names Renamed and Gone.Handle, which
+// this package does not declare: a stale name is reported at the package
+// clause instead of silently switching its check off.
+package hotpathtest // want `entry point \S+\.Renamed matches no function` `warm function \S+\.Gone\.Handle matches no function`
 
 import (
 	"encoding/json"

@@ -277,15 +277,17 @@ func (r *Registry) putBytes(name string, m *core.Model, data []byte) (Info, erro
 	if !ValidName(name) {
 		return Info{}, fmt.Errorf("registry: invalid model name %q", name)
 	}
+	// Assign the next version and write atomically under the index lock so
+	// concurrent Puts of the same name get distinct versions. The model
+	// directory is created under the lock too: Delete removes it while
+	// holding imu, so creating it earlier races a concurrent Delete into
+	// an ENOENT from CreateTemp.
+	r.imu.Lock()
+	defer r.imu.Unlock()
 	nameDir := filepath.Join(r.dir, name)
 	if err := os.MkdirAll(nameDir, 0o755); err != nil {
 		return Info{}, fmt.Errorf("registry: %w", err)
 	}
-
-	// Assign the next version and write atomically under the index lock so
-	// concurrent Puts of the same name get distinct versions.
-	r.imu.Lock()
-	defer r.imu.Unlock()
 	version := r.lastVersion[name] + 1
 	if infos := r.index[name]; len(infos) > 0 && infos[len(infos)-1].Version >= version {
 		version = infos[len(infos)-1].Version + 1
@@ -434,9 +436,9 @@ func (r *Registry) OpenRaw(name string, version int) (io.ReadCloser, Info, error
 	if err != nil {
 		return nil, Info{}, err
 	}
-	f, err := os.Open(r.versionFile(info.Name, info.Version))
+	f, err := r.openVersion(info)
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("registry: %w", err)
+		return nil, Info{}, err
 	}
 	return f, info, nil
 }
@@ -460,10 +462,26 @@ func (r *Registry) resolve(name string, version int) (Info, error) {
 	return Info{}, fmt.Errorf("%w: %q version %d", ErrNotFound, name, version)
 }
 
-func (r *Registry) loadFromDisk(info Info) (*core.Model, error) {
+// openVersion opens a resolved version's file. A Delete that runs
+// between resolve and the open removes the file; that surfaces as the
+// ErrNotFound a lookup after the Delete would get, not as an I/O error.
+func (r *Registry) openVersion(info Info) (*os.File, error) {
 	f, err := os.Open(r.versionFile(info.Name, info.Version))
 	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			if _, rerr := r.resolve(info.Name, info.Version); rerr != nil {
+				return nil, rerr
+			}
+		}
 		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return f, nil
+}
+
+func (r *Registry) loadFromDisk(info Info) (*core.Model, error) {
+	f, err := r.openVersion(info)
+	if err != nil {
+		return nil, err
 	}
 	defer f.Close()
 	m, err := core.Load(f)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -17,25 +18,23 @@ import (
 	"entropyip/internal/wire"
 )
 
-// BenchmarkGenerateNDJSON is the CI-gated per-line cost of the generate
-// stream's formatting path: one candidate address formatted into the
-// pooled line buffer and written through a bufio.Writer, exactly as
-// handleGenerate does per candidate. Steady state must be 0 allocs/op
-// (gated strictly by scripts/check_bench.sh) — this is the "0 amortized
-// allocs/address" acceptance number for the streaming path.
+// BenchmarkGenerateNDJSON is the CI-gated per-line cost of the NDJSON
+// generate stream: one candidate address through the real ndjsonSink —
+// formatted into its pooled buffer, written in DefaultFlushEvery-line
+// chunks through a lockedSink — exactly as generateStreams runs it per
+// candidate. Steady state must be 0 allocs/op (gated strictly by
+// scripts/check_bench.sh) — this is the "0 amortized allocs/address"
+// acceptance number for the streaming path.
 func BenchmarkGenerateNDJSON(b *testing.B) {
 	addrs := testAddrs(4096, 1)
-	bw := bufio.NewWriter(io.Discard)
+	out := &lockedSink{bw: bufio.NewWriter(io.Discard), ctx: context.Background()}
 	lb := getLineBuf()
 	defer putLineBuf(lb)
+	var sink candidateSink = newNDJSONSink(out, lb, 0, false, false, DefaultFlushEvery, "")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := addrs[i%len(addrs)]
-		lb.b = append(lb.b[:0], `{"addr":"`...)
-		lb.b = a.AppendString(lb.b)
-		lb.b = append(lb.b, '"', '}', '\n')
-		if _, err := bw.Write(lb.b); err != nil {
+		if err := sink.add(addrs[i%len(addrs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,34 +57,33 @@ func BenchmarkGenerateNDJSONReference(b *testing.B) {
 }
 
 // BenchmarkGenerateBinary100k is the CI-gated frame-encode cost of the
-// binary generate path: 100k candidate addresses per op appended through
-// a reused wire.Writer into a bufio.Writer, exactly as generateBinary's
-// producer does per candidate (header write, data frames, End frame).
-// Steady state must be 0 allocs/op, and scripts/check_bench.sh compares
-// its per-candidate cost against BenchmarkGenerateNDJSON in the same run
-// — the binary encoding must stay at least 2x the NDJSON throughput.
+// binary generate path: 100k candidate addresses per op through the real
+// wireSink over a reused wire.Writer and a lockedSink (header write, data
+// frames of DefaultFlushEvery records, End frame), exactly as
+// generateStreams runs a single stream. Steady state must be 0 allocs/op,
+// and scripts/check_bench.sh compares its per-candidate cost against
+// BenchmarkGenerateNDJSON in the same run — the binary encoding must stay
+// at least 2x the NDJSON throughput.
 func BenchmarkGenerateBinary100k(b *testing.B) {
 	const perOp = 100_000
 	addrs := testAddrs(4096, 1)
-	bw := bufio.NewWriter(io.Discard)
+	out := &lockedSink{bw: bufio.NewWriter(io.Discard), ctx: context.Background()}
 	hdr := wire.AppendHeader(nil, wire.Header{Streams: 1, Seed: 1})
-	ww := wire.NewWriter(bw, 0, false, 0)
+	ww := new(wire.Writer)
+	var sink candidateSink = &wireSink{ww: ww}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bw.Write(hdr); err != nil {
+		if _, err := out.bw.Write(hdr); err != nil {
 			b.Fatal(err)
 		}
-		ww.Reset(bw, 0, false, 0)
+		ww.Reset(out, 0, false, DefaultFlushEvery)
 		for j := 0; j < perOp; j++ {
-			if err := ww.AddAddr(addrs[j%len(addrs)]); err != nil {
+			if err := sink.add(addrs[j%len(addrs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := ww.End(); err != nil {
-			b.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
+		if err := sink.close(""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,30 +1,24 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
-	"entropyip/internal/admission"
-	"entropyip/internal/core"
 	"entropyip/internal/ip6"
 	"entropyip/internal/obs/trace"
 	"entropyip/internal/wire"
 )
 
-// This file is the binary half of the wire-protocol redesign (PR 7): the
-// Accept/Content-Type negotiation between NDJSON and the framed binary
-// encoding of internal/wire, the batch (multi-stream) generate engine
-// both encodings share, and the binary /observe decode path. The
-// single-stream NDJSON path in server.go is untouched and byte-identical
-// to what PR 5 pinned.
+// This file is the encoding negotiation between NDJSON and the framed
+// binary encoding of internal/wire (Accept on generate, Content-Type on
+// observe) and the binary /observe decode path. Generate responses in
+// either encoding come from the one producer loop in generate.go; the
+// binary side of it is wireSink.
 
 // encoding is a negotiated request/response encoding.
 type encoding int
@@ -98,494 +92,10 @@ func isBinaryContentType(ct string) bool {
 	return strings.EqualFold(strings.TrimSpace(ct), wire.ContentType)
 }
 
-// MaxGenerateStreams caps the streams of one batch generate request at
-// what the wire format's frame stream index can address.
-const MaxGenerateStreams = wire.MaxStreams
-
-// maxConcurrentStreams bounds how many of a batch request's streams
-// generate at once; the rest start as earlier ones finish. Frames (or
-// NDJSON lines) interleave only among running streams, so this also
-// bounds the demultiplexing state a client holds at once.
-const maxConcurrentStreams = 8
-
-// resolvedStream is one generate stream after request validation, its
-// seed derived when the request omitted one. Evidence stays in request
-// form — the engine validates it against the model at generation time,
-// per stream.
-type resolvedStream struct {
-	count       int
-	seed        int64
-	evidence    core.Evidence
-	maxAttempts int
-}
-
-// resolveStreams validates a generate request into its stream list and
-// reports whether the request was batch-form. Single requests use the
-// legacy top-level fields; batch requests move count, seed, evidence and
-// max_attempts_factor per stream and must leave the top-level ones
-// unset.
-func (s *Server) resolveStreams(req *GenerateRequest) ([]resolvedStream, bool, error) {
-	maxCount := s.opts.maxGenerateCount()
-	if len(req.Streams) == 0 {
-		if req.Count <= 0 {
-			return nil, false, fmt.Errorf("count must be positive")
-		}
-		if req.Count > maxCount {
-			return nil, false, fmt.Errorf("count %d exceeds limit %d", req.Count, maxCount)
-		}
-		if req.MaxAttemptsFactor < 0 || req.MaxAttemptsFactor > MaxAttemptsFactorLimit {
-			return nil, false, fmt.Errorf("max_attempts_factor must be in 0..%d", MaxAttemptsFactorLimit)
-		}
-		seed := randomSeed()
-		if req.Seed != nil {
-			seed = *req.Seed
-		}
-		return []resolvedStream{{
-			count:       req.Count,
-			seed:        seed,
-			evidence:    core.Evidence(req.Evidence),
-			maxAttempts: req.MaxAttemptsFactor,
-		}}, false, nil
-	}
-	if req.Count != 0 || req.Seed != nil || len(req.Evidence) > 0 || req.MaxAttemptsFactor != 0 {
-		return nil, true, fmt.Errorf("streams and top-level count/seed/evidence/max_attempts_factor are mutually exclusive")
-	}
-	if len(req.Streams) > MaxGenerateStreams {
-		return nil, true, fmt.Errorf("%d streams exceed limit %d", len(req.Streams), MaxGenerateStreams)
-	}
-	out := make([]resolvedStream, len(req.Streams))
-	total := 0
-	for i, st := range req.Streams {
-		if st.Count <= 0 {
-			return nil, true, fmt.Errorf("streams[%d].count must be positive", i)
-		}
-		if st.MaxAttemptsFactor < 0 || st.MaxAttemptsFactor > MaxAttemptsFactorLimit {
-			return nil, true, fmt.Errorf("streams[%d].max_attempts_factor must be in 0..%d", i, MaxAttemptsFactorLimit)
-		}
-		total += st.Count
-		if total > maxCount {
-			return nil, true, fmt.Errorf("total count across streams exceeds limit %d", maxCount)
-		}
-		seed := randomSeed()
-		if st.Seed != nil {
-			seed = *st.Seed
-		}
-		out[i] = resolvedStream{
-			count:       st.Count,
-			seed:        seed,
-			evidence:    core.Evidence(st.Evidence),
-			maxAttempts: st.MaxAttemptsFactor,
-		}
-	}
-	return out, true, nil
-}
-
-// seedHeader renders the X-Seed value: the stream seeds, comma-joined in
-// stream order (a single stream's header is just its seed, as before).
-func seedHeader(streams []resolvedStream) string {
-	if len(streams) == 1 {
-		return strconv.FormatInt(streams[0].seed, 10)
-	}
-	var b strings.Builder
-	for i, st := range streams {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatInt(st.seed, 10))
-	}
-	return b.String()
-}
-
-// generateOptions builds the engine options for one resolved stream.
-// Without Stop, a disconnected client would keep the generator spinning
-// through duplicate draws until the attempt budget runs out.
-func (s *Server) generateOptions(ctx context.Context, st resolvedStream, req *GenerateRequest) core.GenerateOptions {
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.opts.GenerateWorkers
-	}
-	return core.GenerateOptions{
-		Count:             st.count,
-		Seed:              st.seed,
-		Evidence:          st.evidence,
-		MaxAttemptsFactor: st.maxAttempts,
-		Workers:           workers,
-		Unordered:         req.Unordered,
-		Stop:              func() bool { return ctx.Err() != nil || s.isDraining() },
-	}
-}
-
-// streamGate bounds how many of a batch request's streams generate at
-// once. With admission slot gating on, every producer claims one of the
-// TENANT's slots — per-tenant isolation, so a greedy batch queues behind
-// its own tenant's work, not everyone's. Otherwise a per-request
-// semaphore of maxConcurrentStreams preserves the PR 7 behavior.
-type streamGate struct {
-	adm    *admission.Controller
-	tenant string
-	sem    chan struct{}
-}
-
-func (s *Server) newStreamGate(ctx context.Context) *streamGate {
-	if s.adm != nil && s.opts.Admission.TenantSlots > 0 {
-		return &streamGate{adm: s.adm, tenant: tenantFrom(ctx)}
-	}
-	return &streamGate{sem: make(chan struct{}, maxConcurrentStreams)}
-}
-
-// acquire claims one generation slot, blocking until a slot frees or the
-// context dies; ok=false means the stream must not run.
-func (g *streamGate) acquire(ctx context.Context) (func(), bool) {
-	if g.adm != nil {
-		return g.adm.WaitSlot(ctx, g.tenant)
-	}
-	select {
-	case g.sem <- struct{}{}:
-		return func() { <-g.sem }, true
-	case <-ctx.Done():
-		return func() {}, false
-	}
-}
-
-// lockedSink serializes frame/line writes from concurrent stream
-// producers onto one buffered response writer. Each Write call must be
-// one complete frame (or NDJSON line) — wire.Writer guarantees this —
-// so frames of different streams interleave without tearing. The first
-// error (including client disconnect) sticks and fails every later
-// write, stopping all producers.
-type lockedSink struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	flusher http.Flusher
-	ctx     context.Context
-	// every flushes after that many writes; 1 flushes each write.
-	every  int
-	n      int
-	writes int64
-	err    error
-}
-
-func (ls *lockedSink) Write(p []byte) (int, error) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ls.err != nil {
-		return 0, ls.err
-	}
-	if ls.ctx.Err() != nil {
-		ls.err = ls.ctx.Err()
-		return 0, ls.err
-	}
-	n, err := ls.bw.Write(p)
-	if err != nil {
-		ls.err = err
-		return n, err
-	}
-	ls.writes++
-	ls.n++
-	if ls.n%ls.every == 0 {
-		if err := ls.bw.Flush(); err != nil {
-			ls.err = err
-			return n, err
-		}
-		if ls.flusher != nil {
-			ls.flusher.Flush()
-		}
-	}
-	return n, nil
-}
-
-// wroteAny reports whether any frame/line reached the buffered writer —
-// after which the 200 status may be on the wire and errors must go
-// in-band.
-func (ls *lockedSink) wroteAny() bool {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.writes > 0
-}
-
-// wireWriterPool reuses per-stream binary frame encoders; Reset keeps
-// each Writer's frame buffer, so steady state allocates nothing.
-var wireWriterPool = sync.Pool{
-	New: func() interface{} { return new(wire.Writer) },
-}
-
 // wireReaderPool reuses binary body decoders (one fixed payload buffer
 // each) across /observe requests.
 var wireReaderPool = sync.Pool{
 	New: func() interface{} { return new(wire.Reader) },
-}
-
-// generateBinary streams candidates in the framed binary encoding,
-// single-stream or batch. The stream header goes out first; stream
-// producers then run concurrently (bounded by maxConcurrentStreams),
-// each multiplexing complete frames onto the shared sink. A stream that
-// fails after bytes are on the wire reports in-band through its Error
-// frame; a single-stream request that fails before anything was flushed
-// still gets a clean error envelope.
-func (s *Server) generateBinary(w http.ResponseWriter, r *http.Request, m *core.Model, req *GenerateRequest, streams []resolvedStream, batch bool, release func()) {
-	ctx := r.Context()
-	if batch {
-		// The request-level admission slot goes back before fan-out: each
-		// producer claims its own tenant slot through the stream gate, and
-		// holding the request's would deadlock a one-slot tenant against
-		// its own batch.
-		release()
-	} else {
-		defer release()
-	}
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	// Data frames are kilobytes each, so flushing every frame keeps
-	// time-to-first-candidate low without defeating buffering.
-	sink := &lockedSink{bw: bw, flusher: flusher, ctx: ctx, every: 1}
-
-	var flags uint8
-	if req.Prefixes {
-		flags |= wire.FlagPrefixes
-	}
-	if batch {
-		flags |= wire.FlagBatch
-	}
-	// The header goes into the bufio buffer but is not flushed: if a
-	// single-stream request fails before its first frame, the buffer is
-	// simply abandoned and a JSON error envelope written instead.
-	var hb [wire.HeaderSize]byte
-	if _, err := bw.Write(wire.AppendHeader(hb[:0], wire.Header{
-		Flags:   flags,
-		Streams: len(streams),
-		Seed:    streams[0].seed,
-	})); err != nil {
-		return
-	}
-	// The request's trace ID rides right behind the header as a Trace
-	// frame, so a client holding only the binary stream (possibly saved to
-	// disk) can still pull the matching flight-recorder trace. It shares
-	// the header's not-flushed-yet property: abandoned with the buffer if
-	// a single-stream request dies before its first data frame.
-	root := requestSpan(ctx)
-	if tid := root.TraceID(); tid.IsValid() {
-		var tb [wire.FrameHeaderSize + 16]byte
-		if _, err := bw.Write(wire.AppendTraceFrame(tb[:0], 0, tid)); err != nil {
-			return
-		}
-	}
-
-	var produced int64
-	streamErrs := make([]error, len(streams))
-	runStream := func(idx int, span *trace.Span) {
-		defer span.Finish()
-		st := streams[idx]
-		span.SetInt("stream", int64(idx))
-		span.SetInt("count", int64(st.count))
-		span.SetInt("seed", st.seed)
-		ww := wireWriterPool.Get().(*wire.Writer)
-		defer wireWriterPool.Put(ww)
-		ww.Reset(sink, idx, req.Prefixes, s.opts.flushEvery())
-		if batch {
-			if ww.Seed(st.seed) != nil {
-				return
-			}
-		}
-		opts := s.generateOptions(ctx, st, req)
-		var n int64
-		var werr error
-		var err error
-		if req.Prefixes {
-			err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
-				n++
-				werr = ww.AddPrefix(p)
-				return werr == nil
-			})
-		} else {
-			err = m.GenerateStream(opts, func(a ip6.Addr) bool {
-				n++
-				werr = ww.AddAddr(a)
-				return werr == nil
-			})
-		}
-		atomic.AddInt64(&produced, n)
-		span.SetInt("produced", n)
-		switch {
-		case werr != nil || ctx.Err() != nil:
-			// The sink is dead (client gone or write failure); nothing
-			// more to say on the wire.
-		case err != nil:
-			span.SetError(err.Error())
-			if !batch && !sink.wroteAny() {
-				// Nothing flushed yet: the caller answers with a clean
-				// error envelope instead of a binary Error frame.
-				streamErrs[idx] = err
-				return
-			}
-			s.logger.Error("generate failed mid-stream",
-				"request_id", requestID(ctx),
-				"trace_id", traceIDString(ctx),
-				"model", r.PathValue("name"),
-				"stream", idx,
-				"encoding", "binary",
-				"err", err)
-			_ = ww.Error(err.Error())
-		default:
-			if s.isDraining() && n < int64(st.count) {
-				// Drain cut this stream short: say so in-band, so the
-				// client can tell the cut from exhausted model support.
-				_ = ww.Error(drainMessage)
-			} else {
-				_ = ww.End()
-			}
-		}
-	}
-
-	if !batch {
-		runStream(0, root.StartChild("generate.stream"))
-		if streamErrs[0] != nil {
-			writeError(w, r, http.StatusBadRequest, "%v", streamErrs[0])
-			return
-		}
-	} else {
-		gate := s.newStreamGate(ctx)
-		var wg sync.WaitGroup
-		for i := range streams {
-			// Children start before the goroutine handoff (span ownership
-			// rule, DESIGN.md §9); their duration therefore includes the
-			// slot queue wait, which is part of what the client paid.
-			span := root.StartChild("generate.stream")
-			wg.Add(1)
-			go func(i int, span *trace.Span) {
-				defer wg.Done()
-				done, ok := gate.acquire(ctx)
-				if !ok {
-					span.Finish()
-					return
-				}
-				defer done()
-				runStream(i, span)
-			}(i, span)
-		}
-		wg.Wait()
-	}
-	_ = bw.Flush()
-	s.candidates.Add(uint64(atomic.LoadInt64(&produced)))
-}
-
-// generateNDJSONBatch streams a batch request in NDJSON: one object per
-// line, each tagged with its stream index —
-//
-//	{"stream":0,"addr":"2001:db8::1"}
-//	{"stream":1,"prefix":"2001:db8::/64"}
-//	{"stream":0,"done":true}           stream completed
-//	{"stream":1,"error":"..."}         stream failed mid-way
-//
-// Lines of different streams interleave arbitrarily; lines of one
-// stream are in its deterministic order. Stream seeds are echoed
-// comma-joined in X-Seed (GenerateItem decodes these lines client-side).
-func (s *Server) generateNDJSONBatch(w http.ResponseWriter, r *http.Request, m *core.Model, req *GenerateRequest, streams []resolvedStream, release func()) {
-	ctx := r.Context()
-	// Same slot handoff as the binary batch path: producers claim their
-	// own tenant slots, so the request-level one goes back first.
-	release()
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	sink := &lockedSink{bw: bw, flusher: flusher, ctx: ctx, every: s.opts.flushEvery()}
-
-	var produced int64
-	runStream := func(idx int, span *trace.Span) {
-		defer span.Finish()
-		st := streams[idx]
-		span.SetInt("stream", int64(idx))
-		span.SetInt("count", int64(st.count))
-		span.SetInt("seed", st.seed)
-		lb := getLineBuf()
-		defer putLineBuf(lb)
-		prefix := `{"stream":` + strconv.Itoa(idx) + `,`
-		opts := s.generateOptions(ctx, st, req)
-		var n int64
-		var werr error
-		write := func() bool {
-			_, werr = sink.Write(lb.b)
-			return werr == nil
-		}
-		var err error
-		if req.Prefixes {
-			err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
-				lb.b = append(lb.b[:0], prefix...)
-				lb.b = append(lb.b, `"prefix":"`...)
-				lb.b = p.AppendString(lb.b)
-				lb.b = append(lb.b, '"', '}', '\n')
-				n++
-				return write()
-			})
-		} else {
-			err = m.GenerateStream(opts, func(a ip6.Addr) bool {
-				lb.b = append(lb.b[:0], prefix...)
-				lb.b = append(lb.b, `"addr":"`...)
-				lb.b = a.AppendString(lb.b)
-				lb.b = append(lb.b, '"', '}', '\n')
-				n++
-				return write()
-			})
-		}
-		atomic.AddInt64(&produced, n)
-		span.SetInt("produced", n)
-		switch {
-		case werr != nil || ctx.Err() != nil:
-		case err != nil:
-			span.SetError(err.Error())
-			s.logger.Error("generate failed mid-stream",
-				"request_id", requestID(ctx),
-				"trace_id", traceIDString(ctx),
-				"model", r.PathValue("name"),
-				"stream", idx,
-				"encoding", "ndjson",
-				"err", err)
-			lb.b = append(lb.b[:0], prefix...)
-			lb.b = append(lb.b, `"error":`...)
-			lb.b = appendJSONString(lb.b, err.Error())
-			if tid := traceIDString(ctx); tid != "" {
-				lb.b = append(lb.b, `,"trace_id":`...)
-				lb.b = appendJSONString(lb.b, tid)
-			}
-			lb.b = append(lb.b, '}', '\n')
-			_, _ = sink.Write(lb.b)
-		default:
-			lb.b = append(lb.b[:0], prefix...)
-			if s.isDraining() && n < int64(st.count) {
-				// Drain cut this stream short: an in-band error line, so
-				// the client can tell it from exhausted model support.
-				lb.b = append(lb.b, `"error":`...)
-				lb.b = appendJSONString(lb.b, drainMessage)
-				lb.b = append(lb.b, '}', '\n')
-			} else {
-				lb.b = append(lb.b, `"done":true}`...)
-				lb.b = append(lb.b, '\n')
-			}
-			_, _ = sink.Write(lb.b)
-		}
-	}
-
-	root := requestSpan(ctx)
-	gate := s.newStreamGate(ctx)
-	var wg sync.WaitGroup
-	for i := range streams {
-		span := root.StartChild("generate.stream")
-		wg.Add(1)
-		go func(i int, span *trace.Span) {
-			defer wg.Done()
-			done, ok := gate.acquire(ctx)
-			if !ok {
-				span.Finish()
-				return
-			}
-			defer done()
-			runStream(i, span)
-		}(i, span)
-	}
-	wg.Wait()
-	_ = bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	s.candidates.Add(uint64(atomic.LoadInt64(&produced)))
 }
 
 // observeBinary ingests a framed binary /observe body: address frames

@@ -77,6 +77,9 @@ func TestDrainEmitsBatchNDJSONErrorLines(t *testing.T) {
 		}
 		if item.Error != "" && item.Stream != nil {
 			got[*item.Stream] = item.Error
+			if item.TraceID == "" {
+				t.Errorf("stream %d drain trailer line is missing the trace_id handle", *item.Stream)
+			}
 		}
 	}
 	for i := 0; i < 2; i++ {

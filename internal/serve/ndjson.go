@@ -9,14 +9,15 @@ import (
 // encoding/json once per line — an Encoder allocation-and-reflection round
 // trip per candidate, dominating the serving cost of the compiled sampler.
 // The stream's line shapes are fixed ({"addr":"..."}, {"prefix":"..."},
-// {"error":"..."}), so the handler now builds each line in a pooled,
-// reusable byte buffer with append-style formatting. The only subtle part
-// is string escaping, which appendJSONString keeps byte-identical to
-// encoding/json (HTML escaping included) so clients see exactly the bytes
-// the old encoder produced.
+// {"error":"..."}), so ndjsonSink (generate.go) builds each line in a
+// pooled, reusable byte buffer with append-style formatting. The only
+// subtle part is string escaping, which appendJSONString keeps
+// byte-identical to encoding/json (HTML escaping included) so clients see
+// exactly the bytes the old encoder produced.
 
-// lineBuf is a pooled NDJSON line buffer. The pool stores pointers so
-// Put does not allocate a fresh slice header per release.
+// lineBuf is a pooled NDJSON buffer: one stream's lines between chunk
+// writes. The pool stores pointers so Put does not allocate a fresh slice
+// header per release.
 type lineBuf struct {
 	b []byte
 }
@@ -109,17 +110,15 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendErrorLine formats the {"error":"..."} trailer of a mid-stream
-// generation failure, byte-identical to
-// json.Encoder.Encode(GenerateItem{Error: msg, TraceID: traceID}) —
+// appendErrorFields finishes the error trailer line of a failed or
+// drained stream: dst holds the line's opening ("{", or a batch line's
+// `{"stream":i,`), and the error and trace_id members follow. On an
+// untagged line the result is byte-identical to
+// json.Encoder.Encode(GenerateItem{Error: msg, TraceID: traceID}),
 // including omitempty collapsing an all-empty line to "{}". The trace ID
 // rides along so a client holding only the truncated stream can pull the
 // matching flight-recorder trace and server logs.
-func appendErrorLine(dst []byte, msg, traceID string) []byte {
-	if msg == "" && traceID == "" {
-		return append(dst, '{', '}', '\n')
-	}
-	dst = append(dst, '{')
+func appendErrorFields(dst []byte, msg, traceID string) []byte {
 	if msg != "" {
 		dst = append(dst, `"error":`...)
 		dst = appendJSONString(dst, msg)

@@ -28,8 +28,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,7 +56,7 @@ const (
 	DefaultQueueDepth       = 8
 	DefaultMaxBodyBytes     = 64 << 20 // 64 MiB of addresses or model JSON
 	DefaultMaxGenerateCount = 10_000_000
-	DefaultFlushEvery       = 512 // NDJSON lines between explicit flushes
+	DefaultFlushEvery       = 512 // candidates per flushed generate chunk
 )
 
 // Options configures the HTTP server.
@@ -76,8 +74,9 @@ type Options struct {
 	// MaxGenerateCount caps the count of one generate request. Zero means
 	// DefaultMaxGenerateCount.
 	MaxGenerateCount int
-	// FlushEvery is the number of NDJSON lines written between explicit
-	// flushes while streaming. Zero means DefaultFlushEvery.
+	// FlushEvery is the number of candidates per flushed chunk while
+	// streaming generate responses: NDJSON lines per write, records per
+	// binary data frame. Zero means DefaultFlushEvery.
 	FlushEvery int
 	// TrainWorkers is the default per-training-job parallelism (the
 	// core.Options.Workers each server-side build runs with) when a
@@ -401,9 +400,6 @@ func (s *Server) isDraining() bool {
 		return false
 	}
 }
-
-// drainMessage is the in-band error emitted on streams Drain cuts short.
-const drainMessage = "server shutting down"
 
 // logRequest emits the per-request access-log record. Success is Debug
 // so request-rate logging is opt-in; client errors are Warn and server
@@ -742,267 +738,6 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// GenerateRequest is the body of POST /v1/models/{name}/generate.
-type GenerateRequest struct {
-	// Version selects a model version; 0 means latest.
-	Version int `json:"version,omitempty"`
-	// Count is the number of candidates to generate (the paper uses 1M).
-	Count int `json:"count"`
-	// Seed makes generation deterministic for a fixed model and options.
-	// When omitted (null), the server derives a random seed — so clients
-	// that do not care about reproducibility get independent streams
-	// instead of everyone receiving the identical "random" candidates —
-	// and echoes it in the X-Seed response header.
-	Seed *int64 `json:"seed,omitempty"`
-	// Evidence optionally constrains generation to segment values.
-	Evidence map[string]string `json:"evidence,omitempty"`
-	// Prefixes switches from candidate addresses to candidate /64
-	// prefixes (§5.6).
-	Prefixes bool `json:"prefixes,omitempty"`
-	// MaxAttemptsFactor bounds the search for unique candidates; see
-	// core.GenerateOptions. Values above MaxAttemptsFactorLimit are
-	// rejected — the factor multiplies server CPU on low-support models.
-	MaxAttemptsFactor int `json:"max_attempts_factor,omitempty"`
-	// Workers bounds the goroutines drawing candidates for this request,
-	// capped at MaxGenerateWorkers (requests are untrusted and a worker
-	// count is a CPU multiplier). Zero selects the server's default
-	// (Options.GenerateWorkers). The candidate stream is identical for
-	// any value unless Unordered is set.
-	Workers int `json:"workers,omitempty"`
-	// Unordered trades the deterministic candidate order for throughput;
-	// see core.GenerateOptions.Unordered.
-	Unordered bool `json:"unordered,omitempty"`
-	// Streams switches to batch mode: each entry describes one
-	// independently-seeded candidate stream, and the response carries all
-	// of them interleaved (frames tagged with a stream index in the binary
-	// encoding, {"stream":i,...} lines in NDJSON). Mutually exclusive with
-	// the top-level Count/Seed/Evidence/MaxAttemptsFactor; Version,
-	// Prefixes, Workers and Unordered stay request-wide.
-	Streams []GenerateStreamSpec `json:"streams,omitempty"`
-}
-
-// GenerateStreamSpec is one stream of a batch generate request.
-type GenerateStreamSpec struct {
-	// Count is the number of candidates this stream yields.
-	Count int `json:"count"`
-	// Seed makes this stream deterministic; omitted means the server
-	// derives one (echoed comma-joined in X-Seed, and in this stream's
-	// Seed frame in the binary encoding).
-	Seed *int64 `json:"seed,omitempty"`
-	// Evidence optionally constrains this stream to segment values.
-	Evidence map[string]string `json:"evidence,omitempty"`
-	// MaxAttemptsFactor bounds this stream's unique-candidate search.
-	MaxAttemptsFactor int `json:"max_attempts_factor,omitempty"`
-}
-
-// MaxAttemptsFactorLimit caps the per-request MaxAttemptsFactor.
-const MaxAttemptsFactorLimit = 1000
-
-// MaxGenerateWorkers caps the per-request generation parallelism at
-// what the engine can actually use (one worker per logical substream);
-// accepting more would advertise parallelism that silently never
-// materializes.
-const MaxGenerateWorkers = core.MaxGenerateWorkers
-
-// GenerateItem is one line of the NDJSON generate stream.
-type GenerateItem struct {
-	// Addr is a candidate address (empty in prefix mode).
-	Addr string `json:"addr,omitempty"`
-	// Prefix is a candidate /64 (empty in address mode).
-	Prefix string `json:"prefix,omitempty"`
-	// Error is set on a final trailer line when generation failed after
-	// the stream had started; a stream that simply ends short of count
-	// means the model's support was exhausted, not an error.
-	Error string `json:"error,omitempty"`
-	// Stream is the stream index on batch-response lines; nil on
-	// single-stream responses (whose lines carry no stream key).
-	Stream *int `json:"stream,omitempty"`
-	// Done marks a batch stream's final line. Single-stream responses
-	// signal completion by ending the body instead.
-	Done bool `json:"done,omitempty"`
-	// TraceID accompanies Error on trailer lines: the request's trace ID,
-	// usable against /v1/debug/traces and server logs.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// handleGenerate streams candidates with bounded memory in the encoding
-// the Accept header negotiates — NDJSON by default, the framed binary
-// encoding of internal/wire when the client asks for it — single-stream
-// or batch (req.Streams). Each candidate is encoded and written as it is
-// drawn from the model, with periodic flushes, so the response size
-// never accumulates server-side.
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req GenerateRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	enc, err := negotiateGenerateEncoding(r)
-	if err != nil {
-		writeError(w, r, http.StatusNotAcceptable, "%v", err)
-		return
-	}
-	if req.Workers < 0 || req.Workers > MaxGenerateWorkers {
-		writeError(w, r, http.StatusBadRequest, "workers must be in 0..%d", MaxGenerateWorkers)
-		return
-	}
-	streams, batch, err := s.resolveStreams(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Admission, gates 2 and 3 (the rate gate ran in the middleware):
-	// charge the tenant's generation budget with the request's full
-	// candidate count, then claim a tenant concurrency slot with bounded
-	// queueing. A shed after the charge refunds it — the tenant generated
-	// nothing.
-	tenant := tenantFrom(r.Context())
-	total := 0
-	for _, st := range streams {
-		total += st.count
-	}
-	if d := s.adm.ChargeGenerate(tenant, total); !d.OK {
-		s.shedResponse(w, r, d)
-		return
-	}
-	releaseSlot, d := s.adm.AcquireSlot(r.Context(), tenant)
-	if !d.OK {
-		s.adm.RefundGenerate(tenant, total)
-		s.shedResponse(w, r, d)
-		return
-	}
-	m, info, err := s.getModel(r.Context(), r.PathValue("name"), req.Version)
-	if err != nil {
-		releaseSlot()
-		s.adm.RefundGenerate(tenant, total)
-		writeRegistryError(w, r, err)
-		return
-	}
-	s.encRequests[routeGenerate][enc].Add(1)
-	if root := requestSpan(r.Context()); root != nil {
-		root.SetAttr("encoding", enc.String())
-		root.SetAttr("model", info.Name)
-	}
-	w.Header().Set("Content-Type", enc.contentType())
-	w.Header().Set("X-Model-Version", strconv.Itoa(info.Version))
-	// Always echo the seeds in force, so a seedless request can be
-	// replayed exactly by passing the header's value(s) back as "seed".
-	w.Header().Set("X-Seed", seedHeader(streams))
-	w.Header().Set("X-Encoding", enc.String())
-	switch {
-	case enc == encBinary:
-		s.generateBinary(w, r, m, &req, streams, batch, releaseSlot)
-	case batch:
-		s.generateNDJSONBatch(w, r, m, &req, streams, releaseSlot)
-	default:
-		s.generateNDJSON(w, r, m, info, &req, streams[0], releaseSlot)
-	}
-}
-
-// generateNDJSON is the single-stream NDJSON generate path — the
-// original wire format, byte-identical since PR 5 (pinned by
-// TestGenerateNDJSONMatchesEncodingJSON and the cross-encoding
-// equivalence tests).
-func (s *Server) generateNDJSON(w http.ResponseWriter, r *http.Request, m *core.Model, info registry.Info, req *GenerateRequest, st resolvedStream, release func()) {
-	defer release()
-	ctx := r.Context()
-	opts := s.generateOptions(ctx, st, req)
-	span := requestSpan(ctx).StartChild("generate.stream")
-	span.SetInt("count", int64(st.count))
-	span.SetInt("seed", st.seed)
-	bw := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	flushEvery := s.opts.flushEvery()
-
-	// Each line is formatted into one pooled buffer with append-style
-	// address formatting — no encoding/json, no per-line allocations —
-	// byte-identical to the old json.Encoder output (pinned by
-	// TestGenerateNDJSONMatchesEncodingJSON). The buffer returns to the
-	// pool when the handler exits.
-	lb := getLineBuf()
-	defer putLineBuf(lb)
-	lines := 0
-	write := func() bool {
-		if ctx.Err() != nil {
-			return false // client went away: stop generating
-		}
-		if _, err := bw.Write(lb.b); err != nil {
-			return false
-		}
-		lines++
-		if lines%flushEvery == 0 {
-			if err := bw.Flush(); err != nil {
-				return false
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return true
-	}
-
-	var err error
-	if req.Prefixes {
-		err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
-			lb.b = append(lb.b[:0], `{"prefix":"`...)
-			lb.b = p.AppendString(lb.b)
-			lb.b = append(lb.b, '"', '}', '\n')
-			return write()
-		})
-	} else {
-		err = m.GenerateStream(opts, func(a ip6.Addr) bool {
-			lb.b = append(lb.b[:0], `{"addr":"`...)
-			lb.b = a.AppendString(lb.b)
-			lb.b = append(lb.b, '"', '}', '\n')
-			return write()
-		})
-	}
-	span.SetInt("produced", int64(lines))
-	if err != nil {
-		span.SetError(err.Error())
-		span.Finish()
-		if lines == 0 {
-			// Nothing streamed yet: a clean JSON error is still possible.
-			writeError(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// Mid-stream failure: the 200 status is already on the wire, so
-		// emit an error trailer line carrying the trace ID — the client's
-		// handle into /v1/debug/traces and the server logs — that it can
-		// distinguish from a legitimately short stream.
-		s.logger.Error("generate failed mid-stream",
-			"request_id", requestID(ctx),
-			"trace_id", traceIDString(ctx),
-			"model", info.Name,
-			"version", info.Version,
-			"lines", lines,
-			"err", err)
-		lb.b = appendErrorLine(lb.b[:0], err.Error(), traceIDString(ctx))
-		_, _ = bw.Write(lb.b)
-	} else {
-		if ctx.Err() == nil && s.isDraining() && lines < st.count {
-			// Drain cut the stream short: emit the in-band shutdown error
-			// so the client can tell this from exhausted model support.
-			lb.b = appendErrorLine(lb.b[:0], drainMessage, traceIDString(ctx))
-			_, _ = bw.Write(lb.b)
-		}
-		span.Finish()
-	}
-	_ = bw.Flush()
-	s.candidates.Add(uint64(lines))
-}
-
-// randomSeed derives a fresh generation seed for requests that omit one.
-// It reads the OS entropy source, falling back to the clock if that ever
-// fails — seed quality only has to make concurrent clients' streams
-// distinct, not be cryptographic.
-func randomSeed() int64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err == nil {
-		return int64(binary.LittleEndian.Uint64(b[:]))
-	}
-	return time.Now().UnixNano()
-}
-
 // observeLine is one NDJSON line of POST /v1/models/{name}/observe.
 type observeLine struct {
 	Addr string `json:"addr"`
@@ -1074,8 +809,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 	var out ObserveResponse
 	// Line-outcome counters for /metrics: accepted lines are added batch
-	// by batch in flush (so early error returns still count what entered
-	// the window); invalid lines are added once on the way out. The ingest
+	// by batch in observeFlush (so early error returns still count what
+	// entered the window); invalid lines are added once on the way out. The ingest
 	// span covers the whole scan — including any drift evaluation a batch
 	// trips, which appears as its child (the span rides the context into
 	// the refresher).
@@ -1093,21 +828,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		*batchp = batch[:0]
 		observeBatchPool.Put(batchp)
 	}()
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		res, err := s.refresher.Observe(ctx, name, batch)
-		batch = batch[:0]
-		if err != nil {
-			writeRegistryError(w, r, err)
-			return false
-		}
-		out.Accepted += res.Accepted
-		out.Evaluated = out.Evaluated || res.Evaluated
-		s.observeAccepted.Add(uint64(res.Accepted))
-		return true
-	}
 	for scanner.Scan() {
 		line := bytes.TrimSpace(scanner.Bytes())
 		if len(line) == 0 || line[0] == '#' {
@@ -1157,7 +877,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		batch = append(batch, a)
 		if len(batch) >= observeBatchSize {
-			if !flush() {
+			if !s.observeFlush(ctx, w, r, name, &batch, &out) {
 				return
 			}
 		}
@@ -1171,7 +891,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if !flush() {
+	if !s.observeFlush(ctx, w, r, name, &batch, &out) {
 		return
 	}
 	out.Drift, _ = s.refresher.Status(name)
