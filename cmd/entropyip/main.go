@@ -29,15 +29,16 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"time"
 
 	"entropyip/internal/buildinfo"
 	"entropyip/internal/core"
 	"entropyip/internal/dataset"
 	"entropyip/internal/drift"
 	"entropyip/internal/ip6"
-	"entropyip/internal/obs"
 	"entropyip/internal/report"
 	"entropyip/internal/stats"
 	"entropyip/internal/synth"
@@ -85,18 +86,20 @@ func main() {
 		train, _ = stats.SplitTrainTest(stats.RNG(*seed), addrs, *trainSize)
 	}
 	buildOpts := core.Options{Prefix64Only: *prefix64, Workers: *workers}
-	var tr *obs.StageTrace
+	var stages []stageTime
 	if *trace {
-		tr = obs.NewStageTrace()
-		buildOpts.OnStage = tr.Record
+		// Build reports its stages sequentially, so no lock is needed.
+		buildOpts.OnStage = func(name string, d time.Duration) {
+			stages = append(stages, stageTime{name, d})
+		}
 	}
 	model, err := core.Build(train, buildOpts)
 	if err != nil {
 		fatal(err)
 	}
-	if tr != nil {
+	if *trace {
 		fmt.Fprintln(os.Stderr, "entropyip: training stage timing:")
-		if err := tr.Report(os.Stderr); err != nil {
+		if err := writeStages(os.Stderr, stages); err != nil {
 			fatal(err)
 		}
 	}
@@ -284,6 +287,34 @@ func printReport(name string, model *core.Model, evidence core.Evidence) {
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}
+}
+
+// stageTime is one core.Build stage as reported through Options.OnStage.
+type stageTime struct {
+	name string
+	d    time.Duration
+}
+
+// writeStages writes an aligned per-stage timing table with each stage's
+// share of the total, ending with a total line.
+func writeStages(w io.Writer, stages []stageTime) error {
+	var total time.Duration
+	width := len("total")
+	for _, s := range stages {
+		total += s.d
+		width = max(width, len(s.name))
+	}
+	for _, s := range stages {
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(s.d) / float64(total)
+		}
+		if _, err := fmt.Fprintf(w, "  %-*s %12v %6.1f%%\n", width, s.name, s.d.Round(time.Microsecond), share); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "  %-*s %12v\n", width, "total", total.Round(time.Microsecond))
+	return err
 }
 
 func writeFile(path string, write func(*os.File) error) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -195,25 +194,6 @@ func (n *Network) ProbEvidence(evidence map[int]int) (float64, error) {
 		p *= f.Sum()
 	}
 	return p, nil
-}
-
-// SampleConditional draws one complete assignment from the posterior
-// distribution P(X | evidence): each unobserved variable is sampled from
-// its exact conditional given the evidence and the values sampled so
-// far. This is exact (not importance-weighted) and is how the model
-// generates candidate addresses constrained to particular segment values
-// (§4.4, §5.5).
-//
-// It compiles a CondSampler per call; callers drawing many samples under
-// the same evidence should build the sampler once with NewCondSampler —
-// the variable elimination the conditioning requires then runs once per
-// evidence set instead of once per variable per draw.
-func (n *Network) SampleConditional(rng *rand.Rand, evidence map[int]int) ([]int, error) {
-	cs, err := n.NewCondSampler(evidence)
-	if err != nil {
-		return nil, err
-	}
-	return cs.SampleInto(rng, make([]int, len(n.Vars))), nil
 }
 
 // MutualInformation computes the mutual information (in bits) between two

@@ -198,13 +198,15 @@ func TestProbEvidence(t *testing.T) {
 func TestSampleConditionalRespectsEvidence(t *testing.T) {
 	net := sprinklerNetwork()
 	rng := rand.New(rand.NewSource(1))
+	cs, err := net.NewCondSampler(map[int]int{2: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int, net.NumVars())
 	const n = 5000
 	rainCount := 0
 	for i := 0; i < n; i++ {
-		s, err := net.SampleConditional(rng, map[int]int{2: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := cs.SampleInto(rng, buf)
 		if s[2] != 1 {
 			t.Fatal("evidence not respected")
 		}
@@ -217,7 +219,7 @@ func TestSampleConditionalRespectsEvidence(t *testing.T) {
 	if math.Abs(got-want[1]) > 0.03 {
 		t.Errorf("conditional sampling P(Rain=1|Wet=1) = %v, want %v", got, want[1])
 	}
-	if _, err := net.SampleConditional(rng, map[int]int{0: 9}); err == nil {
+	if _, err := net.NewCondSampler(map[int]int{0: 9}); err == nil {
 		t.Error("expected error for invalid evidence")
 	}
 }
@@ -225,13 +227,15 @@ func TestSampleConditionalRespectsEvidence(t *testing.T) {
 func TestSampleConditionalNoEvidenceMatchesForward(t *testing.T) {
 	net := sprinklerNetwork()
 	rng := rand.New(rand.NewSource(2))
+	cs, err := net.NewCondSampler(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int, net.NumVars())
 	const n = 8000
 	wet := 0
 	for i := 0; i < n; i++ {
-		s, err := net.SampleConditional(rng, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := cs.SampleInto(rng, buf)
 		if s[2] == 1 {
 			wet++
 		}
@@ -315,14 +319,20 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleConditional times one draw from a CondSampler compiled
+// once for the evidence, the way generation under evidence runs.
 func BenchmarkSampleConditional(b *testing.B) {
 	data, vars := chainData(2000, 22)
 	net, _ := Learn(data, vars, LearnConfig{})
 	rng := rand.New(rand.NewSource(1))
+	cs, err := net.NewCondSampler(map[int]int{2: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]int, net.NumVars())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.SampleConditional(rng, map[int]int{2: 1}); err != nil {
-			b.Fatal(err)
-		}
+		cs.SampleInto(rng, buf)
 	}
 }

@@ -3,7 +3,6 @@ package bayes
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"entropyip/internal/parallel"
@@ -534,46 +533,6 @@ func (n *Network) LogLikelihood(data [][]int) float64 {
 		}
 	}
 	return ll
-}
-
-// Sample draws one complete assignment by forward (ancestral) sampling.
-// Hot paths should prefer SampleInto with a reused buffer, or compile the
-// network once with NewSampler.
-func (n *Network) Sample(rng *rand.Rand) []int {
-	return n.SampleInto(rng, make([]int, len(n.Vars)))
-}
-
-// SampleInto draws one complete assignment by forward (ancestral)
-// sampling into buf, which must have length >= NumVars, and returns
-// buf[:NumVars]. Parents precede their children, so the already-sampled
-// prefix of buf supplies every parent value — no per-draw map or scratch
-// slices are needed.
-func (n *Network) SampleInto(rng *rand.Rand, buf []int) []int {
-	for i := range n.Vars {
-		cpt := n.CPTs[i]
-		j := 0
-		for k, p := range n.Parents[i] {
-			j = j*cpt.ParentCard[k] + buf[p]
-		}
-		buf[i] = sampleRow(rng, cpt.Rows[j])
-	}
-	return buf[:len(n.Vars)]
-}
-
-// sampleRow draws a category from a probability row. A degenerate row —
-// all zero, or summing below the drawn point from float drift — falls
-// back to a uniform draw instead of silently returning the last
-// category, which would bias generation toward high-index codes.
-func sampleRow(rng *rand.Rand, probs []float64) int {
-	x := rng.Float64()
-	cum := 0.0
-	for k, p := range probs {
-		cum += p
-		if x < cum {
-			return k
-		}
-	}
-	return rng.Intn(len(probs))
 }
 
 // Edges returns all directed edges (parent, child) of the network.

@@ -190,11 +190,13 @@ func TestSampleMatchesDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
+	sampler := net.NewSampler()
+	buf := make([]int, sampler.NumVars())
 	const n = 20000
 	countA0 := 0
 	agree := 0
 	for i := 0; i < n; i++ {
-		s := net.Sample(rng)
+		s := sampler.SampleInto(rng, buf)
 		if len(s) != 3 {
 			t.Fatal("sample length wrong")
 		}

@@ -6,9 +6,38 @@ import (
 	"testing"
 )
 
+// sampleReference is the uncompiled forward sampler the Sampler
+// replaced: it walks the network's CPTs directly and draws each node by a
+// cumulative scan of its raw row, falling back to a uniform draw when the
+// row's mass runs out. It stays as the oracle for the compiled tables.
+func sampleReference(n *Network, rng *rand.Rand, buf []int) []int {
+	for i := range n.Vars {
+		cpt := n.CPTs[i]
+		j := 0
+		for k, p := range n.Parents[i] {
+			j = j*cpt.ParentCard[k] + buf[p]
+		}
+		row := cpt.Rows[j]
+		x := rng.Float64()
+		cum := 0.0
+		buf[i] = -1
+		for k, p := range row {
+			cum += p
+			if x < cum {
+				buf[i] = k
+				break
+			}
+		}
+		if buf[i] < 0 {
+			buf[i] = rng.Intn(len(row))
+		}
+	}
+	return buf[:len(n.Vars)]
+}
+
 // TestSamplerMatchesNetworkSample pins that the compiled sampler draws
-// the exact sequence Network.SampleInto draws for the same rng: both
-// consume one uniform per node from normalized rows.
+// the exact sequence the uncompiled reference draws for the same rng:
+// both consume one uniform per node from normalized rows.
 func TestSamplerMatchesNetworkSample(t *testing.T) {
 	net := sprinklerNetwork()
 	s := net.NewSampler()
@@ -17,7 +46,7 @@ func TestSamplerMatchesNetworkSample(t *testing.T) {
 	buf1 := make([]int, net.NumVars())
 	buf2 := make([]int, net.NumVars())
 	for i := 0; i < 2000; i++ {
-		a := net.SampleInto(r1, buf1)
+		a := sampleReference(net, r1, buf1)
 		b := s.SampleInto(r2, buf2)
 		for k := range a {
 			if a[k] != b[k] {
@@ -153,12 +182,18 @@ func TestCondSamplerAllObserved(t *testing.T) {
 }
 
 // TestSampleRowDegenerateUniform is the bias regression test: a row
-// whose probabilities under-sum (all-zero, or float drift) must fall
-// back to a UNIFORM draw over the categories, not silently return the
-// last category. The old behaviour gave the last code all the missing
-// mass: a {0.25, 0.25} row sampled category 1 75% of the time.
+// whose probabilities under-sum (all-zero, or float drift) must not hand
+// the missing mass to the last category. An early sampler did: a
+// {0.25, 0.25} row sampled category 1 75% of the time. The compiled
+// tables renormalize such a row, and an all-zero row falls back to a
+// uniform draw.
 func TestSampleRowDegenerateUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	sampleRow := func(rng *rand.Rand, row []float64) int {
+		cum := make([]float64, len(row))
+		buildCumRow(cum, row)
+		return cumSample(rng, cum)
+	}
 	const n = 40000
 	cases := []struct {
 		name string
@@ -175,7 +210,7 @@ func TestSampleRowDegenerateUniform(t *testing.T) {
 			}
 		}
 		if got := float64(last) / n; math.Abs(got-0.5) > 0.02 {
-			t.Errorf("%s row: P(last category) = %v, want ~0.5 (uniform fallback)", tc.name, got)
+			t.Errorf("%s row: P(last category) = %v, want ~0.5", tc.name, got)
 		}
 	}
 	// Healthy rows are untouched by the fallback.

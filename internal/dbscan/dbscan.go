@@ -3,13 +3,16 @@
 // segment mining (§4.3 of the paper) to find dense ranges of segment values
 // and ranges of values that are uniformly distributed in the histogram.
 //
-// The package provides a generic n-dimensional implementation and an
-// optimized 1-dimensional variant (Cluster1D) that exploits sortedness; the
-// two produce identical clusters for 1-D inputs.
+// The package provides a generic n-dimensional implementation (Cluster,
+// with windowed neighbor queries along the first axis) and an optimized
+// 1-dimensional variant (Cluster1D) that exploits sortedness; the two
+// produce identical clusters for 1-D inputs.
 package dbscan
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -27,27 +30,80 @@ type Result struct {
 // Cluster runs DBSCAN on n-dimensional points using Euclidean distance.
 //
 // eps is the neighborhood radius and minPts the minimum number of points
-// (including the point itself) required to form a dense region. The
-// implementation is the textbook O(n²) algorithm, which is appropriate for
-// the segment-mining workloads in this repository (at most a few thousand
-// distinct values per segment).
+// (including the point itself) required to form a dense region. Every
+// point must have the same dimension, at least 1.
+//
+// Neighborhoods are found in a window rather than by an all-pairs scan:
+// point indices are sorted by their first coordinate once, and a query
+// walks outward from the point's sorted position only while the
+// first-coordinate distance stays within eps. That distance is computed
+// from the same float64 difference euclid squares first, and it can only
+// grow along the walk, so every point the walk stops short of is farther
+// than eps and the pruning is exact; inside the window the euclid test
+// decides as before. The expansion queue takes each point at most once
+// per cluster (a second copy could only revisit a point already
+// expanded and labeled), and points are expanded in the same order as
+// the textbook algorithm, so labels and cluster numbers are those of the
+// all-pairs version. Worst case (every point within eps on the first
+// axis) it is still O(n²); on spread data a query costs the window size.
 func Cluster(points [][]float64, eps float64, minPts int) Result {
 	n := len(points)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
 	}
-	visited := make([]bool, n)
-	cluster := 0
+	// order lists point indices by first coordinate, xs holds those
+	// coordinates in the same order, and pos inverts order.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(points[a][0], points[b][0]) })
+	xs := make([]float64, n)
+	pos := make([]int, n)
+	for k, i := range order {
+		xs[k] = points[i][0]
+		pos[i] = k
+	}
 
+	// within reports whether sorted position k is within eps of x on the
+	// first axis, as the lower bound sqrt(d*d) <= euclid.
+	within := func(x float64, k int) bool {
+		d := x - xs[k]
+		return math.Sqrt(d*d) <= eps
+	}
+	var nb []int
+	// neighbors returns the indices within eps of point i in ascending
+	// order, in a buffer that the next call reuses.
 	neighbors := func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
-			if euclid(points[i], points[j]) <= eps {
-				out = append(out, j)
+		nb = nb[:0]
+		x := points[i][0]
+		for k := pos[i]; k >= 0 && within(x, k); k-- {
+			if euclid(points[i], points[order[k]]) <= eps {
+				nb = append(nb, order[k])
 			}
 		}
-		return out
+		for k := pos[i] + 1; k < n && within(x, k); k++ {
+			if euclid(points[i], points[order[k]]) <= eps {
+				nb = append(nb, order[k])
+			}
+		}
+		slices.Sort(nb)
+		return nb
+	}
+
+	visited := make([]bool, n)
+	// queuedBy[j] is 1 + the last cluster whose expansion queued point j.
+	queuedBy := make([]int, n)
+	var queue []int
+	cluster := 0
+	enqueue := func(nb []int) {
+		for _, j := range nb {
+			if queuedBy[j] != cluster+1 {
+				queuedBy[j] = cluster + 1
+				queue = append(queue, j)
+			}
+		}
 	}
 
 	for i := 0; i < n; i++ {
@@ -61,14 +117,14 @@ func Cluster(points [][]float64, eps float64, minPts int) Result {
 		}
 		// Start a new cluster and expand it.
 		labels[i] = cluster
-		queue := append([]int(nil), nb...)
+		queue = queue[:0]
+		enqueue(nb)
 		for qi := 0; qi < len(queue); qi++ {
 			j := queue[qi]
 			if !visited[j] {
 				visited[j] = true
-				jnb := neighbors(j)
-				if len(jnb) >= minPts {
-					queue = append(queue, jnb...)
+				if jnb := neighbors(j); len(jnb) >= minPts {
+					enqueue(jnb)
 				}
 			}
 			if labels[j] == Noise {

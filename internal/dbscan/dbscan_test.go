@@ -2,6 +2,7 @@ package dbscan
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +206,147 @@ func TestClusterUniformHistogramUseCase(t *testing.T) {
 	}
 }
 
+// clusterReference is the textbook all-pairs DBSCAN that Cluster
+// replaced: every neighborhood query scans all n points, and the
+// expansion queue appends whole neighbor lists, duplicates included. It
+// stays as the oracle Cluster's labels must equal.
+func clusterReference(points [][]float64, eps float64, minPts int) Result {
+	n := len(points)
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = Noise
+	}
+	visited := make([]bool, n)
+	cluster := 0
+
+	neighbors := func(i int) []int {
+		var out []int
+		for j := 0; j < n; j++ {
+			if euclid(points[i], points[j]) <= eps {
+				out = append(out, j)
+			}
+		}
+		return out
+	}
+
+	for i := 0; i < n; i++ {
+		if visited[i] {
+			continue
+		}
+		visited[i] = true
+		nb := neighbors(i)
+		if len(nb) < minPts {
+			continue
+		}
+		labels[i] = cluster
+		queue := append([]int(nil), nb...)
+		for qi := 0; qi < len(queue); qi++ {
+			j := queue[qi]
+			if !visited[j] {
+				visited[j] = true
+				jnb := neighbors(j)
+				if len(jnb) >= minPts {
+					queue = append(queue, jnb...)
+				}
+			}
+			if labels[j] == Noise {
+				labels[j] = cluster
+			}
+		}
+		cluster++
+	}
+	return Result{Labels: labels, NumClusters: cluster}
+}
+
+// TestClusterMatchesReference pins Cluster's labels and cluster count to
+// the all-pairs reference on inputs built to hit the windowed query's
+// edges: unsorted points, repeated first coordinates, pairs exactly eps
+// apart on either axis, and the (value, count) histogram shape of segment
+// mining's step (c).
+func TestClusterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	gens := map[string]func(n int) [][]float64{
+		// Small integer grid: many repeated x values and many pairs at
+		// distance exactly eps (eps below is a whole number).
+		"grid": func(n int) [][]float64 {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = []float64{float64(rng.Intn(40)), float64(rng.Intn(40))}
+			}
+			return pts
+		},
+		// Continuous 2-D blobs and scatter in random order.
+		"blobs": func(n int) [][]float64 {
+			pts := make([][]float64, n)
+			for i := range pts {
+				c := float64(rng.Intn(4)) * 30
+				pts[i] = []float64{c + rng.NormFloat64()*3, c + rng.NormFloat64()*3}
+				if rng.Intn(5) == 0 {
+					pts[i] = []float64{rng.Float64() * 150, rng.Float64() * 150}
+				}
+			}
+			return pts
+		},
+		// Step (c): distinct values on the x axis, normalized to [0, 100],
+		// with normalized counts on the y axis.
+		"histogram": func(n int) [][]float64 {
+			pts := make([][]float64, n)
+			maxCount := 1
+			counts := make([]int, n)
+			for i := range counts {
+				counts[i] = 1 + rng.Intn(20)
+				if rng.Intn(10) == 0 {
+					counts[i] += rng.Intn(500)
+				}
+				maxCount = max(maxCount, counts[i])
+			}
+			span := float64(4 * n)
+			for i := range pts {
+				v := uint64(i*4 + rng.Intn(4))
+				pts[i] = []float64{100 * float64(v) / span, 100 * float64(counts[i]) / float64(maxCount)}
+			}
+			rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+			return pts
+		},
+		// One dimension, all points on a few x values.
+		"repeated1d": func(n int) [][]float64 {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = []float64{float64(rng.Intn(6)) * 2.5}
+			}
+			return pts
+		},
+	}
+	for name, gen := range gens {
+		for trial := 0; trial < 40; trial++ {
+			pts := gen(1 + rng.Intn(300))
+			eps := []float64{1, 2, 2.5, 5, 7.5}[rng.Intn(5)]
+			minPts := 1 + rng.Intn(6)
+			want := clusterReference(pts, eps, minPts)
+			got := Cluster(pts, eps, minPts)
+			if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
+				t.Fatalf("%s trial %d (n=%d eps=%v minPts=%d): got %d clusters %v, want %d clusters %v",
+					name, trial, len(pts), eps, minPts, got.NumClusters, got.Labels, want.NumClusters, want.Labels)
+			}
+		}
+	}
+}
+
+func TestClusterExactlyEpsApart(t *testing.T) {
+	// Points exactly eps from the core point (0, 0) along each axis and
+	// along the hypotenuse of a 3-4-5 triangle are its neighbors; a point a
+	// hair past eps on the first axis is not.
+	points := [][]float64{{0, 0}, {5, 0}, {0, 5}, {3, 4}, {0, -5}, {-5.000001, 0}}
+	want := clusterReference(points, 5, 4)
+	got := Cluster(points, 5, 4)
+	if !slices.Equal(got.Labels, want.Labels) || got.NumClusters != want.NumClusters {
+		t.Fatalf("labels %v (%d clusters), want %v (%d)", got.Labels, got.NumClusters, want.Labels, want.NumClusters)
+	}
+	if !slices.Equal(got.Labels, []int{0, 0, 0, 0, 0, Noise}) {
+		t.Fatalf("labels = %v", got.Labels)
+	}
+}
+
 func BenchmarkCluster1D(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	values := make([]float64, 2000)
@@ -223,6 +365,7 @@ func BenchmarkClusterND(b *testing.B) {
 	for i := range points {
 		points[i] = []float64{rng.Float64() * 1000, rng.Float64() * 1000}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Cluster(points, 5, 4)

@@ -5,7 +5,7 @@
 // representation the paper uses: an address as a fixed-width string of 32
 // hexadecimal characters ("nybbles"), without colons. It provides parsing
 // of all RFC 4291 text forms, canonical and fixed-width formatting,
-// prefixes, prefix sets and counting tries, address classification helpers
+// prefixes and prefix sets, address classification helpers
 // (EUI-64, embedded IPv4, low-byte), and anonymization into the
 // documentation prefix as done in the paper.
 package ip6

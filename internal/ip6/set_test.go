@@ -126,63 +126,3 @@ func TestPrefixSetSortedAndContainsAddr(t *testing.T) {
 		t.Error("ContainsAddr should be false")
 	}
 }
-
-func TestPrefixCounter(t *testing.T) {
-	c := NewPrefixCounter()
-	if c.Count(1) != 0 || c.Count(0) != 0 {
-		t.Error("empty counter should have zero counts")
-	}
-	addrs := []Addr{
-		MustParseAddr("2001:db8:1::1"),
-		MustParseAddr("2001:db8:1::2"),
-		MustParseAddr("2001:db8:2::1"),
-		MustParseAddr("3001:db8::1"),
-	}
-	c.AddAll(addrs)
-	if c.Addrs() != 4 {
-		t.Errorf("Addrs() = %d", c.Addrs())
-	}
-	if got := c.Count(0); got != 1 {
-		t.Errorf("Count(0) = %d, want 1", got)
-	}
-	// First nybble: "2" and "3" -> 2 distinct.
-	if got := c.Count(1); got != 2 {
-		t.Errorf("Count(1) = %d, want 2", got)
-	}
-	// 12 nybbles = 48 bits: 2001:db8:1, 2001:db8:2, 3001:db8:0 -> 3 distinct.
-	if got := c.Count(12); got != 3 {
-		t.Errorf("Count(12) = %d, want 3", got)
-	}
-	// Full length: 4 distinct addresses.
-	if got := c.Count(32); got != 4 {
-		t.Errorf("Count(32) = %d, want 4", got)
-	}
-	if c.Count(-1) != 0 || c.Count(33) != 0 {
-		t.Error("out of range Count should be 0")
-	}
-	counts := c.Counts()
-	if counts[32] != 4 {
-		t.Error("Counts()[32] wrong")
-	}
-}
-
-func TestPrefixCounterDuplicates(t *testing.T) {
-	c := NewPrefixCounter()
-	a := MustParseAddr("2001:db8::1")
-	c.Add(a)
-	c.Add(a)
-	if c.Count(32) != 1 {
-		t.Errorf("duplicate addresses should count once, got %d", c.Count(32))
-	}
-	if c.Addrs() != 2 {
-		t.Errorf("Addrs() = %d, want 2", c.Addrs())
-	}
-}
-
-func TestPrefixCounterZeroValue(t *testing.T) {
-	var c PrefixCounter
-	c.Add(MustParseAddr("2001:db8::1"))
-	if c.Count(32) != 1 {
-		t.Error("zero-value counter should work after Add")
-	}
-}

@@ -237,9 +237,10 @@ func Mine(seg segment.Segment, values []uint64, cfg Config) *SegmentModel {
 	// Closing step.
 	if pool.Total() > stopAt && pool.Distinct() > 0 {
 		if pool.Distinct() <= cfg.smallSetLimit() {
+			// Entries shares the pool's storage, so nothing is removed
+			// while iterating; the pool is not read again.
 			for _, e := range pool.Entries() {
 				addValue(Value{Lo: e.Value, Hi: e.Value, Count: e.Count, Step: StepClosing})
-				pool.Remove(e.Value)
 			}
 		} else {
 			lo, _ := pool.Min()
@@ -326,15 +327,17 @@ type histPoint struct {
 }
 
 // uniformDBSCANMaxPoints bounds the input size of the 2-D DBSCAN of step
-// (c). The textbook algorithm is quadratic, which is fine at the paper's
-// 1K-training scale but turns a wide high-entropy segment of a
-// 100K-address training set (tens of thousands of distinct values) into
-// minutes of clustering. Above the limit, the histogram is coarsened
-// first into fixed-size runs of adjacent distinct values (each run
-// covering the same number of entries, not the same total count): the
-// step looks for ranges that are uniformly distributed and relatively
-// continuous, a property that survives this coarsening. Segments under
-// the limit mine exactly as before.
+// (c). dbscan.Cluster prunes neighbor queries along the value axis only,
+// so its worst case stays quadratic: fine at the paper's 1K-training
+// scale, but a wide high-entropy segment of a 100K-address training set
+// (tens of thousands of distinct values) must not reach it uncoarsened.
+// Above the limit, the histogram is coarsened first into fixed-size runs
+// of adjacent distinct values (each run covering the same number of
+// entries, not the same total count): the step looks for ranges that are
+// uniformly distributed and relatively continuous, a property that
+// survives this coarsening. Segments under the limit mine exactly as
+// before. The limit shapes the mined model, so changing it changes
+// models.
 const uniformDBSCANMaxPoints = 4096
 
 // histPoints converts histogram entries (ascending value order) into

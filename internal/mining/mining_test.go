@@ -9,6 +9,7 @@ import (
 	"entropyip/internal/ip6"
 	"entropyip/internal/segment"
 	"entropyip/internal/stats"
+	"entropyip/internal/synth"
 )
 
 func seg(label string, start, width int) segment.Segment {
@@ -445,5 +446,21 @@ func BenchmarkMineAll1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MineAll(addrs, sg, Config{})
+	}
+}
+
+// BenchmarkMineAll100k mines every segment of the 100k-address synthetic
+// S1 population (the train workload's input) on one worker, so the cost is
+// the mining steps themselves rather than their spread over cores.
+func BenchmarkMineAll100k(b *testing.B) {
+	addrs, err := synth.Generate("S1", 100_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sg := segment.Segments(entropy.NewProfile(addrs), segment.Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MineAllWorkers(addrs, sg, Config{}, 1)
 	}
 }

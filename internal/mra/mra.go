@@ -14,10 +14,15 @@
 // at depth d−1 splits into many aggregates at depth d. This matches the
 // qualitative reading used in the paper: "the higher the ACR value, the
 // more pertinent to prefix discrimination a given segment is."
+//
+// The counts come from one sort of the addresses and a histogram of the
+// common-prefix lengths of adjacent sorted pairs (see NewWorkers).
 package mra
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"entropyip/internal/ip6"
 	"entropyip/internal/parallel"
@@ -44,10 +49,11 @@ func New(addrs []ip6.Addr) *Series {
 
 // NewWorkers is New with bounded concurrency (<= 0 selects GOMAXPROCS).
 //
-// The parallel path does not build the trie at all: it sorts a copy of
-// the addresses (shards sorted concurrently, then merged) and takes the
-// histogram of common-prefix lengths of adjacent sorted pairs. The number
-// of distinct d-nybble prefixes is then
+// There is one algorithm at every worker count and input size: sort a
+// copy of the addresses as pairs of 64-bit halves (shards sorted
+// concurrently, then merged) and take the histogram of common-prefix
+// lengths of adjacent sorted pairs.
+// The number of distinct d-nybble prefixes is then
 //
 //	counts[d] = 1 + #{adjacent pairs with LCP < d nybbles},
 //
@@ -55,20 +61,20 @@ func New(addrs []ip6.Addr) *Series {
 // adjacent pair first differs before depth d. This is skew-immune — real
 // IPv6 data concentrates under 2000::/3, which starves any partition of
 // the address space's top levels — and everything merged is an integer
-// histogram folded in shard order, so the series is bit-identical to the
-// sequential trie's for any worker count.
+// histogram folded in shard order, so the series is bit-identical for
+// any worker count. An empty input has no prefixes at all: N = 0 and
+// every count, Counts[0] included, is 0.
 func NewWorkers(addrs []ip6.Addr, workers int) *Series {
-	w := parallel.Workers(workers)
-	// The sequential trie wins on one core and on inputs too small to
-	// amortize the sort's copy.
-	if w <= 1 || len(addrs) < 2048 {
-		c := ip6.NewPrefixCounter()
-		c.AddAll(addrs)
-		return FromCounter(c)
+	s := &Series{N: len(addrs)}
+	if len(addrs) == 0 {
+		return s
 	}
-	sorted := make([]ip6.Addr, len(addrs))
-	copy(sorted, addrs)
-	sortAddrs(sorted, w)
+	w := parallel.Workers(workers)
+	sorted := make([]halves, len(addrs))
+	for i, a := range addrs {
+		sorted[i].hi, sorted[i].lo = a.Uint64s()
+	}
+	sortHalves(sorted, w)
 
 	type lcpHist [ip6.NybbleCount + 1]int
 	parts := parallel.MapShards(w, len(sorted)-1, func(sh parallel.Shard) *lcpHist {
@@ -85,7 +91,6 @@ func NewWorkers(addrs []ip6.Addr, workers int) *Series {
 		}
 	}
 
-	s := &Series{N: len(addrs)}
 	s.Counts[0] = 1
 	cum := 0
 	for d := 1; d <= ip6.NybbleCount; d++ {
@@ -96,36 +101,44 @@ func NewWorkers(addrs []ip6.Addr, workers int) *Series {
 	return s
 }
 
+// halves is an address as its two 64-bit halves, so that ordering and
+// common-prefix lengths are word operations.
+type halves struct{ hi, lo uint64 }
+
+// compareHalves orders addresses numerically, as ip6.Addr.Compare does.
+func compareHalves(a, b halves) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
+}
+
 // lcpNybbles returns the length, in nybbles, of the longest common prefix
 // of two addresses (32 for equal addresses).
-func lcpNybbles(a, b ip6.Addr) int {
-	ab, bb := a.Bytes(), b.Bytes()
-	for i := 0; i < 16; i++ {
-		if ab[i] != bb[i] {
-			if ab[i]>>4 == bb[i]>>4 {
-				return 2*i + 1
-			}
-			return 2 * i
-		}
+func lcpNybbles(a, b halves) int {
+	if x := a.hi ^ b.hi; x != 0 {
+		return bits.LeadingZeros64(x) / 4
+	}
+	if x := a.lo ^ b.lo; x != 0 {
+		return 16 + bits.LeadingZeros64(x)/4
 	}
 	return ip6.NybbleCount
 }
 
-// sortAddrs sorts the slice in place: contiguous shards are sorted
+// sortHalves sorts the slice in place: contiguous shards are sorted
 // concurrently, then merged pairwise in rounds, with the merges of each
 // round also running concurrently. The fully sorted result is unique for
 // a given multiset, so the outcome is independent of the worker count.
-func sortAddrs(a []ip6.Addr, workers int) {
+func sortHalves(a []halves, workers int) {
 	shards := parallel.Shards(len(a), workers)
 	if len(shards) <= 1 {
-		sort.Slice(a, func(i, j int) bool { return a[i].Less(a[j]) })
+		slices.SortFunc(a, compareHalves)
 		return
 	}
 	parallel.ForEach(len(shards), len(shards), func(i int) {
-		sub := a[shards[i].Start:shards[i].End]
-		sort.Slice(sub, func(x, y int) bool { return sub[x].Less(sub[y]) })
+		slices.SortFunc(a[shards[i].Start:shards[i].End], compareHalves)
 	})
-	buf := make([]ip6.Addr, len(a))
+	buf := make([]halves, len(a))
 	src, dst := a, buf
 	for len(shards) > 1 {
 		pairs := (len(shards) + 1) / 2
@@ -145,7 +158,7 @@ func sortAddrs(a []ip6.Addr, workers int) {
 				return
 			}
 			l, r := shards[2*j], shards[2*j+1]
-			mergeAddrs(out, src[l.Start:l.End], src[r.Start:r.End])
+			mergeHalves(out, src[l.Start:l.End], src[r.Start:r.End])
 		})
 		shards = next
 		src, dst = dst, src
@@ -155,12 +168,12 @@ func sortAddrs(a []ip6.Addr, workers int) {
 	}
 }
 
-// mergeAddrs merges two sorted runs into dst (len(dst) = len(left) +
+// mergeHalves merges two sorted runs into dst (len(dst) = len(left) +
 // len(right)).
-func mergeAddrs(dst, left, right []ip6.Addr) {
+func mergeHalves(dst, left, right []halves) {
 	i, j, k := 0, 0, 0
 	for i < len(left) && j < len(right) {
-		if right[j].Less(left[i]) {
+		if compareHalves(right[j], left[i]) < 0 {
 			dst[k] = right[j]
 			j++
 		} else {
@@ -171,14 +184,6 @@ func mergeAddrs(dst, left, right []ip6.Addr) {
 	}
 	k += copy(dst[k:], left[i:])
 	copy(dst[k:], right[j:])
-}
-
-// FromCounter computes the ACR series from an already-populated prefix
-// counter.
-func FromCounter(c *ip6.PrefixCounter) *Series {
-	s := &Series{Counts: c.Counts(), N: c.Addrs()}
-	fillACR(s)
-	return s
 }
 
 // fillACR derives the ACR values from the prefix counts.

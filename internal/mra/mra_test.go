@@ -139,13 +139,106 @@ func TestAggregatesAtEdges(t *testing.T) {
 	}
 }
 
-func TestFromCounter(t *testing.T) {
-	c := ip6.NewPrefixCounter()
-	c.Add(ip6.MustParseAddr("2001:db8:1::1"))
-	c.Add(ip6.MustParseAddr("2001:db8:2::1"))
-	s := FromCounter(c)
-	if s.N != 2 || s.Counts[12] != 2 {
-		t.Errorf("FromCounter: N=%d Counts[12]=%d", s.N, s.Counts[12])
+// distinctPrefixCounts is the brute-force oracle for Series.Counts: for
+// every depth d it collects the d-nybble prefixes of all addresses in a
+// map and counts the keys.
+func distinctPrefixCounts(addrs []ip6.Addr) [ip6.NybbleCount + 1]int {
+	var counts [ip6.NybbleCount + 1]int
+	for d := 0; d <= ip6.NybbleCount; d++ {
+		seen := make(map[string]struct{})
+		for _, a := range addrs {
+			nyb := a.Nybbles()
+			seen[string(nyb[:d])] = struct{}{}
+		}
+		counts[d] = len(seen)
+	}
+	return counts
+}
+
+func TestCountsKnownPrefixes(t *testing.T) {
+	s := New([]ip6.Addr{
+		ip6.MustParseAddr("2001:db8:1::1"),
+		ip6.MustParseAddr("2001:db8:1::2"),
+		ip6.MustParseAddr("2001:db8:2::1"),
+		ip6.MustParseAddr("3001:db8::1"),
+	})
+	if s.N != 4 {
+		t.Errorf("N = %d, want 4", s.N)
+	}
+	// Depth 1: "2" and "3". Depth 12 (/48): 2001:db8:1, 2001:db8:2 and
+	// 3001:db8:0. Depth 32: four distinct addresses.
+	for d, want := range map[int]int{0: 1, 1: 2, 12: 3, 32: 4} {
+		if got := s.Counts[d]; got != want {
+			t.Errorf("Counts[%d] = %d, want %d", d, got, want)
+		}
+	}
+}
+
+func TestCountsDuplicates(t *testing.T) {
+	a := ip6.MustParseAddr("2001:db8::1")
+	s := New([]ip6.Addr{a, a})
+	if s.Counts[32] != 1 {
+		t.Errorf("duplicate addresses should count once, got %d", s.Counts[32])
+	}
+	if s.N != 2 {
+		t.Errorf("N = %d, want 2", s.N)
+	}
+}
+
+// TestNewMatchesPrefixOracle checks the sort-based counts against the
+// map-of-prefixes oracle on the shapes where an off-by-one in the LCP
+// histogram would show: no addresses, one, two, just under a power of
+// two, and all duplicates.
+func TestNewMatchesPrefixOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := func(n int) []ip6.Addr {
+		out := make([]ip6.Addr, n)
+		for i := range out {
+			// A narrow top half and a few low bits, so prefixes share
+			// long runs and some addresses repeat.
+			out[i] = ip6.AddrFromUint64s(0x20010db8<<32|rng.Uint64()&0xff, rng.Uint64()&0x3f)
+		}
+		return out
+	}
+	dup := ip6.MustParseAddr("2001:db8::7")
+	cases := map[string][]ip6.Addr{
+		"n=0":       nil,
+		"n=1":       random(1),
+		"n=2":       random(2),
+		"n=2047":    random(2047),
+		"duplicate": {dup, dup, dup, dup, dup},
+	}
+	for name, addrs := range cases {
+		want := distinctPrefixCounts(addrs)
+		for _, workers := range []int{1, 2, 0} {
+			got := NewWorkers(addrs, workers)
+			if got.N != len(addrs) || got.Counts != want {
+				t.Fatalf("%s workers=%d: N=%d Counts=%v, want N=%d Counts=%v",
+					name, workers, got.N, got.Counts, len(addrs), want)
+			}
+		}
+	}
+}
+
+// BenchmarkACR100k times the ACR series of 100k addresses with random
+// 64-bit interface identifiers under one /32, at one worker and at
+// GOMAXPROCS.
+func BenchmarkACR100k(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]ip6.Addr, 100_000)
+	for i := range addrs {
+		addrs[i] = ip6.AddrFromUint64s(0x20010db8<<32|rng.Uint64()&0xffff, rng.Uint64())
+	}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = NewWorkers(addrs, bc.workers)
+			}
+		})
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // TestNewWorkersEquivalent asserts the sort+LCP-histogram ACR computation
-// matches the sequential trie exactly for any worker count, on both a
-// spread population and a realistic skewed one (everything under a single
-// /32, the shape that starves address-space partitioning schemes).
+// matches the distinct-prefix oracle exactly for any worker count, on both
+// a spread population and a realistic skewed one (everything under a
+// single /32, the shape that starves address-space partitioning schemes).
 func TestNewWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	spread := make([]ip6.Addr, 20_000)
@@ -27,11 +27,12 @@ func TestNewWorkersEquivalent(t *testing.T) {
 		skewed[i] = a
 	}
 	for name, addrs := range map[string][]ip6.Addr{"spread": spread, "skewed": skewed} {
-		want := NewWorkers(addrs, 1)
-		for _, workers := range []int{2, 4, 16, 0} {
+		want := &Series{Counts: distinctPrefixCounts(addrs), N: len(addrs)}
+		fillACR(want)
+		for _, workers := range []int{1, 2, 4, 16, 0} {
 			got := NewWorkers(addrs, workers)
 			if got.N != want.N || got.Counts != want.Counts || got.ACR != want.ACR {
-				t.Fatalf("%s workers=%d: series differs from sequential trie", name, workers)
+				t.Fatalf("%s workers=%d: series differs from the distinct-prefix oracle", name, workers)
 			}
 		}
 	}

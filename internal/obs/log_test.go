@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseLevel(t *testing.T) {
@@ -69,28 +68,5 @@ func TestNextRequestIDUnique(t *testing.T) {
 	}
 	if !strings.Contains(a, "-") {
 		t.Fatalf("unexpected ID shape: %s", a)
-	}
-}
-
-func TestStageTrace(t *testing.T) {
-	tr := NewStageTrace()
-	tr.Record("entropy", 100*time.Millisecond)
-	tr.Record("learn", 300*time.Millisecond)
-	if got := tr.Total(); got != 400*time.Millisecond {
-		t.Fatalf("total = %v, want 400ms", got)
-	}
-	st := tr.Stages()
-	if len(st) != 2 || st[0].Name != "entropy" || st[1].Name != "learn" {
-		t.Fatalf("stages = %+v", st)
-	}
-	var buf bytes.Buffer
-	if err := tr.Report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"entropy", "25.0%", "learn", "75.0%", "total"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package trace is a dependency-free, in-process tracing layer for the
-// serving plane. It grows the PR 6 StageTrace stopwatch into real spans:
+// serving plane, built on real spans:
 //
 //   - W3C Trace Context (traceparent) parse/format for propagation across
 //     the wire, so eipgen/eipscan rounds connect to server-side traces.

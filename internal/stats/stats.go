@@ -6,30 +6,47 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Freq is a frequency table over uint64-valued observations (segment values
-// fit in a uint64; see internal/segment).
+// fit in a uint64; see internal/segment). It is one histogram sorted by
+// value, so ordered reads (Entries, Min, Max) cost nothing and removals
+// are a binary search plus one shift; adding a value not yet in the table
+// shifts the entries above it, so large tables are built with FreqOf.
 type Freq struct {
-	counts map[uint64]int
-	total  int
+	entries []Entry // ascending Value, every Count > 0
+	total   int
 }
 
 // NewFreq returns an empty frequency table.
-func NewFreq() *Freq {
-	return &Freq{counts: make(map[uint64]int)}
-}
+func NewFreq() *Freq { return &Freq{} }
 
-// FreqOf builds a frequency table from the given observations.
+// FreqOf builds a frequency table from the given observations with one
+// sort of a copy and a run-length pass.
 func FreqOf(values []uint64) *Freq {
-	f := NewFreq()
-	for _, v := range values {
-		f.Add(v)
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	f := &Freq{total: len(sorted)}
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		f.entries = append(f.entries, Entry{Value: sorted[i], Count: j - i})
+		i = j
 	}
 	return f
+}
+
+// search returns the index of the first entry with Value >= v and whether
+// that entry holds v.
+func (f *Freq) search(v uint64) (int, bool) {
+	return slices.BinarySearchFunc(f.entries, v, func(e Entry, v uint64) int { return cmp.Compare(e.Value, v) })
 }
 
 // Add records one observation of value v.
@@ -40,7 +57,12 @@ func (f *Freq) AddN(v uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	f.counts[v] += n
+	i, ok := f.search(v)
+	if ok {
+		f.entries[i].Count += n
+	} else {
+		f.entries = slices.Insert(f.entries, i, Entry{Value: v, Count: n})
+	}
 	f.total += n
 }
 
@@ -48,38 +70,44 @@ func (f *Freq) AddN(v uint64, n int) {
 // were. It is used by segment mining, which removes mined values from the
 // remaining pool after each step.
 func (f *Freq) Remove(v uint64) int {
-	n := f.counts[v]
-	if n > 0 {
-		delete(f.counts, v)
-		f.total -= n
+	i, ok := f.search(v)
+	if !ok {
+		return 0
 	}
+	n := f.entries[i].Count
+	f.entries = slices.Delete(f.entries, i, i+1)
+	f.total -= n
 	return n
 }
 
 // Count returns the number of observations of value v.
-func (f *Freq) Count(v uint64) int { return f.counts[v] }
+func (f *Freq) Count(v uint64) int {
+	if i, ok := f.search(v); ok {
+		return f.entries[i].Count
+	}
+	return 0
+}
 
 // Total returns the total number of observations.
 func (f *Freq) Total() int { return f.total }
 
 // Distinct returns the number of distinct observed values.
-func (f *Freq) Distinct() int { return len(f.counts) }
+func (f *Freq) Distinct() int { return len(f.entries) }
 
 // P returns the empirical probability of value v.
 func (f *Freq) P(v uint64) float64 {
 	if f.total == 0 {
 		return 0
 	}
-	return float64(f.counts[v]) / float64(f.total)
+	return float64(f.Count(v)) / float64(f.total)
 }
 
 // Values returns the distinct observed values in ascending order.
 func (f *Freq) Values() []uint64 {
-	out := make([]uint64, 0, len(f.counts))
-	for v := range f.counts {
-		out = append(out, v)
+	out := make([]uint64, len(f.entries))
+	for i, e := range f.entries {
+		out[i] = e.Value
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -89,20 +117,15 @@ type Entry struct {
 	Count int
 }
 
-// Entries returns (value, count) pairs in ascending value order.
-func (f *Freq) Entries() []Entry {
-	vals := f.Values()
-	out := make([]Entry, len(vals))
-	for i, v := range vals {
-		out[i] = Entry{Value: v, Count: f.counts[v]}
-	}
-	return out
-}
+// Entries returns (value, count) pairs in ascending value order. The
+// slice is the table's own storage: it is valid until the next Add,
+// AddN, Remove or RemoveRange, and callers must not modify it.
+func (f *Freq) Entries() []Entry { return slices.Clip(f.entries) }
 
 // TopK returns up to k entries with the highest counts, ties broken by
 // ascending value, in descending count order.
 func (f *Freq) TopK(k int) []Entry {
-	entries := f.Entries()
+	entries := slices.Clone(f.entries)
 	sort.SliceStable(entries, func(i, j int) bool {
 		if entries[i].Count != entries[j].Count {
 			return entries[i].Count > entries[j].Count
@@ -121,36 +144,41 @@ func (f *Freq) TopK(k int) []Entry {
 // Min returns the smallest observed value; ok is false if the table is
 // empty.
 func (f *Freq) Min() (v uint64, ok bool) {
-	first := true
-	for x := range f.counts {
-		if first || x < v {
-			v = x
-			first = false
-		}
+	if len(f.entries) == 0 {
+		return 0, false
 	}
-	return v, !first
+	return f.entries[0].Value, true
 }
 
 // Max returns the largest observed value; ok is false if the table is
 // empty.
 func (f *Freq) Max() (v uint64, ok bool) {
-	first := true
-	for x := range f.counts {
-		if first || x > v {
-			v = x
-			first = false
-		}
+	if len(f.entries) == 0 {
+		return 0, false
 	}
-	return v, !first
+	return f.entries[len(f.entries)-1].Value, true
+}
+
+// span returns the index range [i, j) of the entries with
+// lo <= value <= hi.
+func (f *Freq) span(lo, hi uint64) (i, j int) {
+	if lo > hi {
+		return 0, 0
+	}
+	i, _ = f.search(lo)
+	j, ok := f.search(hi)
+	if ok {
+		j++
+	}
+	return i, j
 }
 
 // CountRange returns the number of observations with lo <= value <= hi.
 func (f *Freq) CountRange(lo, hi uint64) int {
+	i, j := f.span(lo, hi)
 	n := 0
-	for v, c := range f.counts {
-		if v >= lo && v <= hi {
-			n += c
-		}
+	for _, e := range f.entries[i:j] {
+		n += e.Count
 	}
 	return n
 }
@@ -158,24 +186,19 @@ func (f *Freq) CountRange(lo, hi uint64) int {
 // RemoveRange deletes all observations with lo <= value <= hi and returns
 // how many observations were removed.
 func (f *Freq) RemoveRange(lo, hi uint64) int {
+	i, j := f.span(lo, hi)
 	removed := 0
-	for v, c := range f.counts {
-		if v >= lo && v <= hi {
-			removed += c
-			delete(f.counts, v)
-		}
+	for _, e := range f.entries[i:j] {
+		removed += e.Count
 	}
+	f.entries = slices.Delete(f.entries, i, j)
 	f.total -= removed
 	return removed
 }
 
 // Clone returns a deep copy of the frequency table.
 func (f *Freq) Clone() *Freq {
-	c := &Freq{counts: make(map[uint64]int, len(f.counts)), total: f.total}
-	for v, n := range f.counts {
-		c.counts[v] = n
-	}
-	return c
+	return &Freq{entries: slices.Clone(f.entries), total: f.total}
 }
 
 // Quartiles returns the first quartile, median and third quartile of the

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,6 +112,96 @@ func TestFreqTotalInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFreqMatchesMapReference runs random AddN, Remove and RemoveRange
+// sequences on a Freq and on a plain map of counts, and checks after every
+// step that both hold the same table and report the same removals.
+func TestFreqMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		// A small value domain makes hits, repeats and empty ranges common.
+		domain := uint64(1 + rng.Intn(64))
+		var initial []uint64
+		for i := rng.Intn(50); i > 0; i-- {
+			initial = append(initial, uint64(rng.Int63n(int64(domain))))
+		}
+		f := FreqOf(initial)
+		ref := make(map[uint64]int)
+		for _, v := range initial {
+			ref[v]++
+		}
+		for step := 0; step < 60; step++ {
+			v := uint64(rng.Int63n(int64(domain)))
+			switch rng.Intn(3) {
+			case 0:
+				n := rng.Intn(5) - 1 // n <= 0 must be a no-op
+				f.AddN(v, n)
+				if n > 0 {
+					ref[v] += n
+				}
+			case 1:
+				if got, want := f.Remove(v), ref[v]; got != want {
+					t.Fatalf("trial %d step %d: Remove(%d) = %d, want %d", trial, step, v, got, want)
+				}
+				delete(ref, v)
+			case 2:
+				hi := uint64(rng.Int63n(int64(domain)))
+				want := 0
+				for x, c := range ref {
+					if x >= v && x <= hi {
+						want += c
+						delete(ref, x)
+					}
+				}
+				if got := f.RemoveRange(v, hi); got != want {
+					t.Fatalf("trial %d step %d: RemoveRange(%d, %d) = %d, want %d", trial, step, v, hi, got, want)
+				}
+			}
+			checkFreqAgainst(t, f, ref)
+		}
+	}
+}
+
+// checkFreqAgainst compares every read of f with the map reference.
+func checkFreqAgainst(t *testing.T, f *Freq, ref map[uint64]int) {
+	t.Helper()
+	keys := make([]uint64, 0, len(ref))
+	total := 0
+	for v, c := range ref {
+		keys = append(keys, v)
+		total += c
+	}
+	slices.Sort(keys)
+	entries := f.Entries()
+	if f.Total() != total || f.Distinct() != len(keys) || len(entries) != len(keys) {
+		t.Fatalf("Total=%d Distinct=%d entries=%d, want %d %d %d", f.Total(), f.Distinct(), len(entries), total, len(keys), len(keys))
+	}
+	for i, v := range keys {
+		if entries[i] != (Entry{Value: v, Count: ref[v]}) || f.Count(v) != ref[v] {
+			t.Fatalf("entry %d = %+v, Count = %d, want {%d %d}", i, entries[i], f.Count(v), v, ref[v])
+		}
+	}
+	mn, okMin := f.Min()
+	mx, okMax := f.Max()
+	if okMin != (len(keys) > 0) || okMax != (len(keys) > 0) {
+		t.Fatalf("Min/Max ok = %v/%v with %d values", okMin, okMax, len(keys))
+	}
+	if len(keys) > 0 && (mn != keys[0] || mx != keys[len(keys)-1]) {
+		t.Fatalf("Min/Max = %d/%d, want %d/%d", mn, mx, keys[0], keys[len(keys)-1])
+	}
+	if len(keys) > 0 {
+		lo, hi := keys[0], keys[len(keys)/2]
+		want := 0
+		for _, v := range keys {
+			if v >= lo && v <= hi {
+				want += ref[v]
+			}
+		}
+		if got := f.CountRange(lo, hi); got != want {
+			t.Fatalf("CountRange(%d, %d) = %d, want %d", lo, hi, got, want)
+		}
 	}
 }
 
