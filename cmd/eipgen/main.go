@@ -9,12 +9,11 @@
 //	eipgen -server http://farm:8080 -server-model web -n 100000
 //
 // Generation draws on all cores by default (-workers bounds it); the
-// emitted sequence is identical for any worker count unless -unordered
-// trades the deterministic order for throughput. With -server the model
-// stays on an eipserved farm and candidates stream back over the framed
-// binary wire encoding (16 bytes per address; -ndjson switches to the
-// text encoding) — the output is identical to generating locally from
-// the same model and seed.
+// emitted sequence is identical for any worker count. With -server the
+// model stays on an eipserved farm and candidates stream back over the
+// framed binary wire encoding (16 bytes per address; -ndjson switches to
+// the text encoding) — the output is identical to generating locally
+// from the same model and seed.
 package main
 
 import (
@@ -40,7 +39,6 @@ func main() {
 		condition = flag.String("condition", "", "evidence constraining generation, e.g. \"B=B2,C=C1\"")
 		exclude   = flag.String("exclude", "", "file of addresses never to emit (e.g. the training set)")
 		workers   = flag.Int("workers", 0, "goroutines drawing candidates (0 = all cores; output is identical either way)")
-		unordered = flag.Bool("unordered", false, "emit candidates in arrival order instead of the deterministic order (faster)")
 		outPath   = flag.String("o", "-", "output file ('-' for stdout)")
 		server    = flag.String("server", "", "generate remotely on an eipserved instance (base URL) instead of from a local model file")
 		srvModel  = flag.String("server-model", "", "model name on the server (with -server)")
@@ -78,13 +76,12 @@ func main() {
 			fatal(fmt.Errorf("-exclude is local-only; the server manages its own dedup"))
 		}
 		count, err := generateRemote(w, *server, *srvModel, client.GenerateOptions{
-			Count:     *n,
-			Seed:      seed,
-			Evidence:  evidence,
-			Prefixes:  *prefixes,
-			Workers:   *workers,
-			Unordered: *unordered,
-			Binary:    !*ndjson,
+			Count:    *n,
+			Seed:     seed,
+			Evidence: evidence,
+			Prefixes: *prefixes,
+			Workers:  *workers,
+			Binary:   !*ndjson,
 		})
 		if ferr := w.Flush(); err == nil {
 			err = ferr
@@ -110,7 +107,7 @@ func main() {
 		fatal(err)
 	}
 
-	opts := core.GenerateOptions{Count: *n, Seed: *seed, Workers: *workers, Unordered: *unordered}
+	opts := core.GenerateOptions{Count: *n, Seed: *seed, Workers: *workers}
 	if len(evidence) > 0 {
 		opts.Evidence = core.Evidence(evidence)
 	}

@@ -53,8 +53,7 @@ type Options = core.Options
 
 // GenerateOptions controls candidate generation. Workers bounds the
 // goroutines drawing candidates (0 = all cores); the emitted candidate
-// sequence is byte-identical for any worker count unless Unordered
-// trades the deterministic order for throughput.
+// sequence is byte-identical for any worker count.
 type GenerateOptions = core.GenerateOptions
 
 // Evidence conditions the model on segment values by code, e.g.

@@ -163,17 +163,15 @@ func BenchmarkGenerate100k(b *testing.B) { benchmarkGenerate(b, 100_000, 0) }
 // BenchmarkGenerateWorkers100k is the scaling benchmark behind the PR's
 // acceptance criterion: on a multi-core runner, workers=max must show a
 // multiple of workers=1's throughput while emitting a byte-identical
-// candidate sequence (asserted by the determinism tests). The unordered
-// sub-benchmark shows the additional headroom from dropping the ordered
-// merge. Compare the sub-benchmarks with benchstat.
+// candidate sequence (asserted by the determinism tests). Compare the
+// sub-benchmarks with benchstat.
 func BenchmarkGenerateWorkers100k(b *testing.B) {
 	m := benchGenerateModel(b)
-	run := func(name string, workers int, unordered bool) {
+	run := func(name string, workers int) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				got, err := m.Generate(GenerateOptions{
-					Count: 100_000, Seed: int64(i + 1),
-					Workers: workers, Unordered: unordered,
+					Count: 100_000, Seed: int64(i + 1), Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -184,9 +182,8 @@ func BenchmarkGenerateWorkers100k(b *testing.B) {
 			}
 		})
 	}
-	run("workers=1", 1, false)
-	run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), 0, false)
-	run(fmt.Sprintf("workers=%d/unordered", runtime.GOMAXPROCS(0)), 0, true)
+	run("workers=1", 1)
+	run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), 0)
 }
 
 // BenchmarkBuildWorkers100k is the scaling benchmark behind the PR's

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"entropyip/internal/ip6"
 	"entropyip/internal/parallel"
@@ -17,8 +15,7 @@ type GenerateOptions struct {
 	// Count is the number of candidates to generate (the paper uses 1M).
 	Count int
 	// Seed seeds the generator's randomness; generation is deterministic
-	// for a fixed model, seed and options (see Unordered for the one
-	// exception).
+	// for a fixed model, seed and options.
 	Seed int64
 	// Evidence optionally constrains generation to particular segment
 	// values (e.g. only addresses within one mined /32 code).
@@ -40,16 +37,10 @@ type GenerateOptions struct {
 	Stop func() bool
 	// Workers bounds the number of goroutines drawing candidates
 	// (0 = GOMAXPROCS, 1 = fully sequential). The candidate sequence is
-	// identical for every worker count unless Unordered is set: draws
-	// come from a fixed number of logical substreams that are merged in
-	// a worker-independent round-robin order.
+	// identical for every worker count: draws come from a fixed number
+	// of logical substreams that are merged in a worker-independent
+	// round-robin order.
 	Workers int
-	// Unordered trades the deterministic candidate order for throughput:
-	// workers emit candidates as soon as they are drawn instead of
-	// waiting for the ordered merge. The candidate SET for a fixed seed
-	// is still drawn from the same distribution, but order and (under
-	// races between duplicate draws) membership may vary run to run.
-	Unordered bool
 }
 
 // stopPollInterval is how many draws pass between Stop polls when no
@@ -142,8 +133,7 @@ func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
 }
 
 // genRun is one generation run: the compiled draw function plus the
-// limits and sinks shared by the sequential, ordered-parallel and
-// unordered-parallel executions.
+// limits and sinks shared by the sequential and parallel executions.
 type genRun struct {
 	count          int
 	maxAttempts    int
@@ -189,13 +179,10 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 	if r.workers > genSubstreams {
 		r.workers = genSubstreams
 	}
-	switch {
-	case r.workers <= 1 || r.count < genParallelCutoff:
+	if r.workers <= 1 || r.count < genParallelCutoff {
 		r.runSequential()
-	case opts.Unordered:
-		r.runUnordered()
-	default:
-		r.runOrdered()
+	} else {
+		r.runParallel()
 	}
 	return nil
 }
@@ -211,17 +198,13 @@ func (r *genRun) pollStop(attempts int) bool {
 	return false
 }
 
-// runSequential is the single-goroutine execution; it defines the
-// canonical candidate order the ordered-parallel execution reproduces:
-// attempt k consumes the next draw of substream k % genSubstreams.
-func (r *genRun) runSequential() {
-	rngs := make([]*rand.Rand, genSubstreams)
-	for i := range rngs {
-		rngs[i] = stats.Split(r.seed, int64(i))
-	}
-	// The sampler overwrites every code of buf on each draw, so the
-	// substreams can share one buffer.
-	buf := make([]int, r.bufLen)
+// merge is the one consume loop every execution runs: attempt k takes
+// the next draw of substream k % genSubstreams from next, and dedup,
+// exclusion, the attempt budget and Stop all apply to that merged
+// sequence. This round-robin order is the canonical candidate order, so
+// any draw source that yields each substream's draws in sequence emits
+// the same candidates.
+func (r *genRun) merge(next func(s int) ip6.Addr) {
 	seen := ip6.NewSet(setCapacity(r.count))
 	emitted, attempts := 0, 0
 	for emitted < r.count && attempts < r.maxAttempts {
@@ -230,7 +213,7 @@ func (r *genRun) runSequential() {
 		if r.pollStop(attempts) {
 			return
 		}
-		a := r.draw(rngs[s], buf)
+		a := next(s)
 		if r.excluded(a) {
 			continue
 		}
@@ -241,6 +224,19 @@ func (r *genRun) runSequential() {
 			}
 		}
 	}
+}
+
+// runSequential is the single-goroutine execution: the merge draws each
+// candidate inline from its substream's rng.
+func (r *genRun) runSequential() {
+	rngs := make([]*rand.Rand, genSubstreams)
+	for i := range rngs {
+		rngs[i] = stats.Split(r.seed, int64(i))
+	}
+	// The sampler overwrites every code of buf on each draw, so the
+	// substreams can share one buffer.
+	buf := make([]int, r.bufLen)
+	r.merge(func(s int) ip6.Addr { return r.draw(rngs[s], buf) })
 }
 
 // batchSize picks how many draws producers hand over at once: large
@@ -257,13 +253,12 @@ func (r *genRun) batchSize() int {
 	return b
 }
 
-// runOrdered is the deterministic parallel execution: every substream
-// produces its draws concurrently (at most workers of them computing at
-// a time), and the consuming goroutine merges them in the same
-// round-robin order runSequential uses, applying dedup, exclusion, the
-// attempt budget and Stop on the merged sequence — so the emitted
-// candidates are byte-identical to the sequential ones.
-func (r *genRun) runOrdered() {
+// runParallel is the parallel execution: every substream produces its
+// draws concurrently (at most workers of them computing at a time), and
+// the merge pulls them from the producers' batches in its round-robin
+// order — so the emitted candidates are byte-identical to the
+// sequential ones.
+func (r *genRun) runParallel() {
 	done := make(chan struct{})
 	defer close(done)
 	sem := make(chan struct{}, r.workers)
@@ -273,32 +268,17 @@ func (r *genRun) runOrdered() {
 		chans[i] = make(chan []ip6.Addr, 2)
 		go r.produce(i, chans[i], sem, done, batch)
 	}
-	seen := ip6.NewSet(setCapacity(r.count))
 	var cur [genSubstreams][]ip6.Addr
 	var idx [genSubstreams]int
-	emitted, attempts := 0, 0
-	for emitted < r.count && attempts < r.maxAttempts {
-		s := attempts % genSubstreams
-		attempts++
-		if r.pollStop(attempts) {
-			return
-		}
+	r.merge(func(s int) ip6.Addr {
 		if idx[s] == len(cur[s]) {
 			cur[s] = <-chans[s]
 			idx[s] = 0
 		}
 		a := cur[s][idx[s]]
 		idx[s]++
-		if r.excluded(a) {
-			continue
-		}
-		if seen.Add(a) {
-			emitted++
-			if !r.yield(a) {
-				return
-			}
-		}
-	}
+		return a
+	})
 }
 
 // produce draws full batches for one substream until done closes. The
@@ -337,105 +317,6 @@ func (r *genRun) produce(stream int, out chan<- []ip6.Addr, sem chan struct{}, d
 	}
 }
 
-// dedupShards is the number of independently locked dedup sets the
-// unordered execution hashes candidates across. Power of two.
-const dedupShards = 64
-
-// shardedSet is an address set sharded by hash so concurrent workers
-// rarely contend on the same lock.
-type shardedSet struct {
-	shards [dedupShards]struct {
-		mu  sync.Mutex
-		set *ip6.Set
-		_   [40]byte // keep neighboring locks off one cache line
-	}
-}
-
-func newShardedSet(count int) *shardedSet {
-	s := &shardedSet{}
-	per := setCapacity(count)/dedupShards + 1
-	for i := range s.shards {
-		s.shards[i].set = ip6.NewSet(per)
-	}
-	return s
-}
-
-// add inserts the address and reports whether it was not already present.
-func (s *shardedSet) add(a ip6.Addr) bool {
-	hi, lo := a.Uint64s()
-	// SplitMix64-style finalizer over the address words.
-	z := hi ^ (lo * 0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z ^= z >> 31
-	sh := &s.shards[z&(dedupShards-1)]
-	sh.mu.Lock()
-	fresh := sh.set.Add(a)
-	sh.mu.Unlock()
-	return fresh
-}
-
-// runUnordered is the throughput-first parallel execution: each worker
-// owns one substream and emits candidates as soon as they clear the
-// sharded dedup set, with a shared atomic attempt budget. The consuming
-// goroutine only forwards to yield, so candidate order depends on
-// scheduling.
-func (r *genRun) runUnordered() {
-	done := make(chan struct{})
-	var once sync.Once
-	finish := func() { once.Do(func() { close(done) }) }
-	defer finish()
-
-	out := make(chan ip6.Addr, 64*r.workers)
-	var attempts atomic.Int64
-	seen := newShardedSet(r.count)
-	var wg sync.WaitGroup
-	for w := 0; w < r.workers; w++ {
-		wg.Add(1)
-		go func(stream int) {
-			defer wg.Done()
-			rng := stats.Split(r.seed, int64(stream))
-			buf := make([]int, r.bufLen)
-			for n := 1; ; n++ {
-				if attempts.Add(1) > int64(r.maxAttempts) {
-					return
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if r.stop != nil && (r.perAttemptStop || n%stopPollInterval == 0) && r.stop() {
-					finish()
-					return
-				}
-				a := r.draw(rng, buf)
-				if r.excluded(a) || !seen.add(a) {
-					continue
-				}
-				select {
-				case out <- a:
-				case <-done:
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	emitted := 0
-	for a := range out {
-		emitted++
-		ok := r.yield(a)
-		if !ok || emitted == r.count {
-			finish()
-			break
-		}
-	}
-}
-
 // GenerateStream draws unique candidate IPv6 addresses from the model's
 // joint distribution (§5.5 of the paper) and hands each one to yield as
 // soon as it is produced, without accumulating them. Generation stops when
@@ -446,8 +327,7 @@ func (r *genRun) runUnordered() {
 // lists over a network connection.
 //
 // The candidate sequence is identical to Generate's for the same model,
-// seed and options, and — unless Unordered is set — identical for every
-// Workers value.
+// seed and options, and identical for every Workers value.
 func (m *Model) GenerateStream(opts GenerateOptions, yield func(ip6.Addr) bool) error {
 	if opts.Count <= 0 {
 		return fmt.Errorf("core: GenerateStream needs a positive Count")

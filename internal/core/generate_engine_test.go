@@ -19,10 +19,12 @@ func genEvidence(t *testing.T, m *Model) Evidence {
 }
 
 // TestGenerateDeterministicAcrossWorkers is the acceptance gate for the
-// parallel generation engine: in the (default) ordered mode the emitted
-// candidate sequence must be byte-identical for every worker count —
-// parallelism is purely operational, exactly as it is for training. Run
-// under -race in CI, this also exercises the producer/merger protocol.
+// parallel generation engine: the emitted candidate sequence must be
+// byte-identical for every worker count — parallelism is purely
+// operational, exactly as it is for training. The first sequence is also
+// checked for count, uniqueness, exclusion and evidence, so those
+// properties hold at every worker count. Run under -race in CI, this
+// also exercises the producer/merger protocol.
 func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	m, addrs := buildTestModel(t, 4000, 23, Options{})
 	exclude := ip6.NewSet(500)
@@ -47,9 +49,7 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 				}
 				if want == nil {
 					want = got
-					if len(want) == 0 {
-						t.Fatal("no candidates generated")
-					}
+					checkCandidates(t, m, tc.opts, want)
 					continue
 				}
 				if len(got) != len(want) {
@@ -62,6 +62,35 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkCandidates asserts the properties every generated sequence must
+// have: the requested count, no duplicates, no excluded address, and —
+// under genEvidence — every candidate inside the evidence's mined value.
+func checkCandidates(t *testing.T, m *Model, opts GenerateOptions, got []ip6.Addr) {
+	t.Helper()
+	if len(got) != opts.Count {
+		t.Fatalf("generated %d candidates, want %d", len(got), opts.Count)
+	}
+	seen := ip6.NewSet(len(got))
+	for _, a := range got {
+		if !seen.Add(a) {
+			t.Fatalf("duplicate candidate %v", a)
+		}
+		if opts.Exclude != nil && opts.Exclude.Contains(a) {
+			t.Fatalf("excluded address %v was generated", a)
+		}
+	}
+	if opts.Evidence == nil {
+		return
+	}
+	sm := m.Segments[len(m.Segments)-1]
+	want := sm.Values[0]
+	for _, a := range got {
+		if !want.Contains(sm.Seg.Value(a)) {
+			t.Fatalf("candidate %v violates evidence %v", a, opts.Evidence)
+		}
 	}
 }
 
@@ -90,109 +119,36 @@ func TestGeneratePrefixesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGenerateUnordered checks the throughput mode keeps every
-// correctness property except ordering: requested count, uniqueness,
-// exclusion and evidence all hold.
-func TestGenerateUnordered(t *testing.T) {
-	m, addrs := buildTestModel(t, 4000, 25, Options{})
-	exclude := ip6.NewSet(len(addrs))
-	exclude.AddAll(addrs)
-	got, err := m.Generate(GenerateOptions{
-		Count: 1500, Seed: 3, Workers: 8, Unordered: true, Exclude: exclude,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1500 {
-		t.Fatalf("generated %d, want 1500", len(got))
-	}
-	seen := ip6.NewSet(len(got))
-	for _, a := range got {
-		if !seen.Add(a) {
-			t.Fatalf("duplicate candidate %v", a)
-		}
-		if exclude.Contains(a) {
-			t.Fatalf("excluded address %v was generated", a)
-		}
-	}
-
-	ev := genEvidence(t, m)
-	sm := m.Segments[len(m.Segments)-1]
-	want := sm.Values[0]
-	got, err = m.Generate(GenerateOptions{Count: 1100, Seed: 4, Workers: 4, Unordered: true, Evidence: ev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range got {
-		if !want.Contains(sm.Seg.Value(a)) {
-			t.Fatalf("candidate %v violates evidence %v", a, ev)
-		}
-	}
-}
-
-// TestGenerateUnorderedSmallSupport checks the attempt budget also
-// bounds the unordered execution: a nearly-enumerable model must stop
-// rather than spin.
-func TestGenerateUnorderedSmallSupport(t *testing.T) {
-	var addrs []ip6.Addr
-	base := ip6.MustParseAddr("2001:db8::")
-	for i := 0; i < 8; i++ {
-		addrs = append(addrs, base.SetField(31, 1, uint64(i)))
-	}
-	for i := 0; i < 100; i++ {
-		addrs = append(addrs, addrs[i%8])
-	}
-	m, err := Build(addrs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Generate(GenerateOptions{
-		Count: 10000, Seed: 1, MaxAttemptsFactor: 2, Workers: 4, Unordered: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) >= 10000 {
-		t.Error("expected fewer unique candidates than requested")
-	}
-	if len(got) == 0 {
-		t.Error("expected at least some candidates")
-	}
-}
-
 // TestGenerateStopLatencyWithEvidence is the cancellation regression
 // test: with evidence set, Stop is polled on every attempt (not every
 // stopPollInterval), so a disconnected client halts generation after at
-// most a handful of draws — across every execution mode.
+// most a handful of draws — sequentially and in parallel.
 func TestGenerateStopLatencyWithEvidence(t *testing.T) {
 	m, _ := buildTestModel(t, 3000, 26, Options{})
 	ev := genEvidence(t, m)
 	for _, workers := range []int{1, 4} {
-		for _, unordered := range []bool{false, true} {
-			var emitted atomic.Int64
-			var stopped atomic.Bool
-			stopped.Store(true)
-			start := time.Now()
-			err := m.GenerateStream(GenerateOptions{
-				Count:     1 << 20,
-				Seed:      1,
-				Evidence:  ev,
-				Workers:   workers,
-				Unordered: unordered,
-				Stop:      func() bool { return stopped.Load() },
-			}, func(ip6.Addr) bool {
-				emitted.Add(1)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := emitted.Load(); n != 0 {
-				t.Errorf("workers=%d unordered=%v: emitted %d candidates after Stop, want 0", workers, unordered, n)
-			}
-			if d := time.Since(start); d > 5*time.Second {
-				t.Errorf("workers=%d unordered=%v: generation took %v to notice Stop", workers, unordered, d)
-			}
+		var emitted atomic.Int64
+		var stopped atomic.Bool
+		stopped.Store(true)
+		start := time.Now()
+		err := m.GenerateStream(GenerateOptions{
+			Count:    1 << 20,
+			Seed:     1,
+			Evidence: ev,
+			Workers:  workers,
+			Stop:     func() bool { return stopped.Load() },
+		}, func(ip6.Addr) bool {
+			emitted.Add(1)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := emitted.Load(); n != 0 {
+			t.Errorf("workers=%d: emitted %d candidates after Stop, want 0", workers, n)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("workers=%d: generation took %v to notice Stop", workers, d)
 		}
 	}
 }

@@ -128,15 +128,19 @@ func TestGenerateSmallSupportStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Generate(GenerateOptions{Count: 10000, Seed: 1, MaxAttemptsFactor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) >= 10000 {
-		t.Error("expected fewer unique candidates than requested")
-	}
-	if len(got) == 0 {
-		t.Error("expected at least some candidates")
+	// Workers 4 runs the parallel execution, whose producers draw ahead
+	// of the merge: the budget must still stop it.
+	for _, workers := range []int{1, 4} {
+		got, err := m.Generate(GenerateOptions{Count: 10000, Seed: 1, MaxAttemptsFactor: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) >= 10000 {
+			t.Errorf("workers=%d: expected fewer unique candidates than requested", workers)
+		}
+		if len(got) == 0 {
+			t.Errorf("workers=%d: expected at least some candidates", workers)
+		}
 	}
 }
 

@@ -52,17 +52,14 @@ type GenerateRequest struct {
 	// capped at MaxGenerateWorkers (requests are untrusted and a worker
 	// count is a CPU multiplier). Zero selects the server's default
 	// (Options.GenerateWorkers). The candidate stream is identical for
-	// any value unless Unordered is set.
+	// any value.
 	Workers int `json:"workers,omitempty"`
-	// Unordered trades the deterministic candidate order for throughput;
-	// see core.GenerateOptions.Unordered.
-	Unordered bool `json:"unordered,omitempty"`
 	// Streams switches to batch mode: each entry describes one
 	// independently-seeded candidate stream, and the response carries all
 	// of them interleaved (frames tagged with a stream index in the binary
 	// encoding, {"stream":i,...} lines in NDJSON). Mutually exclusive with
 	// the top-level Count/Seed/Evidence/MaxAttemptsFactor; Version,
-	// Prefixes, Workers and Unordered stay request-wide.
+	// Prefixes and Workers stay request-wide.
 	Streams []GenerateStreamSpec `json:"streams,omitempty"`
 }
 
@@ -596,7 +593,6 @@ func (s *Server) generateOptions(ctx context.Context, st resolvedStream, req *Ge
 		Evidence:          st.evidence,
 		MaxAttemptsFactor: st.maxAttempts,
 		Workers:           workers,
-		Unordered:         req.Unordered,
 		Stop:              func() bool { return ctx.Err() != nil || s.isDraining() },
 	}
 }

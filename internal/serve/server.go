@@ -89,7 +89,7 @@ type Options struct {
 	// (core.GenerateOptions.Workers) when a generate request does not ask
 	// for a specific value. Zero means all cores. The emitted candidate
 	// stream is identical for any value (generation is deterministic
-	// across worker counts unless the request sets unordered).
+	// across worker counts).
 	GenerateWorkers int
 	// Refresh configures the online ingest + drift detection + automatic
 	// model refresh loop behind POST /v1/models/{name}/observe. The zero

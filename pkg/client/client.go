@@ -148,8 +148,6 @@ type GenerateOptions struct {
 	Prefixes bool
 	// Workers bounds the server-side generation parallelism.
 	Workers int
-	// Unordered trades deterministic order for throughput.
-	Unordered bool
 	// Binary selects the framed binary response encoding.
 	Binary bool
 }
@@ -207,7 +205,6 @@ type generateRequest struct {
 	Prefixes          bool              `json:"prefixes,omitempty"`
 	MaxAttemptsFactor int               `json:"max_attempts_factor,omitempty"`
 	Workers           int               `json:"workers,omitempty"`
-	Unordered         bool              `json:"unordered,omitempty"`
 	Streams           []StreamSpec      `json:"streams,omitempty"`
 }
 
@@ -224,7 +221,6 @@ func (c *Client) Generate(ctx context.Context, model string, opts GenerateOption
 		Prefixes:          opts.Prefixes,
 		MaxAttemptsFactor: opts.MaxAttemptsFactor,
 		Workers:           opts.Workers,
-		Unordered:         opts.Unordered,
 		Streams:           opts.Streams,
 	})
 	if err != nil {
