@@ -499,38 +499,81 @@ func (n *Network) Renormalize() error {
 	return nil
 }
 
-// Prob returns P(node = value | parent values) from the node's CPT. The
-// parentValues map must contain all of the node's parents (extra entries
-// are ignored).
-func (n *Network) Prob(node, value int, parentValues map[int]int) float64 {
-	cpt := n.CPTs[node]
-	pv := make([]int, len(n.Parents[node]))
-	for i, p := range n.Parents[node] {
-		v, ok := parentValues[p]
-		if !ok {
-			panic(fmt.Sprintf("bayes: Prob missing parent %d of node %d", p, node))
+// Scorer evaluates the network's log-likelihood of complete categorical
+// rows with table lookups only. Each node holds its parents' indices and
+// cardinalities and one flat log-CPT, row-major by parent configuration,
+// so scoring a row makes no allocation and takes no logarithm. A Scorer
+// is immutable and safe for concurrent use; it reflects the CPTs at the
+// time NewScorer ran.
+type Scorer struct {
+	nodes []scoreNode
+}
+
+// scoreNode is one node's share of a Scorer.
+type scoreNode struct {
+	parents []int
+	cards   []int
+	arity   int
+	// logp[r*arity+k] is log P(node = k | parent configuration r), with
+	// probabilities <= 0 floored at 1e-300.
+	logp []float64
+}
+
+// NewScorer precomputes the network's log-CPTs.
+func (n *Network) NewScorer() *Scorer {
+	s := &Scorer{nodes: make([]scoreNode, len(n.Vars))}
+	for i, cpt := range n.CPTs {
+		nd := scoreNode{
+			parents: append([]int(nil), n.Parents[i]...),
+			cards:   append([]int(nil), cpt.ParentCard...),
+			arity:   cpt.Arity,
 		}
-		pv[i] = v
+		nd.logp = make([]float64, 0, len(cpt.Rows)*cpt.Arity)
+		for _, row := range cpt.Rows {
+			for _, p := range row {
+				if p <= 0 {
+					p = 1e-300
+				}
+				nd.logp = append(nd.logp, math.Log(p))
+			}
+		}
+		s.nodes[i] = nd
 	}
-	return cpt.Rows[cpt.RowIndex(pv)][value]
+	return s
+}
+
+// Add returns ll plus the log-likelihood of one row of codes (one value
+// per variable, in variable order). The terms are added to ll one node at
+// a time in node order, so scoring rows in sequence from 0 sums exactly as
+// LogLikelihood does. A parent or node value outside its cardinality
+// panics, as CPT.RowIndex does.
+func (s *Scorer) Add(ll float64, codes []int) float64 {
+	for i := range s.nodes {
+		nd := &s.nodes[i]
+		r := 0
+		for k, p := range nd.parents {
+			v, card := codes[p], nd.cards[k]
+			if v < 0 || v >= card {
+				panic(fmt.Sprintf("bayes: parent value %d out of range (card %d)", v, card))
+			}
+			r = r*card + v
+		}
+		v := codes[i]
+		if v < 0 || v >= nd.arity {
+			panic(fmt.Sprintf("bayes: value %d of node %d out of range (arity %d)", v, i, nd.arity))
+		}
+		ll += nd.logp[r*nd.arity+v]
+	}
+	return ll
 }
 
 // LogLikelihood returns the total log-likelihood of the data under the
 // network.
 func (n *Network) LogLikelihood(data [][]int) float64 {
+	s := n.NewScorer()
 	ll := 0.0
-	assignment := make(map[int]int, len(n.Vars))
 	for _, row := range data {
-		for i, v := range row {
-			assignment[i] = v
-		}
-		for i := range n.Vars {
-			p := n.Prob(i, row[i], assignment)
-			if p <= 0 {
-				p = 1e-300
-			}
-			ll += math.Log(p)
-		}
+		ll = s.Add(ll, row)
 	}
 	return ll
 }

@@ -41,7 +41,8 @@ func TestLearnRecoversDependency(t *testing.T) {
 		t.Errorf("Parents[C] = %v, want none", net.Parents[2])
 	}
 	// CPT of B given A: strongly diagonal.
-	if net.Prob(1, 0, map[int]int{0: 0}) < 0.9 || net.Prob(1, 1, map[int]int{0: 1}) < 0.9 {
+	cpt := net.CPTs[1]
+	if cpt.Rows[cpt.RowIndex([]int{0})][0] < 0.9 || cpt.Rows[cpt.RowIndex([]int{1})][1] < 0.9 {
 		t.Errorf("CPT of B|A looks wrong: %+v", net.CPTs[1].Rows)
 	}
 }
@@ -256,18 +257,97 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestProbPanicsOnMissingParent(t *testing.T) {
+func TestScorerPanicsOnOutOfRangeParent(t *testing.T) {
 	data, vars := chainData(500, 12)
 	net, _ := Learn(data, vars, LearnConfig{})
 	if len(net.Parents[1]) == 0 {
 		t.Skip("no dependency learned")
 	}
+	s := net.NewScorer()
+	row := []int{0, 0, 0}
+	s.Add(0, row) // in range: no panic
+	row[net.Parents[1][0]] = vars[net.Parents[1][0]].Arity
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for missing parent value")
+			t.Error("expected panic for out-of-range parent value")
 		}
 	}()
-	net.Prob(1, 0, map[int]int{})
+	s.Add(0, row)
+}
+
+// TestScorerAddZeroAlloc pins the scoring contract: a row costs table
+// lookups only.
+func TestScorerAddZeroAlloc(t *testing.T) {
+	data, vars := chainData(500, 12)
+	net, err := Learn(data, vars, LearnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := net.NewScorer()
+	ll := 0.0
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		ll = s.Add(ll, data[i%len(data)])
+		i++
+	}); n != 0 {
+		t.Fatalf("Scorer.Add allocates %.1f times per row, want 0", n)
+	}
+}
+
+// mapLogLikelihood is the map-based log-likelihood loop the Scorer
+// replaced, kept as its oracle: per row, every node's probability looked
+// up through a parent-value map and CPT.RowIndex, floored at 1e-300 and
+// logged, summed in row then node order.
+func mapLogLikelihood(n *Network, data [][]int) float64 {
+	ll := 0.0
+	assignment := make(map[int]int, len(n.Vars))
+	for _, row := range data {
+		for i, v := range row {
+			assignment[i] = v
+		}
+		for i := range n.Vars {
+			pv := make([]int, len(n.Parents[i]))
+			for k, p := range n.Parents[i] {
+				pv[k] = assignment[p]
+			}
+			cpt := n.CPTs[i]
+			p := cpt.Rows[cpt.RowIndex(pv)][row[i]]
+			if p <= 0 {
+				p = 1e-300
+			}
+			ll += math.Log(p)
+		}
+	}
+	return ll
+}
+
+// TestScorerMatchesMapLogLikelihood pins LogLikelihood to the map-based
+// loop bit for bit, on learned networks with multi-parent nodes and on a
+// CPT with zero cells (the 1e-300 floor).
+func TestScorerMatchesMapLogLikelihood(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		vars := []Variable{{Name: "A", Arity: 3}, {Name: "B", Arity: 4}, {Name: "C", Arity: 2}, {Name: "D", Arity: 5}, {Name: "E", Arity: 3}}
+		data := make([][]int, 800)
+		for r := range data {
+			a := rng.Intn(3)
+			b := (a + rng.Intn(2)) % 4
+			c := (a + b) % 2
+			d := (b*c + rng.Intn(2)) % 5
+			data[r] = []int{a, b, c, d, rng.Intn(3)}
+		}
+		net, err := Learn(data, vars, LearnConfig{MaxParents: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seed == 4 {
+			// A zero cell must score log(1e-300), as the map loop does.
+			net.CPTs[4].Rows[0] = []float64{0, 0.5, 0.5}
+		}
+		if got, want := net.LogLikelihood(data), mapLogLikelihood(net, data); got != want {
+			t.Fatalf("seed %d: LogLikelihood = %v, map-based loop %v", seed, got, want)
+		}
+	}
 }
 
 func TestMaxParentConfigsLimit(t *testing.T) {

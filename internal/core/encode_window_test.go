@@ -1,26 +1,37 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"entropyip/internal/bayes"
 	"entropyip/internal/ip6"
 	"entropyip/internal/synth"
 )
 
+// refWindow is what the readable reference computes for a window: every
+// address's categorical vector plus the per-window summaries.
+type refWindow struct {
+	vecs             [][]int
+	codeCounts       [][]int
+	clamped          []int
+	withinLogDensity float64
+}
+
 // refEncodeWindow is the pre-compiled-encoder EncodeWindow, kept verbatim
-// as the reference: the rewiring onto mining.CompiledEncoder must produce
-// bit-identical vectors, counts AND likelihood terms (the acceptance
-// criterion that drift scores and shadow evaluations cannot move).
-func refEncodeWindow(m *Model, addrs []ip6.Addr) *WindowEncoding {
-	w := &WindowEncoding{
-		Vecs:       make([][]int, 0, len(addrs)),
-		CodeCounts: make([][]int, len(m.Segments)),
-		Clamped:    make([]int, len(m.Segments)),
+// as the reference: EncodeWindow on the compiled encoder and the log-CPT
+// scorer must produce bit-identical counts AND likelihood terms (drift
+// scores and shadow evaluations cannot move).
+func refEncodeWindow(m *Model, addrs []ip6.Addr) *refWindow {
+	w := &refWindow{
+		codeCounts: make([][]int, len(m.Segments)),
+		clamped:    make([]int, len(m.Segments)),
 	}
 	for i, sm := range m.Segments {
-		w.CodeCounts[i] = make([]int, sm.Arity())
+		w.codeCounts[i] = make([]int, sm.Arity())
 	}
 	for _, a := range addrs {
 		vec := make([]int, len(m.Segments))
@@ -28,24 +39,56 @@ func refEncodeWindow(m *Model, addrs []ip6.Addr) *WindowEncoding {
 			value := sm.Seg.Value(a)
 			idx, ok := sm.Encode(value)
 			if ok {
-				w.WithinLogDensity -= math.Log(float64(sm.Values[idx].Width()))
+				w.withinLogDensity -= math.Log(float64(sm.Values[idx].Width()))
 			} else {
-				w.Clamped[i]++
-				w.WithinLogDensity += outOfSupportLogProb(sm.Seg.Width)
+				w.clamped[i]++
+				w.withinLogDensity += outOfSupportLogProb(sm.Seg.Width)
 				if idx, ok = sm.EncodeNearest(value); !ok {
 					idx = 0
 				}
 			}
 			vec[i] = idx
-			w.CodeCounts[i][idx]++
+			w.codeCounts[i][idx]++
 		}
-		w.Vecs = append(w.Vecs, vec)
+		w.vecs = append(w.vecs, vec)
 	}
 	return w
 }
 
-func TestEncodeWindowMatchesReference(t *testing.T) {
-	addrs, err := synth.Generate("S1", 4000, 1)
+// mapLogLikelihood is the map-based Bayesian-network log-likelihood loop
+// bayes.Scorer replaced, kept as its oracle: per row, every node's
+// probability looked up through a parent-value map and CPT.RowIndex,
+// floored at 1e-300 and logged, summed in row then node order.
+func mapLogLikelihood(n *bayes.Network, data [][]int) float64 {
+	ll := 0.0
+	assignment := make(map[int]int, len(n.Vars))
+	for _, row := range data {
+		for i, v := range row {
+			assignment[i] = v
+		}
+		for i := range n.Vars {
+			pv := make([]int, len(n.Parents[i]))
+			for k, p := range n.Parents[i] {
+				pv[k] = assignment[p]
+			}
+			cpt := n.CPTs[i]
+			p := cpt.Rows[cpt.RowIndex(pv)][row[i]]
+			if p <= 0 {
+				p = 1e-300
+			}
+			ll += math.Log(p)
+		}
+	}
+	return ll
+}
+
+// windowCase trains a 1000-address model on one synthetic dataset and
+// returns it with a window: held-out addresses of the same dataset or of
+// another one, plus random addresses, so both the covered and the
+// clamped paths execute.
+func windowCase(t testing.TB, train, window string) (*Model, []ip6.Addr) {
+	t.Helper()
+	addrs, err := synth.Generate(train, 3000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,45 +96,109 @@ func TestEncodeWindowMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Window: in-distribution addresses plus out-of-support ones (random
-	// and shifted), so both the covered and the clamped paths execute.
-	window := append([]ip6.Addr{}, addrs[1000:3000]...)
+	w := append([]ip6.Addr{}, addrs[1000:]...)
+	if window != train {
+		if w, err = synth.Generate(window, 2000, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		var a ip6.Addr
 		rng.Read(a[:])
-		window = append(window, a)
+		w = append(w, a)
 	}
+	return m, w
+}
 
-	got := m.EncodeWindow(window)
-	want := refEncodeWindow(m, window)
+func TestEncodeWindowMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ train, window string }{
+		{"S1", "S1"}, {"S5", "S5"}, {"S5", "C1"},
+	} {
+		m, window := windowCase(t, tc.train, tc.window)
+		name := tc.train + "/" + tc.window
 
-	if len(got.Vecs) != len(want.Vecs) {
-		t.Fatalf("Vecs len %d != %d", len(got.Vecs), len(want.Vecs))
-	}
-	for i := range want.Vecs {
-		for k := range want.Vecs[i] {
-			if got.Vecs[i][k] != want.Vecs[i][k] {
-				t.Fatalf("Vecs[%d][%d] = %d, reference %d", i, k, got.Vecs[i][k], want.Vecs[i][k])
+		got := m.EncodeWindow(window)
+		want := refEncodeWindow(m, window)
+
+		// The per-address codes the window was scored on: the compiled
+		// encoder against the reference scan.
+		c := m.Encoder().Compiled()
+		vec := make([]int, len(m.Segments))
+		for ai, a := range window {
+			c.EncodeInto(vec, a)
+			for k := range vec {
+				if vec[k] != want.vecs[ai][k] {
+					t.Fatalf("%s: EncodeInto(%v)[%d] = %d, reference %d", name, a, k, vec[k], want.vecs[ai][k])
+				}
 			}
 		}
-	}
-	for i := range want.CodeCounts {
-		if got.Clamped[i] != want.Clamped[i] {
-			t.Fatalf("Clamped[%d] = %d, reference %d", i, got.Clamped[i], want.Clamped[i])
-		}
-		for k := range want.CodeCounts[i] {
-			if got.CodeCounts[i][k] != want.CodeCounts[i][k] {
-				t.Fatalf("CodeCounts[%d][%d] = %d, reference %d", i, k, got.CodeCounts[i][k], want.CodeCounts[i][k])
+		for i := range want.codeCounts {
+			if got.Clamped[i] != want.clamped[i] {
+				t.Fatalf("%s: Clamped[%d] = %d, reference %d", name, i, got.Clamped[i], want.clamped[i])
+			}
+			for k := range want.codeCounts[i] {
+				if got.CodeCounts[i][k] != want.codeCounts[i][k] {
+					t.Fatalf("%s: CodeCounts[%d][%d] = %d, reference %d", name, i, k, got.CodeCounts[i][k], want.codeCounts[i][k])
+				}
 			}
 		}
+		// Bit-identical, not approximately equal: the same terms
+		// accumulate in the same order.
+		if got.WithinLogDensity != want.withinLogDensity {
+			t.Fatalf("%s: WithinLogDensity = %v, reference %v", name, got.WithinLogDensity, want.withinLogDensity)
+		}
+		bn := mapLogLikelihood(m.Net, want.vecs)
+		if got.BNLogLikelihood != bn {
+			t.Fatalf("%s: BNLogLikelihood = %v, map-based reference %v", name, got.BNLogLikelihood, bn)
+		}
+		if ref := bn + want.withinLogDensity; got.LogLikelihood() != ref {
+			t.Fatalf("%s: LogLikelihood = %v, reference %v", name, got.LogLikelihood(), ref)
+		}
 	}
-	// Bit-identical, not approximately equal: the same math.Log inputs
-	// accumulate in the same order.
-	if got.WithinLogDensity != want.WithinLogDensity {
-		t.Fatalf("WithinLogDensity = %v, reference %v", got.WithinLogDensity, want.WithinLogDensity)
+}
+
+// TestEncodeWindowAllocsIndependentOfLength pins that EncodeWindow
+// allocates per window and per segment only: a 16k window makes exactly
+// as many allocations as a 1k one.
+func TestEncodeWindowAllocsIndependentOfLength(t *testing.T) {
+	m, pool := windowCase(t, "S5", "C1")
+	window := make([]ip6.Addr, 16_384)
+	for i := range window {
+		window[i] = pool[i%len(pool)]
 	}
-	if gll, wll := got.LogLikelihood(m), want.LogLikelihood(m); gll != wll {
-		t.Fatalf("LogLikelihood = %v, reference %v", gll, wll)
+	m.EncodeWindow(window[:1]) // build the cached encoder and scorer
+	small := testing.AllocsPerRun(20, func() { m.EncodeWindow(window[:1024]) })
+	large := testing.AllocsPerRun(20, func() { m.EncodeWindow(window) })
+	if small != large {
+		t.Fatalf("EncodeWindow allocates %v times for 1k addresses and %v for 16k, want equal", small, large)
 	}
+}
+
+// TestEncodeWindowConcurrentFirstUse scores one window from several
+// goroutines on a model whose cached encoder and scorer are not built
+// yet, as concurrent observe requests do after a model loads; run under
+// -race it checks the lazy initialization.
+func TestEncodeWindowConcurrentFirstUse(t *testing.T) {
+	m, window := windowCase(t, "S5", "C1")
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := m.EncodeWindow(window).LogLikelihood()
+	fresh, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := fresh.EncodeWindow(window).LogLikelihood(); got != want {
+				t.Errorf("concurrent EncodeWindow LL = %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

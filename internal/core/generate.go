@@ -431,14 +431,16 @@ func outOfSupportLogProb(width int) float64 {
 // scoring and address-level likelihood, produced in one pass over the
 // addresses.
 type WindowEncoding struct {
-	// Vecs is each address's categorical vector (out-of-support values
-	// clamped to the nearest code, as in Encoder.Encode).
-	Vecs [][]int
 	// CodeCounts[i][k] is how many addresses took code k of segment i.
 	CodeCounts [][]int
 	// Clamped[i] is how many addresses had a value outside segment i's
 	// mined elements.
 	Clamped []int
+	// BNLogLikelihood is the Bayesian-network log-likelihood (nats) of
+	// the addresses' categorical vectors (out-of-support values clamped
+	// to the nearest code, as in Encoder.Encode), summed in address
+	// order.
+	BNLogLikelihood float64
 	// WithinLogDensity is the accumulated within-value log-density
 	// (nats): 0 per exact value, -log w per range of width w, and the
 	// out-of-support floor per clamped value.
@@ -446,16 +448,17 @@ type WindowEncoding struct {
 }
 
 // EncodeWindow encodes a window of addresses once, collecting everything
-// drift scoring and AddressLogLikelihood need. It runs on the compiled
-// flat-table encoder — drift scoring calls this per evaluation on the
-// ingest request path, so the per-address cost is a handful of table
-// lookups into two flat allocations, not a re-scan of every segment's
-// mined ranges (the answers are identical; see mining.CompiledEncoder).
+// drift scoring and AddressLogLikelihood need. Drift scoring calls this
+// per evaluation on the ingest request path, so an address costs one read
+// of its two 64-bit halves, a table lookup per segment in the compiled
+// encoder (mining.CompiledEncoder) and one in the model's log-CPTs
+// (bayes.Scorer). The addresses' vectors pass through one reused buffer:
+// the allocations are per window and per segment, none per address.
 func (m *Model) EncodeWindow(addrs []ip6.Addr) *WindowEncoding {
 	c := m.Encoder().Compiled()
+	sc := m.Scorer()
 	cols := len(m.Segments)
 	w := &WindowEncoding{
-		Vecs:       make([][]int, len(addrs)),
 		CodeCounts: make([][]int, cols),
 		Clamped:    make([]int, cols),
 	}
@@ -466,12 +469,11 @@ func (m *Model) EncodeWindow(addrs []ip6.Addr) *WindowEncoding {
 	for i, sm := range m.Segments {
 		outOfSupport[i] = outOfSupportLogProb(sm.Seg.Width)
 	}
-	flat := make([]int, len(addrs)*cols)
-	for ai, a := range addrs {
-		vec := flat[ai*cols : (ai+1)*cols : (ai+1)*cols]
-		n := a.Nybbles()
-		for i, sm := range m.Segments {
-			idx, covered := c.EncodeValue(i, n.Field(sm.Seg.Start, sm.Seg.Width))
+	vec := make([]int, cols)
+	for _, a := range addrs {
+		hi, lo := a.Uint64s()
+		for i := range vec {
+			idx, covered := c.EncodeSegment(i, hi, lo)
 			if covered {
 				w.WithinLogDensity -= c.LogWidth(i, idx)
 			} else {
@@ -484,15 +486,15 @@ func (m *Model) EncodeWindow(addrs []ip6.Addr) *WindowEncoding {
 			vec[i] = idx
 			w.CodeCounts[i][idx]++
 		}
-		w.Vecs[ai] = vec
+		w.BNLogLikelihood = sc.Add(w.BNLogLikelihood, vec)
 	}
 	return w
 }
 
 // LogLikelihood returns the BN-plus-within-density log-likelihood (nats)
 // of the encoded window.
-func (w *WindowEncoding) LogLikelihood(m *Model) float64 {
-	return m.Net.LogLikelihood(w.Vecs) + w.WithinLogDensity
+func (w *WindowEncoding) LogLikelihood() float64 {
+	return w.BNLogLikelihood + w.WithinLogDensity
 }
 
 // AddressLogLikelihood returns the total log-likelihood (nats) of the
@@ -507,7 +509,7 @@ func (w *WindowEncoding) LogLikelihood(m *Model) float64 {
 // mined value sets, which is what shadow evaluation needs when judging a
 // retrained candidate against the model it would replace.
 func (m *Model) AddressLogLikelihood(addrs []ip6.Addr) float64 {
-	return m.EncodeWindow(addrs).LogLikelihood(m)
+	return m.EncodeWindow(addrs).LogLikelihood()
 }
 
 // MeanAddressLogLikelihood is AddressLogLikelihood per address — the

@@ -421,7 +421,7 @@ func TestAddressLogLikelihoodOrdering(t *testing.T) {
 
 	// The single-pass window encoding agrees with the one-shot form.
 	enc := m.EncodeWindow(inDist)
-	if got := enc.LogLikelihood(m); got != total {
+	if got := enc.LogLikelihood(); got != total {
 		t.Errorf("EncodeWindow LL %v != AddressLogLikelihood %v", got, total)
 	}
 	counted := 0

@@ -92,6 +92,9 @@ type Model struct {
 	margOnce  sync.Once
 	marginals [][]float64
 	margErr   error
+
+	scorerOnce sync.Once
+	scorer     *bayes.Scorer
 }
 
 // ErrNoData is returned when a model is built from an empty training set.
@@ -176,6 +179,14 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 func (m *Model) Encoder() *mining.Encoder {
 	m.encOnce.Do(func() { m.encoder = mining.NewEncoder(m.Segments) })
 	return m.encoder
+}
+
+// Scorer returns the log-CPT scorer of the model's Bayesian network. Like
+// Encoder and Marginals it is constant for a model, so it is built once
+// and cached; it is safe for concurrent use.
+func (m *Model) Scorer() *bayes.Scorer {
+	m.scorerOnce.Do(func() { m.scorer = m.Net.NewScorer() })
+	return m.scorer
 }
 
 // SegmentByLabel returns the mined model of the segment with the given

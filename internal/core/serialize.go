@@ -271,6 +271,8 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.margOnce = sync.Once{}
 	m.marginals = nil
 	m.margErr = nil
+	m.scorerOnce = sync.Once{}
+	m.scorer = nil
 	return nil
 }
 

@@ -155,7 +155,7 @@ func Score(m *core.Model, window []ip6.Addr) (Report, error) {
 	if len(rep.Segments) > 0 {
 		rep.MeanCodeJS = sumJS / float64(len(rep.Segments))
 	}
-	rep.MeanLogLikelihood = enc.LogLikelihood(m) / float64(len(window))
+	rep.MeanLogLikelihood = enc.LogLikelihood() / float64(len(window))
 	return rep, nil
 }
 

@@ -11,6 +11,7 @@
 package ip6
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -55,11 +56,7 @@ func AddrFromUint64s(hi, lo uint64) Addr {
 
 // Uint64s returns the high and low 64-bit halves of the address.
 func (a Addr) Uint64s() (hi, lo uint64) {
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(a[i])
-		lo = lo<<8 | uint64(a[8+i])
-	}
-	return hi, lo
+	return binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
 }
 
 // Bytes returns the 16-byte representation of the address.
@@ -168,9 +165,24 @@ func (n Nybbles) SetField(start, width int, v uint64) Nybbles {
 }
 
 // Field extracts nybbles [start, start+width) of the address as an
-// unsigned integer. See Nybbles.Field for constraints.
+// unsigned integer, reading them straight from the address's two 64-bit
+// halves. See Nybbles.Field for constraints; it panics on the same
+// invalid fields.
 func (a Addr) Field(start, width int) uint64 {
-	return a.Nybbles().Field(start, width)
+	if width < 0 || width > 16 || start < 0 || start+width > NybbleCount {
+		panic(fmt.Sprintf("ip6: invalid nybble field [%d,%d)", start, start+width))
+	}
+	hi, lo := a.Uint64s()
+	// p is the bit offset of the field's least significant bit, counted
+	// from the address's least significant bit. A Go shift by 64 or more
+	// yields 0, which also makes a width-0 mask 0.
+	var v uint64
+	if p := uint(4 * (NybbleCount - start - width)); p >= 64 {
+		v = hi >> (p - 64)
+	} else {
+		v = lo>>p | hi<<(64-p)
+	}
+	return v & (^uint64(0) >> (64 - 4*uint(width)))
 }
 
 // SetField writes the width lowest nybbles of v into the address at nybble

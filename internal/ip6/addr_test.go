@@ -1,6 +1,7 @@
 package ip6
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -186,6 +187,50 @@ func TestFieldAccessors(t *testing.T) {
 	// Unchanged elsewhere.
 	if b.Field(0, 8) != 0x20010db8 || b.Field(12, 4) != 0x5678 {
 		t.Errorf("SetField modified other nybbles: %v", b)
+	}
+}
+
+// TestFieldMatchesNybbles checks the halves-based Addr.Field against the
+// nybble-expansion Nybbles.Field for every field of width 1..16: fields
+// inside either half, fields straddling bit 64, and width-16 fields, on
+// random addresses plus the all-zero and all-ones ones.
+func TestFieldMatchesNybbles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	addrs := []Addr{{}, AddrFromUint64s(^uint64(0), ^uint64(0))}
+	for i := 0; i < 50; i++ {
+		var a Addr
+		rng.Read(a[:])
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		n := a.Nybbles()
+		for width := 1; width <= 16; width++ {
+			for start := 0; start+width <= NybbleCount; start++ {
+				if got, want := a.Field(start, width), n.Field(start, width); got != want {
+					t.Fatalf("%v: Field(%d,%d) = %x, Nybbles().Field %x", a, start, width, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFieldPanicsLikeNybbles checks that Addr.Field rejects exactly the
+// fields Nybbles.Field rejects.
+func TestFieldPanicsLikeNybbles(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	a := MustParseAddr("2001:db8::1")
+	for _, c := range []struct{ start, width int }{
+		{0, 17}, {0, -1}, {-1, 4}, {17, 16}, {31, 2}, {32, 1}, {32, 0}, {0, 0}, {16, 16},
+	} {
+		got := panics(func() { a.Field(c.start, c.width) })
+		want := panics(func() { a.Nybbles().Field(c.start, c.width) })
+		if got != want {
+			t.Errorf("Field(%d,%d) panics = %v, Nybbles().Field panics = %v", c.start, c.width, got, want)
+		}
 	}
 }
 

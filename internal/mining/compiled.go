@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"entropyip/internal/ip6"
+	"entropyip/internal/segment"
 )
 
 // CompiledEncoder is the flat-table form of Encoder: the serving-plane
@@ -37,7 +38,7 @@ const directMaxNybbles = 3
 // (nearest-element fallback), so coverage travels with the lookup for
 // free; -1 marks a segment with no mined values at all.
 type compiledSegment struct {
-	start, width int
+	placement
 	// direct[v] is the packed code of value v (narrow segments only).
 	direct []int16
 	// bounds[i] is the first value of elementary interval i; the interval
@@ -73,7 +74,7 @@ func (e *Encoder) Compile() *CompiledEncoder {
 		segs:   make([]compiledSegment, len(e.Models)),
 	}
 	for i, m := range e.Models {
-		cs := compiledSegment{start: m.Seg.Start, width: m.Seg.Width}
+		cs := compiledSegment{placement: newPlacement(m.Seg)}
 		cs.logWidth = make([]float64, len(m.Values))
 		for k, v := range m.Values {
 			cs.logWidth[k] = math.Log(float64(v.Width()))
@@ -186,12 +187,14 @@ func (c *CompiledEncoder) NumSegments() int { return len(c.segs) }
 // Models returns the per-segment models the encoder was compiled from.
 func (c *CompiledEncoder) Models() []*SegmentModel { return c.models }
 
-// EncodeValue resolves one segment value: the element index and whether
-// the value was covered by a mined element (false means the nearest
-// element was substituted, Encoder.Encode's clamping). idx is -1 only for
-// a segment with no mined values.
-func (c *CompiledEncoder) EncodeValue(seg int, value uint64) (idx int, covered bool) {
-	p := c.segs[seg].lookup(value)
+// EncodeSegment resolves segment seg of the address whose 64-bit halves
+// (ip6.Addr.Uint64s) are hi and lo: the element index and whether the
+// value was covered by a mined element (false means the nearest element
+// was substituted, Encoder.Encode's clamping). idx is -1 only for a
+// segment with no mined values.
+func (c *CompiledEncoder) EncodeSegment(seg int, hi, lo uint64) (idx int, covered bool) {
+	cs := &c.segs[seg]
+	p := cs.lookup(cs.extract(hi, lo))
 	if p < 0 {
 		return -1, false
 	}
@@ -210,20 +213,12 @@ func (c *CompiledEncoder) LogWidth(seg, idx int) float64 {
 // element, as in Encoder.Encode. When any segment has no mined values at
 // all its slot is -1 and exact is false.
 func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
-	n := a.Nybbles()
+	hi, lo := a.Uint64s()
 	exact = true
 	for i := range c.segs {
-		cs := &c.segs[i]
-		p := cs.lookup(n.Field(cs.start, cs.width))
-		if p < 0 {
-			dst[i] = -1
-			exact = false
-			continue
-		}
-		dst[i] = int(p >> 1)
-		if p&1 == 0 {
-			exact = false
-		}
+		idx, covered := c.EncodeSegment(i, hi, lo)
+		dst[i] = idx
+		exact = exact && covered
 	}
 	return exact
 }
@@ -233,4 +228,40 @@ func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
 func (e *Encoder) Compiled() *CompiledEncoder {
 	e.compileOnce.Do(func() { e.compiled = e.Compile() })
 	return e.compiled
+}
+
+// placement locates a segment in the address's two 64-bit halves. A
+// segment value v sits at hi bits v<<hiL | v>>hiR and lo bits v<<loL; a Go
+// shift by 64 or more yields 0, which switches a term off, so one formula
+// covers segments in either half and segments straddling bit 64. The same
+// shifts reversed read the value back, so encoding and decoding share one
+// placement and neither expands the address into nybbles.
+type placement struct {
+	hiL, hiR, loL uint
+	// mask keeps the segment's own bits: MaxValue of its width.
+	mask uint64
+}
+
+// newPlacement computes the placement of a segment.
+func newPlacement(seg segment.Segment) placement {
+	pl := placement{hiL: 64, hiR: 64, loL: 64, mask: seg.MaxValue()}
+	// p is the bit offset of the segment's least significant bit, counted
+	// from the address's least significant bit.
+	if p := uint(4 * (ip6.NybbleCount - seg.End())); p >= 64 {
+		pl.hiL = p - 64
+	} else {
+		pl.loL, pl.hiR = p, 64-p
+	}
+	return pl
+}
+
+// place returns the bits of segment value v in the address halves.
+func (pl *placement) place(v uint64) (hi, lo uint64) {
+	v &= pl.mask
+	return v<<pl.hiL | v>>pl.hiR, v << pl.loL
+}
+
+// extract returns the segment value held in the address halves.
+func (pl *placement) extract(hi, lo uint64) uint64 {
+	return (hi>>pl.hiL | hi<<pl.hiR | lo>>pl.loL) & pl.mask
 }

@@ -33,15 +33,15 @@ func compiledCases(width int) []*SegmentModel {
 		mkModel(width), // no values: always (-1, false)
 		mkModel(width, Value{Lo: 5, Hi: 5}),
 		mkModel(width, Value{Lo: 0, Hi: max}),
-		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 15, Hi: 15}),         // exact inside range: range wins (first match)
-		mkModel(width, Value{Lo: 15, Hi: 15}, Value{Lo: 10, Hi: 20}),         // exact first: exact wins at 15
-		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 18, Hi: 30}),         // overlap: earlier range wins
-		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 9, Hi: 9}),             // gap 4..8: nearest switches at 6
-		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 8, Hi: 8}),             // even gap: tie at 5..6? strict < keeps first
-		mkModel(width, Value{Lo: 0, Hi: 0}, Value{Lo: max, Hi: max}),         // extreme gap
-		mkModel(width, Value{Lo: 4, Hi: 7}, Value{Lo: 8, Hi: 11}),            // touching ranges, no gap
-		mkModel(width, Value{Lo: 2, Hi: 2}, Value{Lo: 2, Hi: 2}),             // duplicate exacts: first wins
-		mkModel(width, Value{Lo: 6, Hi: 9}, Value{Lo: 6, Hi: 9}),             // duplicate ranges
+		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 15, Hi: 15}), // exact inside range: range wins (first match)
+		mkModel(width, Value{Lo: 15, Hi: 15}, Value{Lo: 10, Hi: 20}), // exact first: exact wins at 15
+		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 18, Hi: 30}), // overlap: earlier range wins
+		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 9, Hi: 9}),     // gap 4..8: nearest switches at 6
+		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 8, Hi: 8}),     // even gap: tie at 5..6? strict < keeps first
+		mkModel(width, Value{Lo: 0, Hi: 0}, Value{Lo: max, Hi: max}), // extreme gap
+		mkModel(width, Value{Lo: 4, Hi: 7}, Value{Lo: 8, Hi: 11}),    // touching ranges, no gap
+		mkModel(width, Value{Lo: 2, Hi: 2}, Value{Lo: 2, Hi: 2}),     // duplicate exacts: first wins
+		mkModel(width, Value{Lo: 6, Hi: 9}, Value{Lo: 6, Hi: 9}),     // duplicate ranges
 		mkModel(width, Value{Lo: 1, Hi: 2}, Value{Lo: 5, Hi: 5}, Value{Lo: 9, Hi: max}),
 		mkModel(width, Value{Lo: max - 1, Hi: max}),
 		mkModel(width, Value{Lo: 0, Hi: 1}, Value{Lo: max - 1, Hi: max}, Value{Lo: max / 2, Hi: max/2 + 2}),
@@ -60,18 +60,32 @@ func refEncode(m *SegmentModel, v uint64) (int, bool) {
 	return idx, false
 }
 
+// checkSegment compares the compiled encoder with the reference scan on
+// every probed value. The model's value set is compiled at three
+// placements — the top of the address, straddling bit 64, and the bottom
+// — and each value is written into a random address, so the extraction
+// from the 64-bit halves and its masking are checked along with the
+// lookup tables.
 func checkSegment(t *testing.T, m *SegmentModel, probe func(check func(v uint64))) {
 	t.Helper()
-	enc := NewEncoder([]*SegmentModel{m})
-	c := enc.Compile()
-	probe(func(v uint64) {
-		wantIdx, wantCov := refEncode(m, v)
-		gotIdx, gotCov := c.EncodeValue(0, v)
-		if gotIdx != wantIdx || gotCov != wantCov {
-			t.Fatalf("model %+v: value %d: compiled (%d, %v), reference (%d, %v)",
-				m.Values, v, gotIdx, gotCov, wantIdx, wantCov)
-		}
-	})
+	w := m.Seg.Width
+	rng := rand.New(rand.NewSource(int64(w)))
+	vec := make([]int, 1)
+	for _, start := range []int{0, 16 - (w+1)/2, ip6.NybbleCount - w} {
+		placed := *m
+		placed.Seg.Start = start
+		c := NewEncoder([]*SegmentModel{&placed}).Compile()
+		probe(func(v uint64) {
+			wantIdx, wantCov := refEncode(m, v)
+			var a ip6.Addr
+			rng.Read(a[:])
+			gotCov := c.EncodeInto(vec, a.SetField(start, w, v))
+			if vec[0] != wantIdx || gotCov != wantCov {
+				t.Fatalf("model %+v at nybble %d: value %d: compiled (%d, %v), reference (%d, %v)",
+					m.Values, start, v, vec[0], gotCov, wantIdx, wantCov)
+			}
+		})
+	}
 }
 
 // TestCompiledEncoderMatchesReferenceExhaustive checks the whole domain

@@ -25,15 +25,9 @@ type CompiledDecoder struct {
 	segs []decodeSegment
 }
 
-// decodeSegment places a segment value v into the address halves as
-// hi |= v<<hiL | v>>hiR and lo |= v<<loL. A Go shift by 64 or more
-// yields 0, which switches a term off, so one formula covers segments in
-// either half and segments straddling bit 64.
+// decodeSegment is one segment's placement and compiled elements.
 type decodeSegment struct {
-	hiL, hiR, loL uint
-	// mask keeps the segment's own bits of v: Segment.Set writes only the
-	// field's low nybbles.
-	mask  uint64
+	placement
 	elems []decodeElem
 }
 
@@ -54,14 +48,7 @@ type decodeElem struct {
 func (e *Encoder) compileDecoder() *CompiledDecoder {
 	d := &CompiledDecoder{segs: make([]decodeSegment, len(e.Models))}
 	for i, m := range e.Models {
-		s := decodeSegment{hiL: 64, hiR: 64, loL: 64, mask: m.Seg.MaxValue()}
-		// p is the bit offset of the segment's least significant bit,
-		// counted from the address's least significant bit.
-		if p := uint(4 * (ip6.NybbleCount - m.Seg.End())); p >= 64 {
-			s.hiL = p - 64
-		} else {
-			s.loL, s.hiR = p, 64-p
-		}
+		s := decodeSegment{placement: newPlacement(m.Seg)}
 		s.elems = make([]decodeElem, len(m.Values))
 		for k, v := range m.Values {
 			el := &s.elems[k]
@@ -77,12 +64,6 @@ func (e *Encoder) compileDecoder() *CompiledDecoder {
 		d.segs[i] = s
 	}
 	return d
-}
-
-// place returns the bits of segment value v in the address halves.
-func (s *decodeSegment) place(v uint64) (hi, lo uint64) {
-	v &= s.mask
-	return v<<s.hiL | v>>s.hiR, v << s.loL
 }
 
 // Decode materializes the address of a categorical vector, drawing a
