@@ -1,6 +1,8 @@
 package bayes
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -168,16 +170,33 @@ func TestPosteriors(t *testing.T) {
 	}
 }
 
+// probEvidence returns P(evidence): the product of the constants that
+// eliminating every unobserved variable leaves.
+func probEvidence(n *Network, evidence map[int]int) (float64, error) {
+	factors, err := n.eliminate(evidence, -1, nil)
+	if err != nil {
+		return 0, err
+	}
+	p := 1.0
+	for _, f := range factors {
+		if len(f.Vars) != 0 {
+			return 0, fmt.Errorf("leftover factor over %v", f.Vars)
+		}
+		p *= f.Sum()
+	}
+	return p, nil
+}
+
 func TestProbEvidence(t *testing.T) {
 	net := sprinklerNetwork()
-	p, err := net.ProbEvidence(map[int]int{0: 1})
+	p, err := probEvidence(net, map[int]int{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(p, 0.2) {
 		t.Errorf("P(Rain=1) = %v", p)
 	}
-	pw, err := net.ProbEvidence(map[int]int{2: 1})
+	pw, err := probEvidence(net, map[int]int{2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +204,11 @@ func TestProbEvidence(t *testing.T) {
 	if math.Abs(pw-want) > 1e-9 {
 		t.Errorf("P(Wet=1) = %v, want %v", pw, want)
 	}
-	if _, err := net.ProbEvidence(map[int]int{0: 7}); err == nil {
+	if _, err := probEvidence(net, map[int]int{0: 7}); err == nil {
 		t.Error("expected error for invalid evidence")
 	}
 	// Empty evidence has probability 1.
-	p1, err := net.ProbEvidence(nil)
+	p1, err := probEvidence(net, nil)
 	if err != nil || math.Abs(p1-1) > 1e-9 {
 		t.Errorf("P(nothing) = %v, %v", p1, err)
 	}
@@ -334,5 +353,119 @@ func BenchmarkSampleConditional(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.SampleInto(rng, buf)
+	}
+}
+
+// BenchmarkNewCondSampler times compiling a conditional sampler: the one
+// variable-elimination pass generation under evidence runs per request.
+func BenchmarkNewCondSampler(b *testing.B) {
+	data, vars := chainData(2000, 22)
+	net, _ := Learn(data, vars, LearnConfig{})
+	ev := map[int]int{2: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.NewCondSampler(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPosteriors times one browse click: a posterior for every
+// variable under the evidence.
+func BenchmarkPosteriors(b *testing.B) {
+	data, vars := chainData(2000, 21)
+	net, _ := Learn(data, vars, LearnConfig{})
+	ev := map[int]int{2: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.Posteriors(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// wideNetwork passes Validate, yet exact inference on it needs a 64^6-entry
+// (550 GB) factor: six roots of arity 64 and fifteen arity-1 children, one
+// for each pair of roots with that pair as its parents. Once the children
+// are summed out, eliminating any root multiplies it with every other.
+func wideNetwork() *Network {
+	const roots, arity = 6, 64
+	net := &Network{}
+	for i := 0; i < roots; i++ {
+		row := make([]float64, arity)
+		for k := range row {
+			row[k] = 1.0 / arity
+		}
+		net.Vars = append(net.Vars, Variable{Name: fmt.Sprint("R", i), Arity: arity})
+		net.Parents = append(net.Parents, nil)
+		net.CPTs = append(net.CPTs, &CPT{Arity: arity, Rows: [][]float64{row}})
+	}
+	for a := 0; a < roots; a++ {
+		for b := a + 1; b < roots; b++ {
+			rows := make([][]float64, arity*arity)
+			for r := range rows {
+				rows[r] = []float64{1}
+			}
+			net.Vars = append(net.Vars, Variable{Name: fmt.Sprint("C", a, b), Arity: 1})
+			net.Parents = append(net.Parents, []int{a, b})
+			net.CPTs = append(net.CPTs, &CPT{ParentCard: []int{arity, arity}, Arity: 1, Rows: rows})
+		}
+	}
+	return net
+}
+
+// TestFactorBound pins that every inference entry point refuses, before
+// building any factor, evidence whose elimination needs a factor past
+// maxFactorEntries — and accepts evidence on the same network that keeps
+// the factors small.
+func TestFactorBound(t *testing.T) {
+	net := wideNetwork()
+	if err := net.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Query(0, nil); !errors.Is(err, ErrFactorTooLarge) {
+		t.Errorf("Query: err = %v, want ErrFactorTooLarge", err)
+	}
+	if _, err := net.Posteriors(map[int]int{6: 0}); !errors.Is(err, ErrFactorTooLarge) {
+		t.Errorf("Posteriors: err = %v, want ErrFactorTooLarge", err)
+	}
+	if _, err := net.NewCondSampler(map[int]int{0: 3}); !errors.Is(err, ErrFactorTooLarge) {
+		t.Errorf("NewCondSampler: err = %v, want ErrFactorTooLarge", err)
+	}
+	// Observing four roots leaves products over the other two: 4096 entries.
+	ev := map[int]int{0: 1, 1: 2, 2: 3, 3: 4}
+	if _, err := net.Posteriors(ev); err != nil {
+		t.Errorf("Posteriors under four observed roots: %v", err)
+	}
+	if _, err := net.NewCondSampler(ev); err != nil {
+		t.Errorf("NewCondSampler under four observed roots: %v", err)
+	}
+}
+
+// TestCheckFactorSizesBoundary pins the bound's edge and its overflow
+// safety on scope-only networks (no CPTs are needed to size factors).
+func TestCheckFactorSizesBoundary(t *testing.T) {
+	pair := func(a, b, child int) *Network {
+		return &Network{
+			Vars:    []Variable{{Arity: a}, {Arity: b}, {Arity: child}},
+			Parents: [][]int{nil, nil, {0, 1}},
+		}
+	}
+	if err := pair(1024, 4096, 1).checkFactorSizes(nil, -1); err != nil {
+		t.Errorf("factor of exactly maxFactorEntries: %v", err)
+	}
+	if err := pair(1024, 4096, 2).checkFactorSizes(nil, -1); !errors.Is(err, ErrFactorTooLarge) {
+		t.Errorf("factor of 2*maxFactorEntries: err = %v", err)
+	}
+	// Evidence on a parent drops it from every scope.
+	if err := pair(1024, 4096, 2).checkFactorSizes(map[int]int{0: 0}, -1); err != nil {
+		t.Errorf("observed parent: %v", err)
+	}
+	// (MaxInt/2+1)*2 wraps negative; the saturating product must not.
+	// Keeping variable 0 leaves only the wrapping products to check.
+	if err := pair(math.MaxInt/2+1, 2, 1).checkFactorSizes(nil, 0); !errors.Is(err, ErrFactorTooLarge) {
+		t.Errorf("overflowing factor: err = %v", err)
 	}
 }

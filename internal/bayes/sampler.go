@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Sampler is a compiled forward sampler over a network: every node's CPT
@@ -141,57 +142,18 @@ type condNode struct {
 // NewCondSampler compiles the network, conditioned on the evidence, into
 // a sampler over the posterior. Evidence maps variable index to observed
 // category; it may mention any variables (influence flows both ways). It
-// returns an error for invalid evidence or evidence with zero
-// probability under the network.
+// returns an error for invalid evidence, for evidence with zero
+// probability under the network, and one wrapping ErrFactorTooLarge when
+// the elimination would build a factor past the bound.
 func (n *Network) NewCondSampler(evidence map[int]int) (*CondSampler, error) {
-	vars := sortedVars(evidence)
-	for _, v := range vars {
-		if ev := evidence[v]; v < 0 || v >= len(n.Vars) || ev < 0 || ev >= n.Vars[v].Arity {
-			return nil, fmt.Errorf("bayes: invalid evidence %d=%d", v, ev)
-		}
-	}
-	cs := &CondSampler{
-		numVars: len(n.Vars),
-		fixed:   make([]int, len(n.Vars)),
-	}
-	for v := range cs.fixed {
-		cs.fixed[v] = -1
-	}
-	for _, v := range vars {
-		cs.fixed[v] = evidence[v]
-	}
-
-	// One backward variable-elimination pass. Eliminating in descending
-	// index order under the left-to-right ordering constraint guarantees
-	// that when v is eliminated every remaining factor mentions only
-	// variables <= v, so the product factor φ_v scopes v plus earlier
-	// variables only — exactly what forward sampling needs.
-	factors := make([]*Factor, 0, len(n.Vars))
-	for i := range n.Vars {
-		factors = append(factors, n.nodeFactor(i).Reduce(evidence))
-	}
-	for v := len(n.Vars) - 1; v >= 0; v-- {
-		if cs.fixed[v] >= 0 {
-			continue
-		}
-		var involved, rest []*Factor
-		for _, f := range factors {
-			if mentions(f, v) {
-				involved = append(involved, f)
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		if len(involved) == 0 {
-			// Unreachable: v's own node factor always mentions it.
-			continue
-		}
-		prod := involved[0]
-		for _, f := range involved[1:] {
-			prod = Product(prod, f)
-		}
-		cs.nodes = append(cs.nodes, compileCondNode(v, n.Vars[v].Arity, prod))
-		factors = append(rest, prod.SumOut(v))
+	// One backward elimination pass records φ_v for every unobserved v,
+	// in descending order.
+	var nodes []condNode
+	factors, err := n.eliminate(evidence, -1, func(v int, phi *Factor) {
+		nodes = append(nodes, compileCondNode(v, n.Vars[v].Arity, phi))
+	})
+	if err != nil {
+		return nil, err
 	}
 	// What remains are variable-free constants whose product is the
 	// evidence probability; reject impossible evidence up front rather
@@ -203,10 +165,14 @@ func (n *Network) NewCondSampler(evidence map[int]int) (*CondSampler, error) {
 	if pe <= 0 || math.IsNaN(pe) {
 		return nil, fmt.Errorf("bayes: evidence has zero probability")
 	}
-	// nodes were recorded in elimination (descending) order; sampling
-	// walks them ascending.
-	for i, j := 0, len(cs.nodes)-1; i < j; i, j = i+1, j-1 {
-		cs.nodes[i], cs.nodes[j] = cs.nodes[j], cs.nodes[i]
+	// Sampling walks the nodes ascending.
+	slices.Reverse(nodes)
+	cs := &CondSampler{numVars: len(n.Vars), fixed: make([]int, len(n.Vars)), nodes: nodes}
+	for v := range cs.fixed {
+		cs.fixed[v] = -1
+		if val, ok := evidence[v]; ok {
+			cs.fixed[v] = val
+		}
 	}
 	return cs, nil
 }

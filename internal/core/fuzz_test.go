@@ -3,13 +3,19 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+
+	"entropyip/internal/bayes"
+	"entropyip/internal/segment"
 )
 
 // FuzzLoad throws arbitrary bodies at the model loader, the parser behind
 // PUT /v1/models/{name} uploads. Load must never panic; any model it
-// accepts must generate and browse without panicking; and saving a
+// accepts must generate and browse, with and without evidence, without
+// panicking or building a factor past the inference bound; and saving a
 // loaded model, loading that and saving again must give the same bytes.
 func FuzzLoad(f *testing.F) {
 	for _, ds := range goldenDatasets {
@@ -30,6 +36,7 @@ func FuzzLoad(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	f.Add(wideFactorModel(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -38,6 +45,12 @@ func FuzzLoad(f *testing.F) {
 		// Errors are fine; panics are not.
 		_, _ = m.Generate(GenerateOptions{Count: 64, Seed: 1, Workers: 2})
 		_, _ = m.Browse(nil)
+		if len(m.Segments) > 0 {
+			sm := m.Segments[0]
+			ev := Evidence{sm.Seg.Label: sm.Values[0].Code}
+			_, _ = m.Browse(ev)
+			_, _ = m.Generate(GenerateOptions{Count: 64, Seed: 1, Workers: 2, Evidence: ev})
+		}
 
 		var first bytes.Buffer
 		if err := m.Save(&first); err != nil {
@@ -73,4 +86,78 @@ var loadMutations = []func(*modelJSON){
 	func(mj *modelJSON) { mj.Net.CPTs[0].Rows[0][0] = -1 },
 	func(mj *modelJSON) { mj.Net.CPTs[0].Rows[0][0] *= 2 },
 	func(mj *modelJSON) { mj.ACRCounts = append(mj.ACRCounts, mj.ACRCounts...) },
+}
+
+// TestWideFactorModelRefused pins that the crafted FuzzLoad seed loads,
+// that browse and evidence-conditioned generation refuse it with
+// ErrFactorTooLarge instead of allocating, and that unconditioned
+// generation, which runs no elimination, still works.
+func TestWideFactorModelRefused(t *testing.T) {
+	m, err := Load(bytes.NewReader(wideFactorModel(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := Evidence{"A": "A1"}
+	if _, err := m.Browse(nil); !errors.Is(err, bayes.ErrFactorTooLarge) {
+		t.Errorf("Browse: err = %v, want ErrFactorTooLarge", err)
+	}
+	if _, err := m.Browse(ev); !errors.Is(err, bayes.ErrFactorTooLarge) {
+		t.Errorf("Browse under evidence: err = %v, want ErrFactorTooLarge", err)
+	}
+	if _, err := m.Generate(GenerateOptions{Count: 64, Seed: 1, Evidence: ev}); !errors.Is(err, bayes.ErrFactorTooLarge) {
+		t.Errorf("Generate under evidence: err = %v, want ErrFactorTooLarge", err)
+	}
+	if got, err := m.Generate(GenerateOptions{Count: 64, Seed: 1}); err != nil || len(got) != 64 {
+		t.Errorf("Generate: %d candidates, err = %v", len(got), err)
+	}
+}
+
+// wideFactorModel returns a model file Load accepts although exact
+// inference on it needs a 64^6-entry (550 GB) factor: six two-nybble
+// segments with 64 mined values each, then fifteen one-nybble segments
+// with a single value, one for each pair of the first six and with that
+// pair as its network parents.
+func wideFactorModel(tb testing.TB) []byte {
+	const roots, arity = 6, 64
+	mj := modelJSON{Version: modelVersion, Net: &bayes.Network{}}
+	start := 0
+	add := func(width, values int, parents []int, rows [][]float64) {
+		label := segment.Label(len(mj.Segments))
+		sj := segmentJSON{Label: label, Start: start, Width: width, Total: values}
+		for k := 0; k < values; k++ {
+			sj.Values = append(sj.Values, valueJSON{
+				Code: fmt.Sprint(label, k+1), Lo: uint64(k), Hi: uint64(k), Count: 1, Step: 1,
+			})
+		}
+		mj.Segments = append(mj.Segments, sj)
+		start += width
+		card := make([]int, len(parents))
+		for k := range card {
+			card[k] = arity
+		}
+		mj.Net.Vars = append(mj.Net.Vars, bayes.Variable{Name: label, Arity: values})
+		mj.Net.Parents = append(mj.Net.Parents, parents)
+		mj.Net.CPTs = append(mj.Net.CPTs, &bayes.CPT{ParentCard: card, Arity: values, Rows: rows})
+	}
+	uniform := make([]float64, arity)
+	for k := range uniform {
+		uniform[k] = 1.0 / arity
+	}
+	for i := 0; i < roots; i++ {
+		add(2, arity, nil, [][]float64{uniform})
+	}
+	certain := make([][]float64, arity*arity)
+	for r := range certain {
+		certain[r] = []float64{1}
+	}
+	for a := 0; a < roots; a++ {
+		for b := a + 1; b < roots; b++ {
+			add(1, 1, []int{a, b}, certain)
+		}
+	}
+	raw, err := json.Marshal(mj)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }

@@ -14,9 +14,11 @@ import (
 	"sync"
 	"testing"
 
+	"entropyip/internal/bayes"
 	"entropyip/internal/core"
 	"entropyip/internal/ip6"
 	"entropyip/internal/registry"
+	"entropyip/internal/segment"
 )
 
 // testAddrs synthesizes a structured network with a large address support
@@ -294,6 +296,91 @@ func TestBrowseErrors(t *testing.T) {
 	w = do(t, s, "POST", "/v1/models/web/browse", BrowseRequest{Version: 42})
 	if w.Code != http.StatusNotFound {
 		t.Errorf("bad version: status = %d", w.Code)
+	}
+}
+
+// wideFactorModelJSON is a model file the loader accepts although exact
+// inference on it needs a 64^6-entry (550 GB) factor: six two-nybble
+// segments with 64 mined values each, then fifteen one-nybble segments
+// with a single value, one for each pair of the first six and with that
+// pair as its network parents. core's FuzzLoad seeds the same model.
+func wideFactorModelJSON(t *testing.T) json.RawMessage {
+	t.Helper()
+	const roots, arity = 6, 64
+	type value struct {
+		Code  string `json:"code"`
+		Lo    uint64 `json:"lo"`
+		Hi    uint64 `json:"hi"`
+		Count int    `json:"count"`
+		Step  int    `json:"step"`
+	}
+	type seg struct {
+		Label  string  `json:"label"`
+		Start  int     `json:"start"`
+		Width  int     `json:"width"`
+		Total  int     `json:"total"`
+		Values []value `json:"values"`
+	}
+	var segs []seg
+	net := &bayes.Network{}
+	add := func(width, values int, parents []int, rows [][]float64) {
+		sg := seg{Label: segment.Label(len(segs)), Width: width, Total: values}
+		if len(segs) > 0 {
+			sg.Start = segs[len(segs)-1].Start + segs[len(segs)-1].Width
+		}
+		for k := 0; k < values; k++ {
+			sg.Values = append(sg.Values, value{Code: fmt.Sprint(sg.Label, k+1), Lo: uint64(k), Hi: uint64(k), Count: 1, Step: 1})
+		}
+		segs = append(segs, sg)
+		card := make([]int, len(parents))
+		for k := range card {
+			card[k] = arity
+		}
+		net.Vars = append(net.Vars, bayes.Variable{Name: sg.Label, Arity: values})
+		net.Parents = append(net.Parents, parents)
+		net.CPTs = append(net.CPTs, &bayes.CPT{ParentCard: card, Arity: values, Rows: rows})
+	}
+	uniform := make([]float64, arity)
+	for k := range uniform {
+		uniform[k] = 1.0 / arity
+	}
+	for i := 0; i < roots; i++ {
+		add(2, arity, nil, [][]float64{uniform})
+	}
+	certain := make([][]float64, arity*arity)
+	for r := range certain {
+		certain[r] = []float64{1}
+	}
+	for a := 0; a < roots; a++ {
+		for b := a + 1; b < roots; b++ {
+			add(1, 1, []int{a, b}, certain)
+		}
+	}
+	raw, err := json.Marshal(map[string]interface{}{"version": 1, "segments": segs, "net": net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestWideFactorModelRefused uploads a model whose exact inference would
+// need a 550 GB factor: browse and evidence-conditioned generate answer
+// 400 without building it, and the server stays up.
+func TestWideFactorModelRefused(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	if w := do(t, s, "PUT", "/v1/models/wide", PutModelRequest{Model: wideFactorModelJSON(t)}); w.Code != http.StatusCreated {
+		t.Fatalf("upload: status = %d: %s", w.Code, w.Body.String())
+	}
+	ev := map[string]string{"A": "A1"}
+	if w := do(t, s, "POST", "/v1/models/wide/browse", BrowseRequest{Evidence: ev}); w.Code != http.StatusBadRequest {
+		t.Errorf("browse: status = %d: %s", w.Code, w.Body.String())
+	}
+	w := do(t, s, "POST", "/v1/models/wide/generate", GenerateRequest{Count: 10, Seed: seedPtr(1), Evidence: ev})
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("evidence generate: status = %d: %s", w.Code, w.Body.String())
+	}
+	if w := do(t, s, "GET", "/v1/healthz", nil); w.Code != http.StatusOK {
+		t.Errorf("healthz: status = %d", w.Code)
 	}
 }
 

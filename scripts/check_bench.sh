@@ -59,7 +59,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          MineAll100k Learn10k Learn100k Build10k Build100k
          Generate10k Generate100k Encode100k Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
-         MetricsHotPath SpanHotPath DriftScore16k)
+         MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, baseline or not.
