@@ -77,10 +77,10 @@ func main() {
 		genBudget   = flag.Float64("gen-budget", 0, "per-tenant generation budget, candidates/second (0 = unlimited)")
 		admQueue    = flag.Int("queue-depth", 0, "slot waiters one tenant may queue before requests shed with 429 (0 = default)")
 		tenantSlots = flag.Int("tenant-slots", 0, "concurrent generation streams one tenant may run (0 = unlimited)")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables profiling")
-		logFormat    = flag.String("log-format", "text", "log output format: text or json")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (access logs are debug)")
-		version      = flag.Bool("version", false, "print the version and exit")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables profiling")
+		logFormat   = flag.String("log-format", "text", "log output format: text or json")
+		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (access logs are debug)")
+		version     = flag.Bool("version", false, "print the version and exit")
 
 		traceCapacity = flag.Int("trace-capacity", 0, "completed traces the flight recorder retains (0 = default 512)")
 		traceSample   = flag.Int("trace-sample", 0, "keep 1 in N unremarkable traces (0 = default 64, negative = only errors/slow/forced)")

@@ -203,8 +203,8 @@ func Prefix32(a Addr) Prefix { return ip6.Prefix32(a) }
 // subsystem: streaming observation buffers, divergence scoring between a
 // live address window and a served model, and the automatic refresh loop.
 
-// IngestConfig configures a streaming observation buffer (sliding window,
-// per-/64 cap, reservoir sample).
+// IngestConfig configures a streaming observation buffer: the size of
+// its sliding window and an optional per-/64 cap.
 type IngestConfig = ingest.Config
 
 // IngestBuffer is a bounded, concurrent buffer of observed addresses.

@@ -141,6 +141,8 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	models := mining.MineAllWorkers(train, sg, opts.Mining, workers)
 	now = buildStage(opts.OnStage, "mine", now)
 	enc := mining.NewEncoder(models)
+	enc.Compiled()
+	enc.Decoder()
 	now = buildStage(opts.OnStage, "compile", now)
 
 	vars := make([]bayes.Variable, len(models))
@@ -162,7 +164,7 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	}
 	buildStage(opts.OnStage, "learn", now)
 
-	return &Model{
+	m := &Model{
 		Profile:      profile,
 		ACR:          acr,
 		Segmentation: sg,
@@ -170,7 +172,11 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 		Net:          net,
 		Opts:         opts,
 		TrainCount:   len(train),
-	}, nil
+	}
+	// The model keeps the encoder the compile stage built, so its first
+	// Generate or EncodeWindow compiles nothing.
+	m.encOnce.Do(func() { m.encoder = enc })
+	return m, nil
 }
 
 // Encoder returns the categorical encoder over the model's mined segments.

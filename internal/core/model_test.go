@@ -80,6 +80,17 @@ func TestBuildBasicInvariants(t *testing.T) {
 	}
 }
 
+func TestBuildKeepsCompiledEncoder(t *testing.T) {
+	m, _ := buildTestModel(t, 500, 1, Options{})
+	enc := m.encoder
+	if enc == nil {
+		t.Fatal("Build returned a model without its encoder; the first Generate would compile a second one")
+	}
+	if m.Encoder() != enc {
+		t.Error("Encoder() replaced the encoder Build compiled")
+	}
+}
+
 func TestBuildEmptyErrors(t *testing.T) {
 	if _, err := Build(nil, Options{}); err != ErrNoData {
 		t.Errorf("expected ErrNoData, got %v", err)

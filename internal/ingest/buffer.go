@@ -7,35 +7,29 @@
 // address populations shift as operators roll out new variants. The
 // Buffer is the bridge between the two worlds: writers (the /observe
 // endpoint, the -ingest-file tail) push addresses at traffic rate, and
-// readers take consistent snapshots for scoring and retraining without
-// stopping the writers for more than a per-shard copy.
+// readers take snapshots for scoring and retraining.
 //
-// Memory is bounded three ways: a sliding window of the last W accepted
-// addresses (old observations are overwritten in ring order), an optional
-// per-/64 cap so that one chatty prefix cannot monopolize the window, and
-// a fixed-size uniform reservoir sample over everything ever observed
-// (Vitter's algorithm R) for a long-horizon view.
+// Memory is bounded two ways: a sliding window of the last W accepted
+// addresses (old observations are overwritten in ring order) and an
+// optional per-/64 cap so that one chatty prefix cannot monopolize the
+// window. The window is one ring under one mutex, so its contents depend
+// only on the sequence of adds, never on the machine's core count.
 package ingest
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"entropyip/internal/ip6"
 )
 
-// Defaults used when Config fields are zero.
-const (
-	DefaultWindowSize    = 16384
-	DefaultReservoirSize = 2048
-)
+// DefaultWindowSize is the window size used when Config.WindowSize is
+// zero.
+const DefaultWindowSize = 16384
 
 // Config configures a Buffer.
 type Config struct {
-	// WindowSize is the total number of addresses kept in the sliding
-	// window across all shards. Zero means DefaultWindowSize.
+	// WindowSize is the number of addresses kept in the sliding window.
+	// Zero means DefaultWindowSize.
 	WindowSize int
 	// MaxPer64 caps how many window slots addresses from one /64 prefix
 	// may hold at a time; an observation beyond the cap replaces the
@@ -45,22 +39,6 @@ type Config struct {
 	// single heavy-hitter /64 (one busy server, one NAT) from displacing
 	// the rest of the live distribution.
 	MaxPer64 int
-	// Shards is the number of independently locked ring segments. Zero
-	// picks min(GOMAXPROCS, 8). Addresses shard by /64 prefix hash, so the
-	// per-/64 accounting stays shard-local.
-	Shards int
-	// ReservoirSize is the size of the sample kept over all observations
-	// ever seen (not just the window). The reservoir is sharded with the
-	// window (algorithm R per shard, capacity split evenly), so sampling
-	// adds no cross-shard lock; each shard's sample is exactly uniform
-	// over its own /64-partitioned substream, making the merged sample
-	// approximately uniform overall (exactly, when shards see equal
-	// traffic). Zero means DefaultReservoirSize; negative disables the
-	// reservoir.
-	ReservoirSize int
-	// Seed seeds the reservoir's RNG. The window itself is deterministic;
-	// only the reservoir is randomized.
-	Seed int64
 }
 
 func (c Config) windowSize() int {
@@ -70,35 +48,12 @@ func (c Config) windowSize() int {
 	return c.WindowSize
 }
 
-func (c Config) shards() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-func (c Config) reservoirSize() int {
-	if c.ReservoirSize == 0 {
-		return DefaultReservoirSize
-	}
-	if c.ReservoirSize < 0 {
-		return 0
-	}
-	return c.ReservoirSize
-}
-
 // Stats is a snapshot of buffer counters.
 type Stats struct {
 	// Observed counts every address offered to Add.
 	Observed uint64 `json:"observed"`
-	// Accepted counts addresses that entered the window.
+	// Accepted counts addresses that entered the window; every offered
+	// address does (see Buffer.Add), so it equals Observed.
 	Accepted uint64 `json:"accepted"`
 	// Deduped counts same-/64 window entries displaced early by the
 	// per-/64 cap (a newer observation of the prefix replaced its
@@ -108,18 +63,18 @@ type Stats struct {
 	Evicted uint64 `json:"evicted"`
 	// Window is the number of addresses currently in the window.
 	Window int `json:"window"`
-	// WindowCapacity is the window's configured total size.
+	// WindowCapacity is the window's configured size.
 	WindowCapacity int `json:"window_capacity"`
 	// Prefixes64 is the number of distinct /64 prefixes in the window.
 	Prefixes64 int `json:"prefixes_64"`
-	// ReservoirReplaced counts long-horizon reservoir slots overwritten by
-	// algorithm R after the reservoir filled — the churn rate of the
-	// retraining sample.
-	ReservoirReplaced uint64 `json:"reservoir_replaced"`
 }
 
-// shard is one independently locked ring segment of the window.
-type shard struct {
+// Buffer is a bounded concurrent observation buffer: one ring of the
+// last WindowSize accepted addresses under one mutex. All methods are
+// safe for concurrent use.
+type Buffer struct {
+	maxPer64 int
+
 	mu    sync.Mutex
 	ring  []ip6.Addr // fixed capacity, len == filled slots
 	next  int        // ring write position once full
@@ -128,14 +83,21 @@ type shard struct {
 	// when the per-/64 cap is on: a capped add replaces the prefix's
 	// oldest slot in place so the window never freezes on stale entries.
 	slots map[ip6.Prefix][]int
-	// res is this shard's slice of the long-horizon reservoir (algorithm
-	// R over the shard's substream); nil when the reservoir is disabled.
-	res []ip6.Addr
-	// rreplaced counts reservoir slots overwritten by algorithm R once the
-	// reservoir filled (summed into Stats.ReservoirReplaced).
-	rreplaced uint64
-	rseen     uint64
-	rng       *rand.Rand
+	// Counters, guarded by mu like the ring they describe.
+	observed, deduped, evicted uint64
+}
+
+// New returns a Buffer with the given configuration.
+func New(cfg Config) *Buffer {
+	b := &Buffer{
+		maxPer64: cfg.MaxPer64,
+		ring:     make([]ip6.Addr, 0, cfg.windowSize()),
+		per64:    make(map[ip6.Prefix]int),
+	}
+	if cfg.MaxPer64 > 0 {
+		b.slots = make(map[ip6.Prefix][]int)
+	}
+	return b
 }
 
 // removeSlot deletes the first occurrence of idx from s, preserving order.
@@ -148,211 +110,102 @@ func removeSlot(s []int, idx int) []int {
 	return s
 }
 
-// Buffer is a bounded concurrent observation buffer. All methods are safe
-// for concurrent use.
-type Buffer struct {
-	cfg      Config
-	shards   []*shard
-	observed atomic.Uint64
-	accepted atomic.Uint64
-	deduped  atomic.Uint64
-	evicted  atomic.Uint64
-}
-
-// New returns a Buffer with the given configuration.
-func New(cfg Config) *Buffer {
-	n := cfg.shards()
-	total := cfg.windowSize()
-	rs := cfg.reservoirSize()
-	b := &Buffer{cfg: cfg, shards: make([]*shard, n)}
-	for i := range b.shards {
-		// Distribute capacities as evenly as possible; every shard holds
-		// at least one slot so no /64 hash bucket is unbuffered.
-		cap := total / n
-		if i < total%n {
-			cap++
-		}
-		if cap < 1 {
-			cap = 1
-		}
-		b.shards[i] = &shard{
-			ring:  make([]ip6.Addr, 0, cap),
-			per64: make(map[ip6.Prefix]int),
-		}
-		if cfg.MaxPer64 > 0 {
-			b.shards[i].slots = make(map[ip6.Prefix][]int)
-		}
-		if rs > 0 {
-			rcap := rs / n
-			if i < rs%n {
-				rcap++
-			}
-			if rcap < 1 {
-				rcap = 1
-			}
-			b.shards[i].res = make([]ip6.Addr, 0, rcap)
-			b.shards[i].rng = rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		}
-	}
-	return b
-}
-
-// shardFor picks the shard of an address by its /64 prefix, so all
-// addresses of one /64 share a shard and the per-/64 cap needs no global
-// lock. The hash folds the top 64 bits (FNV-1a over the 8 prefix bytes).
-func (b *Buffer) shardFor(a ip6.Addr) *shard {
-	bs := a.Bytes()
-	h := uint64(14695981039346656037)
-	for _, c := range bs[:8] {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return b.shards[h%uint64(len(b.shards))]
-}
-
 // Add offers one observed address to the buffer. It returns true when the
 // address entered the window — which, with the per-/64 cap, it always
 // does: a capped prefix's newest observation replaces its oldest window
 // entry rather than being dropped, so the window tracks the live
-// distribution even for heavy-hitter prefixes. Add never blocks beyond
-// its shard's mutex.
+// distribution even for heavy-hitter prefixes.
 func (b *Buffer) Add(a ip6.Addr) bool {
-	b.observed.Add(1)
-	p := ip6.Prefix64(a)
-	s := b.shardFor(a)
-
-	s.mu.Lock()
-	s.sample(a)
-	if b.cfg.MaxPer64 > 0 {
-		if idxs := s.slots[p]; len(idxs) >= b.cfg.MaxPer64 {
-			// At the cap: replace this prefix's oldest entry in place and
-			// rotate it to the back of the prefix's slot queue.
-			oldest := idxs[0]
-			s.ring[oldest] = a
-			s.slots[p] = append(idxs[1:], oldest)
-			s.mu.Unlock()
-			b.deduped.Add(1)
-			b.accepted.Add(1)
-			return true
-		}
-	}
-	var idx int
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, a)
-		idx = len(s.ring) - 1
-	} else {
-		old := s.ring[s.next]
-		op := ip6.Prefix64(old)
-		if s.per64[op] <= 1 {
-			delete(s.per64, op)
-		} else {
-			s.per64[op]--
-		}
-		if s.slots != nil {
-			if rest := removeSlot(s.slots[op], s.next); len(rest) == 0 {
-				delete(s.slots, op)
-			} else {
-				s.slots[op] = rest
-			}
-		}
-		s.ring[s.next] = a
-		idx = s.next
-		s.next = (s.next + 1) % len(s.ring)
-		b.evicted.Add(1)
-	}
-	s.per64[p]++
-	if s.slots != nil {
-		s.slots[p] = append(s.slots[p], idx)
-	}
-	s.mu.Unlock()
-	b.accepted.Add(1)
+	b.mu.Lock()
+	b.add(a)
+	b.mu.Unlock()
 	return true
 }
 
-// AddBatch offers a batch of addresses and returns how many were accepted.
+// AddBatch offers a batch of addresses under one lock acquisition and
+// returns how many were accepted (all of them; see Add).
 func (b *Buffer) AddBatch(addrs []ip6.Addr) int {
-	n := 0
+	b.mu.Lock()
 	for _, a := range addrs {
-		if b.Add(a) {
-			n++
+		b.add(a)
+	}
+	b.mu.Unlock()
+	return len(addrs)
+}
+
+// add places one address in the window; the caller holds b.mu.
+func (b *Buffer) add(a ip6.Addr) {
+	b.observed++
+	p := ip6.Prefix64(a)
+	if b.maxPer64 > 0 {
+		if idxs := b.slots[p]; len(idxs) >= b.maxPer64 {
+			// At the cap: replace this prefix's oldest entry in place and
+			// rotate it to the back of the prefix's slot queue.
+			oldest := idxs[0]
+			b.ring[oldest] = a
+			b.slots[p] = append(idxs[1:], oldest)
+			b.deduped++
+			return
 		}
 	}
-	return n
+	var idx int
+	if len(b.ring) < cap(b.ring) {
+		b.ring = append(b.ring, a)
+		idx = len(b.ring) - 1
+	} else {
+		op := ip6.Prefix64(b.ring[b.next])
+		if b.per64[op] <= 1 {
+			delete(b.per64, op)
+		} else {
+			b.per64[op]--
+		}
+		if b.slots != nil {
+			if rest := removeSlot(b.slots[op], b.next); len(rest) == 0 {
+				delete(b.slots, op)
+			} else {
+				b.slots[op] = rest
+			}
+		}
+		b.ring[b.next] = a
+		idx = b.next
+		b.next = (b.next + 1) % len(b.ring)
+		b.evicted++
+	}
+	b.per64[p]++
+	if b.slots != nil {
+		b.slots[p] = append(b.slots[p], idx)
+	}
 }
 
-// sample feeds the shard's slice of the long-horizon reservoir
-// (algorithm R); caller holds the shard mutex.
-func (s *shard) sample(a ip6.Addr) {
-	if s.rng == nil {
-		return
-	}
-	s.rseen++
-	if len(s.res) < cap(s.res) {
-		s.res = append(s.res, a)
-	} else if j := s.rng.Uint64() % s.rseen; j < uint64(cap(s.res)) {
-		s.res[j] = a
-		s.rreplaced++
-	}
-}
-
-// Snapshot returns a copy of the current window contents. Writers are only
-// blocked shard by shard for the duration of one memcpy, never for the
-// whole snapshot; the result is therefore consistent per shard but may
-// interleave concurrent writes across shards — exactly the semantics a
-// drift scorer over a traffic window needs. The returned slice is owned by
-// the caller.
+// Snapshot returns a copy of the current window contents in ring slot
+// order. Writers wait for one copy of the ring. The returned slice is
+// owned by the caller.
 func (b *Buffer) Snapshot() []ip6.Addr {
-	out := make([]ip6.Addr, 0, b.cfg.windowSize())
-	for _, s := range b.shards {
-		s.mu.Lock()
-		out = append(out, s.ring...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Reservoir returns a copy of the long-horizon sample over all
-// observations ever offered, merged across shards (nil when the
-// reservoir is disabled).
-func (b *Buffer) Reservoir() []ip6.Addr {
-	if b.cfg.reservoirSize() == 0 {
-		return nil
-	}
-	out := make([]ip6.Addr, 0, b.cfg.reservoirSize())
-	for _, s := range b.shards {
-		s.mu.Lock()
-		out = append(out, s.res...)
-		s.mu.Unlock()
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]ip6.Addr, len(b.ring))
+	copy(out, b.ring)
 	return out
 }
 
 // Len returns the number of addresses currently in the window.
 func (b *Buffer) Len() int {
-	n := 0
-	for _, s := range b.shards {
-		s.mu.Lock()
-		n += len(s.ring)
-		s.mu.Unlock()
-	}
-	return n
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.ring)
 }
 
 // Stats returns a snapshot of the buffer's counters.
 func (b *Buffer) Stats() Stats {
-	st := Stats{
-		Observed:       b.observed.Load(),
-		Accepted:       b.accepted.Load(),
-		Deduped:        b.deduped.Load(),
-		Evicted:        b.evicted.Load(),
-		WindowCapacity: b.cfg.windowSize(),
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return Stats{
+		Observed:       b.observed,
+		Accepted:       b.observed,
+		Deduped:        b.deduped,
+		Evicted:        b.evicted,
+		Window:         len(b.ring),
+		WindowCapacity: cap(b.ring),
+		Prefixes64:     len(b.per64),
 	}
-	for _, s := range b.shards {
-		s.mu.Lock()
-		st.Window += len(s.ring)
-		st.Prefixes64 += len(s.per64)
-		st.ReservoirReplaced += s.rreplaced
-		s.mu.Unlock()
-	}
-	return st
 }

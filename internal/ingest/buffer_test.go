@@ -2,6 +2,9 @@ package ingest
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,8 +21,7 @@ func addr(t *testing.T, s string) ip6.Addr {
 }
 
 func TestBufferWindowSlides(t *testing.T) {
-	// One shard so ring order is fully deterministic.
-	b := New(Config{WindowSize: 4, Shards: 1, ReservoirSize: -1})
+	b := New(Config{WindowSize: 4})
 	for i := 0; i < 10; i++ {
 		if !b.Add(addr(t, fmt.Sprintf("2001:db8::%d", i+1))) {
 			t.Fatalf("Add %d rejected", i)
@@ -42,7 +44,7 @@ func TestBufferWindowSlides(t *testing.T) {
 }
 
 func TestBufferPer64CapKeepsNewest(t *testing.T) {
-	b := New(Config{WindowSize: 100, MaxPer64: 2, Shards: 1, ReservoirSize: -1})
+	b := New(Config{WindowSize: 100, MaxPer64: 2})
 	// 5 addresses in one /64: only 2 window slots, holding the NEWEST two
 	// (a capped prefix's slots must not freeze on its first addresses).
 	for i := 0; i < 5; i++ {
@@ -74,7 +76,7 @@ func TestBufferPer64CapKeepsNewest(t *testing.T) {
 }
 
 func TestBufferPer64CapSlotsReleasedOnEviction(t *testing.T) {
-	b := New(Config{WindowSize: 2, MaxPer64: 2, Shards: 1, ReservoirSize: -1})
+	b := New(Config{WindowSize: 2, MaxPer64: 2})
 	b.Add(addr(t, "2001:db8:0:1::1"))
 	b.Add(addr(t, "2001:db8:0:1::2"))
 	// Capped: replaces ::1 in place.
@@ -98,32 +100,8 @@ func TestBufferPer64CapSlotsReleasedOnEviction(t *testing.T) {
 	}
 }
 
-func TestBufferReservoirIsUniformSizeBounded(t *testing.T) {
-	b := New(Config{WindowSize: 8, Shards: 1, ReservoirSize: 16, Seed: 1})
-	for i := 0; i < 1000; i++ {
-		b.Add(addr(t, fmt.Sprintf("2001:db8::%x", i+1)))
-	}
-	res := b.Reservoir()
-	if len(res) != 16 {
-		t.Fatalf("reservoir = %d addresses, want 16", len(res))
-	}
-	// The reservoir spans all observations, not just the tiny window: with
-	// 1000 observed and a window of 8, at least one sampled address must
-	// predate the final window.
-	window := ip6.SetOf(b.Snapshot()...)
-	old := 0
-	for _, a := range res {
-		if !window.Contains(a) {
-			old++
-		}
-	}
-	if old == 0 {
-		t.Error("reservoir holds only the current window; should span history")
-	}
-}
-
 func TestBufferConcurrentAddSnapshot(t *testing.T) {
-	b := New(Config{WindowSize: 1024, MaxPer64: 4, Shards: 4, ReservoirSize: 64, Seed: 7})
+	b := New(Config{WindowSize: 1024, MaxPer64: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -134,7 +112,6 @@ func TestBufferConcurrentAddSnapshot(t *testing.T) {
 				if i%64 == 0 {
 					_ = b.Snapshot()
 					_ = b.Stats()
-					_ = b.Reservoir()
 				}
 			}
 		}(w)
@@ -152,14 +129,53 @@ func TestBufferConcurrentAddSnapshot(t *testing.T) {
 	}
 }
 
-func TestBufferShardCapacityCoversWindowSize(t *testing.T) {
-	// WindowSize not divisible by shards must still add up exactly.
-	b := New(Config{WindowSize: 10, Shards: 3, ReservoirSize: -1})
-	total := 0
-	for _, s := range b.shards {
-		total += cap(s.ring)
+// skewedAddrs returns n addresses whose /64 prefixes follow a Zipf law
+// over 512 prefixes, the heavy-hitter shape live traffic has.
+func skewedAddrs(n int) []ip6.Addr {
+	rng := rand.New(rand.NewSource(1))
+	z := rand.NewZipf(rng, 1.2, 1, 511)
+	out := make([]ip6.Addr, n)
+	for i := range out {
+		out[i] = ip6.AddrFromUint64s(0x20010db800000000|z.Uint64()<<8, rng.Uint64())
 	}
-	if total != 10 {
-		t.Errorf("shard capacities sum to %d, want 10", total)
+	return out
+}
+
+func TestBufferWindowIndependentOfGOMAXPROCS(t *testing.T) {
+	addrs := skewedAddrs(40_000)
+	for _, maxPer64 := range []int{0, 8} {
+		var snaps [2][]ip6.Addr
+		for i, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			b := New(Config{WindowSize: 4096, MaxPer64: maxPer64})
+			b.AddBatch(addrs)
+			snaps[i] = b.Snapshot()
+			runtime.GOMAXPROCS(prev)
+		}
+		if !slices.Equal(snaps[0], snaps[1]) {
+			t.Errorf("MaxPer64=%d: window under GOMAXPROCS(1) differs from GOMAXPROCS(8)", maxPer64)
+		}
+	}
+}
+
+func TestBufferWindowHoldsLastWindowSizeAdds(t *testing.T) {
+	addrs := skewedAddrs(10_050)
+	b := New(Config{WindowSize: 1000})
+	for _, a := range addrs {
+		b.Add(a)
+	}
+	snap := b.Snapshot()
+	if len(snap) != 1000 {
+		t.Fatalf("window = %d addresses, want 1000", len(snap))
+	}
+	got := ip6.SetOf(snap...)
+	want := ip6.SetOf(addrs[len(addrs)-1000:]...)
+	if got.Len() != want.Len() {
+		t.Fatalf("window holds %d distinct addresses, want %d", got.Len(), want.Len())
+	}
+	for _, a := range addrs[len(addrs)-1000:] {
+		if !got.Contains(a) {
+			t.Fatalf("window lost recent address %s", a)
+		}
 	}
 }

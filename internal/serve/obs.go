@@ -39,9 +39,9 @@ func (s *Server) registerObservability() {
 	s.candidates = o.Counter("eip_generate_candidates_total",
 		"Candidate addresses/prefixes streamed by POST generate.")
 	s.observeAccepted = o.Counter("eip_observe_lines_total",
-		"Observe NDJSON lines by outcome.", "result", "accepted")
+		"Observed addresses (NDJSON lines or binary records) by outcome.", "result", "accepted")
 	s.observeInvalid = o.Counter("eip_observe_lines_total",
-		"Observe NDJSON lines by outcome.", "result", "invalid")
+		"Observed addresses (NDJSON lines or binary records) by outcome.", "result", "invalid")
 
 	// Per-encoding request counters for the two negotiated routes, all
 	// four series pre-registered so the handlers index an array.

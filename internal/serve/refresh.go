@@ -509,7 +509,6 @@ func (r *Refresher) collect(e *obs.Expo) {
 		e.Counter("eip_ingest_observed_total", "Addresses offered to the model's window.", float64(st.Observed), "model", s.name)
 		e.Counter("eip_ingest_cap_displacements_total", "Same-/64 window entries displaced early by the per-/64 cap.", float64(st.Deduped), "model", s.name)
 		e.Counter("eip_ingest_evictions_total", "Window slots overwritten by newer observations.", float64(st.Evicted), "model", s.name)
-		e.Counter("eip_ingest_reservoir_replacements_total", "Long-horizon reservoir slots replaced by algorithm R.", float64(st.ReservoirReplaced), "model", s.name)
 
 		s.mu.Lock()
 		evals := s.evaluations
@@ -525,7 +524,7 @@ func (r *Refresher) collect(e *obs.Expo) {
 		e.Gauge("eip_drift_drifting", "1 while the detector flags the model as drifted.", b2f(drifting), "model", s.name)
 		e.Counter("eip_drift_evaluations_total", "Drift evaluations run for the model.", float64(evals), "model", s.name)
 		if haveScore {
-			e.Gauge("eip_drift_score", "Drift score of the most recent evaluation (weighted mean per-segment JS divergence).", score, "model", s.name)
+			e.Gauge("eip_drift_score", "Drift score of the most recent evaluation (maximum per-segment divergence).", score, "model", s.name)
 		}
 		e.Counter("eip_refresh_rotations_total", "Models published by the refresh loop.", float64(rotations), "model", s.name)
 		e.Counter("eip_refresh_shadow_rejects_total", "Retrained candidates that failed shadow evaluation.", float64(rejects), "model", s.name)

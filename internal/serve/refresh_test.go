@@ -73,7 +73,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 		Refresh: RefreshOptions{
 			AutoRefresh:   true,
 			EvaluateEvery: 512,
-			Ingest:        ingest.Config{WindowSize: 4096, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 4096},
 			Drift:         drift.Config{Enter: 0.15, Consecutive: 2, MinWindow: 256},
 			OnEvent: func(model, event, detail string) {
 				evmu.Lock()
@@ -312,7 +312,7 @@ func TestRefreshShadowRejection(t *testing.T) {
 		Refresh: RefreshOptions{
 			AutoRefresh:   true,
 			EvaluateEvery: 256,
-			Ingest:        ingest.Config{WindowSize: 2048, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 2048},
 			// Enter=0 would be replaced by the default; use a tiny value
 			// so in-distribution noise trips the detector immediately.
 			Drift: drift.Config{Enter: 1e-9, Consecutive: 1, MinWindow: 64},
@@ -358,7 +358,7 @@ func TestRefreshNoAutoRefreshOnlyReports(t *testing.T) {
 	s, reg := newTestServer(t, Options{
 		Refresh: RefreshOptions{
 			EvaluateEvery: 256,
-			Ingest:        ingest.Config{WindowSize: 2048, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 2048},
 			Drift:         drift.Config{Enter: 0.15, Consecutive: 1, MinWindow: 64},
 		},
 	})
@@ -394,7 +394,7 @@ func TestRefreshEvaluateEveryBatching(t *testing.T) {
 	s, reg := newTestServer(t, Options{
 		Refresh: RefreshOptions{
 			EvaluateEvery: 100,
-			Ingest:        ingest.Config{WindowSize: 1024, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 1024},
 			Drift:         drift.Config{MinWindow: -1},
 		},
 	})
@@ -430,7 +430,7 @@ func TestRefreshEvaluateEveryBatching(t *testing.T) {
 func TestDeleteForgetsStream(t *testing.T) {
 	p := refreshPlan([]uint64{0x0001}, []float64{1})
 	s, reg := newTestServer(t, Options{Refresh: RefreshOptions{
-		Ingest: ingest.Config{WindowSize: 128, Seed: 1},
+		Ingest: ingest.Config{WindowSize: 128},
 	}})
 	if _, err := reg.Put("m", buildOn(t, p, 1500, 1)); err != nil {
 		t.Fatal(err)

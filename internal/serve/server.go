@@ -25,8 +25,6 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,7 +41,6 @@ import (
 	"entropyip/internal/admission"
 	"entropyip/internal/buildinfo"
 	"entropyip/internal/core"
-	"entropyip/internal/dataset"
 	"entropyip/internal/ip6"
 	"entropyip/internal/obs"
 	"entropyip/internal/obs/trace"
@@ -735,166 +732,6 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Distributions[i] = Distribution{Label: d.Label, Entries: entries}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// observeLine is one NDJSON line of POST /v1/models/{name}/observe.
-type observeLine struct {
-	Addr string `json:"addr"`
-}
-
-// ObserveResponse is the body of a successful observe request.
-type ObserveResponse struct {
-	// Accepted is how many addresses entered the model's window (per-/64
-	// cap displacements are visible in Drift.Ingest.Deduped, not here:
-	// a capped observation replaces its prefix's oldest entry rather
-	// than being dropped).
-	Accepted int `json:"accepted"`
-	// Invalid is how many lines failed to parse (they are skipped, not
-	// fatal: one bad line must not void a traffic batch).
-	Invalid int `json:"invalid"`
-	// Evaluated is true when this batch triggered a drift evaluation.
-	Evaluated bool `json:"evaluated"`
-	// Drift is the model's drift status after the batch.
-	Drift DriftStatus `json:"drift"`
-}
-
-// observeBatchSize bounds how many parsed addresses accumulate before
-// being pushed into the buffer, so arbitrarily large NDJSON bodies stream
-// through bounded memory.
-const observeBatchSize = 4096
-
-// observeBatchPool reuses the fixed-size per-request parse batches of
-// /observe across requests: at traffic rate the handler is called
-// constantly, and a 64 KiB address batch per request is the kind of
-// steady-state garbage this PR removes. Ownership rule: the batch slice
-// never escapes the handler — Refresher.Observe (via Buffer.AddBatch)
-// copies what it keeps — so returning it to the pool on exit is safe.
-var observeBatchPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]ip6.Addr, 0, observeBatchSize)
-		return &b
-	},
-}
-
-// handleObserve ingests observed addresses for a model. The body is
-// NDJSON: each line either an {"addr": "..."} object, a JSON string, or a
-// bare textual address (dataset file format) — so both API clients and
-// `curl --data-binary @addrs.txt` work. Lines are scanned as byte slices
-// (bare dataset-format lines, the traffic fast path, parse without any
-// per-line allocation; only JSON-framed lines pay encoding/json) and
-// streamed into the model's observation window in bounded batches; the
-// response reports accept/drop counts and the drift status after the
-// batch.
-func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	// Existence up front: a typoed model name must 404 whatever the body
-	// holds (a delete racing the request still surfaces through the
-	// refresher's own lookup below).
-	if _, err := s.reg.Versions(name); err != nil {
-		writeRegistryError(w, r, err)
-		return
-	}
-	if isBinaryContentType(r.Header.Get("Content-Type")) {
-		s.encRequests[routeObserve][encBinary].Add(1)
-		w.Header().Set("X-Encoding", encBinary.String())
-		s.observeBinary(w, r, name)
-		return
-	}
-	s.encRequests[routeObserve][encNDJSON].Add(1)
-	w.Header().Set("X-Encoding", encNDJSON.String())
-	body := http.MaxBytesReader(w, r.Body, s.opts.maxBodyBytes())
-	scanner := bufio.NewScanner(body)
-	scanner.Buffer(make([]byte, 0, 64*1024), dataset.MaxLineBytes)
-
-	var out ObserveResponse
-	// Line-outcome counters for /metrics: accepted lines are added batch
-	// by batch in observeFlush (so early error returns still count what
-	// entered the window); invalid lines are added once on the way out. The ingest
-	// span covers the whole scan — including any drift evaluation a batch
-	// trips, which appears as its child (the span rides the context into
-	// the refresher).
-	span := requestSpan(r.Context()).StartChild("observe.ingest")
-	ctx := trace.ContextWithSpan(r.Context(), span)
-	defer func() {
-		s.observeInvalid.Add(uint64(out.Invalid))
-		span.SetInt("accepted", int64(out.Accepted))
-		span.SetInt("invalid", int64(out.Invalid))
-		span.Finish()
-	}()
-	batchp := observeBatchPool.Get().(*[]ip6.Addr)
-	batch := (*batchp)[:0]
-	defer func() {
-		*batchp = batch[:0]
-		observeBatchPool.Put(batchp)
-	}()
-	for scanner.Scan() {
-		line := bytes.TrimSpace(scanner.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		var a ip6.Addr
-		switch line[0] {
-		case '{':
-			var ol observeLine
-			//eip:alloc-ok observe ingest is the documented slow path; object lines are schema-flexible
-			if err := json.Unmarshal(line, &ol); err != nil || ol.Addr == "" {
-				out.Invalid++
-				continue
-			}
-			addr, err := ip6.ParseAddr(ol.Addr)
-			if err != nil {
-				out.Invalid++
-				continue
-			}
-			a = addr
-		case '"':
-			var raw string
-			//eip:alloc-ok bare-string lines need full JSON unescaping; same slow path
-			if err := json.Unmarshal(line, &raw); err != nil {
-				out.Invalid++
-				continue
-			}
-			addr, err := ip6.ParseAddr(raw)
-			if err != nil {
-				out.Invalid++
-				continue
-			}
-			a = addr
-		default:
-			// Bare lines take the dataset file format — the same parser
-			// -ingest-file uses — so trailing comments and /len prefix
-			// notation work identically over both feeds.
-			addr, ok, err := dataset.ParseLineBytes(line)
-			if err != nil {
-				out.Invalid++
-				continue
-			}
-			if !ok {
-				continue
-			}
-			a = addr
-		}
-		batch = append(batch, a)
-		if len(batch) >= observeBatchSize {
-			if !s.observeFlush(ctx, w, r, name, &batch, &out) {
-				return
-			}
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if !s.observeFlush(ctx, w, r, name, &batch, &out) {
-		return
-	}
-	out.Drift, _ = s.refresher.Status(name)
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -215,7 +215,7 @@ func TestRotationTraceShape(t *testing.T) {
 		Refresh: RefreshOptions{
 			AutoRefresh:   true,
 			EvaluateEvery: 512,
-			Ingest:        ingest.Config{WindowSize: 4096, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 4096},
 			Drift:         drift.Config{Enter: 0.15, Consecutive: 2, MinWindow: 256},
 		},
 	})

@@ -54,44 +54,6 @@ func SplitTrainTest[T any](rng *rand.Rand, in []T, n int) (train, test []T) {
 	return cp[:n], cp[n:]
 }
 
-// Reservoir maintains a uniform random sample of fixed capacity over a
-// stream of items (Vitter's algorithm R). It is used when synthesizing very
-// large aggregate datasets that are not materialized in memory.
-type Reservoir[T any] struct {
-	rng  *rand.Rand
-	cap  int
-	seen int
-	buf  []T
-}
-
-// NewReservoir returns a reservoir sampler of the given capacity.
-func NewReservoir[T any](rng *rand.Rand, capacity int) *Reservoir[T] {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Reservoir[T]{rng: rng, cap: capacity, buf: make([]T, 0, capacity)}
-}
-
-// Add offers one item to the reservoir.
-func (r *Reservoir[T]) Add(item T) {
-	r.seen++
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, item)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.cap {
-		r.buf[j] = item
-	}
-}
-
-// Seen returns the number of items offered so far.
-func (r *Reservoir[T]) Seen() int { return r.seen }
-
-// Sample returns the current sample (at most capacity items).
-func (r *Reservoir[T]) Sample() []T {
-	return append([]T(nil), r.buf...)
-}
-
 // StratifiedSample selects up to perStratum items from each stratum.
 // Strata are identified by the key function; the paper stratifies by /32
 // prefix, selecting 1K addresses per /32, to avoid over-representing large

@@ -85,49 +85,6 @@ func TestSplitTrainTest(t *testing.T) {
 	}
 }
 
-func TestReservoirUniformity(t *testing.T) {
-	// Feed 0..999 into a reservoir of 100 many times; each item should be
-	// selected roughly 10% of the time.
-	const n, capacity, trials = 1000, 100, 200
-	counts := make([]int, n)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir[int](Split(9, int64(trial)), capacity)
-		for i := 0; i < n; i++ {
-			r.Add(i)
-		}
-		if r.Seen() != n {
-			t.Fatalf("Seen = %d", r.Seen())
-		}
-		s := r.Sample()
-		if len(s) != capacity {
-			t.Fatalf("sample size = %d", len(s))
-		}
-		for _, v := range s {
-			counts[v]++
-		}
-	}
-	expected := float64(trials) * float64(capacity) / float64(n) // 20
-	for i, c := range counts {
-		if math.Abs(float64(c)-expected) > expected { // very loose bound
-			t.Errorf("item %d selected %d times, expected about %v", i, c, expected)
-		}
-	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	r := NewReservoir[string](RNG(1), 10)
-	r.Add("a")
-	r.Add("b")
-	if len(r.Sample()) != 2 {
-		t.Error("reservoir smaller than capacity should hold everything")
-	}
-	neg := NewReservoir[int](RNG(1), -5)
-	neg.Add(1)
-	if len(neg.Sample()) != 0 {
-		t.Error("negative capacity should behave as zero")
-	}
-}
-
 func TestStratifiedSample(t *testing.T) {
 	type item struct {
 		group string

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics substrate used by Entropy/IP:
 // frequency tables over categorical values, quartiles and Tukey outlier
 // detection (used by segment mining, §4.3 step (a)), histograms, and the
-// sampling helpers (uniform, reservoir and stratified sampling) used to
+// sampling helpers (uniform and stratified sampling) used to
 // build training sets the way the paper does (§3, §5.1).
 package stats
 
