@@ -227,11 +227,15 @@ func (r *genRun) merge(next func(s int) ip6.Addr) {
 }
 
 // runSequential is the single-goroutine execution: the merge draws each
-// candidate inline from its substream's rng.
+// candidate inline from its substream's rng. The substream sources live
+// in one array seeded in place, one allocation rather than one per
+// substream; each draws exactly what stats.Split(seed, i) would.
 func (r *genRun) runSequential() {
-	rngs := make([]*rand.Rand, genSubstreams)
-	for i := range rngs {
-		rngs[i] = stats.Split(r.seed, int64(i))
+	var srcs [genSubstreams]stats.Source
+	var rngs [genSubstreams]*rand.Rand
+	for i := range srcs {
+		srcs[i].Seed(stats.SplitSeed(r.seed, int64(i)))
+		rngs[i] = rand.New(&srcs[i])
 	}
 	// The sampler overwrites every code of buf on each draw, so the
 	// substreams can share one buffer.

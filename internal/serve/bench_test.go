@@ -93,7 +93,7 @@ func BenchmarkGenerateBinary100k(b *testing.B) {
 // BenchmarkObserveBinary10k is the CI-gated frame-decode cost of the
 // binary observe path: a 10k-address binary body per op through a
 // reused wire.Reader, with every decoded batch pushed into a live
-// ingest.Buffer — observeBinary's loop without the HTTP envelope.
+// ingest.Buffer — `Server.observe`'s loop without the HTTP envelope.
 // Steady state must be 0 allocs/op.
 func BenchmarkObserveBinary10k(b *testing.B) {
 	const perOp = 10_000

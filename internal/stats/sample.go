@@ -7,20 +7,29 @@ import (
 
 // RNG returns a deterministic pseudo-random generator for the given seed.
 // All randomized components of this repository take a seed (or an
-// explicit *rand.Rand) so that experiments are reproducible.
+// explicit *rand.Rand) so that experiments are reproducible. It draws the
+// same sequence as rand.New(rand.NewSource(seed)).
 func RNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	src := new(Source)
+	src.Seed(seed)
+	return rand.New(src)
 }
 
-// Split derives a child RNG from a parent seed and a stream index, so that
-// parallel components get independent, reproducible streams.
-func Split(seed int64, stream int64) *rand.Rand {
-	// SplitMix64-style mixing of the pair (seed, stream).
+// SplitSeed mixes a parent seed and a stream index into the seed of that
+// stream: SplitMix64's finalizer over seed + golden-ratio·(stream+1).
+func SplitSeed(seed, stream int64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(stream+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return int64(z)
+}
+
+// Split derives a child RNG from a parent seed and a stream index, so that
+// parallel components get independent, reproducible streams. It is
+// RNG(SplitSeed(seed, stream)).
+func Split(seed int64, stream int64) *rand.Rand {
+	return RNG(SplitSeed(seed, stream))
 }
 
 // SampleN returns a uniform random sample of n items (without replacement)

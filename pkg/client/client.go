@@ -337,36 +337,18 @@ func decodeNDJSONStream(body io.Reader, prefixes bool, res *GenerateResult, yiel
 		if len(line) == 0 {
 			continue
 		}
-		var item generateLine
-		if err := json.Unmarshal(line, &item); err != nil {
-			return fmt.Errorf("decoding NDJSON line %q: %w", line, err)
+		ev, tagged, err := decodeNDJSONLine(line, prefixes)
+		if err != nil {
+			return err
 		}
-		ev := Event{Kind: KindCandidate}
-		if item.Stream != nil {
+		if tagged {
 			single = false
-			ev.Stream = *item.Stream
 		}
-		switch {
-		case item.Error != "":
-			ev.Kind = KindStreamError
-			ev.Err = item.Error
+		switch ev.Kind {
+		case KindCandidate:
+			res.Candidates++
+		case KindStreamError:
 			failed = true
-		case item.Done:
-			ev.Kind = KindStreamEnd
-		case prefixes:
-			p, err := ip6.ParsePrefix(item.Prefix)
-			if err != nil {
-				return fmt.Errorf("server sent bad prefix %q: %w", item.Prefix, err)
-			}
-			ev.Prefix = p
-			res.Candidates++
-		default:
-			a, err := ip6.ParseAddr(item.Addr)
-			if err != nil {
-				return fmt.Errorf("server sent bad address %q: %w", item.Addr, err)
-			}
-			ev.Addr = a
-			res.Candidates++
 		}
 		if !yield(ev) {
 			return nil
@@ -381,6 +363,84 @@ func decodeNDJSONStream(body io.Reader, prefixes bool, res *GenerateResult, yiel
 		yield(Event{Kind: KindStreamEnd})
 	}
 	return nil
+}
+
+var (
+	addrLineOpen   = []byte(`{"addr":"`)
+	prefixLineOpen = []byte(`{"prefix":"`)
+	lineClose      = []byte(`"}`)
+)
+
+// decodeNDJSONLine decodes one generate line into its event; tagged
+// reports a batch line's stream tag. The single-stream candidate line the
+// server writes, exactly {"addr":"…"} (or {"prefix":"…"} in prefix mode),
+// is parsed in place when its value is plain printable ASCII without '"'
+// or '\', so that JSON decoding would return the value's bytes
+// unchanged. Every other line — batch, done and error lines, and anything
+// escaped or spaced — goes through decodeJSONLine, which gives the same
+// event or error for the lines the fast path takes.
+func decodeNDJSONLine(line []byte, prefixes bool) (ev Event, tagged bool, err error) {
+	open := addrLineOpen
+	if prefixes {
+		open = prefixLineOpen
+	}
+	if len(line) >= len(open)+len(lineClose) && bytes.HasPrefix(line, open) && bytes.HasSuffix(line, lineClose) {
+		v := line[len(open) : len(line)-len(lineClose)]
+		if plainJSONString(v) {
+			ev, err = parseCandidate(v, prefixes)
+			return ev, false, err
+		}
+	}
+	return decodeJSONLine(line, prefixes)
+}
+
+// plainJSONString reports whether v, between JSON quotes, decodes to
+// itself: printable ASCII with no quote or backslash.
+func plainJSONString(v []byte) bool {
+	for _, c := range v {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeJSONLine is decodeNDJSONLine for any line, through encoding/json.
+func decodeJSONLine(line []byte, prefixes bool) (ev Event, tagged bool, err error) {
+	var item generateLine
+	if err := json.Unmarshal(line, &item); err != nil {
+		return ev, false, fmt.Errorf("decoding NDJSON line %q: %w", line, err)
+	}
+	switch {
+	case item.Error != "":
+		ev = Event{Kind: KindStreamError, Err: item.Error}
+	case item.Done:
+		ev = Event{Kind: KindStreamEnd}
+	case prefixes:
+		ev, err = parseCandidate([]byte(item.Prefix), true)
+	default:
+		ev, err = parseCandidate([]byte(item.Addr), false)
+	}
+	if item.Stream != nil {
+		ev.Stream = *item.Stream
+		tagged = true
+	}
+	return ev, tagged, err
+}
+
+// parseCandidate turns a candidate line's address or prefix into its
+// event.
+func parseCandidate(v []byte, prefixes bool) (Event, error) {
+	ev := Event{Kind: KindCandidate}
+	var err error
+	if prefixes {
+		if ev.Prefix, err = ip6.ParsePrefix(string(v)); err != nil {
+			return ev, fmt.Errorf("server sent bad prefix %q: %w", v, err)
+		}
+	} else if ev.Addr, err = ip6.ParseAddrBytes(v); err != nil {
+		return ev, fmt.Errorf("server sent bad address %q: %w", v, err)
+	}
+	return ev, nil
 }
 
 // ObserveResult summarizes an observe call (the drift details of the
