@@ -84,3 +84,48 @@ func checkGolden(t *testing.T, golden map[string]string, key string, workers int
 		t.Errorf("%s w%d: SHA-256 = %s, want %s", key, workers, got, golden[key])
 	}
 }
+
+// TestGeneratePrefixesExcludeGoldenHash pins prefix generation with an
+// Exclude set: every /64 covering an excluded address is skipped. Count
+// 2000 takes the sequential path at one worker and the parallel one at
+// four; both must hit the same hash. Without the Exclude set 113 of the
+// first 2000 prefixes fall in an excluded /64, so the set is exercised.
+func TestGeneratePrefixesExcludeGoldenHash(t *testing.T) {
+	const want = "0b7ef393e4ebe558b009d3f42ebe0761451defca9deab380ff38e460a7e0b395"
+	addrs, err := synth.Generate("S5", 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Build(addrs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exclude := ip6.SetOf(addrs...)
+	excluded := make(map[ip6.Prefix]bool)
+	for _, a := range addrs {
+		excluded[ip6.Prefix64(a)] = true
+	}
+	for _, workers := range []int{1, 4} {
+		opts := GenerateOptions{Count: 2000, Seed: 3, Workers: workers, Exclude: exclude}
+		h := sha256.New()
+		n := 0
+		err := m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
+			if excluded[p] {
+				t.Fatalf("w%d: emitted excluded prefix %v", workers, p)
+			}
+			h.Write(p.AppendString(nil))
+			h.Write([]byte{'\n'})
+			n++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("w%d: %v", workers, err)
+		}
+		if n != opts.Count {
+			t.Fatalf("w%d: %d prefixes, want %d", workers, n, opts.Count)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("w%d: SHA-256 = %s, want %s", workers, got, want)
+		}
+	}
+}

@@ -59,12 +59,14 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          MineAll100k Learn10k Learn100k Build10k Build100k
          Generate1K Generate10k Generate100k Encode100k Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
-         MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors)
+         MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors
+         SetDedup SetContains)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, baseline or not.
 ZERO_ALLOC=(Encode100k Decode100k ParseFormat ObserveIngest GenerateNDJSON
-            GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath)
+            GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath
+            SetContains)
 
 if command -v benchstat >/dev/null 2>&1; then
     echo "== benchstat baseline vs new (informational) =="
