@@ -9,9 +9,10 @@ import (
 	"entropyip/internal/synth"
 )
 
-// benchLearnData encodes a synthetic S1 population into the categorical
-// matrix Learn consumes, exactly as core.Build does.
-func benchLearnData(b *testing.B, n int) ([][]int, []Variable) {
+// benchLearnData encodes a synthetic S1 population into the tally Learn
+// consumes — the distinct code vectors and their counts — exactly as
+// core.Build does.
+func benchLearnData(b *testing.B, n int) ([][]int, []int, []Variable) {
 	b.Helper()
 	addrs, err := synth.Generate("S1", n, 1)
 	if err != nil {
@@ -24,16 +25,16 @@ func benchLearnData(b *testing.B, n int) ([][]int, []Variable) {
 	for i, m := range models {
 		vars[i] = Variable{Name: m.Seg.Label, Arity: m.Arity()}
 	}
-	data := mining.NewEncoder(models).EncodeAll(addrs)
-	return data, vars
+	rows, counts := mining.NewEncoder(models).EncodeDistinct(addrs, 0)
+	return rows, counts, vars
 }
 
 func benchmarkLearn(b *testing.B, n int) {
-	data, vars := benchLearnData(b, n)
+	rows, counts, vars := benchLearnData(b, n)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		net, err := Learn(data, vars, LearnConfig{})
+		net, err := Learn(rows, counts, vars, LearnConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func BenchmarkLearn10k(b *testing.B)  { benchmarkLearn(b, 10_000) }
 func BenchmarkLearn100k(b *testing.B) { benchmarkLearn(b, 100_000) }
 
 func BenchmarkLearnWorkers100k(b *testing.B) {
-	data, vars := benchLearnData(b, 100_000)
+	rows, counts, vars := benchLearnData(b, 100_000)
 	for _, w := range []int{1, 0} {
 		name := "workers=1"
 		if w == 0 {
@@ -55,7 +56,7 @@ func BenchmarkLearnWorkers100k(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Learn(data, vars, LearnConfig{Workers: w}); err != nil {
+				if _, err := Learn(rows, counts, vars, LearnConfig{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -307,7 +307,7 @@ func TestQueryLearnedNetworkConsistency(t *testing.T) {
 	// Learn from data and verify Query(node | nothing) approximates the
 	// empirical marginals.
 	data, vars := chainData(5000, 20)
-	net, err := Learn(data, vars, LearnConfig{})
+	net, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestQueryLearnedNetworkConsistency(t *testing.T) {
 
 func BenchmarkQuery(b *testing.B) {
 	data, vars := chainData(2000, 21)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := net.Query(0, map[int]int{2: 1}); err != nil {
@@ -342,7 +342,7 @@ func BenchmarkQuery(b *testing.B) {
 // once for the evidence, the way generation under evidence runs.
 func BenchmarkSampleConditional(b *testing.B) {
 	data, vars := chainData(2000, 22)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	rng := rand.New(rand.NewSource(1))
 	cs, err := net.NewCondSampler(map[int]int{2: 1})
 	if err != nil {
@@ -360,7 +360,7 @@ func BenchmarkSampleConditional(b *testing.B) {
 // variable-elimination pass generation under evidence runs per request.
 func BenchmarkNewCondSampler(b *testing.B) {
 	data, vars := chainData(2000, 22)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	ev := map[int]int{2: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -375,7 +375,7 @@ func BenchmarkNewCondSampler(b *testing.B) {
 // variable under the evidence.
 func BenchmarkPosteriors(b *testing.B) {
 	data, vars := chainData(2000, 21)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	ev := map[int]int{2: 1}
 	b.ReportAllocs()
 	b.ResetTimer()

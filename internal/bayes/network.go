@@ -142,16 +142,26 @@ func (c LearnConfig) maxParentConfigs() int {
 	return c.MaxParentConfigs
 }
 
-// Learn learns a Bayesian network from complete categorical data. data is a
-// matrix with one row per observation and one column per variable; values
-// must lie in [0, arity). vars supplies names and arities in column order.
+// maxTotalCount bounds the sum of the row counts Learn accepts: below
+// 2^53 every count total is an exact float64, so family scores do not
+// depend on the order rows are added in.
+const maxTotalCount = 1 << 53
+
+// Learn learns a Bayesian network from complete categorical data. rows
+// holds one observation per row and one column per variable; values must
+// lie in [0, arity). vars supplies names and arities in column order.
+// counts[r] is how many times row r was observed and must be at least 1;
+// nil counts every row once. Learning from distinct rows and their counts
+// gives exactly the network learning from the rows repeated would: every
+// statistic is a sum of integer counts, exact in float64 below 2^53 in
+// any order.
 //
-// Learning runs on up to cfg.Workers goroutines (0 = GOMAXPROCS): data
+// Learning runs on up to cfg.Workers goroutines (0 = GOMAXPROCS): row
 // validation and CPT counting shard the rows, and structure search scores
 // candidate parent sets concurrently. The learned network is bit-identical
 // for any worker count — integer counts merge exactly, and the candidate
 // selection replays the sequential visitation order.
-func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
+func Learn(rows [][]int, counts []int, vars []Variable, cfg LearnConfig) (*Network, error) {
 	n := len(vars)
 	workers := parallel.Workers(cfg.Workers)
 	for _, v := range vars {
@@ -159,12 +169,15 @@ func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
 			return nil, fmt.Errorf("bayes: variable %q has non-positive arity", v.Name)
 		}
 	}
+	if counts != nil && len(counts) != len(rows) {
+		return nil, fmt.Errorf("bayes: %d counts for %d rows", len(counts), len(rows))
+	}
 	// Validate rows in contiguous shards; each shard reports its first bad
 	// row, and the lowest shard wins, so the error matches a sequential
 	// scan's.
-	err := parallel.ForEachShardErr(nil, workers, len(data), func(s parallel.Shard) error {
+	err := parallel.ForEachShardErr(nil, workers, len(rows), func(s parallel.Shard) error {
 		for r := s.Start; r < s.End; r++ {
-			row := data[r]
+			row := rows[r]
 			if len(row) != n {
 				return fmt.Errorf("bayes: row %d has %d columns, want %d", r, len(row), n)
 			}
@@ -173,11 +186,29 @@ func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
 					return fmt.Errorf("bayes: row %d column %d value %d out of range [0,%d)", r, i, v, vars[i].Arity)
 				}
 			}
+			if counts != nil && counts[r] < 1 {
+				return fmt.Errorf("bayes: row %d has count %d, want at least 1", r, counts[r])
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	d := data{rows: rows, counts: counts, total: len(rows)}
+	if counts == nil {
+		d.counts = make([]int, len(rows))
+		for r := range d.counts {
+			d.counts[r] = 1
+		}
+	} else {
+		d.total = 0
+		for r, c := range counts {
+			if c > maxTotalCount-d.total {
+				return nil, fmt.Errorf("bayes: row %d takes the count total past 2^53", r)
+			}
+			d.total += c
+		}
 	}
 
 	net := &Network{
@@ -195,12 +226,20 @@ func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
 				parents = []int{i - 1}
 			}
 		default:
-			parents = bestParents(data, vars, i, cfg)
+			parents = bestParents(d, vars, i, cfg)
 		}
 		net.Parents[i] = parents
-		net.CPTs[i] = fitCPT(data, vars, i, parents, cfg.pseudocount(), workers)
+		net.CPTs[i] = fitCPT(d, vars, i, parents, cfg.pseudocount(), workers)
 	}
 	return net, nil
+}
+
+// data is Learn's validated input: the rows, each row's count (never
+// nil here) and the count total.
+type data struct {
+	rows   [][]int
+	counts []int
+	total  int
 }
 
 // bestParents searches all parent subsets of {0..i-1} with at most
@@ -210,13 +249,13 @@ func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
 // searches for this problem).
 //
 // Candidate parent sets are enumerated first (cheap), scored concurrently
-// (each score is a full pass over the data — the hot loop of structure
+// (each score is a full pass over the rows — the hot loop of structure
 // search), and then selected sequentially in enumeration order, so the
 // chosen set matches the single-threaded search exactly, including its
 // epsilon tie-breaks against the running best.
-func bestParents(data [][]int, vars []Variable, node int, cfg LearnConfig) []int {
+func bestParents(d data, vars []Variable, node int, cfg LearnConfig) []int {
 	best := []int(nil)
-	bestScore := scoreFamily(data, vars, node, nil, cfg)
+	bestScore := scoreFamily(d, vars, node, nil, cfg)
 	maxP := cfg.maxParents()
 	// Enumerate subsets of size 1..maxP in the DFS order the sequential
 	// search visits them, keeping only those within the parent-config
@@ -237,7 +276,7 @@ func bestParents(data [][]int, vars []Variable, node int, cfg LearnConfig) []int
 	rec(0, nil)
 
 	scores := parallel.Map(cfg.Workers, len(cands), func(k int) float64 {
-		return scoreFamily(data, vars, node, cands[k], cfg)
+		return scoreFamily(d, vars, node, cands[k], cfg)
 	})
 	for k, chosen := range cands {
 		s := scores[k]
@@ -276,62 +315,71 @@ func parentConfigs(vars []Variable, parents []int) int {
 }
 
 // scoreFamily scores node with the given parent set against the data.
-func scoreFamily(data [][]int, vars []Variable, node int, parents []int, cfg LearnConfig) float64 {
+// N_jk, the total count of rows with parent configuration j and node
+// value k, accumulates in one flat q×r buffer at cells[j*r+k].
+func scoreFamily(d data, vars []Variable, node int, parents []int, cfg LearnConfig) float64 {
 	r := vars[node].Arity
 	q := parentConfigs(vars, parents)
-	// Count N_jk = observations with parent config j and node value k.
-	counts := make([][]float64, q)
-	for j := range counts {
-		counts[j] = make([]float64, r)
-	}
-	for _, row := range data {
+	cells := make([]float64, q*r)
+	for i, row := range d.rows {
 		j := 0
 		for _, p := range parents {
 			j = j*vars[p].Arity + row[p]
 		}
-		counts[j][row[node]]++
+		cells[j*r+row[node]] += float64(d.counts[i])
 	}
 	switch cfg.Score {
 	case ScoreBIC:
-		return bicScore(counts, len(data), q, r)
+		return bicScore(cells, d.total, q, r)
 	default:
-		return bdeuScore(counts, cfg.ess(), q, r)
+		return bdeuScore(cells, cfg.ess(), q, r)
 	}
 }
 
 // bdeuScore computes the BDeu family score with equivalent sample size ess.
-func bdeuScore(counts [][]float64, ess float64, q, r int) float64 {
+// A parent configuration with no rows, and a cell with count 0, add
+// lgamma(a) - lgamma(a+0) = exactly 0, so both are skipped: the sum, taken
+// in the same order, is unchanged.
+func bdeuScore(cells []float64, ess float64, q, r int) float64 {
 	alphaJ := ess / float64(q)
 	alphaJK := ess / float64(q*r)
+	lgJ, lgJK := lgamma(alphaJ), lgamma(alphaJK)
 	score := 0.0
 	for j := 0; j < q; j++ {
+		row := cells[j*r : (j+1)*r]
 		nj := 0.0
-		for k := 0; k < r; k++ {
-			nj += counts[j][k]
+		for _, c := range row {
+			nj += c
 		}
-		score += lgamma(alphaJ) - lgamma(alphaJ+nj)
-		for k := 0; k < r; k++ {
-			score += lgamma(alphaJK+counts[j][k]) - lgamma(alphaJK)
+		if nj == 0 {
+			continue
+		}
+		score += lgJ - lgamma(alphaJ+nj)
+		for _, c := range row {
+			if c != 0 {
+				score += lgamma(alphaJK+c) - lgJK
+			}
 		}
 	}
 	return score
 }
 
-// bicScore computes the BIC family score: log-likelihood minus the
-// complexity penalty (q·(r−1) free parameters).
-func bicScore(counts [][]float64, n, q, r int) float64 {
+// bicScore computes the BIC family score over n observations:
+// log-likelihood minus the complexity penalty (q·(r−1) free parameters).
+func bicScore(cells []float64, n, q, r int) float64 {
 	ll := 0.0
 	for j := 0; j < q; j++ {
+		row := cells[j*r : (j+1)*r]
 		nj := 0.0
-		for k := 0; k < r; k++ {
-			nj += counts[j][k]
+		for _, c := range row {
+			nj += c
 		}
 		if nj == 0 {
 			continue
 		}
-		for k := 0; k < r; k++ {
-			if counts[j][k] > 0 {
-				ll += counts[j][k] * math.Log(counts[j][k]/nj)
+		for _, c := range row {
+			if c > 0 {
+				ll += c * math.Log(c/nj)
 			}
 		}
 	}
@@ -349,11 +397,11 @@ func lgamma(x float64) float64 {
 
 // fitCPT estimates the node's conditional probability table from the data
 // using Dirichlet (add-pseudocount) smoothing. Counting shards the rows
-// across workers into per-shard integer tensors merged in shard order;
-// integer counts merge exactly, and pseudocount + count is an exact
-// float64 for any realistic dataset, so the CPT is bit-identical for any
-// worker count.
-func fitCPT(data [][]int, vars []Variable, node int, parents []int, pseudocount float64, workers int) *CPT {
+// across workers, each adding its rows' counts into a per-shard integer
+// tensor merged in shard order. Integer counts merge exactly, and
+// pseudocount + count is an exact float64 for any realistic dataset, so
+// the CPT is bit-identical for any worker count.
+func fitCPT(d data, vars []Variable, node int, parents []int, pseudocount float64, workers int) *CPT {
 	r := vars[node].Arity
 	parentCard := make([]int, len(parents))
 	for i, p := range parents {
@@ -362,15 +410,16 @@ func fitCPT(data [][]int, vars []Variable, node int, parents []int, pseudocount 
 	cpt := &CPT{ParentCard: parentCard, Arity: r}
 	q := cpt.NumRows()
 
-	counts := parallel.MapReduce(workers, len(data),
+	counts := parallel.MapReduce(workers, len(d.rows),
 		func(s parallel.Shard) []int {
 			c := make([]int, q*r)
-			for _, obs := range data[s.Start:s.End] {
+			for i := s.Start; i < s.End; i++ {
+				obs := d.rows[i]
 				j := 0
 				for _, p := range parents {
 					j = j*vars[p].Arity + obs[p]
 				}
-				c[j*r+obs[node]]++
+				c[j*r+obs[node]] += d.counts[i]
 			}
 			return c
 		},
@@ -544,8 +593,7 @@ func (n *Network) NewScorer() *Scorer {
 
 // Add returns ll plus the log-likelihood of one row of codes (one value
 // per variable, in variable order). The terms are added to ll one node at
-// a time in node order, so scoring rows in sequence from 0 sums exactly as
-// LogLikelihood does. A parent or node value outside its cardinality
+// a time in node order. A parent or node value outside its cardinality
 // panics, as CPT.RowIndex does.
 func (s *Scorer) Add(ll float64, codes []int) float64 {
 	for i := range s.nodes {
@@ -563,17 +611,6 @@ func (s *Scorer) Add(ll float64, codes []int) float64 {
 			panic(fmt.Sprintf("bayes: value %d of node %d out of range (arity %d)", v, i, nd.arity))
 		}
 		ll += nd.logp[r*nd.arity+v]
-	}
-	return ll
-}
-
-// LogLikelihood returns the total log-likelihood of the data under the
-// network.
-func (n *Network) LogLikelihood(data [][]int) float64 {
-	s := n.NewScorer()
-	ll := 0.0
-	for _, row := range data {
-		ll = s.Add(ll, row)
 	}
 	return ll
 }

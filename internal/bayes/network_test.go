@@ -26,7 +26,7 @@ func chainData(n int, seed int64) ([][]int, []Variable) {
 
 func TestLearnRecoversDependency(t *testing.T) {
 	data, vars := chainData(5000, 1)
-	net, err := Learn(data, vars, LearnConfig{})
+	net, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestLearnRecoversDependency(t *testing.T) {
 
 func TestLearnBICAlsoRecovers(t *testing.T) {
 	data, vars := chainData(5000, 2)
-	net, err := Learn(data, vars, LearnConfig{Score: ScoreBIC})
+	net, err := Learn(data, nil, vars, LearnConfig{Score: ScoreBIC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestLearnOrderingConstraint(t *testing.T) {
 	// Even though the dependency is A -> B, node A (index 0) can never have
 	// a parent; only B may point back at A through inference.
 	data, vars := chainData(2000, 3)
-	net, err := Learn(data, vars, LearnConfig{})
+	net, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLearnOrderingConstraint(t *testing.T) {
 
 func TestLearnForcedStructures(t *testing.T) {
 	data, vars := chainData(1000, 4)
-	indep, err := Learn(data, vars, LearnConfig{Structure: StructureIndependent})
+	indep, err := Learn(data, nil, vars, LearnConfig{Structure: StructureIndependent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestLearnForcedStructures(t *testing.T) {
 			t.Errorf("independent structure: node %d has parents %v", i, p)
 		}
 	}
-	chain, err := Learn(data, vars, LearnConfig{Structure: StructureChain})
+	chain, err := Learn(data, nil, vars, LearnConfig{Structure: StructureChain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestLearnForcedStructures(t *testing.T) {
 	}
 	// The learned structure should fit the data at least as well as the
 	// independent one.
-	learned, err := Learn(data, vars, LearnConfig{})
+	learned, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if learned.LogLikelihood(data) < indep.LogLikelihood(data)-1e-6 {
+	if scoreRows(learned, data) < scoreRows(indep, data)-1e-6 {
 		t.Error("learned structure should not fit worse than independent")
 	}
 }
@@ -125,14 +125,14 @@ func TestLearnThreeWayDependency(t *testing.T) {
 		}
 		data[i] = []int{a, b, c}
 	}
-	net, err := Learn(data, vars, LearnConfig{MaxParents: 2})
+	net, err := Learn(data, nil, vars, LearnConfig{MaxParents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(net.Parents[2]) != 2 {
 		t.Errorf("Parents[C] = %v, want both A and B (XOR is invisible to single parents)", net.Parents[2])
 	}
-	net1, err := Learn(data, vars, LearnConfig{MaxParents: 1})
+	net1, err := Learn(data, nil, vars, LearnConfig{MaxParents: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +143,17 @@ func TestLearnThreeWayDependency(t *testing.T) {
 
 func TestLearnInputValidation(t *testing.T) {
 	vars := []Variable{{Name: "A", Arity: 2}}
-	if _, err := Learn([][]int{{0, 1}}, vars, LearnConfig{}); err == nil {
+	if _, err := Learn([][]int{{0, 1}}, nil, vars, LearnConfig{}); err == nil {
 		t.Error("expected error for row width mismatch")
 	}
-	if _, err := Learn([][]int{{5}}, vars, LearnConfig{}); err == nil {
+	if _, err := Learn([][]int{{5}}, nil, vars, LearnConfig{}); err == nil {
 		t.Error("expected error for out-of-range value")
 	}
-	if _, err := Learn(nil, []Variable{{Name: "A", Arity: 0}}, LearnConfig{}); err == nil {
+	if _, err := Learn(nil, nil, []Variable{{Name: "A", Arity: 0}}, LearnConfig{}); err == nil {
 		t.Error("expected error for zero arity")
 	}
 	// Empty data is allowed: uniform CPTs from smoothing.
-	net, err := Learn(nil, vars, LearnConfig{})
+	net, err := Learn(nil, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestLearnInputValidation(t *testing.T) {
 
 func TestCPTRowsAreDistributions(t *testing.T) {
 	data, vars := chainData(500, 6)
-	net, err := Learn(data, vars, LearnConfig{})
+	net, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCPTRowsAreDistributions(t *testing.T) {
 
 func TestSampleMatchesDistribution(t *testing.T) {
 	data, vars := chainData(5000, 7)
-	net, err := Learn(data, vars, LearnConfig{})
+	net, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,16 +218,16 @@ func TestSampleMatchesDistribution(t *testing.T) {
 
 func TestLogLikelihoodPrefersTrueModel(t *testing.T) {
 	data, vars := chainData(2000, 9)
-	learned, _ := Learn(data, vars, LearnConfig{})
-	indep, _ := Learn(data, vars, LearnConfig{Structure: StructureIndependent})
-	if learned.LogLikelihood(data) <= indep.LogLikelihood(data) {
+	learned, _ := Learn(data, nil, vars, LearnConfig{})
+	indep, _ := Learn(data, nil, vars, LearnConfig{Structure: StructureIndependent})
+	if scoreRows(learned, data) <= scoreRows(indep, data) {
 		t.Error("dependency-aware model should have higher likelihood")
 	}
 }
 
 func TestEdgesAndNumVars(t *testing.T) {
 	data, vars := chainData(1000, 10)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	if net.NumVars() != 3 {
 		t.Errorf("NumVars = %d", net.NumVars())
 	}
@@ -245,12 +245,12 @@ func TestEdgesAndNumVars(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	data, vars := chainData(500, 11)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	net.CPTs[0].Rows[0][0] = 5
 	if err := net.Validate(); err == nil {
 		t.Error("expected validation error for non-normalized row")
 	}
-	net2, _ := Learn(data, vars, LearnConfig{})
+	net2, _ := Learn(data, nil, vars, LearnConfig{})
 	net2.Parents[1] = []int{2}
 	if err := net2.Validate(); err == nil {
 		t.Error("expected validation error for ordering violation")
@@ -259,7 +259,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestScorerPanicsOnOutOfRangeParent(t *testing.T) {
 	data, vars := chainData(500, 12)
-	net, _ := Learn(data, vars, LearnConfig{})
+	net, _ := Learn(data, nil, vars, LearnConfig{})
 	if len(net.Parents[1]) == 0 {
 		t.Skip("no dependency learned")
 	}
@@ -279,7 +279,7 @@ func TestScorerPanicsOnOutOfRangeParent(t *testing.T) {
 // lookups only.
 func TestScorerAddZeroAlloc(t *testing.T) {
 	data, vars := chainData(500, 12)
-	net, err := Learn(data, vars, LearnConfig{})
+	net, err := Learn(data, nil, vars, LearnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +292,17 @@ func TestScorerAddZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Scorer.Add allocates %.1f times per row, want 0", n)
 	}
+}
+
+// scoreRows returns the network's total log-likelihood of the rows,
+// added through one Scorer in row order.
+func scoreRows(n *Network, data [][]int) float64 {
+	s := n.NewScorer()
+	ll := 0.0
+	for _, row := range data {
+		ll = s.Add(ll, row)
+	}
+	return ll
 }
 
 // mapLogLikelihood is the map-based log-likelihood loop the Scorer
@@ -321,7 +332,7 @@ func mapLogLikelihood(n *Network, data [][]int) float64 {
 	return ll
 }
 
-// TestScorerMatchesMapLogLikelihood pins LogLikelihood to the map-based
+// TestScorerMatchesMapLogLikelihood pins Scorer.Add to the map-based
 // loop bit for bit, on learned networks with multi-parent nodes and on a
 // CPT with zero cells (the 1e-300 floor).
 func TestScorerMatchesMapLogLikelihood(t *testing.T) {
@@ -336,7 +347,7 @@ func TestScorerMatchesMapLogLikelihood(t *testing.T) {
 			d := (b*c + rng.Intn(2)) % 5
 			data[r] = []int{a, b, c, d, rng.Intn(3)}
 		}
-		net, err := Learn(data, vars, LearnConfig{MaxParents: 3})
+		net, err := Learn(data, nil, vars, LearnConfig{MaxParents: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,8 +355,8 @@ func TestScorerMatchesMapLogLikelihood(t *testing.T) {
 			// A zero cell must score log(1e-300), as the map loop does.
 			net.CPTs[4].Rows[0] = []float64{0, 0.5, 0.5}
 		}
-		if got, want := net.LogLikelihood(data), mapLogLikelihood(net, data); got != want {
-			t.Fatalf("seed %d: LogLikelihood = %v, map-based loop %v", seed, got, want)
+		if got, want := scoreRows(net, data), mapLogLikelihood(net, data); got != want {
+			t.Fatalf("seed %d: Scorer.Add total = %v, map-based loop %v", seed, got, want)
 		}
 	}
 }
@@ -359,7 +370,7 @@ func TestMaxParentConfigsLimit(t *testing.T) {
 		a := rng.Intn(50)
 		data[i] = []int{a, a % 2}
 	}
-	net, err := Learn(data, vars, LearnConfig{MaxParentConfigs: 10})
+	net, err := Learn(data, nil, vars, LearnConfig{MaxParentConfigs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +401,7 @@ func BenchmarkLearn10Vars(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Learn(data, vars, LearnConfig{}); err != nil {
+		if _, err := Learn(data, nil, vars, LearnConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,6 +59,27 @@ func BenchmarkEncode100k(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeDistinct100k is the CI-gated training encode stage of
+// Build100k: 100k S1 addresses per op encoded and tallied into distinct
+// code vectors with counts (mining.Encoder.EncodeDistinct) at GOMAXPROCS
+// workers, under the model trained on those same addresses.
+func BenchmarkEncodeDistinct100k(b *testing.B) {
+	addrs := benchBuildAddrs(b, 100_000)
+	m, err := Build(addrs, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := m.Encoder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, _ := enc.EncodeDistinct(addrs, 0)
+		if i == 0 {
+			b.ReportMetric(float64(len(rows)), "distinct")
+		}
+	}
+}
+
 // BenchmarkEncodeReference100k is the uncompiled per-element scan
 // (mining.Encoder.Encode) over the same 100k addresses — the informational
 // baseline BenchmarkEncode100k's speedup is quoted against in DESIGN.md.

@@ -408,18 +408,9 @@ func (m *Model) GeneratePrefixes(opts GenerateOptions) ([]ip6.Prefix, error) {
 	return out, nil
 }
 
-// LogLikelihood returns the model's total log-likelihood of the given
-// addresses under the BN over segment codes (addresses outside the mined
-// value sets are clamped to the nearest code, as in Encoder.Encode).
-func (m *Model) LogLikelihood(addrs []ip6.Addr) float64 {
-	enc := m.Encoder()
-	data := enc.EncodeAll(addrs)
-	return m.Net.LogLikelihood(data)
-}
-
 // outOfSupportPenalty is the extra log-probability (nats) charged, on top
 // of the segment's domain-wide uniform density, for a value outside every
-// mined element. LogLikelihood's clamped encoding assigns such values the
+// mined element. The clamped encoding alone would assign such values the
 // nearest code's full probability, which makes a stale model look like a
 // good fit for traffic it cannot generate; the floor makes staleness
 // visible instead.
@@ -515,9 +506,10 @@ func (w *WindowEncoding) LogLikelihood() float64 {
 // from), with out-of-support values charged the outOfSupportLogProb floor
 // instead of being silently clamped.
 //
-// Unlike LogLikelihood, this is comparable across models with different
-// mined value sets, which is what shadow evaluation needs when judging a
-// retrained candidate against the model it would replace.
+// Unlike the BN likelihood of clamped codes alone (BNLogLikelihood), this
+// is comparable across models with different mined value sets, which is
+// what shadow evaluation and the ablation benchmarks need when judging
+// models against each other.
 func (m *Model) AddressLogLikelihood(addrs []ip6.Addr) float64 {
 	return m.EncodeWindow(addrs).LogLikelihood()
 }

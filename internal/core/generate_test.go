@@ -286,10 +286,10 @@ func TestLearnedDependencyBetweenSubnetAndIID(t *testing.T) {
 	if pLow < 5*pHigh {
 		t.Errorf("P(IID=::1 | patterned subnet) = %v should greatly exceed %v (random-IID subnet)", pLow, pHigh)
 	}
-	// LogLikelihood sanity: finite and negative on training data.
-	ll := m.LogLikelihood(testNetwork(100, 18))
+	// Likelihood sanity: finite and negative on training data.
+	ll := m.AddressLogLikelihood(testNetwork(100, 18))
 	if !(ll < 0) || math.IsInf(ll, 0) || math.IsNaN(ll) {
-		t.Errorf("LogLikelihood = %v", ll)
+		t.Errorf("AddressLogLikelihood = %v", ll)
 	}
 }
 

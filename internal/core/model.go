@@ -152,13 +152,14 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 		}
 		vars[i] = bayes.Variable{Name: m.Seg.Label, Arity: m.Arity()}
 	}
-	data := enc.EncodeAllWorkers(train, workers)
+	// The network learns from the distinct code vectors and their counts.
+	rows, counts := enc.EncodeDistinct(train, workers)
 	now = buildStage(opts.OnStage, "encode", now)
 	learnCfg := opts.Learn
 	if learnCfg.Workers == 0 {
 		learnCfg.Workers = workers
 	}
-	net, err := bayes.Learn(data, vars, learnCfg)
+	net, err := bayes.Learn(rows, counts, vars, learnCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: learning Bayesian network: %w", err)
 	}

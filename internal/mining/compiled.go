@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"entropyip/internal/ip6"
@@ -169,16 +170,19 @@ func (cs *compiledSegment) lookup(v uint64) int32 {
 	if cs.bounds == nil {
 		return -1 // no mined values
 	}
-	lo, hi := 0, len(cs.bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cs.bounds[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// The last interval starting at or below v (bounds[0] = 0 always
+	// qualifies). The halving runs a fixed number of steps per segment,
+	// and each step moves base by half unless v is below the bound there:
+	// the subtraction's borrow masks the move, so random values cost no
+	// branch mispredictions.
+	base, n := 0, len(cs.bounds)
+	for n > 1 {
+		half := n >> 1
+		_, below := bits.Sub64(v, cs.bounds[base+half], 0)
+		base += half & int(below-1)
+		n -= half
 	}
-	return cs.codes[lo-1]
+	return cs.codes[base]
 }
 
 // NumSegments returns the number of segments the encoder covers.
@@ -194,7 +198,11 @@ func (c *CompiledEncoder) Models() []*SegmentModel { return c.models }
 // segment with no mined values.
 func (c *CompiledEncoder) EncodeSegment(seg int, hi, lo uint64) (idx int, covered bool) {
 	cs := &c.segs[seg]
-	p := cs.lookup(cs.extract(hi, lo))
+	return unpack(cs.lookup(cs.extract(hi, lo)))
+}
+
+// unpack splits a packed code into the element index and its coverage.
+func unpack(p int32) (idx int, covered bool) {
 	if p < 0 {
 		return -1, false
 	}
@@ -216,7 +224,9 @@ func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
 	hi, lo := a.Uint64s()
 	exact = true
 	for i := range c.segs {
-		idx, covered := c.EncodeSegment(i, hi, lo)
+		// EncodeSegment, written out so the lookup inlines here.
+		cs := &c.segs[i]
+		idx, covered := unpack(cs.lookup(cs.extract(hi, lo)))
 		dst[i] = idx
 		exact = exact && covered
 	}

@@ -3,6 +3,7 @@ package mining
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"entropyip/internal/ip6"
@@ -150,7 +151,7 @@ func TestCompiledEncoderMatchesReferenceIntervals(t *testing.T) {
 
 // TestCompiledEncoderMatchesEncoderOnMinedModels runs real mined models
 // (the shapes Mine actually produces) through both implementations over
-// whole addresses, including EncodeAll's matrix.
+// whole addresses, including EncodeDistinct's tally.
 func TestCompiledEncoderMatchesEncoderOnMinedModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	addrs := make([]ip6.Addr, 4000)
@@ -188,18 +189,13 @@ func TestCompiledEncoderMatchesEncoderOnMinedModels(t *testing.T) {
 		}
 	}
 
-	// EncodeAll must produce the matrix the reference scan produced
-	// before the rewiring (regression pin for the byte-identity
-	// acceptance criterion: identical encodings -> identical CPT counts
-	// -> identical serialized models).
-	got := enc.EncodeAll(addrs)
-	for i, a := range addrs {
-		want, _ := enc.Encode(a)
-		for k := range want {
-			if got[i][k] != want[k] {
-				t.Fatalf("EncodeAll row %d col %d = %d, reference %d", i, k, got[i][k], want[k])
-			}
-		}
+	// EncodeDistinct must tally exactly the vectors the reference scan
+	// produces (regression pin for byte-identical models: identical
+	// encodings -> identical CPT counts -> identical serialized models).
+	wantRows, wantCounts := referenceDistinct(enc, addrs)
+	gotRows, gotCounts := enc.EncodeDistinct(addrs, 0)
+	if !reflect.DeepEqual(gotRows, wantRows) || !reflect.DeepEqual(gotCounts, wantCounts) {
+		t.Fatal("EncodeDistinct differs from the reference scan's tally")
 	}
 }
 

@@ -633,7 +633,7 @@ func (e *Encoder) Arities() []int {
 //
 // This is the readable reference implementation — one allocation and two
 // scans per address. Bulk callers should use Compiled().EncodeInto (zero
-// allocation, flat lookup); EncodeAll already does.
+// allocation, flat lookup); EncodeDistinct already does.
 func (e *Encoder) Encode(a ip6.Addr) ([]int, bool) {
 	vec := make([]int, len(e.Models))
 	exact := true
@@ -650,37 +650,6 @@ func (e *Encoder) Encode(a ip6.Addr) ([]int, bool) {
 		vec[i] = idx
 	}
 	return vec, exact
-}
-
-// EncodeAll encodes a slice of addresses, dropping none; the returned
-// matrix has one row per address. It uses all available cores; the result
-// is identical for any worker count (use EncodeAllWorkers to bound
-// concurrency).
-func (e *Encoder) EncodeAll(addrs []ip6.Addr) [][]int {
-	return e.EncodeAllWorkers(addrs, 0)
-}
-
-// EncodeAllWorkers is EncodeAll with bounded concurrency (<= 0 selects
-// GOMAXPROCS). Rows run through the compiled flat tables shard by shard
-// into one flat backing array (two allocations total instead of one per
-// row), so the matrix is identical for any worker count.
-//
-// The matrix rows are only valid when every segment mined at least one
-// value (a zero-arity segment writes -1, as EncodeInto documents);
-// core.Build guarantees that for every trained model.
-func (e *Encoder) EncodeAllWorkers(addrs []ip6.Addr, workers int) [][]int {
-	c := e.Compiled()
-	cols := len(e.Models)
-	out := make([][]int, len(addrs))
-	flat := make([]int, len(addrs)*cols)
-	parallel.ForEachShard(workers, len(addrs), func(s parallel.Shard) {
-		for i := s.Start; i < s.End; i++ {
-			row := flat[i*cols : (i+1)*cols : (i+1)*cols]
-			c.EncodeInto(row, addrs[i])
-			out[i] = row
-		}
-	})
-	return out
 }
 
 // Decode materializes a concrete address from a categorical vector by

@@ -377,22 +377,6 @@ func TestEncoderDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestEncodeAll(t *testing.T) {
-	addrs := buildTestSet(200, 8)
-	prof := entropy.NewProfile(addrs)
-	sg := segment.Segments(prof, segment.Config{})
-	enc := NewEncoder(MineAll(addrs, sg, Config{}))
-	rows := enc.EncodeAll(addrs)
-	if len(rows) != len(addrs) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if len(r) != len(enc.Models) {
-			t.Fatal("row width wrong")
-		}
-	}
-}
-
 func TestMineTrainingCoverageProperty(t *testing.T) {
 	// Property: for arbitrary small training multisets, every training
 	// value is covered by the mined model (Encode succeeds) as long as the

@@ -46,16 +46,16 @@ func TestMineAllWorkersEquivalent(t *testing.T) {
 	}
 }
 
-func TestEncodeAllWorkersEquivalent(t *testing.T) {
+func TestEncodeDistinctWorkersEquivalent(t *testing.T) {
 	addrs := miningPopulation(4000, 2)
 	profile := entropy.NewProfileWorkers(addrs, 1)
 	sg := segment.Segments(profile, segment.Config{})
 	enc := NewEncoder(MineAll(addrs, sg, Config{}))
-	want := enc.EncodeAllWorkers(addrs, 1)
+	wantRows, wantCounts := enc.EncodeDistinct(addrs, 1)
 	for _, workers := range []int{3, 7, 0} {
-		got := enc.EncodeAllWorkers(addrs, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: encoded matrix differs from sequential encoding", workers)
+		rows, counts := enc.EncodeDistinct(addrs, workers)
+		if !reflect.DeepEqual(rows, wantRows) || !reflect.DeepEqual(counts, wantCounts) {
+			t.Fatalf("workers=%d: distinct rows or counts differ from sequential encoding", workers)
 		}
 	}
 }

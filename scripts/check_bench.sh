@@ -57,7 +57,8 @@ ALLOC_THRESHOLD="${BENCH_GATE_ALLOC_THRESHOLD:-1.30}"
 # name (ACR100k has no top-level line of its own).
 BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          MineAll100k Learn10k Learn100k Build10k Build100k
-         Generate1K Generate10k Generate100k Encode100k Decode100k ParseFormat
+         Generate1K Generate10k Generate100k Encode100k EncodeDistinct100k
+         Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
          MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors
          SetDedup SetContains)
