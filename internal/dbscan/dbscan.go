@@ -1,19 +1,17 @@
 // Package dbscan implements the DBSCAN density-based clustering algorithm
 // of Ester, Kriegel, Sander and Xu (KDD 1996), which Entropy/IP uses during
-// segment mining (§4.3 of the paper) to find dense ranges of segment values
-// and ranges of values that are uniformly distributed in the histogram.
+// segment mining (§4.3 of the paper): Cluster1DWeighted finds dense ranges
+// of segment values (step (b)), and Cluster finds ranges of values that are
+// uniformly distributed in the (value, count) histogram (step (c)).
 //
-// The package provides a generic n-dimensional implementation (Cluster,
-// with windowed neighbor queries along the first axis) and an optimized
-// 1-dimensional variant (Cluster1D) that exploits sortedness; the two
-// produce identical clusters for 1-D inputs.
+// Cluster is exact grid DBSCAN (Gunawan 2013; de Berg, Gunawan and
+// Roeloffzen, ISAAC 2017): it returns the labels of the textbook algorithm
+// without building any point's neighbor list.
 package dbscan
 
 import (
-	"cmp"
+	"fmt"
 	"math"
-	"slices"
-	"sort"
 )
 
 // Noise is the label assigned to points that belong to no cluster.
@@ -27,113 +25,314 @@ type Result struct {
 	NumClusters int
 }
 
-// Cluster runs DBSCAN on n-dimensional points using Euclidean distance.
+const (
+	// cellSlack widens grid cells past eps/2 so that rounding in x/side
+	// never puts two points within eps three cells apart on an axis. The
+	// rounding error of x/side is below 2^-22 cells while |x/side| < 2^30.
+	cellSlack = 1 + 0x1p-20
+	// maxCoord bounds |x|/eps, which keeps |x/side| below 2^30 and every
+	// cell index, biased to be non-negative, within 32 bits.
+	maxCoord = 0x1p29
+	// minEps and maxEps keep the square of any coordinate difference near
+	// eps clear of float64 underflow and overflow, where euclid would
+	// stop agreeing with the per-axis distances the cells rely on.
+	minEps, maxEps = 0x1p-500, 0x1p500
+)
+
+// Cluster runs DBSCAN on points of one or two coordinates using Euclidean
+// distance, and returns the labels the textbook algorithm assigns when it
+// visits points in index order:
+//   - a point is core when at least minPts points, itself included, lie
+//     within eps of it;
+//   - clusters are the connected components of core points, two core
+//     points within eps of each other being connected, numbered in order
+//     of their smallest core index;
+//   - a non-core point within eps of a core point is a border point and
+//     takes the lowest cluster number among those core points; any other
+//     point is Noise.
 //
-// eps is the neighborhood radius and minPts the minimum number of points
-// (including the point itself) required to form a dense region. Every
-// point must have the same dimension, at least 1.
+// "Within eps" is the float64 test euclid(p, q) <= eps throughout.
+// Cluster decides it without testing all pairs. Points go into square
+// cells of side eps/2 (widened by cellSlack). Two points of one cell are
+// within eps by a wide margin, as a cell's diagonal is about 0.71·eps, so
+// a cell holding minPts points makes all of them core, and core points
+// sharing a cell are connected. Two points within eps lie at most two
+// cells apart on each axis, so every other test looks only at the 5×5
+// block of cells around a point's cell: a point of a sparser cell counts
+// its neighbors there and stops at minPts; union-find merges two cells
+// holding core points at the first core pair within eps; and a border
+// point tests only the cells whose cluster would lower its label.
 //
-// Neighborhoods are found in a window rather than by an all-pairs scan:
-// point indices are sorted by their first coordinate once, and a query
-// walks outward from the point's sorted position only while the
-// first-coordinate distance stays within eps. That distance is computed
-// from the same float64 difference euclid squares first, and it can only
-// grow along the walk, so every point the walk stops short of is farther
-// than eps and the pruning is exact; inside the window the euclid test
-// decides as before. The expansion queue takes each point at most once
-// per cluster (a second copy could only revisit a point already
-// expanded and labeled), and points are expanded in the same order as
-// the textbook algorithm, so labels and cluster numbers are those of the
-// all-pairs version. Worst case (every point within eps on the first
-// axis) it is still O(n²); on spread data a query costs the window size.
+// eps must lie in [2^-500, 2^500], every point must have the same number
+// of coordinates, one or two, and every coordinate must be finite and at
+// most 2^29·eps in magnitude; Cluster panics otherwise.
 func Cluster(points [][]float64, eps float64, minPts int) Result {
 	n := len(points)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
 	}
-	// order lists point indices by first coordinate, xs holds those
-	// coordinates in the same order, and pos inverts order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	if n == 0 {
+		return Result{Labels: labels}
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(points[a][0], points[b][0]) })
-	xs := make([]float64, n)
-	pos := make([]int, n)
-	for k, i := range order {
-		xs[k] = points[i][0]
-		pos[i] = k
-	}
+	g := newGrid(points, eps)
+	m := g.cells()
+	within := func(p, q int32) bool { return euclid(points[p], points[q]) <= eps }
 
-	// within reports whether sorted position k is within eps of x on the
-	// first axis, as the lower bound sqrt(d*d) <= euclid.
-	within := func(x float64, k int) bool {
-		d := x - xs[k]
-		return math.Sqrt(d*d) <= eps
-	}
-	var nb []int
-	// neighbors returns the indices within eps of point i in ascending
-	// order, in a buffer that the next call reuses.
-	neighbors := func(i int) []int {
-		nb = nb[:0]
-		x := points[i][0]
-		for k := pos[i]; k >= 0 && within(x, k); k-- {
-			if euclid(points[i], points[order[k]]) <= eps {
-				nb = append(nb, order[k])
+	// Core points.
+	core := make([]bool, n)
+	for c := range int32(m) {
+		pts := g.points(c)
+		if len(pts) >= minPts {
+			for _, p := range pts {
+				core[p] = true
 			}
-		}
-		for k := pos[i] + 1; k < n && within(x, k); k++ {
-			if euclid(points[i], points[order[k]]) <= eps {
-				nb = append(nb, order[k])
-			}
-		}
-		slices.Sort(nb)
-		return nb
-	}
-
-	visited := make([]bool, n)
-	// queuedBy[j] is 1 + the last cluster whose expansion queued point j.
-	queuedBy := make([]int, n)
-	var queue []int
-	cluster := 0
-	enqueue := func(nb []int) {
-		for _, j := range nb {
-			if queuedBy[j] != cluster+1 {
-				queuedBy[j] = cluster + 1
-				queue = append(queue, j)
-			}
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		if visited[i] {
 			continue
 		}
-		visited[i] = true
-		nb := neighbors(i)
-		if len(nb) < minPts {
-			continue // noise (may later be adopted as a border point)
-		}
-		// Start a new cluster and expand it.
-		labels[i] = cluster
-		queue = queue[:0]
-		enqueue(nb)
-		for qi := 0; qi < len(queue); qi++ {
-			j := queue[qi]
-			if !visited[j] {
-				visited[j] = true
-				if jnb := neighbors(j); len(jnb) >= minPts {
-					enqueue(jnb)
+		for _, p := range pts {
+			count := len(pts)
+		count:
+			for _, d := range g.neighbors(c) {
+				if d == c {
+					continue
+				}
+				for _, q := range g.points(d) {
+					if within(p, q) {
+						if count++; count >= minPts {
+							break count
+						}
+					}
 				}
 			}
-			if labels[j] == Noise {
-				labels[j] = cluster
+			core[p] = count >= minPts
+		}
+	}
+
+	// Connected components of cells holding core points.
+	hasCore := make([]bool, m)
+	for p, ok := range core {
+		if ok {
+			hasCore[g.cellOf[p]] = true
+		}
+	}
+	parent := make([]int32, m)
+	for c := range parent {
+		parent[c] = int32(c)
+	}
+	find := func(c int32) int32 {
+		for parent[c] != c {
+			parent[c] = parent[parent[c]]
+			c = parent[c]
+		}
+		return c
+	}
+	corePair := func(c, d int32) bool {
+		for _, p := range g.points(c) {
+			if !core[p] {
+				continue
+			}
+			for _, q := range g.points(d) {
+				if core[q] && within(p, q) {
+					return true
+				}
 			}
 		}
-		cluster++
+		return false
 	}
-	return Result{Labels: labels, NumClusters: cluster}
+	for c := range int32(m) {
+		if !hasCore[c] {
+			continue
+		}
+		for _, d := range g.neighbors(c) {
+			if d <= c || !hasCore[d] {
+				continue
+			}
+			if rc, rd := find(c), find(d); rc != rd && corePair(c, d) {
+				parent[rd] = rc
+			}
+		}
+	}
+
+	// Cluster numbers in order of smallest core index; cellLabel holds
+	// each cell's cluster, or Noise for cells without core points.
+	cellLabel := make([]int, m)
+	for c := range cellLabel {
+		cellLabel[c] = Noise
+	}
+	clusters := 0
+	for p, ok := range core {
+		if !ok {
+			continue
+		}
+		r := find(g.cellOf[p])
+		if cellLabel[r] == Noise {
+			cellLabel[r] = clusters
+			clusters++
+		}
+		labels[p] = cellLabel[r]
+	}
+	for c := range cellLabel {
+		if hasCore[c] {
+			cellLabel[c] = cellLabel[find(int32(c))]
+		}
+	}
+
+	// Border points.
+	for p, ok := range core {
+		if ok {
+			continue
+		}
+		c := g.cellOf[p]
+		best := Noise
+		for _, d := range g.neighbors(c) {
+			l := cellLabel[d]
+			if l == Noise || (best != Noise && l >= best) {
+				continue
+			}
+			if d == c {
+				best = l
+				continue
+			}
+			for _, q := range g.points(d) {
+				if core[q] && within(int32(p), q) {
+					best = l
+					break
+				}
+			}
+		}
+		labels[p] = best
+	}
+	return Result{Labels: labels, NumClusters: clusters}
+}
+
+// grid groups point indices by cell. Cells are numbered in (x, y) order
+// of their cell coordinates, and cell c lists every cell at most two
+// cells from it on each axis, itself included, as its neighbors.
+type grid struct {
+	order    []int32 // point indices grouped by cell, ascending within a cell
+	start    []int32 // cell c holds order[start[c]:start[c+1]]
+	cellOf   []int32 // cellOf[p] is the cell of point p
+	adj      []int32 // cell c's neighbors are adj[adjStart[c]:adjStart[c+1]]
+	adjStart []int32
+}
+
+func (g *grid) cells() int                { return len(g.start) - 1 }
+func (g *grid) points(c int32) []int32    { return g.order[g.start[c]:g.start[c+1]] }
+func (g *grid) neighbors(c int32) []int32 { return g.adj[g.adjStart[c]:g.adjStart[c+1]] }
+
+// newGrid bins points into cells of side eps/2·cellSlack and links each
+// cell to its occupied neighbors.
+func newGrid(points [][]float64, eps float64) *grid {
+	if !(eps >= minEps && eps <= maxEps) {
+		panic(fmt.Sprintf("dbscan: eps %v is outside [2^-500, 2^500]", eps))
+	}
+	dim := len(points[0])
+	if dim != 1 && dim != 2 {
+		panic(fmt.Sprintf("dbscan: points have %d coordinates, want 1 or 2", dim))
+	}
+	n := len(points)
+	side := eps / 2 * cellSlack
+	limit := eps * maxCoord
+	// cell returns point i's cell index on one axis; 1-D points lie on y = 0.
+	cell := func(i, axis int) int64 {
+		if axis >= dim {
+			return 0
+		}
+		return int64(math.Floor(points[i][axis] / side))
+	}
+	minX, minY := int64(math.MaxInt64), int64(math.MaxInt64)
+	for i, pt := range points {
+		if len(pt) != dim {
+			panic(fmt.Sprintf("dbscan: point %d has %d coordinates, point 0 has %d", i, len(pt), dim))
+		}
+		for _, x := range pt {
+			if !(math.Abs(x) <= limit) {
+				panic(fmt.Sprintf("dbscan: coordinate %v of point %d is not finite or exceeds 2^29·eps in magnitude", x, i))
+			}
+		}
+		minX, minY = min(minX, cell(i, 0)), min(minY, cell(i, 1))
+	}
+	// A cell's key packs its x index into the high 32 bits and its y index
+	// into the low 32, both biased so the lowest is 2: key order is (x, y)
+	// order, and stepping two cells down stays in range.
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(cell(i, 0)-minX+2)<<32 | uint64(cell(i, 1)-minY+2)
+	}
+
+	g := &grid{order: sortByKey(keys), cellOf: make([]int32, n)}
+	var cellKeys []uint64
+	for k, p := range g.order {
+		if k == 0 || keys[p] != cellKeys[len(cellKeys)-1] {
+			cellKeys = append(cellKeys, keys[p])
+			g.start = append(g.start, int32(k))
+		}
+		g.cellOf[p] = int32(len(cellKeys) - 1)
+	}
+	g.start = append(g.start, int32(n))
+
+	// The neighbors of cell (x, y) in row x+dx are the cells with keys in
+	// [(x+dx, y-2), (x+dx, y+2)]. Cells are visited in key order, so the
+	// first candidate of each row only moves forward: row[dx+2] holds it.
+	m := len(cellKeys)
+	g.adjStart = make([]int32, 1, m+1)
+	g.adj = make([]int32, 0, 9*m)
+	var row [5]int
+	for _, key := range cellKeys {
+		for dx := range row {
+			base := key + uint64(dx)<<32 - 2<<32 - 2
+			k := row[dx]
+			for k < m && cellKeys[k] < base {
+				k++
+			}
+			row[dx] = k
+			for ; k < m && cellKeys[k] <= base+4; k++ {
+				g.adj = append(g.adj, int32(k))
+			}
+		}
+		g.adjStart = append(g.adjStart, int32(len(g.adj)))
+	}
+	return g
+}
+
+// sortByKey returns the indices of keys in ascending key order, equal
+// keys in index order: an LSD radix sort over byte digits that skips
+// every digit all keys share.
+func sortByKey(keys []uint64) []int32 {
+	n := len(keys)
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	var tmp []int32
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		if tmp == nil {
+			tmp = make([]int32, n)
+		}
+		var next [256]int32
+		for _, k := range keys {
+			next[k>>shift&0xff]++
+		}
+		sum := int32(0)
+		for d, c := range next {
+			next[d] = sum
+			sum += c
+		}
+		for _, p := range order {
+			d := keys[p] >> shift & 0xff
+			tmp[next[d]] = p
+			next[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 func euclid(a, b []float64) float64 {
@@ -143,100 +342,6 @@ func euclid(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// Cluster1D runs DBSCAN over scalar values. It produces the same clusters
-// as Cluster with 1-D points but runs in O(n log n) by sorting.
-func Cluster1D(values []float64, eps float64, minPts int) Result {
-	n := len(values)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = Noise
-	}
-	if n == 0 {
-		return Result{Labels: labels}
-	}
-	// Sort indices by value.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return values[idx[a]] < values[idx[b]] })
-	sorted := make([]float64, n)
-	for i, id := range idx {
-		sorted[i] = values[id]
-	}
-
-	// neighborCount[i] = number of points within eps of sorted[i].
-	neighborCount := make([]int, n)
-	lo, hi := 0, 0
-	for i := 0; i < n; i++ {
-		for lo < n && sorted[i]-sorted[lo] > eps {
-			lo++
-		}
-		if hi < i {
-			hi = i
-		}
-		for hi+1 < n && sorted[hi+1]-sorted[i] <= eps {
-			hi++
-		}
-		neighborCount[i] = hi - lo + 1
-	}
-
-	// A cluster is a maximal run of points chained through core points:
-	// consecutive (in sorted order) points belong to the same cluster if
-	// the gap between them is <= eps and at least one endpoint of the gap
-	// chain is reachable from a core point. We reproduce DBSCAN semantics:
-	// border points join the cluster of a core point within eps; noise
-	// points otherwise.
-	cluster := -1
-	lastCore := -1        // index (sorted order) of the most recent core point
-	lastCoreCluster := -1 // its cluster
-	for i := 0; i < n; i++ {
-		if neighborCount[i] < minPts {
-			continue // not a core point; handled as border below
-		}
-		if lastCore >= 0 && sorted[i]-sorted[lastCore] <= eps {
-			// Same cluster as the previous core point (density-connected).
-			labels[idx[i]] = lastCoreCluster
-		} else {
-			cluster++
-			labels[idx[i]] = cluster
-			lastCoreCluster = cluster
-		}
-		lastCore = i
-	}
-	// Assign border points: any non-core point within eps of a core point
-	// joins that core point's cluster (ties go to the nearer core point,
-	// matching the "first discovered" rule closely enough for our use).
-	coreIdx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if neighborCount[i] >= minPts {
-			coreIdx = append(coreIdx, i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if neighborCount[i] >= minPts {
-			continue
-		}
-		// Find nearest core point by binary search over coreIdx.
-		pos := sort.Search(len(coreIdx), func(k int) bool { return sorted[coreIdx[k]] >= sorted[i] })
-		best, bestDist := -1, math.Inf(1)
-		if pos < len(coreIdx) {
-			if d := sorted[coreIdx[pos]] - sorted[i]; d < bestDist {
-				best, bestDist = coreIdx[pos], d
-			}
-		}
-		if pos > 0 {
-			if d := sorted[i] - sorted[coreIdx[pos-1]]; d < bestDist {
-				best, bestDist = coreIdx[pos-1], d
-			}
-		}
-		if best >= 0 && bestDist <= eps {
-			labels[idx[i]] = labels[idx[best]]
-		}
-	}
-	return Result{Labels: labels, NumClusters: cluster + 1}
 }
 
 // Interval is a closed range of values belonging to one cluster.

@@ -1,10 +1,13 @@
 package dbscan
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
+
+	"entropyip/internal/dbscan/dbscantest"
 )
 
 func TestClusterTwoBlobs(t *testing.T) {
@@ -37,6 +40,9 @@ func TestClusterEmptyAndSingle(t *testing.T) {
 	if r.NumClusters != 0 || len(r.Labels) != 0 {
 		t.Error("empty input should produce no clusters")
 	}
+	if Intervals(nil, r) != nil {
+		t.Error("Intervals of empty result should be nil")
+	}
 	r = Cluster([][]float64{{1}}, 1, 2)
 	if r.NumClusters != 0 || r.Labels[0] != Noise {
 		t.Error("single point with minPts=2 should be noise")
@@ -64,77 +70,23 @@ func TestClusterChaining(t *testing.T) {
 	}
 }
 
-func TestCluster1DMatchesND(t *testing.T) {
-	// Property: the 1-D specialization produces the same partition as the
-	// generic implementation (same number of clusters, same grouping).
-	f := func(raw []uint16, epsRaw uint8, minPtsRaw uint8) bool {
-		if len(raw) > 200 {
-			raw = raw[:200]
-		}
-		values := make([]float64, len(raw))
-		points := make([][]float64, len(raw))
-		for i, v := range raw {
-			values[i] = float64(v % 1000)
-			points[i] = []float64{values[i]}
-		}
-		eps := float64(epsRaw%50) + 0.5
-		minPts := int(minPtsRaw%5) + 1
-		a := Cluster(points, eps, minPts)
-		b := Cluster1D(values, eps, minPts)
-		if a.NumClusters != b.NumClusters {
-			return false
-		}
-		// Core-point status is deterministic; compute it independently.
-		core := make([]bool, len(values))
-		for i := range values {
-			cnt := 0
-			for j := range values {
-				if values[i]-values[j] <= eps && values[j]-values[i] <= eps {
-					cnt++
-				}
-			}
-			core[i] = cnt >= minPts
-		}
-		// Noise status must match exactly (a point is noise iff it is
-		// neither core nor within eps of a core point); cluster membership
-		// must agree for core points. Border points may legitimately be
-		// attached to either adjacent cluster (a documented DBSCAN
-		// ambiguity), so they are not compared pairwise.
-		for i := range values {
-			if (a.Labels[i] == Noise) != (b.Labels[i] == Noise) {
-				return false
-			}
-		}
-		for i := range values {
-			if !core[i] {
-				continue
-			}
-			for j := i + 1; j < len(values); j++ {
-				if !core[j] {
-					continue
-				}
-				sameA := a.Labels[i] == a.Labels[j]
-				sameB := b.Labels[i] == b.Labels[j]
-				if sameA != sameB {
-					return false
-				}
-			}
-		}
-		return true
+// points1D returns values as 1-D points.
+func points1D(values []float64) [][]float64 {
+	pts := make([][]float64, len(values))
+	for i, v := range values {
+		pts[i] = []float64{v}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	return pts
 }
 
-func TestCluster1DDenseRangeAndOutliers(t *testing.T) {
+func TestClusterDenseRangeAndOutliers(t *testing.T) {
 	// A dense run 100..150 plus isolated values far apart.
 	var values []float64
 	for v := 100; v <= 150; v++ {
 		values = append(values, float64(v))
 	}
 	values = append(values, 500, 900)
-	r := Cluster1D(values, 2, 4)
+	r := Cluster(points1D(values), 2, 4)
 	if r.NumClusters != 1 {
 		t.Fatalf("NumClusters = %d, want 1", r.NumClusters)
 	}
@@ -147,35 +99,9 @@ func TestCluster1DDenseRangeAndOutliers(t *testing.T) {
 	}
 }
 
-func TestCluster1DEmpty(t *testing.T) {
-	r := Cluster1D(nil, 1, 2)
-	if r.NumClusters != 0 {
-		t.Error("empty input should produce no clusters")
-	}
-	if Intervals(nil, r) != nil {
-		t.Error("Intervals of empty result should be nil")
-	}
-}
-
-func TestCluster1DBorderPoints(t *testing.T) {
-	// 0,1,2 are dense (minPts 3, eps 1); 3.5 is within eps... no, 3.5-2 =
-	// 1.5 > 1, so it is noise. 2.8 would be a border point of the cluster.
-	values := []float64{0, 1, 2, 2.8, 10}
-	r := Cluster1D(values, 1, 3)
-	if r.NumClusters != 1 {
-		t.Fatalf("NumClusters = %d", r.NumClusters)
-	}
-	if r.Labels[3] != 0 {
-		t.Errorf("border point label = %d, want 0", r.Labels[3])
-	}
-	if r.Labels[4] != Noise {
-		t.Error("far point should be noise")
-	}
-}
-
 func TestIntervalsMultipleClusters(t *testing.T) {
 	values := []float64{1, 2, 3, 100, 101, 102, 103}
-	r := Cluster1D(values, 1.5, 3)
+	r := Cluster(points1D(values), 1.5, 3)
 	ivs := Intervals(values, r)
 	if len(ivs) != 2 {
 		t.Fatalf("Intervals = %+v", ivs)
@@ -206,77 +132,73 @@ func TestClusterUniformHistogramUseCase(t *testing.T) {
 	}
 }
 
-// clusterReference is the textbook all-pairs DBSCAN that Cluster
-// replaced: every neighborhood query scans all n points, and the
-// expansion queue appends whole neighbor lists, duplicates included. It
-// stays as the oracle Cluster's labels must equal.
+// clusterReference is the textbook all-pairs DBSCAN that Cluster's
+// labels and cluster count must equal.
 func clusterReference(points [][]float64, eps float64, minPts int) Result {
-	n := len(points)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = Noise
-	}
-	visited := make([]bool, n)
-	cluster := 0
+	labels, clusters := dbscantest.Reference(points, eps, minPts)
+	return Result{Labels: labels, NumClusters: clusters}
+}
 
-	neighbors := func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
-			if euclid(points[i], points[j]) <= eps {
-				out = append(out, j)
-			}
+// histogramPoints returns n points shaped like the input of segment
+// mining's step (c): ascending distinct values with gaps, normalized to
+// [0, 100] on the x axis, and their counts, a band of similar counts with
+// rare spikes, normalized to [0, 100] on the y axis.
+func histogramPoints(rng *rand.Rand, n int) [][]float64 {
+	values := make([]uint64, n)
+	counts := make([]int, n)
+	v, maxCount := uint64(0), 1
+	for i := range values {
+		v += 1 + uint64(rng.Intn(4))
+		if rng.Intn(200) == 0 {
+			v += uint64(rng.Intn(20 * n)) // a gap in the value axis
 		}
-		return out
+		values[i] = v
+		counts[i] = 20 + rng.Intn(6)
+		if rng.Intn(50) == 0 {
+			counts[i] += rng.Intn(200)
+		}
+		maxCount = max(maxCount, counts[i])
 	}
-
-	for i := 0; i < n; i++ {
-		if visited[i] {
-			continue
-		}
-		visited[i] = true
-		nb := neighbors(i)
-		if len(nb) < minPts {
-			continue
-		}
-		labels[i] = cluster
-		queue := append([]int(nil), nb...)
-		for qi := 0; qi < len(queue); qi++ {
-			j := queue[qi]
-			if !visited[j] {
-				visited[j] = true
-				jnb := neighbors(j)
-				if len(jnb) >= minPts {
-					queue = append(queue, jnb...)
-				}
-			}
-			if labels[j] == Noise {
-				labels[j] = cluster
-			}
-		}
-		cluster++
+	span := float64(v + uint64(rng.Intn(4*n)))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{100 * float64(values[i]) / span, 100 * float64(counts[i]) / float64(maxCount)}
 	}
-	return Result{Labels: labels, NumClusters: cluster}
+	return pts
 }
 
 // TestClusterMatchesReference pins Cluster's labels and cluster count to
-// the all-pairs reference on inputs built to hit the windowed query's
-// edges: unsorted points, repeated first coordinates, pairs exactly eps
-// apart on either axis, and the (value, count) histogram shape of segment
-// mining's step (c).
+// the all-pairs reference on inputs built to hit the grid's edges: points
+// on and around cell boundaries, negative coordinates, repeated
+// coordinates and duplicate points, cells dense enough to be all core,
+// pairs exactly eps apart, border points equidistant from two clusters,
+// and the (value, count) histogram shape of segment mining's step (c).
 func TestClusterMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	gens := map[string]func(n int) [][]float64{
+	check := func(name string, pts [][]float64, eps float64, minPts int) {
+		t.Helper()
+		want := clusterReference(pts, eps, minPts)
+		got := Cluster(pts, eps, minPts)
+		if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
+			t.Fatalf("%s (n=%d eps=%v minPts=%d): got %d clusters %v, want %d clusters %v",
+				name, len(pts), eps, minPts, got.NumClusters, got.Labels, want.NumClusters, want.Labels)
+		}
+	}
+	gens := []struct {
+		name string
+		gen  func(n int, eps float64) [][]float64
+	}{
 		// Small integer grid: many repeated x values and many pairs at
 		// distance exactly eps (eps below is a whole number).
-		"grid": func(n int) [][]float64 {
+		{"grid", func(n int, _ float64) [][]float64 {
 			pts := make([][]float64, n)
 			for i := range pts {
 				pts[i] = []float64{float64(rng.Intn(40)), float64(rng.Intn(40))}
 			}
 			return pts
-		},
+		}},
 		// Continuous 2-D blobs and scatter in random order.
-		"blobs": func(n int) [][]float64 {
+		{"blobs", func(n int, _ float64) [][]float64 {
 			pts := make([][]float64, n)
 			for i := range pts {
 				c := float64(rng.Intn(4)) * 30
@@ -286,10 +208,10 @@ func TestClusterMatchesReference(t *testing.T) {
 				}
 			}
 			return pts
-		},
+		}},
 		// Step (c): distinct values on the x axis, normalized to [0, 100],
 		// with normalized counts on the y axis.
-		"histogram": func(n int) [][]float64 {
+		{"histogram", func(n int, _ float64) [][]float64 {
 			pts := make([][]float64, n)
 			maxCount := 1
 			counts := make([]int, n)
@@ -307,28 +229,135 @@ func TestClusterMatchesReference(t *testing.T) {
 			}
 			rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
 			return pts
-		},
+		}},
 		// One dimension, all points on a few x values.
-		"repeated1d": func(n int) [][]float64 {
+		{"repeated1d", func(n int, _ float64) [][]float64 {
 			pts := make([][]float64, n)
 			for i := range pts {
 				pts[i] = []float64{float64(rng.Intn(6)) * 2.5}
 			}
 			return pts
-		},
+		}},
+		// Blobs and scatter on both sides of zero on both axes.
+		{"negative", func(n int, _ float64) [][]float64 {
+			pts := make([][]float64, n)
+			for i := range pts {
+				c := float64(rng.Intn(4))*25 - 40
+				pts[i] = []float64{c + rng.NormFloat64()*3, -c + rng.NormFloat64()*3}
+				if rng.Intn(5) == 0 {
+					pts[i] = []float64{rng.Float64()*200 - 100, rng.Float64()*200 - 100}
+				}
+			}
+			return pts
+		}},
+		// Coordinates on multiples of eps/2, some nudged one ulp either
+		// way, in one and two dimensions.
+		{"boundaries", func(n int, eps float64) [][]float64 {
+			dim := 1 + rng.Intn(2)
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]float64, dim)
+				for a := range pts[i] {
+					x := float64(rng.Intn(41)-20) * eps / 2
+					switch rng.Intn(4) {
+					case 0:
+						x = math.Nextafter(x, math.Inf(1))
+					case 1:
+						x = math.Nextafter(x, math.Inf(-1))
+					}
+					pts[i][a] = x
+				}
+			}
+			return pts
+		}},
+		// A few distinct points, each repeated many times.
+		{"duplicates", func(n int, _ float64) [][]float64 {
+			base := make([][]float64, 1+rng.Intn(8))
+			for i := range base {
+				base[i] = []float64{float64(rng.Intn(30)), float64(rng.Intn(30))}
+			}
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = slices.Clone(base[rng.Intn(len(base))])
+			}
+			return pts
+		}},
+		// Tight clumps of 6 to 15 points, so that whole cells hold at
+		// least minPts points, among sparse scatter.
+		{"densecells", func(n int, eps float64) [][]float64 {
+			var pts [][]float64
+			for len(pts) < n {
+				if rng.Intn(3) == 0 {
+					pts = append(pts, []float64{rng.Float64() * 60, rng.Float64() * 60})
+					continue
+				}
+				cx, cy := rng.Float64()*60, rng.Float64()*60
+				for k := 6 + rng.Intn(10); k > 0 && len(pts) < n; k-- {
+					pts = append(pts, []float64{cx + rng.Float64()*eps/10, cy + rng.Float64()*eps/10})
+				}
+			}
+			rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+			return pts
+		}},
 	}
-	for name, gen := range gens {
+	for _, g := range gens {
 		for trial := 0; trial < 40; trial++ {
-			pts := gen(1 + rng.Intn(300))
 			eps := []float64{1, 2, 2.5, 5, 7.5}[rng.Intn(5)]
 			minPts := 1 + rng.Intn(6)
-			want := clusterReference(pts, eps, minPts)
-			got := Cluster(pts, eps, minPts)
-			if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
-				t.Fatalf("%s trial %d (n=%d eps=%v minPts=%d): got %d clusters %v, want %d clusters %v",
-					name, trial, len(pts), eps, minPts, got.NumClusters, got.Labels, want.NumClusters, want.Labels)
-			}
+			check(fmt.Sprintf("%s trial %d", g.name, trial), g.gen(1+rng.Intn(300), eps), eps, minPts)
 		}
+	}
+	// Mining's step (c) clusters up to 4096 histogram points with eps 5
+	// and minPts 4.
+	for trial := 0; trial < 2; trial++ {
+		check(fmt.Sprintf("histogram4096 trial %d", trial), histogramPoints(rng, 4096), 5, 4)
+	}
+
+	// The point at 0 is within eps of the core points at -1 and 1 only,
+	// so it is a border point equidistant from two clusters; it takes
+	// the lower cluster number, that of the cluster listed first.
+	border := []float64{0, 1, 1.25, 1.5, 1.75, 2, -1, -1.25, -1.5, -1.75, -2}
+	check("equidistant border", points1D(border), 1, 4)
+	if got := Cluster(points1D(border), 1, 4); got.NumClusters != 2 || got.Labels[0] != 0 || got.Labels[6] != 1 {
+		t.Fatalf("equidistant border: labels %v", got.Labels)
+	}
+	// 7.5 - nextbelow(2.5) rounds to exactly 5, so the pair is within
+	// eps = 5 although x/(eps/2) puts them three cells of side eps/2
+	// apart.
+	below := math.Nextafter(2.5, 0)
+	check("rounding across cells 1d", [][]float64{{below}, {7.5}}, 5, 2)
+	check("rounding across cells 2d", [][]float64{{below, 1}, {7.5, 1}}, 5, 2)
+	if got := Cluster([][]float64{{below}, {7.5}}, 5, 2); got.NumClusters != 1 {
+		t.Fatalf("rounding across cells: labels %v", got.Labels)
+	}
+}
+
+func TestClusterPanicsOnInvalidInput(t *testing.T) {
+	cases := []struct {
+		name   string
+		points [][]float64
+		eps    float64
+	}{
+		{"zero eps", [][]float64{{1}}, 0},
+		{"NaN eps", [][]float64{{1}}, math.NaN()},
+		{"infinite eps", [][]float64{{1}}, math.Inf(1)},
+		{"tiny eps", [][]float64{{0}}, 0x1p-600},
+		{"huge eps", [][]float64{{0}}, 0x1p600},
+		{"three coordinates", [][]float64{{1, 2, 3}}, 1},
+		{"mixed dimensions", [][]float64{{1, 2}, {3}}, 1},
+		{"NaN coordinate", [][]float64{{1, math.NaN()}}, 1},
+		{"infinite coordinate", [][]float64{{math.Inf(-1)}}, 1},
+		{"coordinate too large", [][]float64{{0x1p30}}, 1},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Cluster did not panic", c.name)
+				}
+			}()
+			Cluster(c.points, c.eps, 2)
+		}()
 	}
 }
 
@@ -347,24 +376,24 @@ func TestClusterExactlyEpsApart(t *testing.T) {
 	}
 }
 
-func BenchmarkCluster1D(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	values := make([]float64, 2000)
-	for i := range values {
-		values[i] = rng.Float64() * 1000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Cluster1D(values, 5, 4)
-	}
-}
-
 func BenchmarkClusterND(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	points := make([][]float64, 500)
 	for i := range points {
 		points[i] = []float64{rng.Float64() * 1000, rng.Float64() * 1000}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Cluster(points, 5, 4)
+	}
+}
+
+// BenchmarkClusterHist4096 clusters 4096 points shaped like the step-(c)
+// input of a wide segment: a band of similar counts across the value axis,
+// where most pairs of nearby values are within eps.
+func BenchmarkClusterHist4096(b *testing.B) {
+	points := histogramPoints(rand.New(rand.NewSource(1)), 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -37,7 +37,7 @@ func TestCluster1DWeightedEquivalentToExpanded(t *testing.T) {
 		eps := float64(epsRaw%10) + 0.5
 		minPts := int(minPtsRaw%6) + 1
 		a := Cluster1DWeighted(wpoints, eps, minPts)
-		b := Cluster1D(expanded, eps, minPts)
+		b := Cluster(points1D(expanded), eps, minPts)
 		if a.NumClusters != b.NumClusters {
 			return false
 		}

@@ -327,17 +327,15 @@ type histPoint struct {
 }
 
 // uniformDBSCANMaxPoints bounds the input size of the 2-D DBSCAN of step
-// (c). dbscan.Cluster prunes neighbor queries along the value axis only,
-// so its worst case stays quadratic: fine at the paper's 1K-training
-// scale, but a wide high-entropy segment of a 100K-address training set
-// (tens of thousands of distinct values) must not reach it uncoarsened.
-// Above the limit, the histogram is coarsened first into fixed-size runs
-// of adjacent distinct values (each run covering the same number of
-// entries, not the same total count): the step looks for ranges that are
-// uniformly distributed and relatively continuous, a property that
-// survives this coarsening. Segments under the limit mine exactly as
-// before. The limit shapes the mined model, so changing it changes
-// models.
+// (c), so that a wide high-entropy segment of a 100K-address training set
+// (tens of thousands of distinct values) reaches it as a few thousand
+// points. Above the limit, the histogram is coarsened first into
+// fixed-size runs of adjacent distinct values (each run covering the same
+// number of entries, not the same total count): the step looks for ranges
+// that are uniformly distributed and relatively continuous, a property
+// that survives this coarsening. Segments under the limit cluster one
+// point per distinct value. The limit shapes the mined model, so changing
+// it changes models.
 const uniformDBSCANMaxPoints = 4096
 
 // histPoints converts histogram entries (ascending value order) into
@@ -368,15 +366,16 @@ func histPoints(entries []stats.Entry, max int) []histPoint {
 	return out
 }
 
-// mineUniformRanges implements step (c): DBSCAN over the histogram —
-// points are (value, count) pairs, normalized so that clusters are ranges
-// of contiguous values with similar counts (uniformly distributed,
-// relatively continuous).
-func mineUniformRanges(pool *stats.Freq, seg segment.Segment, cfg Config) []Value {
-	entries := pool.Entries()
-	if len(entries) < cfg.minRangePoints() {
-		return nil
-	}
+// The step-(c) DBSCAN parameters over the normalized histogram.
+const (
+	uniformEps    = 5
+	uniformMinPts = 4
+)
+
+// uniformPoints returns the step-(c) runs of entries (ascending value
+// order) and their DBSCAN points: the run's middle value on the x axis
+// and its count on the y axis, each normalized to [0, 100].
+func uniformPoints(entries []stats.Entry, seg segment.Segment) ([]histPoint, [][]float64) {
 	hps := histPoints(entries, uniformDBSCANMaxPoints)
 	maxCount := 0
 	for _, hp := range hps {
@@ -400,7 +399,20 @@ func mineUniformRanges(pool *stats.Freq, seg segment.Segment, cfg Config) []Valu
 			100 * float64(hp.count) / float64(maxCount),
 		}
 	}
-	res := dbscan.Cluster(points, 5, 4)
+	return hps, points
+}
+
+// mineUniformRanges implements step (c): DBSCAN over the histogram —
+// points are (value, count) pairs, normalized so that clusters are ranges
+// of contiguous values with similar counts (uniformly distributed,
+// relatively continuous).
+func mineUniformRanges(pool *stats.Freq, seg segment.Segment, cfg Config) []Value {
+	entries := pool.Entries()
+	if len(entries) < cfg.minRangePoints() {
+		return nil
+	}
+	hps, points := uniformPoints(entries, seg)
+	res := dbscan.Cluster(points, uniformEps, uniformMinPts)
 	// Convert clusters back to value intervals.
 	ivs := make([]dbscan.WeightedInterval, res.NumClusters)
 	init := make([]bool, res.NumClusters)

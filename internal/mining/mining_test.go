@@ -2,9 +2,12 @@ package mining
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"entropyip/internal/dbscan"
+	"entropyip/internal/dbscan/dbscantest"
 	"entropyip/internal/entropy"
 	"entropyip/internal/ip6"
 	"entropyip/internal/segment"
@@ -420,6 +423,41 @@ func TestStatsFreqIntegration(t *testing.T) {
 	pool.RemoveRange(0, 100)
 	if pool.Total() != 0 {
 		t.Error("pool not emptied")
+	}
+}
+
+// TestUniformStepMatchesReferenceS1 mines segments E and F of the 100k S1
+// population, the wide segments whose histograms step (c) coarsens, up to
+// step (c), and checks that dbscan.Cluster labels step (c)'s points as the
+// all-pairs reference does.
+func TestUniformStepMatchesReferenceS1(t *testing.T) {
+	addrs, err := synth.Generate("S1", 100_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{}
+	for _, s := range segment.Segments(entropy.NewProfile(addrs), segment.Config{}).Segments {
+		if s.Label != "E" && s.Label != "F" {
+			continue
+		}
+		values := make([]uint64, len(addrs))
+		for i, a := range addrs {
+			values[i] = s.Value(a)
+		}
+		// Steps (a) and (b) as Mine runs them on these segments, which
+		// stay above the small-set limit and the stop fraction.
+		pool := stats.FreqOf(values)
+		mineOutliers(pool, cfg)
+		mineDenseRanges(pool, s, cfg)
+		_, points := uniformPoints(pool.Entries(), s)
+		if len(points) < uniformDBSCANMaxPoints/2 {
+			t.Fatalf("segment %s: %d step-(c) points, want a coarsened histogram", s.Label, len(points))
+		}
+		got := dbscan.Cluster(points, uniformEps, uniformMinPts)
+		labels, clusters := dbscantest.Reference(points, uniformEps, uniformMinPts)
+		if got.NumClusters != clusters || !slices.Equal(got.Labels, labels) {
+			t.Fatalf("segment %s (%d points): %d clusters, reference %d, labels differ", s.Label, len(points), got.NumClusters, clusters)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -26,12 +27,17 @@ type Freq struct {
 // NewFreq returns an empty frequency table.
 func NewFreq() *Freq { return &Freq{} }
 
-// FreqOf builds a frequency table from the given observations with one
-// sort of a copy and a run-length pass.
+// FreqOf builds a frequency table from the given observations, leaving
+// values unchanged: it radix-sorts a copy and counts the runs.
 func FreqOf(values []uint64) *Freq {
-	sorted := slices.Clone(values)
-	slices.Sort(sorted)
-	f := &Freq{total: len(sorted)}
+	sorted := radixSorted(values)
+	distinct := 0
+	for i := range sorted {
+		if i == 0 || sorted[i] != sorted[i-1] {
+			distinct++
+		}
+	}
+	f := &Freq{entries: make([]Entry, 0, distinct), total: len(sorted)}
 	for i := 0; i < len(sorted); {
 		j := i + 1
 		for j < len(sorted) && sorted[j] == sorted[i] {
@@ -41,6 +47,53 @@ func FreqOf(values []uint64) *Freq {
 		i = j
 	}
 	return f
+}
+
+// radixSorted returns values in ascending order by an LSD radix sort over
+// byte digits. It makes passes only over the digits below the highest set
+// bit of any value, and skips a pass where every value has the same digit.
+// values itself is never written: the first pass scatters it into a new
+// slice, and when no pass is needed the result is values itself.
+func radixSorted(values []uint64) []uint64 {
+	var or uint64
+	for _, v := range values {
+		or |= v
+	}
+	digits := (bits.Len64(or) + 7) / 8
+	var count [8][256]int
+	for _, v := range values {
+		for d := range digits {
+			count[d][v>>(8*d)&0xff]++
+		}
+	}
+	src := values
+	var bufs [2][]uint64 // pass k writes bufs[k%2]
+	passes := 0
+	for d := range digits {
+		shift := 8 * d
+		if count[d][values[0]>>shift&0xff] == len(values) {
+			continue // every value has this digit
+		}
+		dst := bufs[passes%2]
+		if dst == nil {
+			dst = make([]uint64, len(values))
+			bufs[passes%2] = dst
+		}
+		next := &count[d]
+		sum := 0
+		for b, c := range next {
+			next[b] = sum
+			sum += c
+		}
+		for _, v := range src {
+			b := v >> shift & 0xff
+			dst[next[b]] = v
+			next[b]++
+		}
+		src = dst
+		passes++
+	}
+	return src
 }
 
 // search returns the index of the first entry with Value >= v and whether

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -161,6 +163,125 @@ func TestFreqMatchesMapReference(t *testing.T) {
 			}
 			checkFreqAgainst(t, f, ref)
 		}
+	}
+}
+
+// freqOfReference is FreqOf as a comparison sort of a copy and a
+// run-length pass.
+func freqOfReference(values []uint64) []Entry {
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	var out []Entry
+	for i, v := range sorted {
+		if i > 0 && v == sorted[i-1] {
+			out[len(out)-1].Count++
+		} else {
+			out = append(out, Entry{Value: v, Count: 1})
+		}
+	}
+	return out
+}
+
+// checkFreqOf compares FreqOf(values) with the reference and checks that
+// FreqOf left values unchanged.
+func checkFreqOf(t *testing.T, name string, values []uint64) {
+	t.Helper()
+	before := slices.Clone(values)
+	f := FreqOf(values)
+	if !slices.Equal(values, before) {
+		t.Fatalf("%s: FreqOf modified its input", name)
+	}
+	want := freqOfReference(values)
+	if got := f.Entries(); !slices.Equal(got, want) || f.Total() != len(values) {
+		t.Fatalf("%s (n=%d): %d entries, total %d; want %d entries, total %d",
+			name, len(values), len(got), f.Total(), len(want), len(values))
+	}
+}
+
+// TestFreqOfMatchesSort checks FreqOf's radix sort against a comparison
+// sort at every value width, on the sizes mining uses and on inputs where
+// passes are skipped.
+func TestFreqOfMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// draw returns n values below 2^width from a pool of distinct ones, so
+	// that values repeat, with one value's top bit set.
+	draw := func(n, width, pool int) []uint64 {
+		distinct := make([]uint64, pool)
+		for i := range distinct {
+			distinct[i] = rng.Uint64() >> (64 - width)
+		}
+		distinct[0] |= 1 << (width - 1)
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = distinct[rng.Intn(pool)]
+		}
+		return out
+	}
+	checkFreqOf(t, "nil", nil)
+	checkFreqOf(t, "empty", []uint64{})
+	checkFreqOf(t, "one zero", []uint64{0})
+	checkFreqOf(t, "one max", []uint64{math.MaxUint64})
+	checkFreqOf(t, "100k of 52 bits", draw(100_000, 52, 80_000))
+	checkFreqOf(t, "100k of 64 bits", draw(100_000, 64, 100_000))
+	for width := 1; width <= 64; width++ {
+		checkFreqOf(t, fmt.Sprintf("width %d", width), draw(1+rng.Intn(2000), width, 1+rng.Intn(500)))
+	}
+	for _, v := range []uint64{0, 1, 0xff, 0x100, 1 << 63, math.MaxUint64} {
+		values := make([]uint64, 1000)
+		for i := range values {
+			values[i] = v
+		}
+		checkFreqOf(t, fmt.Sprintf("all %#x", v), values)
+	}
+	for _, top := range []int{1, 2, 256} {
+		base := rng.Uint64() &^ (0xff << 56)
+		values := make([]uint64, 1000)
+		for i := range values {
+			values[i] = base | uint64(rng.Intn(top))<<56
+		}
+		checkFreqOf(t, fmt.Sprintf("%d top bytes", top), values)
+	}
+}
+
+// FuzzFreqOf reads values as 8-byte little-endian words masked to the
+// width the first byte picks, and checks FreqOf against the reference.
+func FuzzFreqOf(f *testing.F) {
+	f.Add([]byte{8, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{63, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
+	f.Add([]byte{20, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mask := ^uint64(0) >> (63 - data[0]%64)
+		data = data[1:]
+		var values []uint64
+		for ; len(data) >= 8; data = data[8:] {
+			values = append(values, binary.LittleEndian.Uint64(data)&mask)
+		}
+		checkFreqOf(t, "fuzz", values)
+	})
+}
+
+var freqSink *Freq
+
+// BenchmarkFreqOf100k builds the table of 100k 52-bit values drawn from
+// 80k distinct ones, the shape of a wide segment of a 100k-address
+// training set.
+func BenchmarkFreqOf100k(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	distinct := make([]uint64, 80_000)
+	for i := range distinct {
+		distinct[i] = rng.Uint64() >> 12
+	}
+	values := make([]uint64, 100_000)
+	for i := range values {
+		values[i] = distinct[rng.Intn(len(distinct))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		freqSink = FreqOf(values)
 	}
 }
 

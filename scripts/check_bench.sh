@@ -61,7 +61,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
          MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors
-         SetDedup SetContains)
+         SetDedup SetContains FreqOf100k ClusterHist4096)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, baseline or not.
