@@ -205,9 +205,9 @@ func Cluster(points [][]float64, eps float64, minPts int) Result {
 	return Result{Labels: labels, NumClusters: clusters}
 }
 
-// grid groups point indices by cell. Cells are numbered in (x, y) order
-// of their cell coordinates, and cell c lists every cell at most two
-// cells from it on each axis, itself included, as its neighbors.
+// grid groups point indices by occupied cell. Cells are numbered in (x, y)
+// order of their cell coordinates, and the neighbors of cell c are the
+// occupied cells at most two cells from it on each axis, c included.
 type grid struct {
 	order    []int32 // point indices grouped by cell, ascending within a cell
 	start    []int32 // cell c holds order[start[c]:start[c+1]]
