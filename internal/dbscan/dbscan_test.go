@@ -40,9 +40,6 @@ func TestClusterEmptyAndSingle(t *testing.T) {
 	if r.NumClusters != 0 || len(r.Labels) != 0 {
 		t.Error("empty input should produce no clusters")
 	}
-	if Intervals(nil, r) != nil {
-		t.Error("Intervals of empty result should be nil")
-	}
 	r = Cluster([][]float64{{1}}, 1, 2)
 	if r.NumClusters != 0 || r.Labels[0] != Noise {
 		t.Error("single point with minPts=2 should be noise")
@@ -96,6 +93,16 @@ func TestClusterDenseRangeAndOutliers(t *testing.T) {
 	}
 	if r.Labels[len(values)-1] != Noise || r.Labels[len(values)-2] != Noise {
 		t.Error("isolated values should be noise")
+	}
+}
+
+func TestCluster1DEmpty(t *testing.T) {
+	r := Cluster(points1D(nil), 1, 2)
+	if r.NumClusters != 0 {
+		t.Error("empty input should produce no clusters")
+	}
+	if Intervals(nil, r) != nil {
+		t.Error("Intervals of empty result should be nil")
 	}
 }
 
