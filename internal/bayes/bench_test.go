@@ -46,20 +46,3 @@ func benchmarkLearn(b *testing.B, n int) {
 
 func BenchmarkLearn10k(b *testing.B)  { benchmarkLearn(b, 10_000) }
 func BenchmarkLearn100k(b *testing.B) { benchmarkLearn(b, 100_000) }
-
-func BenchmarkLearnWorkers100k(b *testing.B) {
-	rows, counts, vars := benchLearnData(b, 100_000)
-	for _, w := range []int{1, 0} {
-		name := "workers=1"
-		if w == 0 {
-			name = "workers=max"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Learn(rows, counts, vars, LearnConfig{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"entropyip/internal/parallel"
 )
 
 // Variable describes one categorical variable of the network (one address
@@ -80,7 +78,8 @@ const (
 
 // LearnConfig controls structure learning and parameter fitting.
 type LearnConfig struct {
-	// MaxParents bounds the number of parents per node (default 2).
+	// MaxParents bounds the number of parents per node (default 2, at
+	// most MaxParentsLimit).
 	MaxParents int
 	// EquivalentSampleSize is the BDeu prior strength (default 1.0).
 	EquivalentSampleSize float64
@@ -96,12 +95,15 @@ type LearnConfig struct {
 	Structure Structure
 	// Score selects the structure score (default BDeu).
 	Score Score
-	// Workers bounds the number of goroutines used for candidate-family
-	// scoring and CPT counting (0 = GOMAXPROCS). The learned network is
-	// bit-identical regardless of the worker count, so Workers is a purely
-	// operational knob and is never persisted with a model.
-	Workers int
 }
+
+// MaxParentsLimit is the largest MaxParents Learn accepts. Structure
+// search scores every parent set of at most MaxParents earlier nodes, so
+// the limit bounds its work: for 32 segments at MaxParents 4 that is
+// C(32,2)+C(32,3)+C(32,4)+C(32,5) = 242,792 candidate sets, each one
+// pass over the rows. MaxParents arrives in untrusted requests and model
+// files, so the bound is enforced, not advised.
+const MaxParentsLimit = 4
 
 // Score selects the scoring function used for structure learning.
 type Score int
@@ -154,16 +156,12 @@ const maxTotalCount = 1 << 53
 // nil counts every row once. Learning from distinct rows and their counts
 // gives exactly the network learning from the rows repeated would: every
 // statistic is a sum of integer counts, exact in float64 below 2^53 in
-// any order.
-//
-// Learning runs on up to cfg.Workers goroutines (0 = GOMAXPROCS): row
-// validation and CPT counting shard the rows, and structure search scores
-// candidate parent sets concurrently. The learned network is bit-identical
-// for any worker count — integer counts merge exactly, and the candidate
-// selection replays the sequential visitation order.
+// any order. cfg.MaxParents above MaxParentsLimit is an error.
 func Learn(rows [][]int, counts []int, vars []Variable, cfg LearnConfig) (*Network, error) {
 	n := len(vars)
-	workers := parallel.Workers(cfg.Workers)
+	if cfg.MaxParents > MaxParentsLimit {
+		return nil, fmt.Errorf("bayes: MaxParents %d exceeds %d", cfg.MaxParents, MaxParentsLimit)
+	}
 	for _, v := range vars {
 		if v.Arity <= 0 {
 			return nil, fmt.Errorf("bayes: variable %q has non-positive arity", v.Name)
@@ -172,28 +170,18 @@ func Learn(rows [][]int, counts []int, vars []Variable, cfg LearnConfig) (*Netwo
 	if counts != nil && len(counts) != len(rows) {
 		return nil, fmt.Errorf("bayes: %d counts for %d rows", len(counts), len(rows))
 	}
-	// Validate rows in contiguous shards; each shard reports its first bad
-	// row, and the lowest shard wins, so the error matches a sequential
-	// scan's.
-	err := parallel.ForEachShardErr(nil, workers, len(rows), func(s parallel.Shard) error {
-		for r := s.Start; r < s.End; r++ {
-			row := rows[r]
-			if len(row) != n {
-				return fmt.Errorf("bayes: row %d has %d columns, want %d", r, len(row), n)
-			}
-			for i, v := range row {
-				if v < 0 || v >= vars[i].Arity {
-					return fmt.Errorf("bayes: row %d column %d value %d out of range [0,%d)", r, i, v, vars[i].Arity)
-				}
-			}
-			if counts != nil && counts[r] < 1 {
-				return fmt.Errorf("bayes: row %d has count %d, want at least 1", r, counts[r])
+	for r, row := range rows {
+		if len(row) != n {
+			return nil, fmt.Errorf("bayes: row %d has %d columns, want %d", r, len(row), n)
+		}
+		for i, v := range row {
+			if v < 0 || v >= vars[i].Arity {
+				return nil, fmt.Errorf("bayes: row %d column %d value %d out of range [0,%d)", r, i, v, vars[i].Arity)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if counts != nil && counts[r] < 1 {
+			return nil, fmt.Errorf("bayes: row %d has count %d, want at least 1", r, counts[r])
+		}
 	}
 	d := data{rows: rows, counts: counts, total: len(rows)}
 	if counts == nil {
@@ -229,7 +217,7 @@ func Learn(rows [][]int, counts []int, vars []Variable, cfg LearnConfig) (*Netwo
 			parents = bestParents(d, vars, i, cfg)
 		}
 		net.Parents[i] = parents
-		net.CPTs[i] = fitCPT(d, vars, i, parents, cfg.pseudocount(), workers)
+		net.CPTs[i] = fitCPT(d, vars, i, parents, cfg.pseudocount())
 	}
 	return net, nil
 }
@@ -246,25 +234,20 @@ type data struct {
 // MaxParents elements and returns the highest-scoring one. With the
 // ordering fixed, per-node searches are independent, so this is an exact
 // search over the constrained structure space (the same space BNFinder
-// searches for this problem).
-//
-// Candidate parent sets are enumerated first (cheap), scored concurrently
-// (each score is a full pass over the rows — the hot loop of structure
-// search), and then selected sequentially in enumeration order, so the
-// chosen set matches the single-threaded search exactly, including its
-// epsilon tie-breaks against the running best.
+// searches for this problem). Subsets are visited depth first; parent
+// sets past the MaxParentConfigs budget are skipped unscored.
 func bestParents(d data, vars []Variable, node int, cfg LearnConfig) []int {
 	best := []int(nil)
 	bestScore := scoreFamily(d, vars, node, nil, cfg)
-	maxP := cfg.maxParents()
-	// Enumerate subsets of size 1..maxP in the DFS order the sequential
-	// search visits them, keeping only those within the parent-config
-	// budget.
-	var cands [][]int
+	maxP, budget := cfg.maxParents(), cfg.maxParentConfigs()
 	var rec func(start int, chosen []int)
 	rec = func(start int, chosen []int) {
-		if len(chosen) > 0 && parentConfigs(vars, chosen) <= cfg.maxParentConfigs() {
-			cands = append(cands, append([]int(nil), chosen...))
+		if len(chosen) > 0 && parentConfigs(vars, chosen, budget) <= budget {
+			s := scoreFamily(d, vars, node, chosen, cfg)
+			if s > bestScore+1e-9 || (s > bestScore-1e-9 && less(chosen, best)) {
+				bestScore = s
+				best = append([]int(nil), chosen...)
+			}
 		}
 		if len(chosen) >= maxP {
 			return
@@ -274,17 +257,6 @@ func bestParents(d data, vars []Variable, node int, cfg LearnConfig) []int {
 		}
 	}
 	rec(0, nil)
-
-	scores := parallel.Map(cfg.Workers, len(cands), func(k int) float64 {
-		return scoreFamily(d, vars, node, cands[k], cfg)
-	})
-	for k, chosen := range cands {
-		s := scores[k]
-		if s > bestScore+1e-9 || (s > bestScore-1e-9 && less(chosen, best)) {
-			bestScore = s
-			best = chosen
-		}
-	}
 	sort.Ints(best)
 	return best
 }
@@ -306,20 +278,27 @@ func less(a, b []int) bool {
 	return false
 }
 
-func parentConfigs(vars []Variable, parents []int) int {
+// parentConfigs returns the number of configurations of parents (the
+// product of their arities), or limit+1 once the product passes limit,
+// so that no parent set can overflow it.
+func parentConfigs(vars []Variable, parents []int, limit int) int {
 	q := 1
 	for _, p := range parents {
-		q *= vars[p].Arity
+		a := vars[p].Arity
+		if q > limit/a {
+			return limit + 1
+		}
+		q *= a
 	}
 	return q
 }
 
-// scoreFamily scores node with the given parent set against the data.
-// N_jk, the total count of rows with parent configuration j and node
-// value k, accumulates in one flat q×r buffer at cells[j*r+k].
-func scoreFamily(d data, vars []Variable, node int, parents []int, cfg LearnConfig) float64 {
+// familyCounts returns N_jk, the total count of rows with parent
+// configuration j (of q) and node value k, in one flat q×r buffer at
+// cells[j*r+k]. Each cell is a sum of integer counts below 2^53, so it
+// is exact.
+func familyCounts(d data, vars []Variable, node int, parents []int, q int) []float64 {
 	r := vars[node].Arity
-	q := parentConfigs(vars, parents)
 	cells := make([]float64, q*r)
 	for i, row := range d.rows {
 		j := 0
@@ -328,6 +307,15 @@ func scoreFamily(d data, vars []Variable, node int, parents []int, cfg LearnConf
 		}
 		cells[j*r+row[node]] += float64(d.counts[i])
 	}
+	return cells
+}
+
+// scoreFamily scores node with the given parent set, which must lie
+// within the MaxParentConfigs budget, against the data.
+func scoreFamily(d data, vars []Variable, node int, parents []int, cfg LearnConfig) float64 {
+	r := vars[node].Arity
+	q := parentConfigs(vars, parents, cfg.maxParentConfigs())
+	cells := familyCounts(d, vars, node, parents, q)
 	switch cfg.Score {
 	case ScoreBIC:
 		return bicScore(cells, d.total, q, r)
@@ -396,12 +384,8 @@ func lgamma(x float64) float64 {
 }
 
 // fitCPT estimates the node's conditional probability table from the data
-// using Dirichlet (add-pseudocount) smoothing. Counting shards the rows
-// across workers, each adding its rows' counts into a per-shard integer
-// tensor merged in shard order. Integer counts merge exactly, and
-// pseudocount + count is an exact float64 for any realistic dataset, so
-// the CPT is bit-identical for any worker count.
-func fitCPT(d data, vars []Variable, node int, parents []int, pseudocount float64, workers int) *CPT {
+// using Dirichlet (add-pseudocount) smoothing over the family counts.
+func fitCPT(d data, vars []Variable, node int, parents []int, pseudocount float64) *CPT {
 	r := vars[node].Arity
 	parentCard := make([]int, len(parents))
 	for i, p := range parents {
@@ -409,35 +393,13 @@ func fitCPT(d data, vars []Variable, node int, parents []int, pseudocount float6
 	}
 	cpt := &CPT{ParentCard: parentCard, Arity: r}
 	q := cpt.NumRows()
-
-	counts := parallel.MapReduce(workers, len(d.rows),
-		func(s parallel.Shard) []int {
-			c := make([]int, q*r)
-			for i := s.Start; i < s.End; i++ {
-				obs := d.rows[i]
-				j := 0
-				for _, p := range parents {
-					j = j*vars[p].Arity + obs[p]
-				}
-				c[j*r+obs[node]] += d.counts[i]
-			}
-			return c
-		},
-		func(into, from []int) []int {
-			for i, v := range from {
-				into[i] += v
-			}
-			return into
-		})
-	if counts == nil {
-		counts = make([]int, q*r)
-	}
+	cells := familyCounts(d, vars, node, parents, q)
 
 	cpt.Rows = make([][]float64, q)
 	for j := range cpt.Rows {
 		row := make([]float64, r)
 		for k := range row {
-			row[k] = pseudocount + float64(counts[j*r+k])
+			row[k] = pseudocount + cells[j*r+k]
 		}
 		sum := 0.0
 		for _, v := range row {

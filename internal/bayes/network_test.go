@@ -1,8 +1,11 @@
 package bayes
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -376,6 +379,185 @@ func TestMaxParentConfigsLimit(t *testing.T) {
 	}
 	if len(net.Parents[1]) != 0 {
 		t.Errorf("parent set exceeding MaxParentConfigs should be rejected: %v", net.Parents[1])
+	}
+}
+
+// TestLearnMaxParentsPastLimit pins the MaxParents bound: MaxParents
+// reaches Learn from requests and model files, and 16^16 parent
+// configurations must be an error, not a wrapped budget check that
+// indexes out of range.
+func TestLearnMaxParentsPastLimit(t *testing.T) {
+	vars := make([]Variable, 18)
+	for i := range vars {
+		vars[i] = Variable{Name: fmt.Sprint(i), Arity: 16}
+	}
+	rows := [][]int{make([]int, len(vars))}
+	_, err := Learn(rows, nil, vars, LearnConfig{MaxParents: 17})
+	if err == nil || !strings.Contains(err.Error(), "MaxParents 17") {
+		t.Fatalf("MaxParents 17: err = %v, want a MaxParents error", err)
+	}
+	if _, err := Learn(rows, nil, vars, LearnConfig{MaxParents: MaxParentsLimit}); err != nil {
+		t.Fatalf("MaxParents %d: %v", MaxParentsLimit, err)
+	}
+}
+
+// TestLearnParentConfigsSaturate covers a parent set whose arity product
+// overflows int within MaxParentsLimit: four parents of arity 2^16 make
+// 2^64 configurations, which must count as past the budget.
+func TestLearnParentConfigsSaturate(t *testing.T) {
+	vars := make([]Variable, 5)
+	for i := range vars {
+		vars[i] = Variable{Name: fmt.Sprint(i), Arity: 1 << 16}
+	}
+	rows := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}
+	net, err := Learn(rows, nil, vars, LearnConfig{MaxParents: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, parents := range net.Parents {
+		if len(parents) != 0 {
+			t.Errorf("node %d: parents %v past the 4096 budget", i, parents)
+		}
+	}
+}
+
+// correlatedData draws from a 5-variable model with real dependencies so
+// structure search has non-trivial work: B copies A with noise, D depends
+// on (B, C), E is independent.
+func correlatedData(n int, seed int64) ([][]int, []Variable) {
+	rng := rand.New(rand.NewSource(seed))
+	vars := []Variable{
+		{Name: "A", Arity: 4},
+		{Name: "B", Arity: 4},
+		{Name: "C", Arity: 3},
+		{Name: "D", Arity: 5},
+		{Name: "E", Arity: 2},
+	}
+	data := make([][]int, n)
+	for i := range data {
+		a := rng.Intn(4)
+		b := a
+		if rng.Float64() < 0.15 {
+			b = rng.Intn(4)
+		}
+		c := rng.Intn(3)
+		d := (b + c) % 5
+		if rng.Float64() < 0.1 {
+			d = rng.Intn(5)
+		}
+		e := rng.Intn(2)
+		data[i] = []int{a, b, c, d, e}
+	}
+	return data, vars
+}
+
+// tallyRows returns the distinct rows of data in order of first
+// occurrence and how many times each occurs.
+func tallyRows(data [][]int) (rows [][]int, counts []int) {
+	index := map[string]int{}
+	for _, row := range data {
+		key := fmt.Sprint(row)
+		i, ok := index[key]
+		if !ok {
+			i = len(rows)
+			index[key] = i
+			rows = append(rows, row)
+			counts = append(counts, 0)
+		}
+		counts[i]++
+	}
+	return rows, counts
+}
+
+// TestLearnWeightedMatchesExpanded pins the tallied input to the expanded
+// one: learning from the distinct rows and their counts must give the
+// network, bit for bit, that learning from every row once gives, for
+// both scores and every structure choice. Every family score must match
+// bit for bit too, chosen or not.
+func TestLearnWeightedMatchesExpanded(t *testing.T) {
+	expanded, vars := correlatedData(4000, 4)
+	rows, counts := tallyRows(expanded)
+	if len(rows) >= len(expanded)/4 {
+		t.Fatalf("%d distinct rows of %d: the data must repeat for the test to mean anything", len(rows), len(expanded))
+	}
+	ones := make([]int, len(expanded))
+	for i := range ones {
+		ones[i] = 1
+	}
+	tallied := data{rows: rows, counts: counts, total: len(expanded)}
+	full := data{rows: expanded, counts: ones, total: len(expanded)}
+	for _, score := range []Score{ScoreBDeu, ScoreBIC} {
+		cfg := LearnConfig{Score: score}
+		for node := range vars {
+			families := [][]int{nil}
+			for a := 0; a < node; a++ {
+				families = append(families, []int{a})
+				for b := a + 1; b < node; b++ {
+					families = append(families, []int{a, b})
+				}
+			}
+			for _, parents := range families {
+				got := scoreFamily(tallied, vars, node, parents, cfg)
+				want := scoreFamily(full, vars, node, parents, cfg)
+				if got != want {
+					t.Fatalf("score %d, node %d, parents %v: tallied %v, expanded %v", score, node, parents, got, want)
+				}
+			}
+		}
+	}
+	for _, score := range []Score{ScoreBDeu, ScoreBIC} {
+		for _, structure := range []Structure{StructureLearned, StructureIndependent, StructureChain} {
+			cfg := LearnConfig{Score: score, Structure: structure, MaxParents: 3}
+			want, err := Learn(expanded, nil, vars, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Learn(rows, counts, vars, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("score %d, structure %d: tallied rows learn %v, expanded rows %v",
+					score, structure, got.Parents, want.Parents)
+			}
+		}
+	}
+}
+
+// TestLearnValidationErrorMatchesSequential checks that validation
+// reports the first bad row, the error a sequential scan meets first,
+// not a later one.
+func TestLearnValidationErrorMatchesSequential(t *testing.T) {
+	data, vars := correlatedData(3000, 3)
+	data[1234][2] = 99 // first invalid row
+	data[2500][0] = -1 // later invalid row must not win
+	_, err := Learn(data, nil, vars, LearnConfig{})
+	if err == nil || !strings.Contains(err.Error(), "row 1234") {
+		t.Fatalf("err = %v, want first error at row 1234", err)
+	}
+}
+
+// TestLearnCountValidation checks that counts must match the rows one to
+// one and be at least 1, and that the error names the first bad row.
+func TestLearnCountValidation(t *testing.T) {
+	data, vars := correlatedData(3000, 5)
+	counts := make([]int, len(data))
+	for i := range counts {
+		counts[i] = 1 + i%3
+	}
+	counts[1234] = 0
+	counts[2500] = -2
+	_, err := Learn(data, counts, vars, LearnConfig{})
+	if err == nil || !strings.Contains(err.Error(), "row 1234 has count 0") {
+		t.Fatalf("err = %v, want the count error at row 1234", err)
+	}
+	if _, err := Learn(data, counts[:10], vars, LearnConfig{}); err == nil {
+		t.Fatal("10 counts for 3000 rows: no error")
+	}
+	huge := []int{maxTotalCount - 1, 2}
+	_, err = Learn([][]int{data[0], data[1]}, huge, vars, LearnConfig{})
+	if err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Fatalf("counts past 2^53: err = %v, want an error at row 1", err)
 	}
 }
 

@@ -124,8 +124,9 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 		}
 	}
 
-	// One resolved worker count drives every stage, so Workers=1 is a
-	// genuinely sequential build and Workers=N bounds the whole pipeline.
+	// One resolved worker count drives every parallel stage (learning runs
+	// on this goroutine), so Workers=1 is a genuinely sequential build and
+	// Workers=N bounds the whole pipeline.
 	workers := parallel.Workers(opts.Workers)
 
 	//eip:nondeterministic-ok stopwatch start for the OnStage observer; no timestamp enters the model
@@ -155,11 +156,7 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	// The network learns from the distinct code vectors and their counts.
 	rows, counts := enc.EncodeDistinct(train, workers)
 	now = buildStage(opts.OnStage, "encode", now)
-	learnCfg := opts.Learn
-	if learnCfg.Workers == 0 {
-		learnCfg.Workers = workers
-	}
-	net, err := bayes.Learn(rows, counts, vars, learnCfg)
+	net, err := bayes.Learn(rows, counts, vars, opts.Learn)
 	if err != nil {
 		return nil, fmt.Errorf("core: learning Bayesian network: %w", err)
 	}

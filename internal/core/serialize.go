@@ -40,10 +40,10 @@ type modelJSON struct {
 // optionsJSON is the serialized form of Options. Every field that changes
 // how a model is built is persisted, so that a loaded model reports exactly
 // the configuration it was trained with (and retraining from the stored
-// options reproduces it). Options.Workers (and bayes.LearnConfig.Workers)
-// are deliberately absent: training is bit-deterministic across worker
-// counts, so the model does not depend on them and serialized output must
-// stay byte-identical whatever parallelism trained it.
+// options reproduces it). Options.Workers is deliberately absent:
+// training is bit-deterministic across worker counts, so the model does
+// not depend on it and serialized output must stay byte-identical
+// whatever parallelism trained it.
 type optionsJSON struct {
 	Segmentation segmentConfigJSON `json:"segmentation"`
 	Mining       miningConfigJSON  `json:"mining"`

@@ -40,8 +40,7 @@ func Shannon(counts []int) float64 {
 // represented as a map from outcome to count. Go map iteration is
 // randomized and floating-point addition is not associative, so the sum
 // runs over the counts in sorted order: the result is bit-identical
-// across runs (and across worker counts in NewWindowed), not merely equal
-// to rounding.
+// across runs, not merely equal to rounding.
 func ShannonMap[K comparable](counts map[K]int) float64 {
 	vals := make([]int, 0, len(counts))
 	for _, c := range counts {
@@ -193,13 +192,10 @@ func NewWindowed(addrs []ip6.Addr) Windowed {
 // lengths, position 31 has one).
 func NewWindowedWorkers(addrs []ip6.Addr, workers int) Windowed {
 	w := make(Windowed, ip6.NybbleCount)
-	// Pre-expand nybbles once, sharded across workers.
 	nybs := make([]ip6.Nybbles, len(addrs))
-	parallel.ForEachShard(workers, len(addrs), func(s parallel.Shard) {
-		for i := s.Start; i < s.End; i++ {
-			nybs[i] = addrs[i].Nybbles()
-		}
-	})
+	for i, a := range addrs {
+		nybs[i] = a.Nybbles()
+	}
 	parallel.ForEach(workers, ip6.NybbleCount, func(pos int) {
 		maxLen := ip6.NybbleCount - pos
 		w[pos] = make([]float64, maxLen)

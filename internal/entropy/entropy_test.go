@@ -243,6 +243,14 @@ func TestWindowed(t *testing.T) {
 	if w.At(-1, 1) != 0 || w.At(0, 0) != 0 || w.At(31, 2) != 0 {
 		t.Error("out-of-range At should return 0")
 	}
+	// An empty set keeps the full shape, all zero.
+	empty := NewWindowed(nil)
+	if len(empty) != ip6.NybbleCount || len(empty[0]) != ip6.NybbleCount {
+		t.Fatalf("empty set: %d rows, row 0 has %d entries", len(empty), len(empty[0]))
+	}
+	if empty.Max() != 0 {
+		t.Errorf("empty set: Max = %v, want 0", empty.Max())
+	}
 }
 
 func TestBitProfile(t *testing.T) {

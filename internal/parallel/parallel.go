@@ -1,9 +1,9 @@
 // Package parallel provides the bounded worker pools that the Entropy/IP
-// training pipeline runs on. Every stage of model building — entropy
-// profiling, per-segment mining, categorical encoding, CPT counting and
-// structure-search scoring — is embarrassingly parallel over addresses or
-// over segments; this package centralizes the scheduling so that each stage
-// gets the same three guarantees:
+// training pipeline runs on. The parallel stages of model building —
+// entropy profiling, ACR, per-segment mining and categorical encoding —
+// are embarrassingly parallel over addresses or over segments; this
+// package centralizes the scheduling so that each stage gets the same two
+// guarantees:
 //
 //   - bounded concurrency: at most `workers` goroutines run user code, so
 //     a training job inside eipserved's worker pool cannot oversubscribe
@@ -12,14 +12,10 @@
 //     results stored at that index, or split into contiguous shards whose
 //     partial results the caller merges in shard order — so the outcome is
 //     bit-identical regardless of the worker count (the property the
-//     model-determinism tests in internal/core assert);
-//   - cancellation: the Err variants stop dispatching new work when the
-//     context is done or a task fails, and report the same error a
-//     sequential loop would have reported first.
+//     model-determinism tests in internal/core assert).
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,122 +104,6 @@ func ForEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachErr is ForEach with cancellation: it stops dispatching new
-// indices once the context is done or any invocation fails, waits for
-// in-flight invocations, and returns the error of the lowest failing
-// index — the same error a sequential loop over [0, n) would have
-// returned first. (Indices are dispatched in ascending order, so every
-// index below a failing one has been dispatched and its outcome is
-// included in the minimum.) A nil ctx means no cancellation.
-func ForEachErr(ctx context.Context, workers, n int, fn func(i int) error) error {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if n > 0 {
-		trackBegin(w, n)
-		defer trackEnd(w)
-	}
-	done := func() bool { return ctx != nil && ctx.Err() != nil }
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if done() {
-				return ctx.Err()
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		errIdx   = n
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for !stop.Load() && !done() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if done() {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// Map computes out[i] = fn(i) for every i in [0, n) across at most
-// `workers` goroutines. The result order is the index order, so the output
-// is identical for any worker count.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// ForEachShard splits [0, n) into at most `workers` contiguous shards and
-// invokes fn once per shard, each on its own goroutine. Use it when the
-// per-index work is too small to amortize dynamic dispatch (counting
-// loops over large address slices).
-func ForEachShard(workers, n int, fn func(s Shard)) {
-	shards := Shards(n, workers)
-	if len(shards) > 0 {
-		trackBegin(len(shards), len(shards))
-		defer trackEnd(len(shards))
-	}
-	if len(shards) <= 1 {
-		for _, s := range shards {
-			fn(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for _, s := range shards {
-		go func(s Shard) {
-			defer wg.Done()
-			fn(s)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// ForEachShardErr is ForEachShard with cancellation. It returns the error
-// of the lowest-indexed failing shard, which — shards being contiguous and
-// ordered — carries the error a sequential scan would have hit first,
-// provided fn reports the first failure within its shard.
-func ForEachShardErr(ctx context.Context, workers, n int, fn func(s Shard) error) error {
-	shards := Shards(n, workers)
-	return ForEachErr(ctx, len(shards), len(shards), func(i int) error {
-		return fn(shards[i])
-	})
-}
-
 // MapShards runs work once per contiguous shard of [0, n) and returns the
 // per-shard results in shard order, ready for a deterministic left-to-right
 // merge by the caller.
@@ -250,22 +130,4 @@ func MapShards[T any](workers, n int, work func(s Shard) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// MapReduce runs work once per contiguous shard of [0, n) and folds the
-// per-shard results left to right with merge. The fold order is the shard
-// order, so even non-commutative (e.g. floating-point) merges are
-// deterministic for any worker count. It returns the zero value of T when
-// n <= 0.
-func MapReduce[T any](workers, n int, work func(s Shard) T, merge func(into, from T) T) T {
-	parts := MapShards(workers, n, work)
-	var acc T
-	for i, p := range parts {
-		if i == 0 {
-			acc = p
-			continue
-		}
-		acc = merge(acc, p)
-	}
-	return acc
 }

@@ -1,9 +1,7 @@
 package parallel
 
 import (
-	"context"
-	"errors"
-	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -74,129 +72,29 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestMapDeterministic(t *testing.T) {
-	n := 513
-	want := Map(1, n, func(i int) int { return i * i })
-	for _, workers := range []int{2, 3, 16} {
-		got := Map(workers, n, func(i int) int { return i * i })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestForEachErrReturnsFirstError(t *testing.T) {
-	// Every index >= 100 fails; the reported error must be index 100's,
-	// exactly as a sequential loop would report, for any worker count.
-	for _, workers := range []int{1, 2, 8} {
-		err := ForEachErr(context.Background(), workers, 1000, func(i int) error {
-			if i >= 100 {
-				return fmt.Errorf("fail at %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "fail at 100" {
-			t.Fatalf("workers=%d: err = %v, want fail at 100", workers, err)
-		}
-	}
-}
-
-func TestForEachErrNilOnSuccess(t *testing.T) {
-	if err := ForEachErr(context.Background(), 4, 100, func(int) error { return nil }); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if err := ForEachErr(nil, 4, 100, func(int) error { return nil }); err != nil {
-		t.Fatalf("nil ctx: err = %v", err)
-	}
-}
-
-func TestForEachErrCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := ForEachErr(ctx, 4, 1_000_000, func(i int) error {
-		if ran.Add(1) == 50 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() >= 1_000_000 {
-		t.Fatal("cancellation did not stop dispatch")
-	}
-}
-
-func TestForEachShardCoversAll(t *testing.T) {
+// TestMapShards checks that MapShards runs every index exactly once and
+// returns the per-shard results in shard order, so a left-to-right merge
+// is the same for any worker count.
+func TestMapShards(t *testing.T) {
+	n := 1001
 	for _, workers := range []int{1, 3, 9} {
-		n := 1001
 		covered := make([]atomic.Int32, n)
-		ForEachShard(workers, n, func(s Shard) {
+		got := MapShards(workers, n, func(s Shard) Shard {
 			for i := s.Start; i < s.End; i++ {
 				covered[i].Add(1)
 			}
+			return s
 		})
 		for i := range covered {
 			if covered[i].Load() != 1 {
 				t.Fatalf("workers=%d: index %d covered %d times", workers, i, covered[i].Load())
 			}
 		}
-	}
-}
-
-func TestForEachShardErrLowestShardWins(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		err := ForEachShardErr(context.Background(), workers, 800, func(s Shard) error {
-			for i := s.Start; i < s.End; i++ {
-				if i >= 300 {
-					return fmt.Errorf("bad index %d", i)
-				}
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "bad index 300" {
-			t.Fatalf("workers=%d: err = %v, want bad index 300", workers, err)
+		if want := Shards(n, workers); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: results %v, want the shards in order %v", workers, got, want)
 		}
 	}
-}
-
-func TestMapReduceDeterministicOrder(t *testing.T) {
-	// Summing floats is order-sensitive; MapReduce must fold shards left to
-	// right so any worker count reproduces the single-shard fold over the
-	// same shard boundaries. Compare against an explicit sequential fold of
-	// the same shards.
-	n := 10_000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = 1.0 / float64(i+1)
-	}
-	sum := func(s Shard) float64 {
-		acc := 0.0
-		for i := s.Start; i < s.End; i++ {
-			acc += vals[i]
-		}
-		return acc
-	}
-	merge := func(a, b float64) float64 { return a + b }
-	for _, workers := range []int{1, 2, 5, 32} {
-		shards := Shards(n, workers)
-		want := 0.0
-		for i, s := range shards {
-			if i == 0 {
-				want = sum(s)
-			} else {
-				want = merge(want, sum(s))
-			}
-		}
-		got := MapReduce(workers, n, sum, merge)
-		if got != want {
-			t.Fatalf("workers=%d: got %v, want %v", workers, got, want)
-		}
-	}
-	var zero float64
-	if got := MapReduce(4, 0, sum, merge); got != zero {
-		t.Fatalf("empty MapReduce = %v, want 0", got)
+	if got := MapShards(4, 0, func(s Shard) int { return 1 }); len(got) != 0 {
+		t.Fatalf("empty MapShards = %v, want no results", got)
 	}
 }

@@ -15,9 +15,7 @@ var (
 
 // Stats is a snapshot of the package's scheduling counters.
 type Stats struct {
-	// Jobs counts dispatch calls (ForEach, ForEachErr, ForEachShard,
-	// MapShards — the wrappers Map, MapReduce and ForEachShardErr count
-	// through the primitive they delegate to).
+	// Jobs counts dispatch calls (ForEach and MapShards).
 	Jobs uint64 `json:"jobs"`
 	// Tasks counts work units dispatched: indices for the per-index
 	// primitives, shards for the sharded ones.

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -67,7 +69,7 @@ func (s *Server) registerObservability() {
 	s.reg.SetLoadObserver(loadSeconds.Observe)
 
 	s.refresher.logger = s.logger
-	s.refresher.stage = s.observeStage
+	s.refresher.stageHist = s.stageHist
 	s.refresher.retrains = o.Counter("eip_refresh_retrains_total",
 		"Drift-triggered retrains that ran (shed ones excluded).")
 	s.refresher.retrainSeconds = o.Histogram("eip_refresh_retrain_seconds",
@@ -146,27 +148,21 @@ func (s *Server) registerObservability() {
 	o.Collect(s.refresher.collect)
 }
 
-// observeStage records one training-pipeline stage duration into the
-// per-stage histogram. Matches the core.Options.OnStage signature.
-func (s *Server) observeStage(stage string, d time.Duration) {
-	if h := s.stageHist[stage]; h != nil {
-		h.Observe(d.Seconds())
-	}
-}
-
-// stageObserver builds the OnStage callback for one client-requested
-// training run: per-stage histograms, retroactive child spans under the
-// request's trace (OnStage fires after each stage with its duration),
-// plus a Debug log record carrying the request and trace IDs so slow
-// stages correlate with the request that paid for them.
-func (s *Server) stageObserver(ctx context.Context, model string) func(stage string, d time.Duration) {
-	id := requestID(ctx)
-	tid := traceIDString(ctx)
-	span := requestSpan(ctx)
+// stageHook builds the core.Options.OnStage callback of one training
+// run, client-requested or a drift-triggered retrain. Each stage feeds
+// its per-stage histogram in hist, becomes a retroactive child of span
+// (OnStage fires after each stage with its duration), and is logged at
+// Debug with attrs — the request or trace IDs that let slow stages
+// correlate with the run that paid for them — ahead of the stage name
+// and duration.
+func stageHook(hist map[string]*obs.Histogram, span *trace.Span, logger *slog.Logger, attrs ...any) func(stage string, d time.Duration) {
+	attrs = slices.Clip(attrs) // each record appends to a copy
 	return func(stage string, d time.Duration) {
-		s.observeStage(stage, d)
+		if h := hist[stage]; h != nil {
+			h.Observe(d.Seconds())
+		}
 		span.RecordChild(stage, d)
-		s.logger.Debug("training stage", "request_id", id, "trace_id", tid, "model", model, "stage", stage, "duration", d)
+		logger.Debug("training stage", append(attrs, "stage", stage, "duration", d)...)
 	}
 }
 

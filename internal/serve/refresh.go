@@ -139,9 +139,9 @@ type Refresher struct {
 	// Observability wiring, installed by serve.New before traffic (tests
 	// constructing a bare Refresher get a nop logger and nil-safe metrics).
 	logger *slog.Logger
-	// stage receives per-stage retrain build timings (the same
+	// stageHist receives per-stage retrain build timings (the same
 	// eip_training_stage_seconds histograms client training feeds).
-	stage          func(stage string, d time.Duration)
+	stageHist      map[string]*obs.Histogram
 	retrains       *obs.Counter
 	retrainSeconds *obs.Histogram
 	// tracer mints the refresh loop's own root traces: a retrain outlives
@@ -329,13 +329,8 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 		opts.Workers = r.opts.TrainWorkers
 		trainSpan := root.StartChild("train")
 		trainSpan.SetInt("window", int64(len(window)))
-		opts.OnStage = func(stage string, d time.Duration) {
-			if r.stage != nil {
-				r.stage(stage, d)
-			}
-			trainSpan.RecordChild(stage, d)
-			r.logger.Debug("training stage", "model", s.name, "origin", "refresh", "trace_id", rootID, "stage", stage, "duration", d)
-		}
+		opts.OnStage = stageHook(r.stageHist, trainSpan, r.logger,
+			"model", s.name, "origin", "refresh", "trace_id", rootID)
 		candidate, err := core.Build(window, opts)
 		if err != nil {
 			trainSpan.SetError(err.Error())

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"entropyip/internal/admission"
+	"entropyip/internal/bayes"
 	"entropyip/internal/buildinfo"
 	"entropyip/internal/core"
 	"entropyip/internal/ip6"
@@ -531,7 +532,8 @@ type TrainOptions struct {
 	Prefix64Only bool `json:"prefix64_only,omitempty"`
 	// MaxNybble restricts segmentation to the first MaxNybble nybbles.
 	MaxNybble int `json:"max_nybble,omitempty"`
-	// MaxParents bounds the number of BN parents per segment.
+	// MaxParents bounds the number of BN parents per segment, in
+	// 0..bayes.MaxParentsLimit (0 selects the default).
 	MaxParents int `json:"max_parents,omitempty"`
 	// Workers bounds the goroutines this training job may use, capped at
 	// MaxTrainWorkers. Zero selects the server's default (Options.
@@ -614,6 +616,10 @@ func (s *Server) train(w http.ResponseWriter, r *http.Request, name string, req 
 		writeError(w, r, http.StatusBadRequest, "options.workers must be in 0..%d", MaxTrainWorkers)
 		return
 	}
+	if req.Options.MaxParents < 0 || req.Options.MaxParents > bayes.MaxParentsLimit {
+		writeError(w, r, http.StatusBadRequest, "options.max_parents must be in 0..%d", bayes.MaxParentsLimit)
+		return
+	}
 	addrs := make([]ip6.Addr, 0, len(req.Addresses))
 	for i, line := range req.Addresses {
 		a, err := ip6.ParseAddr(line)
@@ -627,7 +633,9 @@ func (s *Server) train(w http.ResponseWriter, r *http.Request, name string, req 
 	var buildErr error
 	err := s.pool.Do(r.Context(), func() error {
 		buildOpts := req.Options.coreOptions(s.opts.TrainWorkers)
-		buildOpts.OnStage = s.stageObserver(r.Context(), name)
+		ctx := r.Context()
+		buildOpts.OnStage = stageHook(s.stageHist, requestSpan(ctx), s.logger,
+			"request_id", requestID(ctx), "trace_id", traceIDString(ctx), "model", name)
 		m, err := core.Build(addrs, buildOpts)
 		if err != nil {
 			buildErr = err

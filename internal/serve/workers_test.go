@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"entropyip/internal/bayes"
 )
 
 // TestTrainWorkersOption trains the same address set with different
@@ -77,6 +79,21 @@ func TestTrainWorkersValidation(t *testing.T) {
 		})
 		if w.Code != http.StatusBadRequest {
 			t.Fatalf("workers=%d: status = %d, want 400", workers, w.Code)
+		}
+	}
+}
+
+// TestTrainMaxParentsValidation rejects max_parents outside
+// 0..bayes.MaxParentsLimit before any training runs.
+func TestTrainMaxParentsValidation(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	for _, maxParents := range []int{-1, bayes.MaxParentsLimit + 1, 17} {
+		w := do(t, s, "PUT", "/v1/models/bad", PutModelRequest{
+			Addresses: []string{"2001:db8::1"},
+			Options:   TrainOptions{MaxParents: maxParents},
+		})
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("max_parents=%d: status = %d, want 400", maxParents, w.Code)
 		}
 	}
 }
