@@ -88,8 +88,9 @@ type LearnConfig struct {
 	// exactly zero probability to configurations not seen in training.
 	Pseudocount float64
 	// MaxParentConfigs bounds the number of parent configurations (product
-	// of parent arities) a candidate parent set may induce (default 4096);
-	// larger sets would overfit and blow up CPT size.
+	// of parent arities) a candidate parent set may induce (default 4096,
+	// at most MaxParentConfigsLimit); larger sets would overfit and blow
+	// up CPT size.
 	MaxParentConfigs int
 	// Structure selects learned vs forced structures (default learned).
 	Structure Structure
@@ -104,6 +105,14 @@ type LearnConfig struct {
 // pass over the rows. MaxParents arrives in untrusted requests and model
 // files, so the bound is enforced, not advised.
 const MaxParentsLimit = 4
+
+// MaxParentConfigsLimit is the largest MaxParentConfigs Learn accepts.
+// Scoring a candidate parent set allocates one familyCounts cell per
+// parent configuration and node value, so the limit bounds that buffer to
+// 2^16 float64s (512 KiB) per value of the node: 8 MiB for a node of
+// arity 16. MaxParentConfigs arrives in model files, which refresh
+// retrains reuse, so the bound is enforced, not advised.
+const MaxParentConfigsLimit = 1 << 16
 
 // Score selects the scoring function used for structure learning.
 type Score int
@@ -156,11 +165,15 @@ const maxTotalCount = 1 << 53
 // nil counts every row once. Learning from distinct rows and their counts
 // gives exactly the network learning from the rows repeated would: every
 // statistic is a sum of integer counts, exact in float64 below 2^53 in
-// any order. cfg.MaxParents above MaxParentsLimit is an error.
+// any order. cfg.MaxParents above MaxParentsLimit, and
+// cfg.MaxParentConfigs above MaxParentConfigsLimit, are errors.
 func Learn(rows [][]int, counts []int, vars []Variable, cfg LearnConfig) (*Network, error) {
 	n := len(vars)
 	if cfg.MaxParents > MaxParentsLimit {
 		return nil, fmt.Errorf("bayes: MaxParents %d exceeds %d", cfg.MaxParents, MaxParentsLimit)
+	}
+	if cfg.MaxParentConfigs > MaxParentConfigsLimit {
+		return nil, fmt.Errorf("bayes: MaxParentConfigs %d exceeds %d", cfg.MaxParentConfigs, MaxParentConfigsLimit)
 	}
 	for _, v := range vars {
 		if v.Arity <= 0 {

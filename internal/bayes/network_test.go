@@ -401,6 +401,21 @@ func TestLearnMaxParentsPastLimit(t *testing.T) {
 	}
 }
 
+// TestLearnMaxParentConfigsPastLimit pins the MaxParentConfigs bound:
+// the budget reaches Learn from model files, and past the limit it would
+// let familyCounts allocate without bound.
+func TestLearnMaxParentConfigsPastLimit(t *testing.T) {
+	vars := []Variable{{Name: "A", Arity: 2}, {Name: "B", Arity: 2}, {Name: "C", Arity: 2}}
+	rows := [][]int{{0, 1, 0}, {1, 0, 1}}
+	_, err := Learn(rows, nil, vars, LearnConfig{MaxParentConfigs: MaxParentConfigsLimit + 1})
+	if err == nil || !strings.Contains(err.Error(), "MaxParentConfigs") {
+		t.Fatalf("MaxParentConfigs %d: err = %v, want a MaxParentConfigs error", MaxParentConfigsLimit+1, err)
+	}
+	if _, err := Learn(rows, nil, vars, LearnConfig{MaxParentConfigs: MaxParentConfigsLimit}); err != nil {
+		t.Fatalf("MaxParentConfigs %d: %v", MaxParentConfigsLimit, err)
+	}
+}
+
 // TestLearnParentConfigsSaturate covers a parent set whose arity product
 // overflows int within MaxParentsLimit: four parents of arity 2^16 make
 // 2^64 configurations, which must count as past the budget.

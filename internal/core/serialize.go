@@ -78,6 +78,18 @@ type learnConfigJSON struct {
 	Score                int     `json:"score,omitempty"`
 }
 
+// validate rejects learn options Learn would refuse, so a model file
+// that a refresh retrain would fail on is refused when it is loaded.
+func (lj learnConfigJSON) validate() error {
+	if lj.MaxParents < 0 || lj.MaxParents > bayes.MaxParentsLimit {
+		return fmt.Errorf("core: learn.max_parents %d outside 0..%d", lj.MaxParents, bayes.MaxParentsLimit)
+	}
+	if lj.MaxParentConfigs < 0 || lj.MaxParentConfigs > bayes.MaxParentConfigsLimit {
+		return fmt.Errorf("core: learn.max_parent_configs %d outside 0..%d", lj.MaxParentConfigs, bayes.MaxParentConfigsLimit)
+	}
+	return nil
+}
+
 func optionsToJSON(o Options) *optionsJSON {
 	return &optionsJSON{
 		Segmentation: segmentConfigJSON{
@@ -193,6 +205,11 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	}
 	if in.Net == nil {
 		return fmt.Errorf("core: model has no Bayesian network")
+	}
+	if in.Options != nil {
+		if err := in.Options.Learn.validate(); err != nil {
+			return err
+		}
 	}
 	if len(in.Segments) != in.Net.NumVars() {
 		return fmt.Errorf("core: %d segments but %d network variables", len(in.Segments), in.Net.NumVars())

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"entropyip/internal/ip6"
-	"entropyip/internal/parallel"
 	"entropyip/internal/stats"
 )
 
@@ -70,196 +68,20 @@ func (d *Dataset) StratifiedSample(perPrefix int, seed int64) []ip6.Addr {
 	}, perPrefix)
 }
 
-// Read parses addresses from r, one per line. Empty lines and lines
-// starting with '#' are skipped. Lines may be in any form accepted by
-// ip6.ParseAddr, including the fixed-width 32-hex-character form.
-// Duplicates are removed.
-//
-// Reading streams: lines are scanned in chunks handed to parser workers
-// (all cores by default), so input I/O overlaps address decoding. The
-// resulting dataset — order, dedup, and the error reported for malformed
-// input — is identical to a sequential line-by-line parse; use
-// ReadWorkers to bound (or disable, with workers = 1) the concurrency.
-func Read(name string, r io.Reader) (*Dataset, error) {
-	return ReadWorkers(name, r, 0)
-}
-
-// readChunkLines is the number of input lines handed to a parser worker at
-// a time: large enough to amortize scheduling, small enough to keep all
-// workers busy on medium files.
-const readChunkLines = 4096
-
 // MaxLineBytes bounds the length of one input line everywhere NDJSON and
 // dataset text flows into the system (dataset.Read, ingest.TailFile, the
 // /observe handler): longer lines are an input error, never an unbounded
 // buffer. It matches the historical bufio.Scanner cap.
 const MaxLineBytes = 1 << 20
 
-// readChunk is a batch of raw input lines starting at 1-based line number
-// firstLine. The lines live concatenated in one chunk-owned buffer (line i
-// is data[offs[i]:offs[i+1]]), so handing a chunk to a worker costs one
-// buffer, not one string per line.
-type readChunk struct {
-	seq       int
-	firstLine int
-	data      []byte
-	offs      []int
-}
-
-// readResult is the parse of one chunk: its addresses in input order, or
-// the chunk's first error and the line it occurred on.
-type readResult struct {
-	addrs   []ip6.Addr
-	err     error
-	errLine int
-}
-
-// ReadWorkers is Read with bounded concurrency (<= 0 selects GOMAXPROCS;
-// 1 parses sequentially on the calling goroutine).
-func ReadWorkers(name string, r io.Reader, workers int) (*Dataset, error) {
-	workers = parallel.Workers(workers)
-	if workers <= 1 {
-		return readSequential(name, r)
-	}
-
-	chunks := make(chan readChunk, workers)
-	var (
-		mu      sync.Mutex
-		results []readResult
-		failed  bool // any chunk failed: the scanner may stop early
-		wg      sync.WaitGroup
-	)
-	store := func(seq int, res readResult) {
-		mu.Lock()
-		for len(results) <= seq {
-			results = append(results, readResult{})
-		}
-		results[seq] = res
-		if res.err != nil {
-			failed = true
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range chunks {
-				res := readResult{addrs: make([]ip6.Addr, 0, len(c.offs)-1)}
-				for i := 0; i+1 < len(c.offs); i++ {
-					a, ok, err := ParseLineBytes(c.data[c.offs[i]:c.offs[i+1]])
-					if err != nil {
-						res.err = err
-						res.errLine = c.firstLine + i
-						break
-					}
-					if ok {
-						res.addrs = append(res.addrs, a)
-					}
-				}
-				store(c.seq, res)
-			}
-		}()
-	}
-
-	// Scan lines into chunks on this goroutine while the workers decode.
-	// The scanner's token buffer is reused per line, so each line is
-	// copied once into the chunk's own buffer — one allocation per chunk
-	// instead of one string per line. Chunks are produced in line order,
-	// so once any chunk has failed, every unproduced line is beyond the
-	// failure and scanning may stop: the earliest error among the
-	// produced chunks is exactly the error a sequential parse would have
-	// hit first.
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
-	var (
-		data      = make([]byte, 0, 64*1024)
-		offs      = make([]int, 1, readChunkLines+1)
-		seq       = 0
-		lineNo    = 0
-		chunkFrom = 1
-	)
-	flush := func() {
-		if len(offs) <= 1 {
-			return
-		}
-		chunks <- readChunk{seq: seq, firstLine: chunkFrom, data: data, offs: offs}
-		seq++
-		data = make([]byte, 0, cap(data))
-		offs = make([]int, 1, readChunkLines+1)
-		chunkFrom = lineNo + 1
-	}
-	for scanner.Scan() {
-		lineNo++
-		data = append(data, scanner.Bytes()...)
-		offs = append(offs, len(data))
-		if len(offs) > readChunkLines {
-			flush()
-			mu.Lock()
-			stop := failed
-			mu.Unlock()
-			if stop {
-				break
-			}
-		}
-	}
-	flush()
-	close(chunks)
-	wg.Wait()
-
-	// Parse errors come from lines scanned before any I/O failure, so they
-	// take precedence over scanner.Err — the order a sequential parse
-	// would report them in.
-	var addrs []ip6.Addr
-	for _, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("dataset %s: line %d: %w", name, res.errLine, res.err)
-		}
-		addrs = append(addrs, res.addrs...)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("dataset %s: %w", name, err)
-	}
-	return New(name, addrs), nil
-}
-
-// ParseLine normalizes and parses one line of an address file; see
-// ParseLineBytes, which it wraps. Callers scanning byte-oriented input
-// should use ParseLineBytes directly and skip the string conversion.
-func ParseLine(raw string) (a ip6.Addr, ok bool, err error) {
-	return ParseLineBytes([]byte(raw))
-}
-
-// ParseLineBytes normalizes and parses one line of an address file:
-// whitespace is trimmed, trailing comments and /len prefix notation are
-// dropped, and the remainder is parsed with ip6.ParseAddrBytes. ok is
-// false for blank and comment ('#') lines. It is the single line-format
-// definition shared by Read, streaming ingest (tail mode) and the
-// /observe handler; it does not allocate and does not retain raw, so
-// bufio.Scanner/Reader slices can be passed straight in.
-func ParseLineBytes(raw []byte) (a ip6.Addr, ok bool, err error) {
-	line := bytes.TrimSpace(raw)
-	if len(line) == 0 || line[0] == '#' {
-		return ip6.Addr{}, false, nil
-	}
-	// Allow trailing comments and prefix notation (the /len is ignored).
-	if i := bytes.IndexAny(line, " \t"); i >= 0 {
-		line = line[:i]
-	}
-	if i := bytes.IndexByte(line, '/'); i >= 0 {
-		line = line[:i]
-	}
-	a, err = ip6.ParseAddrBytes(line)
-	if err != nil {
-		return ip6.Addr{}, false, err
-	}
-	return a, true, nil
-}
-
-// readSequential is the single-goroutine parse path. It parses the
-// scanner's reused token buffer in place, so steady state allocates only
+// Read parses addresses from r, one per line, in one sequential pass.
+// Lines are read as ParseLineBytes defines them: blank and '#' lines are
+// skipped, and any form accepted by ip6.ParseAddr is allowed, including
+// the fixed-width 32-hex-character form. Duplicates are removed. The
+// first malformed line fails the read with its line number. Each line is
+// parsed in the scanner's reused buffer, so steady state allocates only
 // for the collected addresses.
-func readSequential(name string, r io.Reader) (*Dataset, error) {
+func Read(name string, r io.Reader) (*Dataset, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	var addrs []ip6.Addr
@@ -278,6 +100,41 @@ func readSequential(name string, r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset %s: %w", name, err)
 	}
 	return New(name, addrs), nil
+}
+
+// ReadWorkers is Read. The worker count is ignored: reading is sequential.
+// It remains for callers that still pass one.
+func ReadWorkers(name string, r io.Reader, workers int) (*Dataset, error) {
+	return Read(name, r)
+}
+
+// ParseLineBytes normalizes and parses one line of an address file:
+// whitespace is trimmed, trailing comments and /len prefix notation are
+// dropped, and the remainder is parsed with ip6.ParseAddrBytes. ok is
+// false for blank and comment ('#') lines. It is the single line-format
+// definition shared by Read, streaming ingest (tail mode) and the
+// /observe handler; it does not allocate and does not retain raw, so
+// bufio.Scanner/Reader slices can be passed straight in.
+func ParseLineBytes(raw []byte) (a ip6.Addr, ok bool, err error) {
+	line := bytes.TrimSpace(raw)
+	if len(line) == 0 || line[0] == '#' {
+		return ip6.Addr{}, false, nil
+	}
+	// The address ends at the first space or tab (a trailing comment) or
+	// '/' (prefix notation; the length is ignored). All three sort at or
+	// below '/', below every hex digit and ':', so most bytes cost one
+	// comparison.
+	for i, c := range line {
+		if c <= '/' && (c == ' ' || c == '\t' || c == '/') {
+			line = line[:i]
+			break
+		}
+	}
+	a, err = ip6.ParseAddrBytes(line)
+	if err != nil {
+		return ip6.Addr{}, false, err
+	}
+	return a, true, nil
 }
 
 // Write writes the dataset to w in canonical form, one address per line,

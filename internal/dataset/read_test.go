@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,13 +11,13 @@ import (
 )
 
 // bigInput synthesizes a dataset file body with comments, blank lines,
-// trailing annotations, prefix notation and duplicates — every shape Read
-// accepts — spanning several parser chunks.
+// trailing annotations, prefix notation, CRLF line ends and duplicates —
+// every shape Read accepts.
 func bigInput(lines int) string {
 	var sb strings.Builder
 	sb.WriteString("# synthetic dataset\n\n")
 	for i := 0; i < lines; i++ {
-		switch i % 5 {
+		switch i % 6 {
 		case 0:
 			fmt.Fprintf(&sb, "2001:db8:%x::%x\n", i%0xffff, i)
 		case 1:
@@ -24,7 +25,9 @@ func bigInput(lines int) string {
 		case 2:
 			fmt.Fprintf(&sb, "2001:db8:%x::%x/64\n", i%0xffff, i)
 		case 3:
-			sb.WriteString("2001:db8::dead:beef\n") // duplicate every 5 lines
+			sb.WriteString("2001:db8::dead:beef\n") // duplicate every 6 lines
+		case 4:
+			fmt.Fprintf(&sb, "2001:db8:%x::%x\r\n", i%0xffff, i)
 		default:
 			fmt.Fprintf(&sb, "20010db8%024x\n", i)
 		}
@@ -32,34 +35,38 @@ func bigInput(lines int) string {
 	return sb.String()
 }
 
-// TestReadWorkersEquivalent asserts the parallel parser is observationally
-// identical to the sequential one: same addresses, same order, same dedup.
-func TestReadWorkersEquivalent(t *testing.T) {
-	input := bigInput(20_000) // ~5 chunks of 4096 lines
-	want, err := ReadWorkers("seq", strings.NewReader(input), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		got, err := ReadWorkers("par", strings.NewReader(input), workers)
+// TestReadMatchesLineParse asserts Read is a per-line ParseLineBytes
+// followed by ip6.Dedup: same addresses, same order, same dedup.
+func TestReadMatchesLineParse(t *testing.T) {
+	input := bigInput(20_000)
+	var want []ip6.Addr
+	for _, line := range strings.Split(input, "\n") {
+		a, ok, err := ParseLineBytes([]byte(line))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d addresses, want %d", workers, got.Len(), want.Len())
+		if ok {
+			want = append(want, a)
 		}
-		for i := range want.Addrs {
-			if got.Addrs[i] != want.Addrs[i] {
-				t.Fatalf("workers=%d: address %d = %v, want %v", workers, i, got.Addrs[i], want.Addrs[i])
-			}
+	}
+	want = ip6.Dedup(want)
+	got, err := Read("big", strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != len(want) {
+		t.Fatalf("%d addresses, want %d", got.Len(), len(want))
+	}
+	for i := range want {
+		if got.Addrs[i] != want[i] {
+			t.Fatalf("address %d = %v, want %v", i, got.Addrs[i], want[i])
 		}
 	}
 }
 
-// TestReadWorkersErrorLine asserts the parallel parser reports the same
-// first malformed line a sequential parse reports, even when the bad line
-// sits in a middle chunk and later chunks also contain errors.
-func TestReadWorkersErrorLine(t *testing.T) {
+// TestReadErrorLine asserts Read reports the first malformed line and
+// ignores later bad lines.
+func TestReadErrorLine(t *testing.T) {
 	var sb strings.Builder
 	badLine := 0
 	lineNo := 0
@@ -77,21 +84,57 @@ func TestReadWorkersErrorLine(t *testing.T) {
 		fmt.Fprintf(&sb, "2001:db8::%x\n", i)
 	}
 	wantFrag := fmt.Sprintf("line %d", badLine)
-	for _, workers := range []int{1, 2, 8, 0} {
-		_, err := ReadWorkers("bad", strings.NewReader(sb.String()), workers)
-		if err == nil || !strings.Contains(err.Error(), wantFrag) {
-			t.Fatalf("workers=%d: err = %v, want %s", workers, err, wantFrag)
-		}
+	_, err := Read("bad", strings.NewReader(sb.String()))
+	if err == nil || !strings.Contains(err.Error(), wantFrag) {
+		t.Fatalf("err = %v, want %s", err, wantFrag)
 	}
 }
 
-func TestReadWorkersEmpty(t *testing.T) {
-	d, err := ReadWorkers("empty", strings.NewReader("# only comments\n\n"), 4)
+func TestReadEmpty(t *testing.T) {
+	d, err := Read("empty", strings.NewReader("# only comments\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", d.Len())
+	}
+}
+
+// readBenchInput is 100k distinct colon-form lines, the shape train
+// writes: a /32 and /48 fixed, low groups varying.
+func readBenchInput(n int) []byte {
+	var buf []byte
+	for i := 0; i < n; i++ {
+		a := ip6.MustParseAddr(fmt.Sprintf("2001:db8:%x:%x::%x:%x", i%97, i%4099, i>>8, i*2654435761%0xffff))
+		buf = a.AppendString(buf)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// BenchmarkRead100k is the CI-gated cost of reading an address file:
+// 100k lines through Read, including dedup.
+func BenchmarkRead100k(b *testing.B) {
+	input := readBenchInput(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Read("bench", bytes.NewReader(input)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseLineBytes is the CI-gated per-line cost shared by Read,
+// tail ingest and /observe; its zero-allocation contract is gated too.
+func BenchmarkParseLineBytes(b *testing.B) {
+	lines := bytes.Split(bytes.TrimSuffix(readBenchInput(1024), []byte("\n")), []byte("\n"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ParseLineBytes(lines[i%len(lines)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

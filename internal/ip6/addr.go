@@ -12,7 +12,6 @@ package ip6
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strconv"
 )
@@ -365,19 +364,4 @@ func hexDigit(v byte) byte {
 		return '0' + v
 	}
 	return 'a' + v - 10
-}
-
-// ErrNotNybble is returned when a hexadecimal digit was expected.
-var ErrNotNybble = errors.New("ip6: not a hexadecimal digit")
-
-func hexValue(c byte) (byte, error) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', nil
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, nil
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, nil
-	}
-	return 0, ErrNotNybble
 }

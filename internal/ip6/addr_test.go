@@ -66,6 +66,11 @@ func TestParseAddrRejectsMalformed(t *testing.T) {
 		"20010db80000000000000000000001",     // 30 chars
 		"20010db8000000000000000000000001ff", // 34 chars
 		"20010db800000000000000000000000g",   // bad hex
+		"1::2:3:4:5:6:7:8",
+		"::1.2.3.4:1",
+		"1:2:3:4:5:6:7:1.2.3.4",
+		"1.2.3.4",
+		"::1::",
 	}
 	for _, s := range bad {
 		if a, err := ParseAddr(s); err == nil {
@@ -81,6 +86,7 @@ func TestParseAddrMatchesNetip(t *testing.T) {
 		"2001:db8:221:ffff:ffff:ffff:ffc0:122a",
 		"::ffff:10.1.2.3", "1:2:3:4:5:6:7:8", "abcd:ef01:2345:6789:abcd:ef01:2345:6789",
 		"2001:db8:0:0:8:800:200c:417a",
+		"1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8", "1::1.2.3.4", "ABCD::EF",
 	}
 	for _, s := range cases {
 		got, err := ParseAddr(s)

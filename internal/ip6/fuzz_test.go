@@ -18,6 +18,8 @@ func FuzzParseAddr(f *testing.F) {
 		"::ffff:192.0.2.1", "::ffff:255.255.255.255", "64:ff9b::192.0.2.33",
 		"20010db8000000000000000000000001", "2001:DB8::A",
 		"fe80::ff:fe00:1", "1::2::3", "1:2:", "::ffff:01.2.3.4", "%", "",
+		"1::2:3:4:5:6:7:8", "::1.2.3.4:1", "1:2:3:4:5:6:7:1.2.3.4", "1.2.3.4",
+		"::1::", "1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8", "1::1.2.3.4", "ABCD::EF",
 	} {
 		f.Add(seed)
 	}

@@ -1,6 +1,9 @@
 package ip6
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // ParseAddr parses an IPv6 address in any of the textual forms of RFC 4291
 // §2.2: fully expanded groups, zero-compressed ("::"), and forms with an
@@ -21,114 +24,112 @@ func ParseAddrBytes(b []byte) (Addr, error) {
 // parseAddr is the parser shared by ParseAddr and ParseAddrBytes: one
 // implementation, generic over the input's byte representation, so the
 // string and byte-slice entry points cannot drift apart and neither pays a
-// conversion copy.
+// conversion copy. It walks the input once, writing each group straight
+// into the result; "::" is expanded at the end by moving the groups after
+// it to the tail.
 func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
 	var a Addr
 	if len(s) == 0 {
 		return a, fmt.Errorf("ip6: empty address")
 	}
-	// Fixed-width hex form, e.g. "20010db8000000000000000000000001".
-	if indexByte(s, ':') < 0 && indexByte(s, '.') < 0 {
-		return parseHex(s)
+	n := 0         // groups written to a
+	ellipsis := -1 // group index where "::" stands
+	i := 0
+	if s[0] == ':' {
+		if len(s) < 2 || s[1] != ':' {
+			return a, fmt.Errorf("ip6: %q: address cannot start with a single colon", s)
+		}
+		ellipsis, i = 0, 2
 	}
-	orig := s
-
-	// Leading "::".
-	// groups is backed by a fixed stack array so the hot parse path does
-	// not allocate: at most 8 groups parse before the too-many check
-	// fires at 9, and the embedded-IPv4 tail adds two more at most.
-	var groupsArr [10]uint16
-	groups := groupsArr[:0]
-	compressAt := -1 // index in groups where "::" appeared
-	if len(s) >= 2 && s[0] == ':' && s[1] == ':' {
-		compressAt = 0
-		s = s[2:]
-		if len(s) == 0 {
-			return a, nil // "::"
+	for i < len(s) {
+		if n == 8 {
+			return a, fmt.Errorf("ip6: %q: too many groups", s)
 		}
-	} else if s[0] == ':' {
-		return a, fmt.Errorf("ip6: %q: address cannot start with a single colon", orig)
-	}
-
-	for len(s) != 0 {
-		// Embedded IPv4 must be the final piece.
-		if i := indexByte(s, ':'); i < 0 && indexByte(s, '.') >= 0 {
-			v4, err := parseIPv4(s)
-			if err != nil {
-				return a, fmt.Errorf("ip6: %q: %v", orig, err)
-			}
-			groups = append(groups, uint16(v4>>16), uint16(v4&0xffff))
-			break
-		}
-		var piece T
-		if i := indexByte(s, ':'); i >= 0 {
-			piece, s = s[:i], s[i+1:]
-			if len(s) == 0 && len(piece) != 0 {
-				// trailing single colon, e.g. "1:2:"
-				return a, fmt.Errorf("ip6: %q: trailing colon", orig)
-			}
-		} else {
-			piece, s = s, s[len(s):]
-		}
-		if len(piece) == 0 {
-			// "::" in the middle (or at the end).
-			if compressAt >= 0 {
-				return a, fmt.Errorf("ip6: %q: multiple \"::\"", orig)
-			}
-			compressAt = len(groups)
-			continue
-		}
-		if len(piece) > 4 {
-			// Could still be an embedded IPv4 in a middle position, which
-			// is invalid; report group error.
-			return a, fmt.Errorf("ip6: %q: group %q too long", orig, piece)
-		}
+		start := i
 		var g uint16
-		for i := 0; i < len(piece); i++ {
-			v, err := hexValue(piece[i])
-			if err != nil {
-				return a, fmt.Errorf("ip6: %q: invalid character %q", orig, piece[i])
+		for ; i < len(s); i++ {
+			v := unhex[s[i]]
+			if v == badHex {
+				break
+			}
+			if i-start == 4 {
+				if n == 0 && ellipsis < 0 {
+					// Five hex digits before any colon: only the
+					// fixed-width form can still match.
+					return parseHex(s)
+				}
+				return a, fmt.Errorf("ip6: %q: group at offset %d has more than 4 hex digits", s, start)
 			}
 			g = g<<4 | uint16(v)
 		}
-		groups = append(groups, g)
-		if len(groups) > 8 {
-			return a, fmt.Errorf("ip6: %q: too many groups", orig)
+		if i < len(s) && s[i] == '.' {
+			// Embedded IPv4: the rest of the input fills the last two groups.
+			if n > 6 || (ellipsis < 0 && n != 6) {
+				return a, fmt.Errorf("ip6: %q: embedded IPv4 must fill the last 32 bits", s)
+			}
+			v4, err := parseIPv4(s[start:])
+			if err != nil {
+				return a, fmt.Errorf("ip6: %q: %v", s, err)
+			}
+			binary.BigEndian.PutUint32(a[2*n:], v4)
+			n += 2
+			break
+		}
+		if i == start {
+			return a, fmt.Errorf("ip6: %q: invalid character %q", s, s[i])
+		}
+		a[2*n], a[2*n+1] = byte(g>>8), byte(g)
+		n++
+		if i == len(s) {
+			break
+		}
+		if s[i] != ':' {
+			return a, fmt.Errorf("ip6: %q: invalid character %q", s, s[i])
+		}
+		i++
+		if i == len(s) {
+			return a, fmt.Errorf("ip6: %q: trailing colon", s)
+		}
+		if s[i] == ':' {
+			if ellipsis >= 0 {
+				return a, fmt.Errorf("ip6: %q: multiple \"::\"", s)
+			}
+			ellipsis = n
+			i++
 		}
 	}
 
 	switch {
-	case compressAt < 0 && len(groups) != 8:
-		return a, fmt.Errorf("ip6: %q: expected 8 groups, got %d", orig, len(groups))
-	case compressAt >= 0 && len(groups) >= 8:
-		return a, fmt.Errorf("ip6: %q: \"::\" must compress at least one group", orig)
-	}
-
-	var out [8]uint16
-	if compressAt < 0 {
-		copy(out[:], groups)
-	} else {
-		copy(out[:], groups[:compressAt])
-		tail := groups[compressAt:]
-		copy(out[8-len(tail):], tail)
-	}
-	for i, g := range out {
-		a[2*i] = byte(g >> 8)
-		a[2*i+1] = byte(g)
+	case ellipsis < 0 && n != 8:
+		return a, fmt.Errorf("ip6: %q: expected 8 groups, got %d", s, n)
+	case ellipsis >= 0 && n == 8:
+		return a, fmt.Errorf("ip6: %q: \"::\" must compress at least one group", s)
+	case ellipsis >= 0:
+		tail := 2 * (n - ellipsis)
+		copy(a[16-tail:], a[2*ellipsis:2*n])
+		clear(a[2*ellipsis : 16-tail])
 	}
 	return a, nil
 }
 
-// indexByte is bytes.IndexByte/strings.IndexByte over the parser's generic
-// input. Addresses are at most ~45 bytes, so a plain scan is fine.
-func indexByte[T ~string | ~[]byte](s T, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
+// badHex marks the bytes that are not hexadecimal digits in unhex.
+const badHex = 0xff
+
+// unhex maps each byte to its hexadecimal digit value, or to badHex, so
+// the parsers decode and validate a character with one table load.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = badHex
 	}
-	return -1
-}
+	for c := 0; c < 10; c++ {
+		t['0'+c] = byte(c)
+	}
+	for c := 0; c < 6; c++ {
+		t['a'+c] = byte(10 + c)
+		t['A'+c] = byte(10 + c)
+	}
+	return t
+}()
 
 // MustParseAddr is like ParseAddr but panics on error. It is intended for
 // tests and for package-level constants built from literals.
@@ -153,15 +154,14 @@ func parseHex[T ~string | ~[]byte](s T) (Addr, error) {
 	if len(s) != NybbleCount {
 		return a, fmt.Errorf("ip6: fixed-width form must have %d hex characters, got %d", NybbleCount, len(s))
 	}
-	var n Nybbles
 	for i := 0; i < NybbleCount; i++ {
-		v, err := hexValue(s[i])
-		if err != nil {
+		v := unhex[s[i]]
+		if v == badHex {
 			return a, fmt.Errorf("ip6: invalid hex character %q at position %d", s[i], i)
 		}
-		n[i] = v
+		a[i/2] = a[i/2]<<4 | v
 	}
-	return n.Addr(), nil
+	return a, nil
 }
 
 // MustParseHex is like ParseHex but panics on error.
@@ -173,45 +173,37 @@ func MustParseHex(s string) Addr {
 	return a
 }
 
-// parseIPv4 parses a dotted-quad IPv4 address into a uint32.
+// parseIPv4 parses a dotted-quad IPv4 address that runs to the end of s
+// into a uint32.
 func parseIPv4[T ~string | ~[]byte](s T) (uint32, error) {
 	var v uint32
-	octets := 0
-	for len(s) > 0 {
-		var p T
-		if i := indexByte(s, '.'); i >= 0 {
-			p, s = s[:i], s[i+1:]
-			if len(s) == 0 {
-				// trailing dot, e.g. "1.2.3.4."
+	i := 0
+	for octet := 0; octet < 4; octet++ {
+		if octet > 0 {
+			if i == len(s) {
 				return 0, fmt.Errorf("embedded IPv4: expected 4 octets")
 			}
-		} else {
-			p, s = s, s[len(s):]
+			i++ // the '.' that ended the previous octet
 		}
-		octets++
-		if octets > 4 {
-			return 0, fmt.Errorf("embedded IPv4: expected 4 octets")
-		}
-		if len(p) == 0 || len(p) > 3 {
-			return 0, fmt.Errorf("embedded IPv4: bad octet %q", p)
-		}
+		start := i
 		var o uint32
-		for i := 0; i < len(p); i++ {
-			c := p[i]
-			if c < '0' || c > '9' {
-				return 0, fmt.Errorf("embedded IPv4: bad octet %q", p)
+		for ; i < len(s) && s[i] != '.'; i++ {
+			if c := s[i]; c < '0' || c > '9' || i-start == 3 {
+				return 0, fmt.Errorf("embedded IPv4: bad octet %q", s[start:i+1])
 			}
-			o = o*10 + uint32(c-'0')
+			o = o*10 + uint32(s[i]-'0')
 		}
-		if o > 255 {
-			return 0, fmt.Errorf("embedded IPv4: octet %q out of range", p)
-		}
-		if len(p) > 1 && p[0] == '0' {
-			return 0, fmt.Errorf("embedded IPv4: octet %q has leading zero", p)
+		switch {
+		case i == start:
+			return 0, fmt.Errorf("embedded IPv4: empty octet")
+		case o > 255:
+			return 0, fmt.Errorf("embedded IPv4: octet %q out of range", s[start:i])
+		case s[start] == '0' && i-start > 1:
+			return 0, fmt.Errorf("embedded IPv4: octet %q has leading zero", s[start:i])
 		}
 		v = v<<8 | o
 	}
-	if octets != 4 {
+	if i != len(s) {
 		return 0, fmt.Errorf("embedded IPv4: expected 4 octets")
 	}
 	return v, nil

@@ -162,6 +162,41 @@ func TestUploadErrors(t *testing.T) {
 	}
 }
 
+// TestUploadLearnOptionsValidation rejects an uploaded model whose learn
+// options a refresh retrain would refuse: a model file is untrusted, and
+// an unbounded max_parent_configs lets structure search allocate without
+// bound.
+func TestUploadLearnOptionsValidation(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	raw, err := json.Marshal(testModel(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		value int64
+	}{
+		{"max_parents", 100},
+		{"max_parents", -1},
+		{"max_parent_configs", 1_000_000_000_000},
+		{"max_parent_configs", -1},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["options"].(map[string]any)["learn"].(map[string]any)[tc.field] = tc.value
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, s, "PUT", "/v1/models/web", PutModelRequest{Model: bad})
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("learn.%s=%d: status = %d, want 400 (%s)", tc.field, tc.value, w.Code, w.Body.String())
+		}
+	}
+}
+
 func TestTrainFromAddresses(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	lines := make([]string, 0, 1500)

@@ -61,13 +61,14 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
          MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors
-         SetDedup SetContains FreqOf100k ClusterHist4096)
+         SetDedup SetContains FreqOf100k ClusterHist4096 Read100k
+         ParseLineBytes)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, baseline or not.
 ZERO_ALLOC=(Encode100k Decode100k ParseFormat ObserveIngest GenerateNDJSON
             GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath
-            SetContains)
+            SetContains ParseLineBytes)
 
 if command -v benchstat >/dev/null 2>&1; then
     echo "== benchstat baseline vs new (informational) =="
