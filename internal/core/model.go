@@ -124,15 +124,15 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 		}
 	}
 
-	// One resolved worker count drives every parallel stage (learning runs
-	// on this goroutine), so Workers=1 is a genuinely sequential build and
-	// Workers=N bounds the whole pipeline.
+	// One resolved worker count drives every parallel stage (ACR and
+	// learning run on this goroutine), so Workers=1 is a genuinely
+	// sequential build and Workers=N bounds the whole pipeline.
 	workers := parallel.Workers(opts.Workers)
 
 	//eip:nondeterministic-ok stopwatch start for the OnStage observer; no timestamp enters the model
 	now := time.Now()
 	profile := entropy.NewProfileWorkers(train, workers)
-	acr := mra.NewWorkers(train, workers)
+	acr := mra.New(train)
 	now = buildStage(opts.OnStage, "entropy", now)
 	sg := segment.Segments(profile, segCfg)
 	if err := sg.Validate(); err != nil {

@@ -12,6 +12,8 @@ package dbscan
 import (
 	"fmt"
 	"math"
+
+	"entropyip/internal/stats"
 )
 
 // Noise is the label assigned to points that belong to no cluster.
@@ -260,11 +262,18 @@ func newGrid(points [][]float64, eps float64) *grid {
 		keys[i] = uint64(cell(i, 0)-minX+2)<<32 | uint64(cell(i, 1)-minY+2)
 	}
 
-	g := &grid{order: sortByKey(keys), cellOf: make([]int32, n)}
-	var cellKeys []uint64
-	for k, p := range g.order {
-		if k == 0 || keys[p] != cellKeys[len(cellKeys)-1] {
-			cellKeys = append(cellKeys, keys[p])
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	stats.SortByKey(keys, order)
+	g := &grid{order: order, cellOf: make([]int32, n)}
+	// The distinct sorted keys are the cell keys. They are compacted into
+	// the front of keys, which never overwrites a key not yet read.
+	cellKeys := keys[:0]
+	for k, p := range order {
+		if k == 0 || keys[k] != cellKeys[len(cellKeys)-1] {
+			cellKeys = append(cellKeys, keys[k])
 			g.start = append(g.start, int32(k))
 		}
 		g.cellOf[p] = int32(len(cellKeys) - 1)
@@ -293,46 +302,6 @@ func newGrid(points [][]float64, eps float64) *grid {
 		g.adjStart = append(g.adjStart, int32(len(g.adj)))
 	}
 	return g
-}
-
-// sortByKey returns the indices of keys in ascending key order, equal
-// keys in index order: an LSD radix sort over byte digits that skips
-// every digit all keys share.
-func sortByKey(keys []uint64) []int32 {
-	n := len(keys)
-	var diff uint64
-	for _, k := range keys {
-		diff |= k ^ keys[0]
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	var tmp []int32
-	for shift := 0; shift < 64; shift += 8 {
-		if diff>>shift&0xff == 0 {
-			continue
-		}
-		if tmp == nil {
-			tmp = make([]int32, n)
-		}
-		var next [256]int32
-		for _, k := range keys {
-			next[k>>shift&0xff]++
-		}
-		sum := int32(0)
-		for d, c := range next {
-			next[d] = sum
-			sum += c
-		}
-		for _, p := range order {
-			d := keys[p] >> shift & 0xff
-			tmp[next[d]] = p
-			next[d]++
-		}
-		order, tmp = tmp, order
-	}
-	return order
 }
 
 func euclid(a, b []float64) float64 {

@@ -1,6 +1,9 @@
 package dbscan
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // WeightedPoint is a scalar value observed with an integer multiplicity.
 // Clustering weighted points is equivalent to clustering the expanded
@@ -14,24 +17,18 @@ type WeightedPoint struct {
 
 // Cluster1DWeighted runs DBSCAN over a weighted 1-D multiset. A point is a
 // core point when the total weight within eps of it (including itself) is
-// at least minPts. The returned labels are indexed like the input slice.
+// at least minPts. The points must be in ascending Value order, as the
+// entries of a stats.Freq are; Cluster1DWeighted panics at the first
+// point whose Value is below its predecessor's. The returned labels are
+// indexed like the input slice.
 func Cluster1DWeighted(points []WeightedPoint, eps float64, minPts int) Result {
 	n := len(points)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
-	}
-	if n == 0 {
-		return Result{Labels: labels}
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return points[idx[a]].Value < points[idx[b]].Value })
-	sorted := make([]WeightedPoint, n)
-	for i, id := range idx {
-		sorted[i] = points[id]
+		if i > 0 && points[i].Value < points[i-1].Value {
+			panic(fmt.Sprintf("dbscan: Cluster1DWeighted point %d has Value %v below point %d's %v", i, points[i].Value, i-1, points[i-1].Value))
+		}
 	}
 
 	// Sliding-window total weight within eps. hi starts before the first
@@ -41,12 +38,12 @@ func Cluster1DWeighted(points []WeightedPoint, eps float64, minPts int) Result {
 	lo, hi := 0, -1
 	windowWeight := 0
 	for i := 0; i < n; i++ {
-		for hi+1 < n && sorted[hi+1].Value-sorted[i].Value <= eps {
+		for hi+1 < n && points[hi+1].Value-points[i].Value <= eps {
 			hi++
-			windowWeight += sorted[hi].Weight
+			windowWeight += points[hi].Weight
 		}
-		for sorted[i].Value-sorted[lo].Value > eps {
-			windowWeight -= sorted[lo].Weight
+		for points[i].Value-points[lo].Value > eps {
+			windowWeight -= points[lo].Weight
 			lo++
 		}
 		weightWithin[i] = windowWeight
@@ -56,44 +53,44 @@ func Cluster1DWeighted(points []WeightedPoint, eps float64, minPts int) Result {
 	lastCore := -1
 	lastCoreCluster := -1
 	for i := 0; i < n; i++ {
-		if weightWithin[i] < minPts || sorted[i].Weight <= 0 {
+		if weightWithin[i] < minPts || points[i].Weight <= 0 {
 			continue
 		}
-		if lastCore >= 0 && sorted[i].Value-sorted[lastCore].Value <= eps {
-			labels[idx[i]] = lastCoreCluster
+		if lastCore >= 0 && points[i].Value-points[lastCore].Value <= eps {
+			labels[i] = lastCoreCluster
 		} else {
 			cluster++
 			lastCoreCluster = cluster
-			labels[idx[i]] = cluster
+			labels[i] = cluster
 		}
 		lastCore = i
 	}
 	// Border points join the nearest core point's cluster if within eps.
 	coreIdx := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if weightWithin[i] >= minPts && sorted[i].Weight > 0 {
+		if weightWithin[i] >= minPts && points[i].Weight > 0 {
 			coreIdx = append(coreIdx, i)
 		}
 	}
 	for i := 0; i < n; i++ {
-		if labels[idx[i]] != Noise || sorted[i].Weight <= 0 {
+		if labels[i] != Noise || points[i].Weight <= 0 {
 			continue
 		}
-		pos := sort.Search(len(coreIdx), func(k int) bool { return sorted[coreIdx[k]].Value >= sorted[i].Value })
+		pos := sort.Search(len(coreIdx), func(k int) bool { return points[coreIdx[k]].Value >= points[i].Value })
 		bestDist := eps + 1
 		best := -1
 		if pos < len(coreIdx) {
-			if d := sorted[coreIdx[pos]].Value - sorted[i].Value; d < bestDist {
+			if d := points[coreIdx[pos]].Value - points[i].Value; d < bestDist {
 				best, bestDist = coreIdx[pos], d
 			}
 		}
 		if pos > 0 {
-			if d := sorted[i].Value - sorted[coreIdx[pos-1]].Value; d < bestDist {
+			if d := points[i].Value - points[coreIdx[pos-1]].Value; d < bestDist {
 				best, bestDist = coreIdx[pos-1], d
 			}
 		}
 		if best >= 0 && bestDist <= eps {
-			labels[idx[i]] = labels[idx[best]]
+			labels[i] = labels[best]
 		}
 	}
 	return Result{Labels: labels, NumClusters: cluster + 1}

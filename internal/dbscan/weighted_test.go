@@ -1,6 +1,8 @@
 package dbscan
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +36,8 @@ func TestCluster1DWeightedEquivalentToExpanded(t *testing.T) {
 		if len(wpoints) == 0 {
 			return true
 		}
+		// Map order is random; Cluster1DWeighted takes ascending values.
+		slices.SortFunc(wpoints, func(a, b WeightedPoint) int { return cmp.Compare(a.Value, b.Value) })
 		eps := float64(epsRaw%10) + 0.5
 		minPts := int(minPtsRaw%6) + 1
 		a := Cluster1DWeighted(wpoints, eps, minPts)
@@ -113,4 +117,13 @@ func TestCluster1DWeightedTwoRanges(t *testing.T) {
 	if ivs[0].Lo != 0 || ivs[0].Hi != 19 || ivs[1].Lo != 100 || ivs[1].Hi != 119 {
 		t.Errorf("WeightedIntervals = %+v", ivs)
 	}
+}
+
+func TestCluster1DWeightedRejectsUnsorted(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order input did not panic")
+		}
+	}()
+	Cluster1DWeighted([]WeightedPoint{{Value: 1, Weight: 3}, {Value: 5, Weight: 3}, {Value: 4, Weight: 3}}, 2, 3)
 }

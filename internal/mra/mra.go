@@ -15,17 +15,16 @@
 // qualitative reading used in the paper: "the higher the ACR value, the
 // more pertinent to prefix discrimination a given segment is."
 //
-// The counts come from one sort of the addresses and a histogram of the
-// common-prefix lengths of adjacent sorted pairs (see NewWorkers).
+// The counts come from one radix sort of the addresses and a histogram of
+// the common-prefix lengths of adjacent sorted pairs (see New), on the
+// calling goroutine.
 package mra
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"entropyip/internal/ip6"
-	"entropyip/internal/parallel"
+	"entropyip/internal/stats"
 )
 
 // Series holds prefix counts and ACR values for a dataset at every 4-bit
@@ -40,55 +39,36 @@ type Series struct {
 	N int
 }
 
-// New computes the ACR series for the given addresses, using all
-// available cores. The result is identical for any worker count; use
-// NewWorkers to bound concurrency.
-func New(addrs []ip6.Addr) *Series {
-	return NewWorkers(addrs, 0)
-}
-
-// NewWorkers is New with bounded concurrency (<= 0 selects GOMAXPROCS).
+// New computes the ACR series for the given addresses.
 //
-// There is one algorithm at every worker count and input size: sort a
-// copy of the addresses as pairs of 64-bit halves (shards sorted
-// concurrently, then merged) and take the histogram of common-prefix
-// lengths of adjacent sorted pairs.
+// It sorts the addresses as two 64-bit halves with stats.SortByKey, by
+// lo and then, stably, by hi, which leaves them in (hi, lo) order, and
+// takes the histogram of common-prefix lengths of adjacent sorted pairs.
 // The number of distinct d-nybble prefixes is then
 //
 //	counts[d] = 1 + #{adjacent pairs with LCP < d nybbles},
 //
 // because in sorted order every new d-prefix starts exactly where an
-// adjacent pair first differs before depth d. This is skew-immune — real
+// adjacent pair first differs before depth d. This is skew-immune: real
 // IPv6 data concentrates under 2000::/3, which starves any partition of
-// the address space's top levels — and everything merged is an integer
-// histogram folded in shard order, so the series is bit-identical for
-// any worker count. An empty input has no prefixes at all: N = 0 and
-// every count, Counts[0] included, is 0.
-func NewWorkers(addrs []ip6.Addr, workers int) *Series {
+// the address space's top levels. An empty input has no prefixes at all:
+// N = 0 and every count, Counts[0] included, is 0.
+func New(addrs []ip6.Addr) *Series {
 	s := &Series{N: len(addrs)}
 	if len(addrs) == 0 {
 		return s
 	}
-	w := parallel.Workers(workers)
-	sorted := make([]halves, len(addrs))
+	hi := make([]uint64, len(addrs))
+	lo := make([]uint64, len(addrs))
 	for i, a := range addrs {
-		sorted[i].hi, sorted[i].lo = a.Uint64s()
+		hi[i], lo[i] = a.Uint64s()
 	}
-	sortHalves(sorted, w)
+	stats.SortByKey(lo, hi)
+	stats.SortByKey(hi, lo)
 
-	type lcpHist [ip6.NybbleCount + 1]int
-	parts := parallel.MapShards(w, len(sorted)-1, func(sh parallel.Shard) *lcpHist {
-		var h lcpHist
-		for i := sh.Start; i < sh.End; i++ {
-			h[lcpNybbles(sorted[i], sorted[i+1])]++
-		}
-		return &h
-	})
-	var hist lcpHist
-	for _, p := range parts {
-		for l, c := range p {
-			hist[l] += c
-		}
+	var hist [ip6.NybbleCount + 1]int
+	for i := 1; i < len(hi); i++ {
+		hist[lcpNybbles(hi[i-1]^hi[i], lo[i-1]^lo[i])]++
 	}
 
 	s.Counts[0] = 1
@@ -101,89 +81,20 @@ func NewWorkers(addrs []ip6.Addr, workers int) *Series {
 	return s
 }
 
-// halves is an address as its two 64-bit halves, so that ordering and
-// common-prefix lengths are word operations.
-type halves struct{ hi, lo uint64 }
-
-// compareHalves orders addresses numerically, as ip6.Addr.Compare does.
-func compareHalves(a, b halves) int {
-	if c := cmp.Compare(a.hi, b.hi); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.lo, b.lo)
+// NewWorkers is New. The worker count is ignored: the sort runs on the
+// calling goroutine. It remains for callers that still pass one.
+func NewWorkers(addrs []ip6.Addr, workers int) *Series {
+	return New(addrs)
 }
 
 // lcpNybbles returns the length, in nybbles, of the longest common prefix
-// of two addresses (32 for equal addresses).
-func lcpNybbles(a, b halves) int {
-	if x := a.hi ^ b.hi; x != 0 {
-		return bits.LeadingZeros64(x) / 4
+// of two addresses given the XOR of their high and low halves (32 for
+// equal addresses).
+func lcpNybbles(xhi, xlo uint64) int {
+	if xhi != 0 {
+		return bits.LeadingZeros64(xhi) / 4
 	}
-	if x := a.lo ^ b.lo; x != 0 {
-		return 16 + bits.LeadingZeros64(x)/4
-	}
-	return ip6.NybbleCount
-}
-
-// sortHalves sorts the slice in place: contiguous shards are sorted
-// concurrently, then merged pairwise in rounds, with the merges of each
-// round also running concurrently. The fully sorted result is unique for
-// a given multiset, so the outcome is independent of the worker count.
-func sortHalves(a []halves, workers int) {
-	shards := parallel.Shards(len(a), workers)
-	if len(shards) <= 1 {
-		slices.SortFunc(a, compareHalves)
-		return
-	}
-	parallel.ForEach(len(shards), len(shards), func(i int) {
-		slices.SortFunc(a[shards[i].Start:shards[i].End], compareHalves)
-	})
-	buf := make([]halves, len(a))
-	src, dst := a, buf
-	for len(shards) > 1 {
-		pairs := (len(shards) + 1) / 2
-		next := make([]parallel.Shard, pairs)
-		for j := 0; j < pairs; j++ {
-			lo := shards[2*j]
-			if 2*j+1 < len(shards) {
-				next[j] = parallel.Shard{Start: lo.Start, End: shards[2*j+1].End}
-			} else {
-				next[j] = lo
-			}
-		}
-		parallel.ForEach(pairs, pairs, func(j int) {
-			out := dst[next[j].Start:next[j].End]
-			if 2*j+1 >= len(shards) {
-				copy(out, src[next[j].Start:next[j].End])
-				return
-			}
-			l, r := shards[2*j], shards[2*j+1]
-			mergeHalves(out, src[l.Start:l.End], src[r.Start:r.End])
-		})
-		shards = next
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
-// mergeHalves merges two sorted runs into dst (len(dst) = len(left) +
-// len(right)).
-func mergeHalves(dst, left, right []halves) {
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if compareHalves(right[j], left[i]) < 0 {
-			dst[k] = right[j]
-			j++
-		} else {
-			dst[k] = left[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], left[i:])
-	copy(dst[k:], right[j:])
+	return 16 + bits.LeadingZeros64(xlo)/4
 }
 
 // fillACR derives the ACR values from the prefix counts.

@@ -188,7 +188,8 @@ func TestCountsDuplicates(t *testing.T) {
 // TestNewMatchesPrefixOracle checks the sort-based counts against the
 // map-of-prefixes oracle on the shapes where an off-by-one in the LCP
 // histogram would show: no addresses, one, two, just under a power of
-// two, and all duplicates.
+// two, and all duplicates; and on the shapes that run every radix pass
+// of both halves or skip all but one.
 func TestNewMatchesPrefixOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	random := func(n int) []ip6.Addr {
@@ -200,6 +201,27 @@ func TestNewMatchesPrefixOracle(t *testing.T) {
 		}
 		return out
 	}
+	// vary returns n addresses equal to base except for one byte, drawn
+	// at random, at bit offset shift of the high or the low half.
+	vary := func(n int, base ip6.Addr, high bool, shift int) []ip6.Addr {
+		bhi, blo := base.Uint64s()
+		out := make([]ip6.Addr, n)
+		for i := range out {
+			hi, lo := bhi, blo
+			b := uint64(rng.Intn(256)) << shift
+			if high {
+				hi = hi&^(0xff<<shift) | b
+			} else {
+				lo = lo&^(0xff<<shift) | b
+			}
+			out[i] = ip6.AddrFromUint64s(hi, lo)
+		}
+		return out
+	}
+	full := make([]ip6.Addr, 3000)
+	for i := range full {
+		full[i] = ip6.AddrFromUint64s(rng.Uint64(), rng.Uint64())
+	}
 	dup := ip6.MustParseAddr("2001:db8::7")
 	cases := map[string][]ip6.Addr{
 		"n=0":       nil,
@@ -207,6 +229,13 @@ func TestNewMatchesPrefixOracle(t *testing.T) {
 		"n=2":       random(2),
 		"n=2047":    random(2047),
 		"duplicate": {dup, dup, dup, dup, dup},
+		// Every digit pass runs in both halves.
+		"full width": full,
+		// Only the last digit of lo differs: every hi pass and all but
+		// one lo pass are skipped.
+		"lo low byte": vary(1000, dup, false, 0),
+		// Only the top digit of hi differs.
+		"hi top byte": vary(1000, dup, true, 56),
 	}
 	for name, addrs := range cases {
 		want := distinctPrefixCounts(addrs)
@@ -221,8 +250,9 @@ func TestNewMatchesPrefixOracle(t *testing.T) {
 }
 
 // BenchmarkACR100k times the ACR series of 100k addresses with random
-// 64-bit interface identifiers under one /32, at one worker and at
-// GOMAXPROCS.
+// 64-bit interface identifiers under one /32. NewWorkers ignores its
+// worker count, so both sub-benchmarks run the one sequential path; the
+// two names stay because the CI gate lists them.
 func BenchmarkACR100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]ip6.Addr, 100_000)

@@ -1,15 +1,16 @@
 // Package stats provides the small statistics substrate used by Entropy/IP:
 // frequency tables over categorical values, quartiles and Tukey outlier
-// detection (used by segment mining, §4.3 step (a)), histograms, and the
+// detection (used by segment mining, §4.3 step (a)), histograms, the
 // sampling helpers (uniform and stratified sampling) used to
-// build training sets the way the paper does (§3, §5.1).
+// build training sets the way the paper does (§3, §5.1), and SortByKey,
+// the radix sort that frequency tables, the ACR series and grid DBSCAN
+// share.
 package stats
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 )
@@ -28,9 +29,10 @@ type Freq struct {
 func NewFreq() *Freq { return &Freq{} }
 
 // FreqOf builds a frequency table from the given observations, leaving
-// values unchanged: it radix-sorts a copy and counts the runs.
+// values unchanged: it sorts a copy with SortByKey and counts the runs.
 func FreqOf(values []uint64) *Freq {
-	sorted := radixSorted(values)
+	sorted := slices.Clone(values)
+	SortByKey[struct{}](sorted, nil)
 	distinct := 0
 	for i := range sorted {
 		if i == 0 || sorted[i] != sorted[i-1] {
@@ -47,53 +49,6 @@ func FreqOf(values []uint64) *Freq {
 		i = j
 	}
 	return f
-}
-
-// radixSorted returns values in ascending order by an LSD radix sort over
-// byte digits. It makes passes only over the digits below the highest set
-// bit of any value, and skips a pass where every value has the same digit.
-// values itself is never written: the first pass scatters it into a new
-// slice, and when no pass is needed the result is values itself.
-func radixSorted(values []uint64) []uint64 {
-	var or uint64
-	for _, v := range values {
-		or |= v
-	}
-	digits := (bits.Len64(or) + 7) / 8
-	var count [8][256]int
-	for _, v := range values {
-		for d := range digits {
-			count[d][v>>(8*d)&0xff]++
-		}
-	}
-	src := values
-	var bufs [2][]uint64 // pass k writes bufs[k%2]
-	passes := 0
-	for d := range digits {
-		shift := 8 * d
-		if count[d][values[0]>>shift&0xff] == len(values) {
-			continue // every value has this digit
-		}
-		dst := bufs[passes%2]
-		if dst == nil {
-			dst = make([]uint64, len(values))
-			bufs[passes%2] = dst
-		}
-		next := &count[d]
-		sum := 0
-		for b, c := range next {
-			next[b] = sum
-			sum += c
-		}
-		for _, v := range src {
-			b := v >> shift & 0xff
-			dst[next[b]] = v
-			next[b]++
-		}
-		src = dst
-		passes++
-	}
-	return src
 }
 
 // search returns the index of the first entry with Value >= v and whether
