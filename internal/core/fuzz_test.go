@@ -6,17 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"entropyip/internal/bayes"
+	"entropyip/internal/ip6"
 	"entropyip/internal/segment"
 )
 
 // FuzzLoad throws arbitrary bodies at the model loader, the parser behind
 // PUT /v1/models/{name} uploads. Load must never panic; any model it
 // accepts must generate and browse, with and without evidence, without
-// panicking or building a factor past the inference bound; and saving a
-// loaded model, loading that and saving again must give the same bytes.
+// panicking or building a factor past the inference bound; its window
+// state must replay EncodeWindow bit for bit (observe streams score
+// against uploaded models); and saving a loaded model, loading that and
+// saving again must give the same bytes.
 func FuzzLoad(f *testing.F) {
 	for _, ds := range goldenDatasets {
 		raw := goldenModelBytes(f, ds)
@@ -51,6 +56,7 @@ func FuzzLoad(f *testing.F) {
 			_, _ = m.Browse(ev)
 			_, _ = m.Generate(GenerateOptions{Count: 64, Seed: 1, Workers: 2, Evidence: ev})
 		}
+		checkWindowState(t, m)
 
 		var first bytes.Buffer
 		if err := m.Save(&first); err != nil {
@@ -68,6 +74,47 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("save→load→save is not byte-identical:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// checkWindowState runs a model's window state over a 64-address window
+// of generated and random addresses, the random ones mostly outside the
+// mined support, then replaces half the slots. After each step the
+// replayed encoding must equal EncodeWindow on the same addresses, bit
+// for bit.
+func checkWindowState(t *testing.T, m *Model) {
+	t.Helper()
+	const n = 64
+	rng := rand.New(rand.NewSource(3))
+	random := func() ip6.Addr { return ip6.AddrFromUint64s(rng.Uint64(), rng.Uint64()) }
+	gen, _ := m.Generate(GenerateOptions{Count: n, Seed: 2, Workers: 1})
+	window := make([]ip6.Addr, n)
+	for i := range window {
+		if i%2 == 0 && i/2 < len(gen) {
+			window[i] = gen[i/2]
+		} else {
+			window[i] = random()
+		}
+	}
+	st := m.NewWindowState(n)
+	for i, a := range window {
+		st.Set(i, a)
+	}
+	sameEncoding(t, "filled", st.Encoding(), m.EncodeWindow(window))
+	for i := 0; i < n; i += 2 {
+		window[i] = random()
+		st.Set(i, window[i])
+	}
+	sameEncoding(t, "half replaced", st.Encoding(), m.EncodeWindow(window))
+}
+
+// sameEncoding fails unless two window encodings are equal bit for bit.
+func sameEncoding(t *testing.T, what string, got, want *WindowEncoding) {
+	t.Helper()
+	if !reflect.DeepEqual(got.CodeCounts, want.CodeCounts) || !reflect.DeepEqual(got.Clamped, want.Clamped) ||
+		math.Float64bits(got.BNLogLikelihood) != math.Float64bits(want.BNLogLikelihood) ||
+		math.Float64bits(got.WithinLogDensity) != math.Float64bits(want.WithinLogDensity) {
+		t.Fatalf("%s: window state encoding %+v, EncodeWindow %+v", what, got, want)
+	}
 }
 
 // loadMutations corrupt one field of a valid model file each, seeding

@@ -96,37 +96,65 @@ type Report struct {
 // so the observed distribution is per-prefix like the model's marginals,
 // not weighted by each prefix's traffic volume (Report.Window then counts
 // unique prefixes).
+//
+// Score is the one-shot path: it encodes the whole window. Window keeps
+// the same report up to date for a live ingest buffer, and Score is the
+// oracle it must match bit for bit.
 func Score(m *core.Model, window []ip6.Addr) (Report, error) {
 	window = maskWindow(m, window)
-	rep := Report{Window: len(window)}
 	if len(window) == 0 {
+		return Report{}, nil
+	}
+	// One pass over the window collects the code histograms, the clamp
+	// counts AND the address-level likelihood terms, so the window is
+	// encoded exactly once.
+	enc := m.EncodeWindow(window)
+	var nyb nybbleCounts
+	if hasNybble(m) {
+		for _, a := range window {
+			nyb.add(a, 1)
+		}
+	}
+	return report(m, len(window), enc, &nyb)
+}
+
+// nybbleCounts is the window's per-nybble value histogram, the counts
+// entropy.NewProfile would collect.
+type nybbleCounts [ip6.NybbleCount][16]int
+
+// add counts address a d times (d is -1 to uncount it).
+func (c *nybbleCounts) add(a ip6.Addr, d int) {
+	for i, b := range a {
+		c[2*i][b>>4] += d
+		c[2*i+1][b&0x0f] += d
+	}
+}
+
+// hasNybble reports whether the model carries the training set's
+// per-nybble histograms (models saved before entropy_counts load
+// without).
+func hasNybble(m *core.Model) bool {
+	return m.Profile != nil && m.Profile.N > 0 && profileHasCounts(m.Profile)
+}
+
+// report builds the drift report of an n-address window from its encoding
+// summary and, when the model carries training histograms, its per-nybble
+// counts. Score and Window share it, so a report depends only on these
+// inputs, however they were collected.
+func report(m *core.Model, n int, enc *core.WindowEncoding, nyb *nybbleCounts) (Report, error) {
+	rep := Report{Window: n}
+	if n == 0 {
 		return rep, nil
 	}
-
 	marginals, err := m.Marginals()
 	if err != nil {
 		return rep, fmt.Errorf("drift: model marginals: %w", err)
 	}
-
-	// One pass over the window collects the code histograms, the clamp
-	// counts AND the address-level likelihood terms — scoring runs on the
-	// ingest request path, so the window is encoded exactly once.
-	enc := m.EncodeWindow(window)
-	codeCounts := enc.CodeCounts
-	clamped := enc.Clamped
-
-	// Per-nybble histograms of the window vs the training set, when the
-	// model carries them (models saved before entropy_counts load without).
-	var windowProfile *entropy.Profile
-	hasNybble := m.Profile != nil && m.Profile.N > 0 && profileHasCounts(m.Profile)
-	if hasNybble {
-		windowProfile = entropy.NewProfile(window)
-	}
-
+	withNybble := hasNybble(m)
 	sumJS := 0.0
 	rep.Segments = make([]SegmentScore, len(m.Segments))
 	for i, sm := range m.Segments {
-		obs := entropy.Distribution(codeCounts[i])
+		obs := entropy.Distribution(enc.CodeCounts[i])
 		ss := SegmentScore{
 			Label:  sm.Seg.Label,
 			Start:  sm.Seg.Start,
@@ -134,14 +162,14 @@ func Score(m *core.Model, window []ip6.Addr) (Report, error) {
 			CodeJS: entropy.JensenShannon(obs, marginals[i]),
 			CodeKL: entropy.KLDivergence(obs, marginals[i], 0),
 		}
-		ss.Clamped = float64(clamped[i]) / float64(len(window))
-		if hasNybble {
+		ss.Clamped = float64(enc.Clamped[i]) / float64(n)
+		if withNybble {
 			ss.HasNybble = true
 			js := 0.0
-			for n := sm.Seg.Start; n < sm.Seg.Start+sm.Seg.Width && n < ip6.NybbleCount; n++ {
+			for j := sm.Seg.Start; j < sm.Seg.Start+sm.Seg.Width && j < ip6.NybbleCount; j++ {
 				js += entropy.JensenShannon(
-					entropy.Distribution(windowProfile.Counts[n][:]),
-					entropy.Distribution(m.Profile.Counts[n][:]),
+					entropy.Distribution(nyb[j][:]),
+					entropy.Distribution(m.Profile.Counts[j][:]),
 				)
 			}
 			ss.NybbleJS = js / float64(sm.Seg.Width)
@@ -155,7 +183,7 @@ func Score(m *core.Model, window []ip6.Addr) (Report, error) {
 	if len(rep.Segments) > 0 {
 		rep.MeanCodeJS = sumJS / float64(len(rep.Segments))
 	}
-	rep.MeanLogLikelihood = enc.LogLikelihood() / float64(len(window))
+	rep.MeanLogLikelihood = enc.LogLikelihood() / float64(n)
 	return rep, nil
 }
 

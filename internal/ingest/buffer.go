@@ -14,6 +14,11 @@
 // optional per-/64 cap so that one chatty prefix cannot monopolize the
 // window. The window is one ring under one mutex, so its contents depend
 // only on the sequence of adds, never on the machine's core count.
+//
+// A consumer that keeps state per window slot (drift.Window) reads only
+// what changed: once it has drained the buffer, the buffer records each
+// slot written since the last drain, and Drain reports those slots with
+// the address each one held before.
 package ingest
 
 import (
@@ -75,16 +80,37 @@ type Stats struct {
 type Buffer struct {
 	maxPer64 int
 
-	mu    sync.Mutex
-	ring  []ip6.Addr // fixed capacity, len == filled slots
-	next  int        // ring write position once full
-	per64 map[ip6.Prefix]int
+	mu   sync.Mutex
+	ring []ip6.Addr // fixed capacity, len == filled slots
+	next int        // ring write position once full
+	// per64 counts the window's addresses per /64, keyed by the address's
+	// upper 64 bits (the /64's network half).
+	per64 map[uint64]int32
 	// slots tracks each /64's ring indices oldest-first, maintained only
 	// when the per-/64 cap is on: a capped add replaces the prefix's
 	// oldest slot in place so the window never freezes on stale entries.
-	slots map[ip6.Prefix][]int
+	slots map[uint64][]int32
 	// Counters, guarded by mu like the ring they describe.
 	observed, deduped, evicted uint64
+
+	// The change record, kept once a consumer has drained the buffer.
+	// dirty has one bit per ring slot, set when the slot is first written
+	// after a drain; changes lists those slots with the address each held
+	// at the drain (had is false for a slot that was still empty then),
+	// so it never holds more entries than the window has slots.
+	journaling bool
+	dirty      []uint64
+	changes    []slotChange
+	// drained is len(ring) at the last drain: the slots below it held an
+	// address then.
+	drained int
+}
+
+// slotChange is one changed slot in the record: its index and the
+// address it held at the last drain.
+type slotChange struct {
+	slot int32
+	prev ip6.Addr
 }
 
 // New returns a Buffer with the given configuration.
@@ -92,16 +118,16 @@ func New(cfg Config) *Buffer {
 	b := &Buffer{
 		maxPer64: cfg.MaxPer64,
 		ring:     make([]ip6.Addr, 0, cfg.windowSize()),
-		per64:    make(map[ip6.Prefix]int),
+		per64:    make(map[uint64]int32),
 	}
 	if cfg.MaxPer64 > 0 {
-		b.slots = make(map[ip6.Prefix][]int)
+		b.slots = make(map[uint64][]int32)
 	}
 	return b
 }
 
 // removeSlot deletes the first occurrence of idx from s, preserving order.
-func removeSlot(s []int, idx int) []int {
+func removeSlot(s []int32, idx int32) []int32 {
 	for i, v := range s {
 		if v == idx {
 			return append(s[:i], s[i+1:]...)
@@ -136,13 +162,13 @@ func (b *Buffer) AddBatch(addrs []ip6.Addr) int {
 // add places one address in the window; the caller holds b.mu.
 func (b *Buffer) add(a ip6.Addr) {
 	b.observed++
-	p := ip6.Prefix64(a)
+	p, _ := a.Uint64s()
 	if b.maxPer64 > 0 {
 		if idxs := b.slots[p]; len(idxs) >= b.maxPer64 {
 			// At the cap: replace this prefix's oldest entry in place and
 			// rotate it to the back of the prefix's slot queue.
 			oldest := idxs[0]
-			b.ring[oldest] = a
+			b.write(int(oldest), a)
 			b.slots[p] = append(idxs[1:], oldest)
 			b.deduped++
 			return
@@ -150,31 +176,87 @@ func (b *Buffer) add(a ip6.Addr) {
 	}
 	var idx int
 	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, a)
-		idx = len(b.ring) - 1
+		idx = len(b.ring)
+		b.ring = b.ring[:idx+1]
+		b.write(idx, a)
 	} else {
-		op := ip6.Prefix64(b.ring[b.next])
+		op, _ := b.ring[b.next].Uint64s()
 		if b.per64[op] <= 1 {
 			delete(b.per64, op)
 		} else {
 			b.per64[op]--
 		}
 		if b.slots != nil {
-			if rest := removeSlot(b.slots[op], b.next); len(rest) == 0 {
+			if rest := removeSlot(b.slots[op], int32(b.next)); len(rest) == 0 {
 				delete(b.slots, op)
 			} else {
 				b.slots[op] = rest
 			}
 		}
-		b.ring[b.next] = a
 		idx = b.next
+		b.write(idx, a)
 		b.next = (b.next + 1) % len(b.ring)
 		b.evicted++
 	}
 	b.per64[p]++
 	if b.slots != nil {
-		b.slots[p] = append(b.slots[p], idx)
+		b.slots[p] = append(b.slots[p], int32(idx))
 	}
+}
+
+// write stores a in ring slot idx, recording the slot's first change
+// since the last drain; the caller holds b.mu.
+func (b *Buffer) write(idx int, a ip6.Addr) {
+	if b.journaling {
+		if w, bit := idx>>6, uint64(1)<<(idx&63); b.dirty[w]&bit == 0 {
+			b.dirty[w] |= bit
+			b.changes = append(b.changes, slotChange{slot: int32(idx), prev: b.ring[idx]})
+		}
+	}
+	b.ring[idx] = a
+}
+
+// Drain reports every window slot written since the previous Drain and
+// clears the record. visit receives the slot's index, the address it held
+// at the previous Drain (hadPrev false when the slot was empty then, and
+// prev then zero) and the address it holds now. A slot written several
+// times is reported once. The slots come in no particular order.
+//
+// In rebuild mode, and on a buffer's first Drain, every filled slot is
+// reported as new (hadPrev false), so a consumer rebuilding its per-slot
+// state from scratch sees the whole window. The buffer keeps no record
+// until its first Drain; after that, the record holds at most one entry
+// per slot. A buffer serves one draining consumer.
+//
+// visit runs under the buffer's lock, so writers wait for it; it must not
+// call back into the buffer.
+func (b *Buffer) Drain(rebuild bool, visit func(slot int, prev ip6.Addr, hadPrev bool, cur ip6.Addr)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.journaling {
+		b.journaling = true
+		b.dirty = make([]uint64, (cap(b.ring)+63)/64)
+		rebuild = true
+	}
+	if rebuild {
+		for i, a := range b.ring {
+			visit(i, ip6.Addr{}, false, a)
+		}
+	} else {
+		for _, c := range b.changes {
+			slot := int(c.slot)
+			if slot < b.drained {
+				visit(slot, c.prev, true, b.ring[slot])
+			} else {
+				visit(slot, ip6.Addr{}, false, b.ring[slot])
+			}
+		}
+	}
+	for _, c := range b.changes {
+		b.dirty[c.slot>>6] = 0
+	}
+	b.changes = b.changes[:0]
+	b.drained = len(b.ring)
 }
 
 // Snapshot returns a copy of the current window contents in ring slot

@@ -28,8 +28,9 @@ func BenchmarkSpanHotPath(b *testing.B) {
 }
 
 // BenchmarkSpanHotPathJoined is the same path joining an inbound
-// traceparent — the forced keep means the arena is retained (ring
-// eviction recycles), so this is informational, not zero-alloc gated.
+// traceparent — the forced keep copies the used spans into a retained
+// trace (two allocations) before the arena is recycled, so this is
+// informational, not zero-alloc gated.
 func BenchmarkSpanHotPathJoined(b *testing.B) {
 	rec := NewRecorder(Policy{SampleEvery: 1 << 30, SlowThreshold: time.Hour, Capacity: 64})
 	tr := NewTracer(rec)

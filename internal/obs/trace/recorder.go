@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Policy defaults. A full ring retains Capacity traces of up to MaxSpans
-// spans each, so the memory bound is roughly
-// Capacity x MaxSpans x sizeof(Span) (~512 x 64 x ~200B ≈ 6.5 MiB).
+// Policy defaults. A retained trace keeps only the spans it used, copied
+// out of its MaxSpans arena, so a full ring holds at most
+// Capacity x MaxSpans x sizeof(Span) (512 x 64 x 496 B ≈ 16 MiB) and in
+// practice far less: a traced request uses a handful of spans, a few KB.
 const (
 	defaultCapacity      = 512
 	defaultMaxSpans      = 64
@@ -72,8 +73,9 @@ type recShard struct {
 
 // Recorder is the in-process flight recorder: completed traces land here
 // and the tail-sampling policy decides keep vs discard. Kept traces are
-// retained in a lock-sharded ring (evicting the oldest in that shard);
-// discarded traces return their arenas to the tracer pool.
+// copied into right-sized traces retained in a lock-sharded ring
+// (evicting the oldest in that shard); arenas return to the tracer pool
+// (see complete).
 type Recorder struct {
 	policy    Policy
 	seq       atomic.Uint64
@@ -101,13 +103,27 @@ func (r *Recorder) Policy() Policy { return r.policy }
 
 // complete applies the tail-sampling policy to a finished trace. Called
 // from Span.Finish on the root span's goroutine.
+//
+// A kept trace is copied into a right-sized trace, so the ring holds the
+// few spans a trace used instead of its whole arena. The arena then goes
+// back to the pool, kept or not, unless a child span is still unfinished
+// (an ownership-rule violation): such a straggler may write to its span
+// after the root, so its arena is left to the garbage collector rather
+// than handed to another trace.
 func (r *Recorder) complete(td *traceData) {
 	root := &td.spans[0]
+	n := int(td.next.Load())
+	if n > len(td.spans) {
+		n = len(td.spans)
+	}
 	reason := ""
-	for i := int32(0); i < td.next.Load() && int(i) < len(td.spans); i++ {
+	finished := true
+	for i := 0; i < n; i++ {
 		if td.spans[i].status == statusError {
 			reason = "error"
-			break
+		}
+		if td.spans[i].end.IsZero() {
+			finished = false
 		}
 	}
 	if reason == "" && td.forcedKeep.Load() {
@@ -122,38 +138,42 @@ func (r *Recorder) complete(td *traceData) {
 	}
 	if reason == "" {
 		r.discarded.Add(1)
-		if td.tracer != nil {
-			td.tracer.release(td)
-		}
-		return
+	} else {
+		r.keep(td, n, reason)
 	}
+	if finished && td.tracer != nil {
+		td.tracer.release(td)
+	}
+}
 
-	// Keeping: freeze the arena. Any child span the owner goroutine
-	// failed to finish before the root (an ownership-rule violation) is
-	// closed at the root's end time so readers never observe a zero end
-	// time or race a late write.
-	n := int(td.next.Load())
-	if n > len(td.spans) {
-		n = len(td.spans)
+// keep retains a copy of the first n spans of a finished trace. A child
+// span the owner goroutine failed to finish before the root is closed at
+// the root's end time in the copy, so readers never observe a zero end
+// time, and the straggler's later writes go to the arena, not the copy.
+func (r *Recorder) keep(td *traceData, n int, reason string) {
+	kept := &traceData{
+		traceID:      td.traceID,
+		remoteParent: td.remoteParent,
+		keptBecause:  reason,
+		seq:          r.seq.Add(1),
+		spans:        make([]Span, n),
 	}
-	for i := 1; i < n; i++ {
-		if td.spans[i].end.IsZero() {
-			td.spans[i].end = root.end
+	kept.next.Store(int32(n))
+	kept.dropped.Store(td.dropped.Load())
+	copy(kept.spans, td.spans[:n])
+	for i := range kept.spans {
+		kept.spans[i].td = kept
+		if kept.spans[i].end.IsZero() {
+			kept.spans[i].end = td.spans[0].end
 		}
 	}
-	td.keptBecause = reason
-	td.seq = r.seq.Add(1)
 	r.kept.Add(1)
 
-	sh := &r.shards[td.traceID[0]%recShards]
+	sh := &r.shards[kept.traceID[0]%recShards]
 	sh.mu.Lock()
-	old := sh.ring[sh.idx]
-	sh.ring[sh.idx] = td
+	sh.ring[sh.idx] = kept
 	sh.idx = (sh.idx + 1) % len(sh.ring)
 	sh.mu.Unlock()
-	if old != nil && old.tracer != nil {
-		old.tracer.release(old)
-	}
 }
 
 // Summary is the list-view of one retained trace.

@@ -58,7 +58,7 @@ const (
 
 // Span is one timed operation inside a trace. Spans live in their trace's
 // arena (traceData.spans); pointers stay valid until the trace is either
-// retained by the recorder or released back to the pool, both of which
+// copied out by the recorder or released back to the pool, both of which
 // happen only after the root finishes. All methods are nil-safe so
 // instrumented code never branches on "is tracing on".
 //
@@ -79,8 +79,10 @@ type Span struct {
 }
 
 // traceData is the per-trace arena: a fixed slab of spans claimed by
-// atomic index, pooled by the Tracer. The recorder either retains it
-// (keep) or returns it to the pool (discard). spans[0] is the root.
+// atomic index, pooled by the Tracer. On keep the recorder retains a
+// right-sized traceData holding a copy of the used spans (tracer nil);
+// the arena itself returns to the pool unless a child span outlived the
+// root (Recorder.complete). spans[0] is the root.
 type traceData struct {
 	tracer       *Tracer
 	traceID      TraceID

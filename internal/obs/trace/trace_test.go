@@ -431,3 +431,68 @@ func TestStragglerChildClosedAtRootEnd(t *testing.T) {
 		t.Fatalf("straggler child extends past root end")
 	}
 }
+
+// retained returns the recorder's retained copy of trace id.
+func retained(t *testing.T, rec *Recorder, id TraceID) *traceData {
+	t.Helper()
+	sh := &rec.shards[id[0]%recShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, td := range sh.ring {
+		if td != nil && td.traceID == id {
+			return td
+		}
+	}
+	t.Fatal("trace not kept")
+	return nil
+}
+
+func TestKeptTraceHoldsUsedSpansOnly(t *testing.T) {
+	tr, rec := newTestSetup(Policy{SampleEvery: 1})
+	root := tr.StartRoot("r", SpanContext{})
+	id := root.TraceID()
+	for i := 0; i < 3; i++ {
+		c := root.StartChild("c")
+		c.SetInt("i", int64(i))
+		c.Finish()
+	}
+	root.Finish()
+	td := retained(t, rec, id)
+	if len(td.spans) != 4 || cap(td.spans) != 4 {
+		t.Fatalf("retained trace holds %d spans (cap %d), want 4", len(td.spans), cap(td.spans))
+	}
+	for i := range td.spans {
+		if td.spans[i].td != td {
+			t.Fatalf("span %d points at another trace", i)
+		}
+	}
+	tree, ok := rec.Get(id)
+	if !ok || len(tree.Root.Children) != 3 || tree.Root.Children[2].Attrs["i"] != int64(2) {
+		t.Fatalf("tree = %+v, want a root with 3 children", tree.Root)
+	}
+}
+
+func TestLateChildLeavesKeptCopyUnchanged(t *testing.T) {
+	tr, rec := newTestSetup(Policy{SampleEvery: 1})
+	root := tr.StartRoot("r", SpanContext{})
+	id := root.TraceID()
+	late := root.StartChild("late")
+	late.SetInt("before", 1)
+	root.Finish()
+	before := retained(t, rec, id).spans[1]
+
+	late.SetInt("after", 2)
+	late.SetError("finished after the root")
+	late.Finish()
+	// A new trace may reuse pooled arenas; it must not touch the copy.
+	tr.StartRoot("next", SpanContext{}).Finish()
+
+	after := retained(t, rec, id).spans[1]
+	if after.end != before.end || after.nattrs != 1 || after.status != statusUnset || after.errMsg != "" {
+		t.Fatalf("retained child changed after the root finished: end %v → %v, attrs %d, status %d %q",
+			before.end, after.end, after.nattrs, after.status, after.errMsg)
+	}
+	if !after.end.Equal(retained(t, rec, id).spans[0].end) {
+		t.Fatalf("unfinished child not closed at the root's end")
+	}
+}

@@ -111,6 +111,9 @@ type modelStream struct {
 	name string
 	buf  *ingest.Buffer
 	det  *drift.Detector
+	// win scores buf incrementally; it is the only consumer draining
+	// buf's change record.
+	win drift.Window
 
 	mu            sync.Mutex
 	sinceEval     int
@@ -243,7 +246,9 @@ func (r *Refresher) Observe(ctx context.Context, name string, addrs []ip6.Addr) 
 // Evaluate scores the named model's current window against its active
 // version, feeds the detector, and — when drifted and AutoRefresh is on —
 // kicks a background retrain. It is also the hook for operators to force
-// an evaluation regardless of the observation counter.
+// an evaluation regardless of the observation counter. The score is the
+// report drift.Score gives on a snapshot of the window, computed by the
+// stream's drift.Window from the slots written since the last evaluation.
 func (r *Refresher) Evaluate(ctx context.Context, name string) (drift.Verdict, error) {
 	span := requestSpan(ctx).StartChild("drift.evaluate")
 	defer span.Finish()
@@ -258,7 +263,7 @@ func (r *Refresher) Evaluate(ctx context.Context, name string) (drift.Verdict, e
 		span.SetError(err.Error())
 		return drift.Verdict{}, err
 	}
-	rep, err := drift.Score(m, s.buf.Snapshot())
+	rep, err := s.win.Score(m, s.buf)
 	if err != nil {
 		span.SetError(err.Error())
 		return drift.Verdict{}, err

@@ -457,3 +457,63 @@ func TestDeleteForgetsStream(t *testing.T) {
 		t.Errorf("recreated stream observed = %d, want 10", st.Ingest.Observed)
 	}
 }
+
+// TestEvaluateAfterRotationMatchesScore checks the incremental evaluation
+// across a rotation: the first Evaluate after a new version is published
+// must report exactly what drift.Score gives for the new model on a
+// snapshot of the window, and so must the evaluations that follow.
+func TestEvaluateAfterRotationMatchesScore(t *testing.T) {
+	a := refreshPlan([]uint64{0x0001, 0x0002}, []float64{0.7, 0.3})
+	b := refreshPlan([]uint64{0x00a1, 0x00a2}, []float64{0.5, 0.5})
+	s, reg := newTestServer(t, Options{
+		Refresh: RefreshOptions{
+			EvaluateEvery: 256,
+			Ingest:        ingest.Config{WindowSize: 1024},
+			Drift:         drift.Config{MinWindow: -1},
+		},
+	})
+	if _, err := reg.Put("m", buildOn(t, a, 3000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Refresher()
+	ctx := context.Background()
+	traffic := rand.New(rand.NewSource(5))
+	check := func(what string) {
+		t.Helper()
+		v, err := r.Evaluate(ctx, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := r.stream("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		active, _, err := reg.Get("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := drift.Score(active, st.buf.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(v.Report)
+		exp, _ := json.Marshal(want)
+		if string(got) != string(exp) {
+			t.Fatalf("%s: Evaluate report\n%s\nwant drift.Score\n%s", what, got, exp)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := r.Observe(ctx, "m", b.Generate(traffic, 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("before rotation")
+	if _, err := reg.Put("m", buildOn(t, b, 3000, 2)); err != nil {
+		t.Fatal(err)
+	}
+	check("first evaluation after rotation")
+	if _, err := r.Observe(ctx, "m", b.Generate(traffic, 300)); err != nil {
+		t.Fatal(err)
+	}
+	check("after rotation")
+}

@@ -60,7 +60,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          Generate1K Generate10k Generate100k Encode100k EncodeDistinct100k
          Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
-         MetricsHotPath SpanHotPath DriftScore16k NewCondSampler Posteriors
+         MetricsHotPath SpanHotPath DriftScore16k DriftWindow16k NewCondSampler Posteriors
          SetDedup SetContains FreqOf100k ClusterHist4096 Read100k
          ParseLineBytes)
 
