@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"math/rand/v2"
-	"unsafe"
 
 	"entropyip/internal/bayes"
 	"entropyip/internal/ip6"
@@ -60,7 +59,6 @@ type WindowState struct {
 	// the table needs no tombstones.
 	index []uint32
 	shift uint // 64 - log2(len(index))
-	live  int  // rows in the index
 
 	// w holds the live code and clamp counts; Encoding fills in the sums.
 	w WindowEncoding
@@ -187,7 +185,7 @@ func (s *WindowState) Bytes() int {
 	n := 4*cap(s.slots) + 8*cap(s.pages) + 4*cap(s.free) + 4*cap(s.index) +
 		8*(cap(s.outOfSupport)+cap(s.keys)+cap(s.vec)+cap(s.w.Clamped)) + 4*cap(s.packed)
 	for _, pg := range s.pages {
-		n += 4*cap(pg.codes) + 8*cap(pg.terms) + int(unsafe.Sizeof(pg.hashes)+unsafe.Sizeof(pg.refs))
+		n += 4*cap(pg.codes) + 8*cap(pg.terms) + rowsPerPage*(8+4)
 	}
 	for _, c := range s.w.CodeCounts {
 		n += 8 * cap(c)
@@ -229,8 +227,7 @@ func (s *WindowState) acquire(a ip6.Addr) uint32 {
 	}
 	r := s.newRow(h)
 	s.index[i] = r + 1
-	s.live++
-	if s.live > len(s.index)/4*3 {
+	if s.rows-len(s.free) > len(s.index)/4*3 {
 		s.allocIndex(2 * len(s.index))
 	}
 	return r
@@ -325,7 +322,6 @@ func (s *WindowState) unindex(r uint32) {
 		}
 	}
 	s.index[i] = 0
-	s.live--
 }
 
 // allocIndex rebuilds the index at size slots, a power of two.

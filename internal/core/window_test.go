@@ -39,8 +39,14 @@ func checkRows(t *testing.T, s *WindowState) {
 			i = (i + 1) & mask
 		}
 	}
-	if inUse != s.live {
-		t.Fatalf("%d rows in use, index holds %d", inUse, s.live)
+	indexed := 0
+	for _, e := range s.index {
+		if e != 0 {
+			indexed++
+		}
+	}
+	if inUse != indexed {
+		t.Fatalf("%d rows in use, index holds %d", inUse, indexed)
 	}
 	if refs != s.Len() {
 		t.Fatalf("row counts add up to %d, %d slots filled", refs, s.Len())

@@ -5,7 +5,6 @@ import (
 
 	"entropyip/internal/core"
 	"entropyip/internal/ingest"
-	"entropyip/internal/ip6"
 )
 
 // Window scores one live ingest buffer against its model incrementally:
@@ -18,7 +17,7 @@ import (
 //
 // The state belongs to one model: an evaluation under a different
 // *core.Model (a rotation, an upload, a registry reload) rebuilds it from
-// the whole window. Prefix64Only models are scored by Score on a snapshot
+// the whole window (ingest.Buffer.DrainAll). Prefix64Only models are scored by Score on a snapshot
 // instead, because their window is masked to /64s and deduplicated, and
 // which address represents a /64 changes with every eviction.
 //
@@ -29,6 +28,8 @@ type Window struct {
 	model *core.Model
 	state *core.WindowState
 	nyb   nybbleCounts
+	// changes is Drain's reused result.
+	changes []ingest.Change
 }
 
 // Score returns the drift report of the buffer's current window against m.
@@ -39,19 +40,27 @@ func (w *Window) Score(m *core.Model, buf *ingest.Buffer) (Report, error) {
 		w.model, w.state = nil, nil
 		return Score(m, buf.Snapshot())
 	}
-	rebuild := m != w.model
-	if rebuild {
-		w.model, w.state, w.nyb = m, m.NewWindowState(buf.Stats().WindowCapacity), nybbleCounts{}
-	}
 	withNybble := hasNybble(m)
-	buf.Drain(rebuild, func(slot int, prev ip6.Addr, hadPrev bool, cur ip6.Addr) {
-		if withNybble {
-			if hadPrev {
-				w.nyb.add(prev, -1)
+	if m != w.model {
+		w.model, w.nyb = m, nybbleCounts{}
+		w.state = m.NewWindowState(buf.Stats().WindowCapacity)
+		for slot, a := range buf.DrainAll() {
+			if withNybble {
+				w.nyb.add(a, 1)
 			}
-			w.nyb.add(cur, 1)
+			w.state.Set(slot, a)
 		}
-		w.state.Set(slot, cur)
-	})
+	} else {
+		w.changes = buf.Drain(w.changes[:0])
+		for _, c := range w.changes {
+			if withNybble {
+				if c.HadPrev {
+					w.nyb.add(c.Prev, -1)
+				}
+				w.nyb.add(c.Cur, 1)
+			}
+			w.state.Set(c.Slot, c.Cur)
+		}
+	}
 	return report(m, w.state.Len(), w.state.Encoding(), &w.nyb)
 }

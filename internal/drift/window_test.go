@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"entropyip/internal/core"
@@ -123,6 +124,48 @@ func TestWindowPrefix64Only(t *testing.T) {
 		buf.AddBatch(p.Generate(rng, 500))
 		checkWindow(t, &w, m, buf, "prefix64")
 	}
+}
+
+// TestWindowConcurrentScoreAndAdd scores one buffer from several
+// goroutines while others add to it; once the writers are done, a final
+// report must still equal Score on a snapshot.
+func TestWindowConcurrentScoreAndAdd(t *testing.T) {
+	m, _, _ := goldenDriftModel(t)
+	s5, c1, _ := driftTraffic(t, 4000)
+	buf := ingest.New(ingest.Config{WindowSize: 2048, MaxPer64: 3})
+	var w Window
+	var writers, scorers sync.WaitGroup
+	stop := make(chan struct{})
+	for _, pool := range [][]ip6.Addr{s5, c1} {
+		writers.Add(1)
+		go func(pool []ip6.Addr) {
+			defer writers.Done()
+			for i := 0; i < len(pool); i += 250 {
+				buf.AddBatch(pool[i:min(i+250, len(pool))])
+			}
+		}(pool)
+	}
+	for i := 0; i < 2; i++ {
+		scorers.Add(1)
+		go func() {
+			defer scorers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := w.Score(m, buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	scorers.Wait()
+	checkWindow(t, &w, m, buf, "after concurrent use")
 }
 
 // TestWindowEmpty scores an empty buffer as Score scores an empty window.

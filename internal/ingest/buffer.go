@@ -96,8 +96,8 @@ type Buffer struct {
 	// The change record, kept once a consumer has drained the buffer.
 	// dirty has one bit per ring slot, set when the slot is first written
 	// after a drain; changes lists those slots with the address each held
-	// at the drain (had is false for a slot that was still empty then),
-	// so it never holds more entries than the window has slots.
+	// at the drain (zero for a slot still empty then), so it never holds
+	// more entries than the window has slots.
 	journaling bool
 	dirty      []uint64
 	changes    []slotChange
@@ -111,6 +111,18 @@ type Buffer struct {
 type slotChange struct {
 	slot int32
 	prev ip6.Addr
+}
+
+// Change is one window slot written since the previous drain.
+type Change struct {
+	// Slot is the ring slot's index, as in Snapshot's order.
+	Slot int
+	// Prev is the address the slot held at the previous drain; HadPrev
+	// is false, and Prev zero, when the slot was empty then.
+	Prev    ip6.Addr
+	HadPrev bool
+	// Cur is the address the slot holds now.
+	Cur ip6.Addr
 }
 
 // New returns a Buffer with the given configuration.
@@ -216,42 +228,60 @@ func (b *Buffer) write(idx int, a ip6.Addr) {
 	b.ring[idx] = a
 }
 
-// Drain reports every window slot written since the previous Drain and
-// clears the record. visit receives the slot's index, the address it held
-// at the previous Drain (hadPrev false when the slot was empty then, and
-// prev then zero) and the address it holds now. A slot written several
-// times is reported once. The slots come in no particular order.
+// Drain appends to dst one Change for every window slot written since the
+// previous drain, in no particular order, clears the record and returns
+// the extended slice. A slot written several times is reported once.
 //
-// In rebuild mode, and on a buffer's first Drain, every filled slot is
-// reported as new (hadPrev false), so a consumer rebuilding its per-slot
-// state from scratch sees the whole window. The buffer keeps no record
-// until its first Drain; after that, the record holds at most one entry
-// per slot. A buffer serves one draining consumer.
-//
-// visit runs under the buffer's lock, so writers wait for it; it must not
-// call back into the buffer.
-func (b *Buffer) Drain(rebuild bool, visit func(slot int, prev ip6.Addr, hadPrev bool, cur ip6.Addr)) {
+// The buffer keeps no record until it is first drained (by Drain or
+// DrainAll); a first Drain reports every filled slot as new. After that
+// the record holds at most one entry per slot. A buffer serves one
+// draining consumer.
+func (b *Buffer) Drain(dst []Change) []Change {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.journaling {
-		b.journaling = true
-		b.dirty = make([]uint64, (cap(b.ring)+63)/64)
-		rebuild = true
-	}
-	if rebuild {
+		b.startRecord()
 		for i, a := range b.ring {
-			visit(i, ip6.Addr{}, false, a)
+			dst = append(dst, Change{Slot: i, Cur: a})
 		}
-	} else {
-		for _, c := range b.changes {
-			slot := int(c.slot)
-			if slot < b.drained {
-				visit(slot, c.prev, true, b.ring[slot])
-			} else {
-				visit(slot, ip6.Addr{}, false, b.ring[slot])
-			}
-		}
+		return dst
 	}
+	for _, c := range b.changes {
+		slot := int(c.slot)
+		dst = append(dst, Change{Slot: slot, Prev: c.prev, HadPrev: slot < b.drained, Cur: b.ring[slot]})
+	}
+	b.clearRecord()
+	return dst
+}
+
+// DrainAll returns a copy of the window, as Snapshot does, and clears the
+// change record in the same critical section: the starting point of a
+// consumer that builds its per-slot state from the whole window and then
+// follows it with Drain.
+func (b *Buffer) DrainAll() []ip6.Addr {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.journaling {
+		b.clearRecord()
+	} else {
+		b.startRecord()
+	}
+	out := make([]ip6.Addr, len(b.ring))
+	copy(out, b.ring)
+	return out
+}
+
+// startRecord turns the change record on, as of the current window; the
+// caller holds b.mu.
+func (b *Buffer) startRecord() {
+	b.journaling = true
+	b.dirty = make([]uint64, (cap(b.ring)+63)/64)
+	b.drained = len(b.ring)
+}
+
+// clearRecord empties the change record, as of the current window; the
+// caller holds b.mu.
+func (b *Buffer) clearRecord() {
 	for _, c := range b.changes {
 		b.dirty[c.slot>>6] = 0
 	}

@@ -183,51 +183,50 @@ func TestBufferWindowHoldsLastWindowSizeAdds(t *testing.T) {
 // TestBufferDrainReportsChangedSlots replays Drain's reports onto a copy
 // of the window kept by the caller: after every batch, the copy must equal
 // the snapshot, each reported previous address must be what the copy held
-// in that slot, and no slot may be reported twice in one drain.
+// in that slot, and no slot may be reported twice in one drain. Every
+// fifth round starts over from DrainAll.
 func TestBufferDrainReportsChangedSlots(t *testing.T) {
 	addrs := skewedAddrs(12_000)
 	for _, maxPer64 := range []int{0, 3} {
 		b := New(Config{WindowSize: 1000, MaxPer64: maxPer64})
 		var mirror []ip6.Addr
-		drain := func(rebuild bool) int {
-			if rebuild {
-				mirror = mirror[:0]
-			}
+		drain := func() int {
 			filled := len(mirror)
 			seen := map[int]bool{}
-			b.Drain(rebuild, func(slot int, prev ip6.Addr, hadPrev bool, cur ip6.Addr) {
-				if seen[slot] {
-					t.Fatalf("MaxPer64=%d: slot %d reported twice", maxPer64, slot)
+			for _, c := range b.Drain(nil) {
+				if seen[c.Slot] {
+					t.Fatalf("MaxPer64=%d: slot %d reported twice", maxPer64, c.Slot)
 				}
-				seen[slot] = true
-				for slot >= len(mirror) {
+				seen[c.Slot] = true
+				for c.Slot >= len(mirror) {
 					mirror = append(mirror, ip6.Addr{})
 				}
-				if hadPrev != (slot < filled) || prev != mirror[slot] {
+				if c.HadPrev != (c.Slot < filled) || c.Prev != mirror[c.Slot] {
 					t.Fatalf("MaxPer64=%d: slot %d reported previous %s (had %v), mirror holds %s",
-						maxPer64, slot, prev, hadPrev, mirror[slot])
+						maxPer64, c.Slot, c.Prev, c.HadPrev, mirror[c.Slot])
 				}
-				mirror[slot] = cur
-			})
+				mirror[c.Slot] = c.Cur
+			}
 			return len(seen)
 		}
 		// Nothing is recorded before the first drain, which reports the
 		// whole window.
 		b.AddBatch(addrs[:1500])
-		if n, want := drain(false), b.Len(); n != want {
+		if n, want := drain(), b.Len(); n != want {
 			t.Fatalf("MaxPer64=%d: first drain reported %d slots, want %d", maxPer64, n, want)
 		}
 		for i, round := 1500, 1; i < len(addrs); i, round = i+700, round+1 {
 			b.AddBatch(addrs[i:min(i+700, len(addrs))])
-			rebuild := round%5 == 0
-			if n := drain(rebuild); n > 1000 {
+			if round%5 == 0 {
+				mirror = b.DrainAll()
+			} else if n := drain(); n > 1000 {
 				t.Fatalf("MaxPer64=%d: drain reported %d slots of 1000", maxPer64, n)
 			}
 			if !slices.Equal(mirror, b.Snapshot()) {
 				t.Fatalf("MaxPer64=%d: after %d adds the drained copy differs from the snapshot", maxPer64, i+700)
 			}
 		}
-		if n := drain(false); n != 0 {
+		if n := drain(); n != 0 {
 			t.Errorf("MaxPer64=%d: drain with no writes reported %d slots", maxPer64, n)
 		}
 	}
@@ -238,25 +237,22 @@ func TestBufferDrainReportsChangedSlots(t *testing.T) {
 // twice before the next drain.
 func TestBufferDrainFillingWindow(t *testing.T) {
 	b := New(Config{WindowSize: 8, MaxPer64: 1})
-	b.Drain(false, func(int, ip6.Addr, bool, ip6.Addr) { t.Fatal("empty buffer reported a slot") })
+	if got := b.DrainAll(); len(got) != 0 {
+		t.Fatalf("empty buffer drained %d addresses", len(got))
+	}
 	b.Add(addr(t, "2001:db8:0:1::1"))
 	b.Add(addr(t, "2001:db8:0:1::2")) // same /64: replaces slot 0
 	b.Add(addr(t, "2001:db8:0:2::1"))
-	got := map[int]ip6.Addr{}
-	b.Drain(false, func(slot int, _ ip6.Addr, hadPrev bool, cur ip6.Addr) {
-		if hadPrev {
-			t.Errorf("slot %d empty at the last drain reported a previous address", slot)
-		}
-		got[slot] = cur
-	})
-	want := map[int]ip6.Addr{0: addr(t, "2001:db8:0:1::2"), 1: addr(t, "2001:db8:0:2::1")}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("drain = %v, want %v", got, want)
+	want := []Change{
+		{Slot: 0, Cur: addr(t, "2001:db8:0:1::2")},
+		{Slot: 1, Cur: addr(t, "2001:db8:0:2::1")},
+	}
+	if got := b.Drain(nil); !slices.Equal(got, want) {
+		t.Errorf("drain = %+v, want %+v", got, want)
 	}
 	b.Add(addr(t, "2001:db8:0:1::3"))
-	b.Drain(false, func(slot int, prev ip6.Addr, hadPrev bool, cur ip6.Addr) {
-		if slot != 0 || !hadPrev || prev != want[0] || cur != addr(t, "2001:db8:0:1::3") {
-			t.Errorf("drain = (%d, %s, %v, %s), want slot 0 replacing %s", slot, prev, hadPrev, cur, want[0])
-		}
-	})
+	want = []Change{{Slot: 0, Prev: want[0].Cur, HadPrev: true, Cur: addr(t, "2001:db8:0:1::3")}}
+	if got := b.Drain(nil); !slices.Equal(got, want) {
+		t.Errorf("drain = %+v, want %+v", got, want)
+	}
 }
