@@ -17,9 +17,10 @@ import (
 //
 // The state belongs to one model: an evaluation under a different
 // *core.Model (a rotation, an upload, a registry reload) rebuilds it from
-// the whole window (ingest.Buffer.DrainAll). Prefix64Only models are scored by Score on a snapshot
-// instead, because their window is masked to /64s and deduplicated, and
-// which address represents a /64 changes with every eviction.
+// the whole window (ingest.Buffer.DrainAll). Prefix64Only models are
+// scored by Score on a snapshot instead, because their window is masked
+// to /64s and deduplicated, and which address represents a /64 changes
+// with every eviction.
 //
 // A Window serves one buffer, which it must be the only one to drain. The
 // zero value is ready to use, and Score is safe for concurrent use.
