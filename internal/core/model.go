@@ -100,25 +100,33 @@ type Model struct {
 // ErrNoData is returned when a model is built from an empty training set.
 var ErrNoData = errors.New("core: no training addresses")
 
+// Transform returns addrs as a model built with these options sees them:
+// for Prefix64Only, the distinct /64 network identifiers (the low 64 bits
+// masked) in order of first occurrence; otherwise addrs itself. Build
+// trains on it, and drift scoring applies it to observation windows.
+func (o Options) Transform(addrs []ip6.Addr) []ip6.Addr {
+	if !o.Prefix64Only {
+		return addrs
+	}
+	masked := make([]ip6.Addr, 0, len(addrs))
+	seen := ip6.NewSet(len(addrs))
+	for _, a := range addrs {
+		if p := ip6.Mask(a, 64); seen.Add(p) {
+			masked = append(masked, p)
+		}
+	}
+	return masked
+}
+
 // Build trains an Entropy/IP model on the given addresses.
 func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	if len(addrs) == 0 {
 		return nil, ErrNoData
 	}
-	train := addrs
+	train := opts.Transform(addrs)
 	segCfg := opts.Segmentation
 	if opts.Prefix64Only {
-		// Operate on network identifiers: mask the low 64 bits and model
-		// only the first 16 nybbles.
-		masked := make([]ip6.Addr, 0, len(addrs))
-		seen := ip6.NewSet(len(addrs))
-		for _, a := range addrs {
-			p := ip6.Mask(a, 64)
-			if seen.Add(p) {
-				masked = append(masked, p)
-			}
-		}
-		train = masked
+		// Network identifiers have 16 nybbles.
 		if segCfg.MaxNybble == 0 || segCfg.MaxNybble > 16 {
 			segCfg.MaxNybble = 16
 		}

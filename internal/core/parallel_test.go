@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
+	"entropyip/internal/ip6"
 	"entropyip/internal/synth"
 )
 
@@ -100,5 +102,45 @@ func TestOptionsWorkersNotPersisted(t *testing.T) {
 	}
 	if loaded.Opts.Workers != 0 {
 		t.Fatalf("loaded Workers = %d, want 0", loaded.Opts.Workers)
+	}
+}
+
+// TestBuildInputOrderIndependent pins that a model depends on the set of
+// training addresses and not on their order: Build on a shuffled copy
+// saves the same bytes as on the original, for every golden dataset, with
+// and without Prefix64Only (whose deduplication keeps the first
+// occurrence of each /64) and at one worker and at GOMAXPROCS. Encoding
+// tallies the distinct vectors in order of first occurrence, so this also
+// pins that nothing downstream reads that order.
+func TestBuildInputOrderIndependent(t *testing.T) {
+	for _, ds := range goldenDatasets {
+		addrs, err := synth.Generate(ds, 10_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shuffled := append([]ip6.Addr{}, addrs...)
+		rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		for _, p64 := range []bool{false, true} {
+			for _, workers := range []int{1, 0} {
+				opts := Options{Prefix64Only: p64, Workers: workers}
+				var saved [2][]byte
+				for i, in := range [][]ip6.Addr{addrs, shuffled} {
+					m, err := Build(in, opts)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", ds, opts, err)
+					}
+					var buf bytes.Buffer
+					if err := m.Save(&buf); err != nil {
+						t.Fatal(err)
+					}
+					saved[i] = buf.Bytes()
+				}
+				if !bytes.Equal(saved[0], saved[1]) {
+					t.Errorf("%s prefix64=%v workers=%d: the shuffled input saves different bytes", ds, p64, workers)
+				}
+			}
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math/bits"
-	"math/rand/v2"
-
 	"entropyip/internal/bayes"
 	"entropyip/internal/ip6"
 	"entropyip/internal/mining"
@@ -16,14 +13,16 @@ import (
 // clamp counts by delta; Encoding then replays the two float sums over
 // cached terms, so it never re-encodes an unchanged address.
 //
-// Each filled slot refers to a row: one distinct (code, clamp) vector of
-// the window, held once with the count of slots using it. A row stores
-// its packed codes, its Bayesian-network log terms (bayes.Scorer.Terms)
-// and its within-value density terms, all computed when the row is
-// created. A row no slot uses any more is reused for the next new vector.
-// Serving windows repeat heavily (a 16,384-address window holds one to
-// two thousand distinct vectors), so the rows are far smaller than the
-// per-address data they stand for.
+// Each filled slot refers to a row of a mining.Tally: one distinct (code,
+// clamp) vector of the window, counted once per slot using it. Beside the
+// tally the state keeps each row's Bayesian-network log terms
+// (bayes.Scorer.Terms) and within-value density terms, computed when the
+// row is created. A row no slot uses any more stays, terms and all, and
+// comes back if its vector returns; once such dead rows outnumber both the
+// live ones and rebuildFloor, the state rebuilds the tally and the terms
+// from the live rows. Serving windows repeat heavily (a 16,384-address
+// window holds one to two thousand distinct vectors), so the rows are far
+// smaller than the per-address data they stand for.
 //
 // Encoding's BNLogLikelihood and WithinLogDensity are the same addition
 // chains EncodeWindow runs over the addresses in slot order, term for
@@ -38,27 +37,21 @@ type WindowState struct {
 	k   int
 	// outOfSupport[i] is segment i's within term for a clamped value.
 	outOfSupport []float64
-	// keys are the per-column hash multipliers of the row index.
-	keys []uint64
 
 	// slots[s] is the row slot s refers to, or noRow while it is empty;
 	// filled counts the slots that are not.
 	slots  []uint32
 	filled int
-	// pages holds the rows, rowsPerPage to a page; rows counts the rows
-	// ever created. Fixed pages let the row storage grow without copying,
-	// with less than one page of slack.
-	pages []*rowPage
-	rows  int
-	// free lists rows whose count fell to zero, for reuse.
-	free []uint32
-	// index is an open-addressing table over the live rows in the style of
-	// ip6.Set: a power-of-two table at most 3/4 full, probed linearly from
-	// the slot the hash's top bits pick, holding r+1 for row r (0 is
-	// empty). Removing a row shifts the rest of its probe run back, so
-	// the table needs no tombstones.
-	index []uint32
-	shift uint // 64 - log2(len(index))
+	// rows tallies the slots' vectors, packed as the compiled encoder
+	// packs a code: idx<<1 | 1 for a covered value and idx<<1 for a
+	// clamped one, so equal packed vectors are equal (code, clamp)
+	// vectors. live counts the rows with a nonzero count.
+	rows *mining.Tally
+	live int
+	// pages holds the rows' terms, rowsPerPage rows to a page: row r's k
+	// BN terms, then its k within terms. Fixed pages let the terms grow
+	// without copying, with less than one page of slack.
+	pages [][]float64
 
 	// w holds the live code and clamp counts; Encoding fills in the sums.
 	w WindowEncoding
@@ -70,32 +63,21 @@ type WindowState struct {
 // noRow marks an empty slot.
 const noRow = ^uint32(0)
 
-// rowPage stores rowsPerPage rows. Row i of the page has its packed codes
-// at codes[i*k:], its terms at terms[i*2k:] (k BN terms, then k within
-// terms), its index hash at hashes[i] and its slot count at refs[i]. A
-// code is packed as idx<<1 | 1 for a covered value and idx<<1 for a
-// clamped one, as the compiled encoder packs it, so equal packed vectors
-// are equal (code, clamp) vectors.
-type rowPage struct {
-	codes  []int32
-	terms  []float64
-	hashes [rowsPerPage]uint64
-	refs   [rowsPerPage]int32
-}
-
-// rowsPerPage is the number of rows one page stores (1<<rowPageShift).
+// rowsPerPage is the number of rows one term page holds (1<<rowPageShift).
 const (
 	rowPageShift = 6
 	rowsPerPage  = 1 << rowPageShift
 )
 
-// row returns the page holding row r and the row's place in it.
-func (s *WindowState) row(r uint32) (*rowPage, int) {
-	return s.pages[r>>rowPageShift], int(r & (rowsPerPage - 1))
-}
+// rebuildFloor is the number of dead rows a state always tolerates, so a
+// small window does not rebuild on every few Sets.
+const rebuildFloor = 64
 
-// minWindowIndex is the smallest row index a WindowState allocates.
-const minWindowIndex = 64
+// terms returns row r's 2k terms.
+func (s *WindowState) terms(r uint32) []float64 {
+	i := int(r&(rowsPerPage-1)) * 2 * s.k
+	return s.pages[r>>rowPageShift][i : i+2*s.k]
+}
 
 // NewWindowState returns an empty window state for the model, sized for a
 // window of n slots numbered from 0. Setting a slot at or past n grows it.
@@ -107,6 +89,7 @@ func (m *Model) NewWindowState(n int) *WindowState {
 		sc:           m.Scorer(),
 		k:            k,
 		outOfSupport: make([]float64, k),
+		rows:         mining.NewTally(k, 0),
 		vec:          make([]int, k),
 		packed:       make([]int32, k),
 		w: WindowEncoding{
@@ -121,19 +104,6 @@ func (m *Model) NewWindowState(n int) *WindowState {
 		s.outOfSupport[i] = outOfSupportLogProb(sm.Seg.Width)
 		s.w.CodeCounts[i] = make([]int, sm.Arity())
 	}
-	// Observed addresses come from clients, so the hash keys are drawn at
-	// random and a client cannot choose addresses whose vectors collide.
-	//eip:nondeterministic-ok the seed places rows in the hash index only; no result depends on it
-	x := rand.Uint64()
-	s.keys = make([]uint64, k)
-	for i := range s.keys {
-		x += 0x9e3779b97f4a7c15 // splitmix64
-		z := x
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		s.keys[i] = (z ^ z>>31) | 1
-	}
-	s.allocIndex(minWindowIndex)
 	return s
 }
 
@@ -143,13 +113,16 @@ func (s *WindowState) Set(slot int, a ip6.Addr) {
 		s.slots = append(s.slots, noRow)
 	}
 	// The new vector is counted before the old one is released, so a slot
-	// that keeps its vector never frees and rebuilds its row.
+	// that keeps its vector never lets its row die.
 	old := s.slots[slot]
 	s.slots[slot] = s.acquire(a)
 	if old == noRow {
 		s.filled++
-	} else {
-		s.release(old)
+		return
+	}
+	s.release(old)
+	if dead := s.rows.Len() - s.live; dead > s.live && dead > rebuildFloor {
+		s.rebuild()
 	}
 }
 
@@ -166,8 +139,7 @@ func (s *WindowState) Encoding() *WindowEncoding {
 		if r == noRow {
 			continue
 		}
-		pg, i := s.row(r)
-		t := pg.terms[i*2*k : (i+1)*2*k]
+		t := s.terms(r)
 		bt, wt := t[:k], t[k:]
 		for j, x := range bt {
 			bn += x
@@ -182,10 +154,10 @@ func (s *WindowState) Encoding() *WindowEncoding {
 // Bytes returns the memory the state holds, counted from the capacities
 // of its slices.
 func (s *WindowState) Bytes() int {
-	n := 4*cap(s.slots) + 8*cap(s.pages) + 4*cap(s.free) + 4*cap(s.index) +
-		8*(cap(s.outOfSupport)+cap(s.keys)+cap(s.vec)+cap(s.w.Clamped)) + 4*cap(s.packed)
+	n := 4*cap(s.slots) + s.rows.Bytes() + 8*cap(s.pages) +
+		8*(cap(s.outOfSupport)+cap(s.vec)+cap(s.w.Clamped)) + 4*cap(s.packed)
 	for _, pg := range s.pages {
-		n += 4*cap(pg.codes) + 8*cap(pg.terms) + rowsPerPage*(8+4)
+		n += 8 * cap(pg)
 	}
 	for _, c := range s.w.CodeCounts {
 		n += 8 * cap(c)
@@ -193,11 +165,10 @@ func (s *WindowState) Bytes() int {
 	return n
 }
 
-// acquire encodes a, counts it and returns its row, creating the row when
-// the vector is new to the window.
+// acquire encodes a, counts it and returns its row, computing the row's
+// terms when the vector is new to the tally.
 func (s *WindowState) acquire(a ip6.Addr) uint32 {
 	hi, lo := a.Uint64s()
-	var h uint64
 	for i := range s.packed {
 		idx, covered := s.enc.EncodeSegment(i, hi, lo)
 		if idx < 0 {
@@ -211,63 +182,25 @@ func (s *WindowState) acquire(a ip6.Addr) uint32 {
 		}
 		s.w.CodeCounts[i][idx]++
 		s.packed[i] = p
-		h += uint64(p) * s.keys[i]
 	}
-	p1, p0 := bits.Mul64(h, 0x9e3779b97f4a7c15)
-	h = p1 ^ p0
-
-	mask := len(s.index) - 1
-	i := int(h >> s.shift)
-	for ; s.index[i] != 0; i = (i + 1) & mask {
-		r := s.index[i] - 1
-		if pg, j := s.row(r); pg.hashes[j] == h && s.equalRow(pg, j) {
-			pg.refs[j]++
-			return r
-		}
+	n := s.rows.Len()
+	r := s.rows.Add(s.packed, 1)
+	if s.rows.Count(r) == 1 {
+		s.live++
 	}
-	r := s.newRow(h)
-	s.index[i] = r + 1
-	if s.rows-len(s.free) > len(s.index)/4*3 {
-		s.allocIndex(2 * len(s.index))
+	if r == n {
+		s.newTerms(uint32(r))
 	}
-	return r
+	return uint32(r)
 }
 
-// equalRow reports whether row j of page pg holds the packed vector in
-// s.packed.
-func (s *WindowState) equalRow(pg *rowPage, j int) bool {
-	row := pg.codes[j*s.k : (j+1)*s.k]
-	for i, p := range s.packed {
-		if row[i] != p {
-			return false
-		}
-	}
-	return true
-}
-
-// newRow stores the packed vector in s.packed as a row with one reference
-// and computes its terms.
-func (s *WindowState) newRow(h uint64) uint32 {
+// newTerms computes the terms of new row r, whose vector is in s.packed.
+func (s *WindowState) newTerms(r uint32) {
 	k := s.k
-	var r uint32
-	if n := len(s.free); n > 0 {
-		r = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		r = uint32(s.rows)
-		s.rows++
-		if int(r>>rowPageShift) == len(s.pages) {
-			s.pages = append(s.pages, &rowPage{
-				codes: make([]int32, rowsPerPage*k),
-				terms: make([]float64, rowsPerPage*2*k),
-			})
-		}
+	if int(r>>rowPageShift) == len(s.pages) {
+		s.pages = append(s.pages, make([]float64, rowsPerPage*2*k))
 	}
-	pg, j := s.row(r)
-	copy(pg.codes[j*k:(j+1)*k], s.packed)
-	pg.hashes[j] = h
-	pg.refs[j] = 1
-	t := pg.terms[j*2*k : (j+1)*2*k]
+	t := s.terms(r)
 	for i, p := range s.packed {
 		idx := int(p >> 1)
 		s.vec[i] = idx
@@ -278,65 +211,43 @@ func (s *WindowState) newRow(h uint64) uint32 {
 		}
 	}
 	s.sc.Terms(t[:k], s.vec)
-	return r
 }
 
-// release uncounts one slot's use of row r and frees the row when no slot
-// uses it any more.
+// release uncounts one slot's use of row r.
 func (s *WindowState) release(r uint32) {
-	pg, j := s.row(r)
-	for i, p := range pg.codes[j*s.k : (j+1)*s.k] {
+	for i, p := range s.rows.Row(int(r)) {
 		if p&1 == 0 {
 			s.w.Clamped[i]--
 		}
 		s.w.CodeCounts[i][p>>1]--
 	}
-	if pg.refs[j]--; pg.refs[j] > 0 {
-		return
+	s.rows.Uncount(int(r))
+	if s.rows.Count(int(r)) == 0 {
+		s.live--
 	}
-	s.unindex(r)
-	s.free = append(s.free, r)
 }
 
-// home returns the index slot row r's hash picks.
-func (s *WindowState) home(r uint32) int {
-	pg, j := s.row(r)
-	return int(pg.hashes[j] >> s.shift)
-}
-
-// unindex removes row r from the index, shifting later entries of its
-// probe run back so that every remaining row stays reachable from its
-// home slot.
-func (s *WindowState) unindex(r uint32) {
-	mask := len(s.index) - 1
-	i := s.home(r)
-	for s.index[i] != r+1 {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
-		// The entry at j may move to the hole at i unless its home slot
-		// lies cyclically in (i, j].
-		if (j-s.home(s.index[j]-1))&mask >= (j-i)&mask {
-			s.index[i] = s.index[j]
-			i = j
+// rebuild drops the dead rows: the live rows move, in row order, into a
+// fresh tally and to the front of the term pages, and the slots follow
+// them. A row's new number is never above its old one, so its terms move
+// down in place.
+func (s *WindowState) rebuild() {
+	old := s.rows
+	s.rows = mining.NewTally(s.k, s.live)
+	remap := make([]uint32, old.Len())
+	for r := range remap {
+		if c := old.Count(r); c > 0 {
+			nr := uint32(s.rows.Add(old.Row(r), c))
+			copy(s.terms(nr), s.terms(uint32(r)))
+			remap[r] = nr
 		}
 	}
-	s.index[i] = 0
-}
-
-// allocIndex rebuilds the index at size slots, a power of two.
-func (s *WindowState) allocIndex(size int) {
-	s.index = make([]uint32, size)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	mask := size - 1
-	for r := uint32(0); int(r) < s.rows; r++ {
-		if pg, j := s.row(r); pg.refs[j] == 0 {
-			continue
+	for i, r := range s.slots {
+		if r != noRow {
+			s.slots[i] = remap[r]
 		}
-		i := s.home(r)
-		for s.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.index[i] = r + 1
 	}
+	keep := (s.live + rowsPerPage - 1) >> rowPageShift
+	clear(s.pages[keep:])
+	s.pages = s.pages[:keep]
 }

@@ -1,55 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"entropyip/internal/ip6"
 )
 
-// checkRows asserts the window state's row invariants: every row in use
-// is reachable from its home slot of the index, no two rows in use hold
-// the same vector, the index holds exactly the rows in use, and their
-// counts add up to the filled slots.
+// checkRows asserts the window state's row invariants: each row's count
+// is the number of filled slots referring to it, live counts the rows in
+// use, no two rows hold the same vector, and dead rows never outnumber
+// both the live ones and the rebuild floor.
 func checkRows(t *testing.T, s *WindowState) {
 	t.Helper()
-	mask := len(s.index) - 1
-	inUse, refs := 0, 0
+	refs := make([]int, s.rows.Len())
+	filled := 0
+	for _, r := range s.slots {
+		if r != noRow {
+			refs[r]++
+			filled++
+		}
+	}
+	if filled != s.Len() {
+		t.Fatalf("%d slots filled, Len = %d", filled, s.Len())
+	}
+	live := 0
 	seen := map[string]bool{}
-	for r := uint32(0); int(r) < s.rows; r++ {
-		pg, j := s.row(r)
-		if pg.refs[j] == 0 {
-			continue
+	for r, n := range refs {
+		if c := s.rows.Count(r); c != n {
+			t.Fatalf("row %d counted %d times, %d slots refer to it", r, c, n)
 		}
-		inUse++
-		refs += int(pg.refs[j])
-		var b []byte
-		for _, c := range pg.codes[j*s.k : (j+1)*s.k] {
-			b = append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+		if n > 0 {
+			live++
 		}
-		if seen[string(b)] {
+		key := fmt.Sprint(s.rows.Row(r))
+		if seen[key] {
 			t.Fatalf("row %d duplicates another row's vector", r)
 		}
-		seen[string(b)] = true
-		i := s.home(r)
-		for s.index[i] != r+1 {
-			if s.index[i] == 0 {
-				t.Fatalf("row %d is not reachable from its home slot", r)
-			}
-			i = (i + 1) & mask
-		}
+		seen[key] = true
 	}
-	indexed := 0
-	for _, e := range s.index {
-		if e != 0 {
-			indexed++
-		}
+	if live != s.live {
+		t.Fatalf("%d rows in use, live = %d", live, s.live)
 	}
-	if inUse != indexed {
-		t.Fatalf("%d rows in use, index holds %d", inUse, indexed)
-	}
-	if refs != s.Len() {
-		t.Fatalf("row counts add up to %d, %d slots filled", refs, s.Len())
+	if dead := s.rows.Len() - live; dead > live && dead > rebuildFloor {
+		t.Fatalf("%d dead rows beside %d live ones", dead, live)
 	}
 }
 
@@ -87,4 +82,40 @@ func TestWindowStateMatchesEncodeWindow(t *testing.T) {
 			checkRows(t, st)
 		}
 	}
+}
+
+// TestWindowStateRebuild cycles a small window through random addresses,
+// whose vectors rarely repeat, so rows die faster than they come back and
+// the state must rebuild its rows again and again. The tally never holds
+// more than twice the live rows plus the floor, and the encoding equals
+// EncodeWindow bit for bit after every Set, just before and just after
+// each rebuild included.
+func TestWindowStateRebuild(t *testing.T) {
+	m, _ := windowCase(t, "S1", "S1")
+	const slots = 32
+	st := m.NewWindowState(slots)
+	window := make([]ip6.Addr, slots)
+	rng := rand.New(rand.NewSource(11))
+	rebuilds := 0
+	for step := 0; step < 3000; step++ {
+		slot := step % slots
+		rng.Read(window[slot][:])
+		before := st.rows.Len()
+		st.Set(slot, window[slot])
+		if n := st.rows.Len(); n > 2*st.live+rebuildFloor {
+			t.Fatalf("step %d: %d rows for %d live ones", step, n, st.live)
+		}
+		if st.rows.Len() < before {
+			rebuilds++
+			checkRows(t, st)
+		}
+		if step >= slots-1 {
+			sameEncoding(t, fmt.Sprintf("step %d", step), st.Encoding(), m.EncodeWindow(window))
+		}
+	}
+	if rebuilds < 3 {
+		t.Fatalf("%d rebuilds in 3000 Sets, want at least 3", rebuilds)
+	}
+	checkRows(t, st)
+	t.Logf("%d rebuilds", rebuilds)
 }

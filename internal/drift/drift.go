@@ -92,16 +92,16 @@ type Report struct {
 // Score computes the drift report of a window of observed addresses
 // against a model. An empty window yields a zero report. For Prefix64Only
 // models the window is masked to /64 network identifiers and deduplicated
-// first — exactly the transform core.Build applies to its training set —
-// so the observed distribution is per-prefix like the model's marginals,
-// not weighted by each prefix's traffic volume (Report.Window then counts
-// unique prefixes).
+// first by core.Options.Transform, the transform core.Build applies to its
+// training set, so the observed distribution is per-prefix like the
+// model's marginals, not weighted by each prefix's traffic volume
+// (Report.Window then counts unique prefixes).
 //
 // Score is the one-shot path: it encodes the whole window. Window keeps
 // the same report up to date for a live ingest buffer, and Score is the
 // oracle it must match bit for bit.
 func Score(m *core.Model, window []ip6.Addr) (Report, error) {
-	window = maskWindow(m, window)
+	window = m.Opts.Transform(window)
 	if len(window) == 0 {
 		return Report{}, nil
 	}
@@ -187,25 +187,6 @@ func report(m *core.Model, n int, enc *core.WindowEncoding, nyb *nybbleCounts) (
 	return rep, nil
 }
 
-// maskWindow applies the model's training-set transform to an observation
-// window: for Prefix64Only models, mask to /64 network identifiers and
-// deduplicate (core.Build does the same before training); full models
-// score the window as-is.
-func maskWindow(m *core.Model, window []ip6.Addr) []ip6.Addr {
-	if !m.Opts.Prefix64Only {
-		return window
-	}
-	masked := make([]ip6.Addr, 0, len(window))
-	seen := ip6.NewSet(len(window))
-	for _, a := range window {
-		p := ip6.Mask(a, 64)
-		if seen.Add(p) {
-			masked = append(masked, p)
-		}
-	}
-	return masked
-}
-
 // MeanLogLikelihood returns the mean address-level log-likelihood of the
 // window under the model after the same Prefix64Only masking/dedup Score
 // applies — the number Report.MeanLogLikelihood holds. Shadow evaluation
@@ -213,7 +194,7 @@ func maskWindow(m *core.Model, window []ip6.Addr) []ip6.Addr {
 // directly) so rotation-time baselines are on the same scale as every
 // later evaluation.
 func MeanLogLikelihood(m *core.Model, window []ip6.Addr) float64 {
-	return m.MeanAddressLogLikelihood(maskWindow(m, window))
+	return m.MeanAddressLogLikelihood(m.Opts.Transform(window))
 }
 
 // profileHasCounts reports whether the profile carries per-nybble value

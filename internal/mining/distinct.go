@@ -21,22 +21,19 @@ import (
 // so rows and counts are identical for any worker count. The rows share
 // one backing array. As in EncodeInto, a segment with no mined values
 // encodes as -1; core.Build rejects such models before encoding.
-//
-// The tallies of one call hash with keys drawn from a random seed, so
-// training addresses uploaded to a server cannot be chosen to drive the
-// tables into long probe chains. The seed decides only where a vector
-// sits in the index, never the order or the counts returned.
 func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, counts []int) {
 	c := e.Compiled()
 	cols := len(e.Models)
-	//eip:nondeterministic-ok the seed places vectors in the hash index only; rows and counts do not depend on it
-	keys := columnKeys(cols, rand.Uint64())
-	parts := parallel.MapShards(workers, len(addrs), func(s parallel.Shard) *tally {
-		t := newTally(keys, 0)
+	parts := parallel.MapShards(workers, len(addrs), func(s parallel.Shard) *Tally {
+		t := NewTally(cols, 0)
 		vec := make([]int, cols)
+		vec32 := make([]int32, cols)
 		for _, a := range addrs[s.Start:s.End] {
 			c.EncodeInto(vec, a)
-			t.add(vec, t.hashCodes(vec), 1)
+			for i, v := range vec {
+				vec32[i] = int32(v)
+			}
+			t.Add(vec32, 1)
 		}
 		return t
 	})
@@ -47,35 +44,44 @@ func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, c
 	if len(parts) > 1 {
 		n := 0
 		for _, p := range parts {
-			n += len(p.counts)
+			n += p.Len()
 		}
-		t = newTally(keys, n)
+		t = NewTally(cols, n)
 		for _, p := range parts {
-			for i, w := range p.counts {
-				t.add(p.row(i), p.hashes[i], w)
+			for r, w := range p.counts {
+				t.Add(p.Row(r), w)
 			}
 		}
 	}
-	rows = make([][]int, len(t.counts))
-	for i := range rows {
-		rows[i] = t.row(i)
+	flat := make([]int, len(t.codes))
+	for i, v := range t.codes {
+		flat[i] = int(v)
+	}
+	rows = make([][]int, t.Len())
+	for r := range rows {
+		rows[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
 	}
 	return rows, t.counts
 }
 
-// tally counts distinct code vectors. The vectors sit back to back in
-// flat in order of first insertion, with their counts and hashes in
-// parallel slices. slots is a flat open-addressing index over them, in
+// Tally counts distinct code vectors of one width. Rows are numbered in
+// order of first insertion and keep their number for the tally's life: a
+// row whose count falls to zero stays, and Add counts it again if its
+// vector returns. The vectors sit back to back in codes with their counts
+// in a parallel slice; slots is a flat open-addressing index over them, in
 // the style of ip6.Set: a power-of-two table filled to at most 3/4 and
-// probed linearly from the slot the hash's top bits pick. A slot holds
-// i+1 for vector i (0 is empty), and a probe confirms a match by
-// comparing the hash and then the codes themselves.
-type tally struct {
+// probed linearly from the slot the hash's top bits pick. A slot holds r+1
+// for row r (0 is empty), and a probe confirms a match against the codes.
+//
+// Each tally hashes with keys drawn from a random seed, so vectors chosen
+// by a client (uploaded training addresses, observed traffic) cannot drive
+// the index into long probe chains. The seed decides only where a row sits
+// in the index, never row numbers or counts.
+type Tally struct {
 	cols   int
-	keys   []uint64 // per-column hash multipliers, shared by merged tallies
-	flat   []int
+	keys   []uint64 // per-column hash multipliers
+	codes  []int32
 	counts []int
-	hashes []uint64
 	slots  []uint32
 	shift  uint // 64 - log2(len(slots))
 	limit  int  // 3/4 of len(slots)
@@ -84,79 +90,101 @@ type tally struct {
 // minTallySlots is the smallest index a tally allocates.
 const minTallySlots = 64
 
-// newTally returns an empty tally of vectors one code per key wide, with
-// room for n distinct vectors below the load limit.
-func newTally(keys []uint64, n int) *tally {
-	cols := len(keys)
+// NewTally returns an empty tally of vectors cols codes wide, with room
+// for n distinct vectors below the index's load limit.
+func NewTally(cols, n int) *Tally {
 	size := minTallySlots
 	for size/4*3 < n {
 		size *= 2
 	}
-	t := &tally{
+	t := &Tally{
 		cols:   cols,
-		keys:   keys,
-		flat:   make([]int, 0, n*cols),
+		keys:   make([]uint64, cols),
+		codes:  make([]int32, 0, n*cols),
 		counts: make([]int, 0, n),
-		hashes: make([]uint64, 0, n),
+	}
+	// The keys are odd multipliers, one per column, so equal codes in
+	// different columns hash apart: the splitmix64 sequence from the seed.
+	//eip:nondeterministic-ok the seed places rows in the hash index only; row numbers and counts do not depend on it
+	x := rand.Uint64()
+	for i := range t.keys {
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		t.keys[i] = (z ^ z>>31) | 1
 	}
 	t.alloc(size)
 	return t
 }
 
 // alloc gives the tally an empty index of size slots, a power of two.
-func (t *tally) alloc(size int) {
+func (t *Tally) alloc(size int) {
 	t.slots = make([]uint32, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	t.limit = size / 4 * 3
 }
 
-// row returns distinct vector i; its capacity ends with it.
-func (t *tally) row(i int) []int {
-	return t.flat[i*t.cols : (i+1)*t.cols : (i+1)*t.cols]
+// Len returns the number of rows, counted or not.
+func (t *Tally) Len() int { return len(t.counts) }
+
+// Row returns the codes of row r; the caller must not modify them.
+func (t *Tally) Row(r int) []int32 {
+	return t.codes[r*t.cols : (r+1)*t.cols : (r+1)*t.cols]
 }
 
-// add counts vec, whose hash is h, w more times. A vector seen for the
-// first time is copied in.
-func (t *tally) add(vec []int, h uint64, w int) {
+// Count returns how many times row r is counted.
+func (t *Tally) Count(r int) int { return t.counts[r] }
+
+// Uncount removes one count from row r. The row stays in the tally.
+func (t *Tally) Uncount(r int) { t.counts[r]-- }
+
+// Bytes returns the memory the tally holds, counted from the capacities
+// of its slices.
+func (t *Tally) Bytes() int {
+	return 8*cap(t.keys) + 4*cap(t.codes) + 8*cap(t.counts) + 4*cap(t.slots)
+}
+
+// Add counts vec w more times and returns its row. A vector seen for the
+// first time is copied in as row Len()-1.
+func (t *Tally) Add(vec []int32, w int) int {
 	mask := len(t.slots) - 1
-	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+	for i := int(t.hash(vec) >> t.shift); ; i = (i + 1) & mask {
 		s := int(t.slots[i])
 		if s == 0 {
-			t.flat = append(t.flat, vec...)
+			t.codes = append(t.codes, vec...)
 			t.counts = append(t.counts, w)
-			t.hashes = append(t.hashes, h)
 			t.slots[i] = uint32(len(t.counts))
 			if len(t.counts) > t.limit {
 				t.grow()
 			}
-			return
+			return len(t.counts) - 1
 		}
-		if t.hashes[s-1] == h && equalCodes(t.row(s-1), vec) {
+		if equalCodes(t.Row(s-1), vec) {
 			t.counts[s-1] += w
-			return
+			return s - 1
 		}
 	}
 }
 
-// grow doubles the index and re-places every vector by its stored hash.
-func (t *tally) grow() {
+// grow doubles the index and re-places every row by its hash.
+func (t *Tally) grow() {
 	t.alloc(2 * len(t.slots))
 	mask := len(t.slots) - 1
-	for v, h := range t.hashes {
-		i := int(h >> t.shift)
+	for r := range t.counts {
+		i := int(t.hash(t.Row(r)) >> t.shift)
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = uint32(v + 1)
+		t.slots[i] = uint32(r + 1)
 	}
 }
 
-// hashCodes hashes a code vector: the sum of each code times its
-// column's key, with every product independent of the others, and the
-// sum multiplied into 128 bits by a large odd constant and the product's
-// two words folded, so every bit of it reaches the top bits that pick a
-// slot.
-func (t *tally) hashCodes(vec []int) uint64 {
+// hash hashes a code vector: the sum of each code times its column's key,
+// with every product independent of the others, and the sum multiplied
+// into 128 bits by a large odd constant and the product's two words
+// folded, so every bit of it reaches the top bits that pick a slot.
+func (t *Tally) hash(vec []int32) uint64 {
 	var h uint64
 	for i, c := range vec {
 		h += uint64(c) * t.keys[i]
@@ -165,23 +193,8 @@ func (t *tally) hashCodes(vec []int) uint64 {
 	return p1 ^ p0
 }
 
-// columnKeys returns cols odd multipliers, one per column, so equal codes
-// in different columns hash apart: the splitmix64 sequence from seed.
-func columnKeys(cols int, seed uint64) []uint64 {
-	keys := make([]uint64, cols)
-	x := seed
-	for i := range keys {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		keys[i] = (z ^ z>>31) | 1
-	}
-	return keys
-}
-
 // equalCodes reports whether two vectors of one width are equal.
-func equalCodes(a, b []int) bool {
+func equalCodes(a, b []int32) bool {
 	for i, v := range a {
 		if b[i] != v {
 			return false

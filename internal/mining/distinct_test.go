@@ -107,20 +107,31 @@ func TestEncodeDistinct(t *testing.T) {
 
 // TestTallyConfirmsCollisions forces every vector onto one hash: the
 // tally must still tell them apart by their codes, including across the
-// index's growth.
+// index's growth, and count a row again after its count fell to zero.
 func TestTallyConfirmsCollisions(t *testing.T) {
-	tl := newTally(columnKeys(2, 1), 0)
+	tl := NewTally(2, 0)
+	clear(tl.keys) // every vector hashes alike
 	for round := 0; round < 2; round++ {
 		for v := 0; v < 100; v++ {
-			tl.add([]int{v, v % 7}, 42, 1)
+			if r := tl.Add([]int32{int32(v), int32(v % 7)}, 1); r != v {
+				t.Fatalf("vector %d: row %d, want %d", v, r, v)
+			}
 		}
 	}
-	if len(tl.counts) != 100 {
-		t.Fatalf("%d distinct vectors, want 100", len(tl.counts))
+	if tl.Len() != 100 {
+		t.Fatalf("%d distinct vectors, want 100", tl.Len())
 	}
-	for v, c := range tl.counts {
-		if c != 2 || !reflect.DeepEqual(tl.row(v), []int{v, v % 7}) {
-			t.Fatalf("vector %d: row %v count %d, want [%d %d] twice", v, tl.row(v), c, v, v%7)
+	for v := 0; v < tl.Len(); v++ {
+		if c := tl.Count(v); c != 2 || !reflect.DeepEqual(tl.Row(v), []int32{int32(v), int32(v % 7)}) {
+			t.Fatalf("vector %d: row %v count %d, want [%d %d] twice", v, tl.Row(v), c, v, v%7)
 		}
+	}
+	tl.Uncount(5)
+	tl.Uncount(5)
+	if c := tl.Count(5); c != 0 {
+		t.Fatalf("row 5 counted %d times after two uncounts, want 0", c)
+	}
+	if r := tl.Add([]int32{5, 5}, 3); r != 5 || tl.Count(5) != 3 || tl.Len() != 100 {
+		t.Fatalf("returning vector: row %d count %d of %d rows, want row 5 count 3 of 100", r, tl.Count(5), tl.Len())
 	}
 }
