@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -175,17 +176,28 @@ func TestEncodeWindowAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
-// TestEncodeWindowConcurrentFirstUse scores one window from several
-// goroutines on a model whose cached encoder and scorer are not built
-// yet, as concurrent observe requests do after a model loads; run under
-// -race it checks the lazy initialization.
+// TestEncodeWindowConcurrentFirstUse uses a freshly loaded model from
+// several goroutines at once, as concurrent requests do after a model
+// loads: each scores a window, generates, fills a window state and reads
+// the marginals, and each answer must equal the built model's. Run under
+// -race it checks that the loaded model is finished when Load returns
+// and that the one lazy part, the marginals, initializes safely.
 func TestEncodeWindowConcurrentFirstUse(t *testing.T) {
 	m, window := windowCase(t, "S5", "C1")
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := m.EncodeWindow(window).LogLikelihood()
+	want := m.EncodeWindow(window)
+	genOpts := GenerateOptions{Count: 2000, Seed: 4, Workers: 2}
+	wantGen, err := m.Generate(genOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMarg, err := m.Marginals()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +207,19 @@ func TestEncodeWindowConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := fresh.EncodeWindow(window).LogLikelihood(); got != want {
-				t.Errorf("concurrent EncodeWindow LL = %v, want %v", got, want)
+			if got := fresh.EncodeWindow(window); got.LogLikelihood() != want.LogLikelihood() {
+				t.Errorf("concurrent EncodeWindow LL = %v, want %v", got.LogLikelihood(), want.LogLikelihood())
+			}
+			if got, err := fresh.Generate(genOpts); err != nil || !reflect.DeepEqual(got, wantGen) {
+				t.Errorf("concurrent Generate: %d candidates, err %v; differs from the built model's", len(got), err)
+			}
+			st := fresh.NewWindowState(len(window))
+			for i, a := range window {
+				st.Set(i, a)
+			}
+			sameEncoding(t, "concurrent window state", st.Encoding(), want)
+			if got, err := fresh.Marginals(); err != nil || !reflect.DeepEqual(got, wantMarg) {
+				t.Errorf("concurrent Marginals = %v, %v; want %v", got, err, wantMarg)
 			}
 		}()
 	}

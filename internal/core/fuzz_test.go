@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"entropyip/internal/bayes"
@@ -42,6 +43,7 @@ func FuzzLoad(f *testing.F) {
 		}
 	}
 	f.Add(wideFactorModel(f))
+	f.Add(manyValuesModel(f, MaxArity+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -207,4 +209,46 @@ func wideFactorModel(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return raw
+}
+
+// manyValuesModel returns a model file with one four-nybble segment of n
+// exact values (0, 1, ..., n-1) and a uniform network over them.
+func manyValuesModel(tb testing.TB, n int) []byte {
+	sj := segmentJSON{Label: "A", Start: 0, Width: 4, Total: n}
+	row := make([]float64, n)
+	for k := range row {
+		sj.Values = append(sj.Values, valueJSON{Code: fmt.Sprint("A", k+1), Lo: uint64(k), Hi: uint64(k), Count: 1, Step: 1})
+		row[k] = 1 / float64(n)
+	}
+	raw, err := json.Marshal(modelJSON{
+		Version:  modelVersion,
+		Segments: []segmentJSON{sj},
+		Net: &bayes.Network{
+			Vars:    []bayes.Variable{{Name: "A", Arity: n}},
+			Parents: [][]int{nil},
+			CPTs:    []*bayes.CPT{{Arity: n, Rows: [][]float64{row}}},
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestLoadBoundsArity pins MaxArity on the load path: a segment with
+// MaxArity values loads and encodes, one more value is refused before
+// anything is compiled.
+func TestLoadBoundsArity(t *testing.T) {
+	m, err := Load(bytes.NewReader(manyValuesModel(t, MaxArity)))
+	if err != nil {
+		t.Fatalf("%d values: %v", MaxArity, err)
+	}
+	a := ip6.AddrFromUint64s(uint64(MaxArity-1)<<48, 0)
+	if ev, err := m.EvidenceFromAddr(a, "A"); err != nil || ev["A"] != fmt.Sprint("A", MaxArity) {
+		t.Errorf("EvidenceFromAddr = %v, %v; want A%d", ev, err, MaxArity)
+	}
+	_, err = Load(bytes.NewReader(manyValuesModel(t, MaxArity+1)))
+	if err == nil || !strings.Contains(err.Error(), "more than the") {
+		t.Errorf("%d values: err = %v, want the arity bound", MaxArity+1, err)
+	}
 }

@@ -101,17 +101,6 @@ type drawFunc func(rng *rand.Rand, buf []int) ip6.Addr
 // — fused with the compiled decoder, whose tables the drawn codes index
 // directly. mask64 truncates drawn addresses to their /64.
 func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
-	// The decoder trusts the sampler's codes, so the network's arities
-	// must match the mined segments; check that once, here.
-	if len(m.Net.Vars) != len(m.Segments) {
-		return nil, fmt.Errorf("core: network has %d variables for %d segments", len(m.Net.Vars), len(m.Segments))
-	}
-	for i, sm := range m.Segments {
-		if m.Net.Vars[i].Arity != sm.Arity() {
-			return nil, fmt.Errorf("core: segment %s arity %d does not match network arity %d",
-				sm.Seg.Label, sm.Arity(), m.Net.Vars[i].Arity)
-		}
-	}
 	var sample func(*rand.Rand, []int) []int
 	if len(evidence) == 0 {
 		sample = m.Net.NewSampler().SampleInto
@@ -122,7 +111,7 @@ func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
 		}
 		sample = cs.SampleInto
 	}
-	dec := m.Encoder().Decoder()
+	dec := m.encoder.Decoder()
 	return func(rng *rand.Rand, buf []int) ip6.Addr {
 		a := dec.Decode(sample(rng, buf), rng)
 		if mask64 {
@@ -456,8 +445,8 @@ type WindowEncoding struct {
 // (bayes.Scorer). The addresses' vectors pass through one reused buffer:
 // the allocations are per window and per segment, none per address.
 func (m *Model) EncodeWindow(addrs []ip6.Addr) *WindowEncoding {
-	c := m.Encoder().Compiled()
-	sc := m.Scorer()
+	c := m.encoder.Compiled()
+	sc := m.scorer
 	cols := len(m.Segments)
 	w := &WindowEncoding{
 		CodeCounts: make([][]int, cols),
@@ -529,10 +518,13 @@ func (m *Model) MeanAddressLogLikelihood(addrs []ip6.Addr) float64 {
 // the Bayesian network, in segment order — the model's own belief about
 // how often each mined value code occurs, against which live observation
 // windows are compared for drift. The distributions are constant for a
-// model, so the variable-elimination pass runs once and is cached (drift
-// evaluation calls this on the ingest request path, like Encoder); the
-// result must be treated as read-only.
-func (m *Model) Marginals() ([][]float64, error) {
-	m.margOnce.Do(func() { m.marginals, m.margErr = m.Net.Posteriors(nil) })
-	return m.marginals, m.margErr
-}
+// model, so the variable-elimination pass runs on the first call and its
+// result is kept (drift evaluation calls this on the ingest request
+// path); the result must be treated as read-only.
+//
+// Unlike the encoder and scorer, the marginals are not built with the
+// model: the pass can cost up to bayes' factor bound, and on an uploaded
+// model too wide for exact inference it fails with
+// bayes.ErrFactorTooLarge, while the model must still load, generate and
+// score.
+func (m *Model) Marginals() ([][]float64, error) { return m.marginals() }

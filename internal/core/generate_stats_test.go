@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,18 +15,32 @@ import (
 // evidence, on the engine's own draw function: the drawn codes of every
 // segment follow the network's distribution (a chi-square test at a
 // fixed seed), and every decoded segment value lies inside the mined
-// element its code selected.
+// element its code selected. In prefix mode the low 64 bits are zero and
+// the segments above them still lie inside their elements. The golden
+// datasets' models run through Load, as uploaded models do.
 func TestDrawSamplesTheModel(t *testing.T) {
 	m, _ := buildTestModel(t, 4000, 31, Options{})
-	cases := []struct {
-		name string
-		ev   Evidence
-	}{
-		{"unconditional", nil},
-		{"evidence", genEvidence(t, m)},
+	type drawCase struct {
+		name   string
+		m      *Model
+		ev     Evidence
+		mask64 bool
+	}
+	cases := []drawCase{
+		{"unconditional", m, nil, false},
+		{"evidence", m, genEvidence(t, m), false},
+		{"prefix", m, nil, true},
+	}
+	for _, ds := range goldenDatasets {
+		gm, err := Load(bytes.NewReader(goldenModelBytes(t, ds)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, drawCase{ds, gm, nil, false})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
 			idx, err := m.evidenceIndices(tc.ev)
 			if err != nil {
 				t.Fatal(err)
@@ -34,7 +49,7 @@ func TestDrawSamplesTheModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			draw, err := m.newDraw(idx, false)
+			draw, err := m.newDraw(idx, tc.mask64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,12 +62,18 @@ func TestDrawSamplesTheModel(t *testing.T) {
 			const n = 20000
 			for d := 0; d < n; d++ {
 				a := draw(rng, buf)
+				if _, lo := a.Uint64s(); tc.mask64 && lo != 0 {
+					t.Fatalf("prefix draw %v has nonzero low 64 bits", a)
+				}
 				for i, sm := range m.Segments {
+					counts[i][buf[i]]++
+					if tc.mask64 && sm.Seg.EndBit() > 64 {
+						continue
+					}
 					v := sm.Values[buf[i]]
 					if x := sm.Seg.Value(a); !v.Contains(x) {
 						t.Fatalf("segment %s: decoded %x outside %s [%x, %x]", sm.Seg.Label, x, v.Code, v.Lo, v.Hi)
 					}
-					counts[i][buf[i]]++
 				}
 			}
 			for i, sm := range m.Segments {

@@ -86,16 +86,23 @@ type Model struct {
 	// TrainCount is the number of training addresses.
 	TrainCount int
 
-	encOnce sync.Once
+	// The derived state below is built by newModel, which every Model
+	// comes from (Build and Load).
 	encoder *mining.Encoder
-
-	margOnce  sync.Once
-	marginals [][]float64
-	margErr   error
-
-	scorerOnce sync.Once
-	scorer     *bayes.Scorer
+	scorer  *bayes.Scorer
+	// marginals runs the network's variable elimination on first use:
+	// see Marginals for why it is not built with the rest.
+	marginals func() ([][]float64, error)
 }
+
+// MaxArity is the largest number of mined values a segment may carry.
+// Compiling a segment's encoder costs time quadratic in its value count,
+// so the bound keeps an uploaded model from pinning a core while it
+// loads: on a 2-vCPU Xeon, a model of 32 one-nybble segments at the bound
+// loads in 0.06 s, and the costliest shape (all 32 nybbles in segments
+// of width 4 to 16) in under 0.4 s; twice the bound takes 1.5 s. Mining
+// with the paper's configuration yields about 30 values per segment.
+const MaxArity = 512
 
 // ErrNoData is returned when a model is built from an empty training set.
 var ErrNoData = errors.New("core: no training addresses")
@@ -149,18 +156,12 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	now = buildStage(opts.OnStage, "segment", now)
 	models := mining.MineAllWorkers(train, sg, opts.Mining, workers)
 	now = buildStage(opts.OnStage, "mine", now)
-	enc := mining.NewEncoder(models)
-	enc.Compiled()
-	enc.Decoder()
-	now = buildStage(opts.OnStage, "compile", now)
-
-	vars := make([]bayes.Variable, len(models))
-	for i, m := range models {
-		if m.Arity() == 0 {
-			return nil, fmt.Errorf("core: segment %s mined no values", m.Seg.Label)
-		}
-		vars[i] = bayes.Variable{Name: m.Seg.Label, Arity: m.Arity()}
+	vars, err := segmentVars(models)
+	if err != nil {
+		return nil, err
 	}
+	enc := mining.NewEncoder(models)
+	now = buildStage(opts.OnStage, "compile", now)
 	// The network learns from the distinct code vectors and their counts.
 	rows, counts := enc.EncodeDistinct(train, workers)
 	now = buildStage(opts.OnStage, "encode", now)
@@ -170,7 +171,7 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	}
 	buildStage(opts.OnStage, "learn", now)
 
-	m := &Model{
+	return newModel(&Model{
 		Profile:      profile,
 		ACR:          acr,
 		Segmentation: sg,
@@ -178,28 +179,62 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 		Net:          net,
 		Opts:         opts,
 		TrainCount:   len(train),
+	}, enc)
+}
+
+// newModel finishes a model whose persisted fields are set; Build and
+// Load both end here. It checks that the segments agree with the
+// network's variables, which the decoder and the scorer trust, and builds
+// the encoder and the scorer, so generation and drift scoring only read
+// them. enc is the encoder Build compiled for its encode stage; nil
+// compiles one.
+func newModel(m *Model, enc *mining.Encoder) (*Model, error) {
+	vars, err := segmentVars(m.Segments)
+	if err != nil {
+		return nil, err
 	}
-	// The model keeps the encoder the compile stage built, so its first
-	// Generate or EncodeWindow compiles nothing.
-	m.encOnce.Do(func() { m.encoder = enc })
+	if len(vars) != m.Net.NumVars() {
+		return nil, fmt.Errorf("core: %d segments but %d network variables", len(vars), m.Net.NumVars())
+	}
+	for i, v := range vars {
+		if a := m.Net.Vars[i].Arity; a != v.Arity {
+			return nil, fmt.Errorf("core: segment %s arity %d does not match network arity %d", v.Name, v.Arity, a)
+		}
+	}
+	if enc == nil {
+		enc = mining.NewEncoder(m.Segments)
+	}
+	m.encoder = enc
+	m.scorer = m.Net.NewScorer()
+	net := m.Net
+	m.marginals = sync.OnceValues(func() ([][]float64, error) { return net.Posteriors(nil) })
 	return m, nil
 }
 
-// Encoder returns the categorical encoder over the model's mined segments.
-// It is safe for concurrent use: a model shared between request handlers
-// initializes its encoder exactly once.
-func (m *Model) Encoder() *mining.Encoder {
-	m.encOnce.Do(func() { m.encoder = mining.NewEncoder(m.Segments) })
-	return m.encoder
+// segmentVars returns the network variables of the mined segments,
+// refusing a segment without values or with more than MaxArity of them.
+// Build calls it before compiling, newModel for every model.
+func segmentVars(models []*mining.SegmentModel) ([]bayes.Variable, error) {
+	vars := make([]bayes.Variable, len(models))
+	for i, sm := range models {
+		switch a := sm.Arity(); {
+		case a == 0:
+			return nil, fmt.Errorf("core: segment %s mined no values", sm.Seg.Label)
+		case a > MaxArity:
+			return nil, fmt.Errorf("core: segment %s has %d values, more than the %d allowed", sm.Seg.Label, a, MaxArity)
+		}
+		vars[i] = bayes.Variable{Name: sm.Seg.Label, Arity: sm.Arity()}
+	}
+	return vars, nil
 }
 
-// Scorer returns the log-CPT scorer of the model's Bayesian network. Like
-// Encoder and Marginals it is constant for a model, so it is built once
-// and cached; it is safe for concurrent use.
-func (m *Model) Scorer() *bayes.Scorer {
-	m.scorerOnce.Do(func() { m.scorer = m.Net.NewScorer() })
-	return m.scorer
-}
+// Encoder returns the categorical encoder over the model's mined segments.
+// It is immutable and safe for concurrent use.
+func (m *Model) Encoder() *mining.Encoder { return m.encoder }
+
+// Scorer returns the log-CPT scorer of the model's Bayesian network. It
+// is immutable and safe for concurrent use.
+func (m *Model) Scorer() *bayes.Scorer { return m.scorer }
 
 // SegmentByLabel returns the mined model of the segment with the given
 // label and its index.
@@ -253,19 +288,16 @@ func (m *Model) evidenceIndices(ev Evidence) (map[int]int, error) {
 // EvidenceFromAddr builds evidence fixing the given segments to the codes
 // the address encodes to. Unknown labels cause an error.
 func (m *Model) EvidenceFromAddr(a ip6.Addr, labels ...string) (Evidence, error) {
+	c := m.encoder.Compiled()
+	hi, lo := a.Uint64s()
 	ev := make(Evidence, len(labels))
 	for _, label := range labels {
-		_, sm, ok := m.SegmentByLabel(label)
+		i, sm, ok := m.SegmentByLabel(label)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown segment %q", label)
 		}
-		idx, ok := sm.Encode(sm.Seg.Value(a))
-		if !ok {
-			idx, ok = sm.EncodeNearest(sm.Seg.Value(a))
-			if !ok {
-				return nil, fmt.Errorf("core: segment %q cannot encode %v", label, a)
-			}
-		}
+		// Every segment has a mined value, so the index is never -1.
+		idx, _ := c.EncodeSegment(i, hi, lo)
 		ev[label] = sm.Values[idx].Code
 	}
 	return ev, nil

@@ -80,14 +80,16 @@ func TestBuildBasicInvariants(t *testing.T) {
 	}
 }
 
+// TestBuildKeepsCompiledEncoder checks that Build returns a finished
+// model: the encoder its compile stage built, with both compiled forms,
+// and the scorer, so the first Generate or EncodeWindow builds nothing.
 func TestBuildKeepsCompiledEncoder(t *testing.T) {
 	m, _ := buildTestModel(t, 500, 1, Options{})
-	enc := m.encoder
-	if enc == nil {
-		t.Fatal("Build returned a model without its encoder; the first Generate would compile a second one")
+	if enc := m.Encoder(); enc == nil || enc.Compiled() == nil || enc.Decoder() == nil {
+		t.Fatalf("Build returned encoder %+v, want one with its compiled encoder and decoder", enc)
 	}
-	if m.Encoder() != enc {
-		t.Error("Encoder() replaced the encoder Build compiled")
+	if m.Scorer() == nil {
+		t.Error("Build returned a model without its scorer")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"entropyip/internal/bayes"
 	"entropyip/internal/entropy"
@@ -17,8 +16,8 @@ import (
 const modelVersion = 1
 
 // modelJSON is the serialized form of a Model. Only what is needed to
-// reconstruct the model is stored; derived structures (the encoder) are
-// rebuilt on load.
+// reconstruct the model is stored; derived structures (the encoder and
+// scorer) are rebuilt on load.
 type modelJSON struct {
 	Version      int       `json:"version"`
 	Prefix64Only bool      `json:"prefix64_only"`
@@ -211,9 +210,6 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			return err
 		}
 	}
-	if len(in.Segments) != in.Net.NumVars() {
-		return fmt.Errorf("core: %d segments but %d network variables", len(in.Segments), in.Net.NumVars())
-	}
 
 	profile := &entropy.Profile{N: in.TrainCount}
 	copy(profile.H[:], in.EntropyH)
@@ -223,15 +219,6 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			break
 		}
 		copy(profile.Counts[i][:], row)
-	}
-
-	acr := &mra.Series{N: in.ACRAddrs}
-	copy(acr.Counts[:], in.ACRCounts)
-	for d := 1; d <= len(acr.ACR); d++ {
-		prev, cur := acr.Counts[d-1], acr.Counts[d]
-		if cur > 0 && prev > 0 {
-			acr.ACR[d-1] = 1 - float64(prev)/float64(cur)
-		}
 	}
 
 	var segs []segment.Segment
@@ -262,34 +249,26 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if err := in.Net.Validate(); err != nil {
 		return fmt.Errorf("core: invalid network in model file: %w", err)
 	}
-	for i, sm := range models {
-		if in.Net.Vars[i].Arity != sm.Arity() {
-			return fmt.Errorf("core: segment %s arity %d does not match network arity %d",
-				sm.Seg.Label, sm.Arity(), in.Net.Vars[i].Arity)
-		}
-	}
-
-	m.Profile = profile
-	m.ACR = acr
-	m.Segmentation = sg
-	m.Segments = models
-	m.Net = in.Net
+	// Model files written before options were persisted carry only the
+	// Prefix64Only flag; the remaining options default to zero (the
+	// paper's configuration).
+	opts := Options{Prefix64Only: in.Prefix64Only}
 	if in.Options != nil {
-		m.Opts = in.Options.toOptions()
-	} else {
-		// Model files written before options were persisted carry only the
-		// Prefix64Only flag; the remaining options default to zero (the
-		// paper's configuration).
-		m.Opts = Options{Prefix64Only: in.Prefix64Only}
+		opts = in.Options.toOptions()
 	}
-	m.TrainCount = in.TrainCount
-	m.encOnce = sync.Once{}
-	m.encoder = nil
-	m.margOnce = sync.Once{}
-	m.marginals = nil
-	m.margErr = nil
-	m.scorerOnce = sync.Once{}
-	m.scorer = nil
+	loaded, err := newModel(&Model{
+		Profile:      profile,
+		ACR:          mra.FromCounts(in.ACRAddrs, in.ACRCounts),
+		Segmentation: sg,
+		Segments:     models,
+		Net:          in.Net,
+		Opts:         opts,
+		TrainCount:   in.TrainCount,
+	}, nil)
+	if err != nil {
+		return err
+	}
+	*m = *loaded
 	return nil
 }
 

@@ -85,8 +85,8 @@ func (m *Model) NewWindowState(n int) *WindowState {
 	k := len(m.Segments)
 	s := &WindowState{
 		slots:        make([]uint32, n),
-		enc:          m.Encoder().Compiled(),
-		sc:           m.Scorer(),
+		enc:          m.encoder.Compiled(),
+		sc:           m.scorer,
 		k:            k,
 		outOfSupport: make([]float64, k),
 		rows:         mining.NewTally(k, 0),

@@ -8,7 +8,7 @@ import (
 )
 
 // benchProfileAddrs generates the synthetic S1 population used by the
-// CI-gated hot-path benchmarks (see bench_baseline.txt at the repo root).
+// CI-gated hot-path benchmarks (see scripts/check_bench.sh).
 func benchProfileAddrs(b *testing.B, n int) []ip6.Addr {
 	b.Helper()
 	addrs, err := synth.Generate("S1", n, 1)

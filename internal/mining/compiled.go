@@ -14,7 +14,7 @@ import (
 // linearly scanning the mined elements and, for values outside every
 // element, re-scanning for the numerically nearest one — fine per query,
 // but the encode path runs per address on ingest, drift scoring and
-// likelihood evaluation. Compile resolves every possible outcome once:
+// likelihood evaluation. NewEncoder resolves every possible outcome once:
 // each segment's value axis is cut into elementary intervals on which the
 // scan's answer is constant (element bounds plus the switch points of the
 // nearest-element fallback), so one encode is a table lookup (narrow
@@ -25,8 +25,7 @@ import (
 // TestCompiledEncoderMatchesReference pins the equivalence exhaustively on
 // narrow segments and adversarially on wide ones.
 type CompiledEncoder struct {
-	models []*SegmentModel
-	segs   []compiledSegment
+	segs []compiledSegment
 }
 
 // directMaxNybbles is the widest segment compiled to a direct value→code
@@ -67,14 +66,11 @@ func packedCode(m *SegmentModel, v uint64) int32 {
 	return int32(idx) << 1
 }
 
-// Compile flattens the encoder's per-segment scans into lookup tables.
-// The result is immutable and safe for concurrent use.
-func (e *Encoder) Compile() *CompiledEncoder {
-	c := &CompiledEncoder{
-		models: e.Models,
-		segs:   make([]compiledSegment, len(e.Models)),
-	}
-	for i, m := range e.Models {
+// compile flattens the per-segment scans into lookup tables. The result
+// is immutable and safe for concurrent use.
+func compile(models []*SegmentModel) *CompiledEncoder {
+	c := &CompiledEncoder{segs: make([]compiledSegment, len(models))}
+	for i, m := range models {
 		cs := compiledSegment{placement: newPlacement(m.Seg)}
 		cs.logWidth = make([]float64, len(m.Values))
 		for k, v := range m.Values {
@@ -185,12 +181,6 @@ func (cs *compiledSegment) lookup(v uint64) int32 {
 	return cs.codes[base]
 }
 
-// NumSegments returns the number of segments the encoder covers.
-func (c *CompiledEncoder) NumSegments() int { return len(c.segs) }
-
-// Models returns the per-segment models the encoder was compiled from.
-func (c *CompiledEncoder) Models() []*SegmentModel { return c.models }
-
 // EncodeSegment resolves segment seg of the address whose 64-bit halves
 // (ip6.Addr.Uint64s) are hi and lo: the element index and whether the
 // value was covered by a mined element (false means the nearest element
@@ -215,8 +205,8 @@ func (c *CompiledEncoder) LogWidth(seg, idx int) float64 {
 	return c.segs[seg].logWidth[idx]
 }
 
-// EncodeInto encodes an address into the caller's vector (len must be
-// NumSegments) without allocating. exact reports whether every segment
+// EncodeInto encodes an address into the caller's vector (one slot per
+// segment) without allocating. exact reports whether every segment
 // value was covered by a mined element; clamped segments hold the nearest
 // element, as in Encoder.Encode. When any segment has no mined values at
 // all its slot is -1 and exact is false.
@@ -233,12 +223,8 @@ func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
 	return exact
 }
 
-// Compiled returns the encoder's flat-table form, built once and cached;
-// it is safe for concurrent use, like Encoder itself.
-func (e *Encoder) Compiled() *CompiledEncoder {
-	e.compileOnce.Do(func() { e.compiled = e.Compile() })
-	return e.compiled
-}
+// Compiled returns the encoder's flat-table form.
+func (e *Encoder) Compiled() *CompiledEncoder { return e.compiled }
 
 // placement locates a segment in the address's two 64-bit halves. A
 // segment value v sits at hi bits v<<hiL | v>>hiR and lo bits v<<loL; a Go

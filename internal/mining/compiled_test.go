@@ -75,7 +75,7 @@ func checkSegment(t *testing.T, m *SegmentModel, probe func(check func(v uint64)
 	for _, start := range []int{0, 16 - (w+1)/2, ip6.NybbleCount - w} {
 		placed := *m
 		placed.Seg.Start = start
-		c := NewEncoder([]*SegmentModel{&placed}).Compile()
+		c := NewEncoder([]*SegmentModel{&placed}).Compiled()
 		probe(func(v uint64) {
 			wantIdx, wantCov := refEncode(m, v)
 			var a ip6.Addr

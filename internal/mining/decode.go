@@ -43,11 +43,10 @@ type decodeElem struct {
 	limit uint64
 }
 
-// compileDecoder flattens the encoder's per-segment models into a
-// decoder.
-func (e *Encoder) compileDecoder() *CompiledDecoder {
-	d := &CompiledDecoder{segs: make([]decodeSegment, len(e.Models))}
-	for i, m := range e.Models {
+// compileDecoder flattens the per-segment models into a decoder.
+func compileDecoder(models []*SegmentModel) *CompiledDecoder {
+	d := &CompiledDecoder{segs: make([]decodeSegment, len(models))}
+	for i, m := range models {
 		s := decodeSegment{placement: newPlacement(m.Seg)}
 		s.elems = make([]decodeElem, len(m.Values))
 		for k, v := range m.Values {

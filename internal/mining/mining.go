@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"entropyip/internal/dbscan"
 	"entropyip/internal/ip6"
@@ -614,21 +613,22 @@ func (m *SegmentModel) FormatValue(v Value) string {
 // Bayesian network. Encode is the readable reference scan; the bulk and
 // serving paths run on the compiled flat-table form (Compiled), which
 // answers identically. Decoding has the same split: DecodeReference is
-// the readable form, Decoder the compiled one generation runs on. An
-// Encoder must not be copied after first use (the compiled forms are
-// cached behind sync.Onces).
+// the readable form, Decoder the compiled one generation runs on.
+// NewEncoder builds both compiled forms, so an Encoder is immutable and
+// safe for concurrent use.
 type Encoder struct {
 	Models []*SegmentModel
 
-	compileOnce sync.Once
-	compiled    *CompiledEncoder
-
-	decodeOnce sync.Once
-	decoder    *CompiledDecoder
+	compiled *CompiledEncoder
+	decoder  *CompiledDecoder
 }
 
-// NewEncoder returns an encoder over the given per-segment models.
-func NewEncoder(models []*SegmentModel) *Encoder { return &Encoder{Models: models} }
+// NewEncoder returns an encoder over the given per-segment models with
+// its compiled encoder and decoder. Compiling a segment costs time
+// quadratic in its number of mined values (see compileIntervals).
+func NewEncoder(models []*SegmentModel) *Encoder {
+	return &Encoder{Models: models, compiled: compile(models), decoder: compileDecoder(models)}
+}
 
 // Arities returns the number of categories of each segment, in order.
 func (e *Encoder) Arities() []int {
@@ -705,12 +705,8 @@ func (e *Encoder) checkVec(vec []int) error {
 	return nil
 }
 
-// Decoder returns the encoder's compiled decoder, built once and cached;
-// it is safe for concurrent use, like Encoder itself.
-func (e *Encoder) Decoder() *CompiledDecoder {
-	e.decodeOnce.Do(func() { e.decoder = e.compileDecoder() })
-	return e.decoder
-}
+// Decoder returns the encoder's compiled decoder.
+func (e *Encoder) Decoder() *CompiledDecoder { return e.decoder }
 
 // Codes returns the vector of code strings for a categorical vector, e.g.
 // ["A1", "B2", ...], the notation used in the paper.

@@ -81,6 +81,16 @@ func New(addrs []ip6.Addr) *Series {
 	return s
 }
 
+// FromCounts rebuilds the series of n addresses from its prefix counts
+// (Counts[0], Counts[1], ...; entries past Counts[32] are ignored), as a
+// saved model stores them.
+func FromCounts(n int, counts []int) *Series {
+	s := &Series{N: n}
+	copy(s.Counts[:], counts)
+	fillACR(s)
+	return s
+}
+
 // NewWorkers is New. The worker count is ignored: the sort runs on the
 // calling goroutine. It remains for callers that still pass one.
 func NewWorkers(addrs []ip6.Addr, workers int) *Series {

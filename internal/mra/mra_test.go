@@ -284,3 +284,19 @@ func BenchmarkNew10K(b *testing.B) {
 		_ = New(addrs)
 	}
 }
+
+// TestFromCountsMatchesNew rebuilds series from their counts, as a saved
+// model does, and gets New's series back.
+func TestFromCountsMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 300} {
+		addrs := make([]ip6.Addr, n)
+		for i := range addrs {
+			addrs[i] = ip6.AddrFromUint64s(0x20010db8<<32|uint64(rng.Intn(40)), uint64(rng.Intn(9)))
+		}
+		want := New(addrs)
+		if got := FromCounts(want.N, want.Counts[:]); *got != *want {
+			t.Errorf("n=%d: FromCounts = %+v, New = %+v", n, got, want)
+		}
+	}
+}

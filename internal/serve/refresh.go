@@ -445,6 +445,12 @@ func (r *Refresher) Status(name string) (DriftStatus, bool) {
 	if !ok {
 		return DriftStatus{}, false
 	}
+	return s.status(), true
+}
+
+// status reads the stream's observable state, the one read Status,
+// Summary and collect share.
+func (s *modelStream) status() DriftStatus {
 	drifting, _ := s.det.State()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -459,29 +465,36 @@ func (r *Refresher) Status(name string) (DriftStatus, bool) {
 		LastVerdict:   s.lastVerdict,
 		LastRotation:  s.lastRotation,
 		LastError:     s.lastError,
-	}, true
+	}
 }
 
-// Summary aggregates all streams for healthz.
-func (r *Refresher) Summary() RefreshSummary {
+// statuses returns the status of every stream, sorted by model name.
+func (r *Refresher) statuses() []DriftStatus {
 	r.mu.Lock()
 	streams := make([]*modelStream, 0, len(r.streams))
 	for _, s := range r.streams {
 		streams = append(streams, s)
 	}
 	r.mu.Unlock()
-	out := RefreshSummary{Models: len(streams)}
-	for _, s := range streams {
-		drifting, _ := s.det.State()
-		if drifting {
+	out := make([]DriftStatus, len(streams))
+	for i, s := range streams {
+		out[i] = s.status()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
+	return out
+}
+
+// Summary aggregates all streams for healthz.
+func (r *Refresher) Summary() RefreshSummary {
+	sts := r.statuses()
+	out := RefreshSummary{Models: len(sts)}
+	for _, st := range sts {
+		if st.Drifting {
 			out.Drifting++
 		}
-		st := s.buf.Stats()
-		out.Observed += st.Observed
-		s.mu.Lock()
-		out.Rotations += s.rotations
-		out.ShadowRejects += s.shadowRejects
-		s.mu.Unlock()
+		out.Observed += st.Ingest.Observed
+		out.Rotations += st.Rotations
+		out.ShadowRejects += st.ShadowRejects
 	}
 	return out
 }
@@ -492,43 +505,22 @@ func (r *Refresher) Summary() RefreshSummary {
 // scrape instead of leaking them forever. Streams are sorted by name for
 // deterministic exposition output.
 func (r *Refresher) collect(e *obs.Expo) {
-	r.mu.Lock()
-	streams := make([]*modelStream, 0, len(r.streams))
-	for _, s := range r.streams {
-		streams = append(streams, s)
-	}
-	r.mu.Unlock()
-	sort.Slice(streams, func(i, j int) bool { return streams[i].name < streams[j].name })
-
-	for _, s := range streams {
-		st := s.buf.Stats()
-		drifting, _ := s.det.State()
-		e.Gauge("eip_ingest_window", "Addresses currently in the model's observation window.", float64(st.Window), "model", s.name)
-		e.Gauge("eip_ingest_window_capacity", "Configured observation window size.", float64(st.WindowCapacity), "model", s.name)
-		e.Gauge("eip_ingest_prefixes64", "Distinct /64 prefixes in the window.", float64(st.Prefixes64), "model", s.name)
-		e.Counter("eip_ingest_observed_total", "Addresses offered to the model's window.", float64(st.Observed), "model", s.name)
-		e.Counter("eip_ingest_cap_displacements_total", "Same-/64 window entries displaced early by the per-/64 cap.", float64(st.Deduped), "model", s.name)
-		e.Counter("eip_ingest_evictions_total", "Window slots overwritten by newer observations.", float64(st.Evicted), "model", s.name)
-
-		s.mu.Lock()
-		evals := s.evaluations
-		rotations := s.rotations
-		rejects := s.shadowRejects
-		retraining := s.retraining
-		score, haveScore := 0.0, false
-		if s.lastVerdict != nil {
-			score, haveScore = s.lastVerdict.Report.Score, true
+	for _, st := range r.statuses() {
+		in, name := st.Ingest, st.Model
+		e.Gauge("eip_ingest_window", "Addresses currently in the model's observation window.", float64(in.Window), "model", name)
+		e.Gauge("eip_ingest_window_capacity", "Configured observation window size.", float64(in.WindowCapacity), "model", name)
+		e.Gauge("eip_ingest_prefixes64", "Distinct /64 prefixes in the window.", float64(in.Prefixes64), "model", name)
+		e.Counter("eip_ingest_observed_total", "Addresses offered to the model's window.", float64(in.Observed), "model", name)
+		e.Counter("eip_ingest_cap_displacements_total", "Same-/64 window entries displaced early by the per-/64 cap.", float64(in.Deduped), "model", name)
+		e.Counter("eip_ingest_evictions_total", "Window slots overwritten by newer observations.", float64(in.Evicted), "model", name)
+		e.Gauge("eip_drift_drifting", "1 while the detector flags the model as drifted.", b2f(st.Drifting), "model", name)
+		e.Counter("eip_drift_evaluations_total", "Drift evaluations run for the model.", float64(st.Evaluations), "model", name)
+		if st.LastVerdict != nil {
+			e.Gauge("eip_drift_score", "Drift score of the most recent evaluation (maximum per-segment divergence).", st.LastVerdict.Report.Score, "model", name)
 		}
-		s.mu.Unlock()
-
-		e.Gauge("eip_drift_drifting", "1 while the detector flags the model as drifted.", b2f(drifting), "model", s.name)
-		e.Counter("eip_drift_evaluations_total", "Drift evaluations run for the model.", float64(evals), "model", s.name)
-		if haveScore {
-			e.Gauge("eip_drift_score", "Drift score of the most recent evaluation (maximum per-segment divergence).", score, "model", s.name)
-		}
-		e.Counter("eip_refresh_rotations_total", "Models published by the refresh loop.", float64(rotations), "model", s.name)
-		e.Counter("eip_refresh_shadow_rejects_total", "Retrained candidates that failed shadow evaluation.", float64(rejects), "model", s.name)
-		e.Gauge("eip_refresh_retraining", "1 while a drift-triggered retrain is in flight.", b2f(retraining), "model", s.name)
+		e.Counter("eip_refresh_rotations_total", "Models published by the refresh loop.", float64(st.Rotations), "model", name)
+		e.Counter("eip_refresh_shadow_rejects_total", "Retrained candidates that failed shadow evaluation.", float64(st.ShadowRejects), "model", name)
+		e.Gauge("eip_refresh_retraining", "1 while a drift-triggered retrain is in flight.", b2f(st.Retraining), "model", name)
 	}
 }
 

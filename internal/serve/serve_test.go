@@ -197,6 +197,41 @@ func TestUploadLearnOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestUploadArityBound uploads a model whose one segment has
+// core.MaxArity values, which loads, and one with a value more, which
+// is refused with a 400 before its encoder is compiled.
+func TestUploadArityBound(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	doc := func(n int) json.RawMessage {
+		values := make([]map[string]any, n)
+		row := make([]float64, n)
+		for k := range values {
+			values[k] = map[string]any{"code": fmt.Sprint("A", k+1), "lo": k, "hi": k, "count": 1, "step": 1}
+			row[k] = 1 / float64(n)
+		}
+		raw, err := json.Marshal(map[string]any{
+			"version":  1,
+			"segments": []map[string]any{{"label": "A", "start": 0, "width": 4, "total": n, "values": values}},
+			"net": bayes.Network{
+				Vars:    []bayes.Variable{{Name: "A", Arity: n}},
+				Parents: [][]int{nil},
+				CPTs:    []*bayes.CPT{{Arity: n, Rows: [][]float64{row}}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if w := do(t, s, "PUT", "/v1/models/wide", PutModelRequest{Model: doc(core.MaxArity)}); w.Code != http.StatusCreated {
+		t.Fatalf("%d values: status = %d (%s)", core.MaxArity, w.Code, w.Body.String())
+	}
+	w := do(t, s, "PUT", "/v1/models/wide", PutModelRequest{Model: doc(core.MaxArity + 1)})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "more than the") {
+		t.Errorf("%d values: status = %d (%s), want 400 naming the bound", core.MaxArity+1, w.Code, w.Body.String())
+	}
+}
+
 func TestTrainFromAddresses(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	lines := make([]string, 0, 1500)

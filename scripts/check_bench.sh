@@ -1,49 +1,36 @@
 #!/usr/bin/env bash
 # check_bench.sh — the CI benchmark gate.
 #
-# Usage: check_bench.sh <baseline.txt> <new.txt>
+# Usage: check_bench.sh <base.txt> <new.txt>
 #
-# Both files are raw `go test -bench -benchmem` output (ideally -count 3 of
-# the command in .github/workflows/ci.yml). The script prints a benchstat
-# comparison when benchstat is installed (informational), then gates on two
-# axes:
+# Both files are raw `go test -bench -benchmem` output: in CI, the parent
+# commit's and this commit's passes that scripts/bench_pair.sh runs
+# interleaved in one job, so both come from the same machine at the same
+# time. The script prints a benchstat comparison when benchstat is
+# installed (informational), then gates on two axes:
 #
 #   ns/op   — the mean of each NAMED hot benchmark must not regress by
 #             more than 30% (override with BENCH_GATE_THRESHOLD, a ratio,
-#             e.g. 1.30). Absolute ns/op only compares on matching
-#             hardware, so this axis ARMS ONLY when the `cpu:` lines of
-#             baseline and new agree (see the limitation note below).
+#             e.g. 1.30). Absolute ns/op only compares on one machine, so
+#             this axis ARMS ONLY when the `cpu:` lines of base and new
+#             agree, as they do for two runs of one job; set
+#             BENCH_GATE_REQUIRE_MATCH=1 to fail on a mismatch instead.
 #   allocs/op — hardware-independent, so this axis gates REGARDLESS of
 #             the cpu match. The ZERO_ALLOC benchmarks must report exactly
 #             0 allocs/op (these are the serving-plane hot paths whose
 #             zero-allocation contract this repo's tests pin; any value
-#             above 0 is a regression and fails even with no baseline).
+#             above 0 is a regression and fails even with no base entry).
 #             The remaining named benchmarks fail when mean allocs/op
 #             regresses by more than BENCH_GATE_ALLOC_THRESHOLD (default
-#             1.30) against a baseline that carries allocs data.
+#             1.30) against a base that carries allocs data.
 #
-# NEW benchmarks (present in this run, absent from the baseline) never
+# NEW benchmarks (present in this run, absent from the base run) never
 # fail the ns/op gate; they are reported per name AND in a closing summary
-# line so a stale baseline is visible in the job log instead of silent.
-#
-# KNOWN LIMITATION — the CPU-match requirement (ns/op axis only). The gate
-# compares raw ns/op, which is only meaningful when both runs came from
-# the same CPU model. The committed bench_baseline.txt was produced on
-# developer hardware, so on GitHub-hosted runners the `cpu:` lines differ
-# and the ns/op gate stays PERMANENTLY INFORMATIONAL until a baseline
-# recorded on CI hardware is committed. GitHub also rotates runner CPU
-# models between jobs (several Xeon/EPYC generations serve
-# `ubuntu-latest`), so even a CI-recorded baseline can disarm
-# intermittently: the ns/op gate is best-effort hardware-matched, not a
-# guarantee. The allocs/op axis has no such limitation. Each CI bench run
-# uploads a `bench-baseline` artifact containing a ready-to-commit
-# bench_baseline.txt; see README "Refreshing the benchmark baseline" for
-# the exact arming steps. Set BENCH_GATE_REQUIRE_MATCH=1 to turn a cpu
-# mismatch into a failure (to catch a baseline gone permanently stale).
+# line.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
-    echo "usage: $0 <baseline.txt> <new.txt>" >&2
+    echo "usage: $0 <base.txt> <new.txt>" >&2
     exit 2
 fi
 BASE="$1"
@@ -65,13 +52,13 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          ParseLineBytes)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
-# exactly 0, baseline or not.
+# exactly 0, base entry or not.
 ZERO_ALLOC=(Encode100k Decode100k ParseFormat ObserveIngest GenerateNDJSON
             GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath
             SetContains ParseLineBytes)
 
 if command -v benchstat >/dev/null 2>&1; then
-    echo "== benchstat baseline vs new (informational) =="
+    echo "== benchstat base vs new (informational) =="
     benchstat "$BASE" "$NEW" || true
     echo
 fi
@@ -86,11 +73,10 @@ new_cpu=$(cpuline "$NEW")
 armed=1
 if [ -z "$base_cpu" ] || [ "$base_cpu" != "$new_cpu" ]; then
     armed=0
-    echo "NOTE: baseline CPU (${base_cpu:-unknown}) != this run's CPU (${new_cpu:-unknown})."
+    echo "NOTE: base CPU (${base_cpu:-unknown}) != this run's CPU (${new_cpu:-unknown})."
     echo "      Absolute ns/op is not comparable across hardware; the ns/op axis is"
-    echo "      reporting only, not gating (the allocs/op axis still gates). Refresh"
-    echo "      bench_baseline.txt from this environment's bench-results artifact to"
-    echo "      arm the ns/op gate."
+    echo "      reporting only, not gating (the allocs/op axis still gates). Run both"
+    echo "      sides on one machine (scripts/bench_pair.sh) to arm the ns/op gate."
     echo
 fi
 
@@ -117,7 +103,7 @@ for b in "${BENCHES[@]}"; do
     if [ -z "$new" ]; then
         if [ -n "$base" ]; then
             # Gated benchmark disappeared — that hides regressions; fail.
-            echo "MISSING      $b (present in baseline, absent from this run)"
+            echo "MISSING      $b (present in the base run, absent from this run)"
             fail=1
         else
             echo "ABSENT       $b (in neither file; is the bench command covering its package?)"
@@ -126,8 +112,8 @@ for b in "${BENCHES[@]}"; do
         continue
     fi
     if [ -z "$base" ]; then
-        # Not in the baseline yet (newly added benchmark): report only.
-        echo "NEW          $b  ${new}ns/op (no baseline entry; informational)"
+        # Not in the base run (newly added benchmark): report only.
+        echo "NEW          $b  ${new}ns/op (no base entry; informational)"
         new_names+=("$b")
         continue
     fi
@@ -169,10 +155,10 @@ for b in "${BENCHES[@]}"; do
     fi
     base_allocs=$(mean "$BASE" "$b" allocs/op)
     if [ -z "$base_allocs" ]; then
-        continue # no alloc data in the baseline: informational only
+        continue # no alloc data in the base run: informational only
     fi
     if awk -v b="$base_allocs" 'BEGIN { exit !(b == 0) }'; then
-        # Baseline at 0: any alloc is a regression (ratio is undefined).
+        # Base at 0: any alloc is a regression (ratio is undefined).
         if awk -v a="$new_allocs" 'BEGIN { exit !(a > 0) }'; then
             echo "ALLOC-REGRESSION $b  base=0 new=${new_allocs} allocs/op"
             fail=1
@@ -193,7 +179,7 @@ done
 echo
 # Binary-vs-NDJSON throughput summary. Both numbers come from THIS run,
 # so the ratio is hardware-matched by construction and gates regardless
-# of the baseline CPU match: the binary encoding's reason to exist is
+# of the base run's CPU match: the binary encoding's reason to exist is
 # beating the text path, so it must stay at least
 # BENCH_BINARY_SPEEDUP_MIN (default 2.0) times the NDJSON throughput.
 # GenerateBinary100k encodes 100000 candidates per op; GenerateNDJSON
@@ -212,12 +198,11 @@ if [ -n "$bin_ns" ] && [ -n "$nd_ns" ]; then
 fi
 
 if [ "${#new_names[@]}" -gt 0 ]; then
-    echo "SUMMARY: ${#new_names[@]} benchmark(s) have no baseline entry and ran informationally: ${new_names[*]}"
-    echo "         Commit a refreshed bench_baseline.txt (bench-baseline CI artifact) to gate them."
+    echo "SUMMARY: ${#new_names[@]} benchmark(s) have no base entry and ran informationally: ${new_names[*]}"
 fi
 if [ "$armed" -eq 0 ]; then
     if [ "${BENCH_GATE_REQUIRE_MATCH:-0}" = "1" ]; then
-        echo "CPU mismatch with BENCH_GATE_REQUIRE_MATCH=1: the baseline is stale; failing."
+        echo "CPU mismatch with BENCH_GATE_REQUIRE_MATCH=1: base and new ran on different machines; failing."
         exit 1
     fi
     echo "ns/op gate disarmed (CPU mismatch); allocs/op gate verdict stands: exit $fail."
