@@ -76,26 +76,27 @@ const (
 	StructureChain
 )
 
-// LearnConfig controls structure learning and parameter fitting.
+// LearnConfig controls structure learning and parameter fitting. Model
+// files persist it under its JSON tags.
 type LearnConfig struct {
-	// MaxParents bounds the number of parents per node (default 2, at
-	// most MaxParentsLimit).
-	MaxParents int
+	// MaxParents bounds the number of parents per node, in
+	// 0..MaxParentsLimit (0 selects the default, 2).
+	MaxParents int `json:"max_parents,omitempty"`
 	// EquivalentSampleSize is the BDeu prior strength (default 1.0).
-	EquivalentSampleSize float64
+	EquivalentSampleSize float64 `json:"equivalent_sample_size,omitempty"`
 	// Pseudocount is the Dirichlet smoothing added to every CPT cell when
 	// fitting parameters (default 0.5). It keeps generation from assigning
 	// exactly zero probability to configurations not seen in training.
-	Pseudocount float64
+	Pseudocount float64 `json:"pseudocount,omitempty"`
 	// MaxParentConfigs bounds the number of parent configurations (product
-	// of parent arities) a candidate parent set may induce (default 4096,
-	// at most MaxParentConfigsLimit); larger sets would overfit and blow
-	// up CPT size.
-	MaxParentConfigs int
+	// of parent arities) a candidate parent set may induce, in
+	// 0..MaxParentConfigsLimit (0 selects the default, 4096); larger sets
+	// would overfit and blow up CPT size.
+	MaxParentConfigs int `json:"max_parent_configs,omitempty"`
 	// Structure selects learned vs forced structures (default learned).
-	Structure Structure
+	Structure Structure `json:"structure,omitempty"`
 	// Score selects the structure score (default BDeu).
-	Score Score
+	Score Score `json:"score,omitempty"`
 }
 
 // MaxParentsLimit is the largest MaxParents Learn accepts. Structure
@@ -153,6 +154,20 @@ func (c LearnConfig) maxParentConfigs() int {
 	return c.MaxParentConfigs
 }
 
+// Validate checks the bounds Learn enforces: MaxParents in
+// 0..MaxParentsLimit and MaxParentConfigs in 0..MaxParentConfigsLimit
+// (0 selects the default). Learn calls it first; callers holding options
+// from untrusted requests or model files call it before queuing work.
+func (c LearnConfig) Validate() error {
+	if c.MaxParents < 0 || c.MaxParents > MaxParentsLimit {
+		return fmt.Errorf("bayes: MaxParents %d outside 0..%d", c.MaxParents, MaxParentsLimit)
+	}
+	if c.MaxParentConfigs < 0 || c.MaxParentConfigs > MaxParentConfigsLimit {
+		return fmt.Errorf("bayes: MaxParentConfigs %d outside 0..%d", c.MaxParentConfigs, MaxParentConfigsLimit)
+	}
+	return nil
+}
+
 // maxTotalCount bounds the sum of the row counts Learn accepts: below
 // 2^53 every count total is an exact float64, so family scores do not
 // depend on the order rows are added in.
@@ -165,15 +180,11 @@ const maxTotalCount = 1 << 53
 // nil counts every row once. Learning from distinct rows and their counts
 // gives exactly the network learning from the rows repeated would: every
 // statistic is a sum of integer counts, exact in float64 below 2^53 in
-// any order. cfg.MaxParents above MaxParentsLimit, and
-// cfg.MaxParentConfigs above MaxParentConfigsLimit, are errors.
+// any order. A cfg that Validate refuses is an error.
 func Learn(rows [][]int, counts []int, vars []Variable, cfg LearnConfig) (*Network, error) {
 	n := len(vars)
-	if cfg.MaxParents > MaxParentsLimit {
-		return nil, fmt.Errorf("bayes: MaxParents %d exceeds %d", cfg.MaxParents, MaxParentsLimit)
-	}
-	if cfg.MaxParentConfigs > MaxParentConfigsLimit {
-		return nil, fmt.Errorf("bayes: MaxParentConfigs %d exceeds %d", cfg.MaxParentConfigs, MaxParentConfigsLimit)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	for _, v := range vars {
 		if v.Arity <= 0 {

@@ -44,6 +44,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(wideFactorModel(f))
 	f.Add(manyValuesModel(f, MaxArity+1))
+	f.Add(outOfDomainModel(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -214,15 +215,24 @@ func wideFactorModel(tb testing.TB) []byte {
 // manyValuesModel returns a model file with one four-nybble segment of n
 // exact values (0, 1, ..., n-1) and a uniform network over them.
 func manyValuesModel(tb testing.TB, n int) []byte {
-	sj := segmentJSON{Label: "A", Start: 0, Width: 4, Total: n}
+	values := make([]valueJSON, n)
+	for k := range values {
+		values[k] = valueJSON{Code: fmt.Sprint("A", k+1), Lo: uint64(k), Hi: uint64(k), Count: 1, Step: 1}
+	}
+	return oneSegmentModel(tb, values)
+}
+
+// oneSegmentModel returns a model file with one four-nybble segment A of
+// the given values and a uniform network over them.
+func oneSegmentModel(tb testing.TB, values []valueJSON) []byte {
+	n := len(values)
 	row := make([]float64, n)
 	for k := range row {
-		sj.Values = append(sj.Values, valueJSON{Code: fmt.Sprint("A", k+1), Lo: uint64(k), Hi: uint64(k), Count: 1, Step: 1})
 		row[k] = 1 / float64(n)
 	}
 	raw, err := json.Marshal(modelJSON{
 		Version:  modelVersion,
-		Segments: []segmentJSON{sj},
+		Segments: []segmentJSON{{Label: "A", Start: 0, Width: 4, Total: n, Values: values}},
 		Net: &bayes.Network{
 			Vars:    []bayes.Variable{{Name: "A", Arity: n}},
 			Parents: [][]int{nil},
@@ -233,6 +243,43 @@ func manyValuesModel(tb testing.TB, n int) []byte {
 		tb.Fatal(err)
 	}
 	return raw
+}
+
+// outOfDomainModel returns a model file whose four-nybble segment holds
+// a range over all of 0..0xffff and the value 70000 past it. Compiling
+// that segment's encoder would append one interval per value above
+// 0xffff without end, since each is nearest to 70000 while 0xffff is
+// covered by the range.
+func outOfDomainModel(tb testing.TB) []byte {
+	return oneSegmentModel(tb, []valueJSON{
+		{Code: "A1", Lo: 0, Hi: 0xffff, Count: 1, Step: 4},
+		{Code: "A2", Lo: 70000, Hi: 70000, Count: 1, Step: 1},
+	})
+}
+
+// TestLoadRefusesValuesOutsideSegment pins the value-range check on the
+// load path. A value past the segment's largest value can make the
+// encoder's compile loop run forever (outOfDomainModel), and an inverted
+// range makes decoded values leave their element; both are refused. A
+// range covering the whole segment loads.
+func TestLoadRefusesValuesOutsideSegment(t *testing.T) {
+	if _, err := Load(bytes.NewReader(outOfDomainModel(t))); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("value 70000 in a four-nybble segment: err = %v, want the value-range error", err)
+	}
+	for _, r := range [][2]uint64{{0xfff0, 0x10000}, {5, 3}, {0, math.MaxUint64}} {
+		values := []valueJSON{
+			{Code: "A1", Lo: 0, Hi: 0, Count: 1, Step: 1},
+			{Code: "A2", Lo: r[0], Hi: r[1], Count: 1, Step: 2},
+		}
+		_, err := Load(bytes.NewReader(oneSegmentModel(t, values)))
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("value [%#x, %#x]: err = %v, want the value-range error", r[0], r[1], err)
+		}
+	}
+	whole := []valueJSON{{Code: "A1", Lo: 0, Hi: 0xffff, Count: 1, Step: 2}}
+	if _, err := Load(bytes.NewReader(oneSegmentModel(t, whole))); err != nil {
+		t.Errorf("value [0, 0xffff]: %v", err)
+	}
 }
 
 // TestLoadBoundsArity pins MaxArity on the load path: a segment with

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
 
+	"entropyip/internal/bayes"
 	"entropyip/internal/ip6"
 	"entropyip/internal/stats"
 )
@@ -13,10 +15,11 @@ import (
 // TestDrawSamplesTheModel checks that generation samples the model it
 // claims to (§4.4, §5.5 of the paper), unconditionally and under
 // evidence, on the engine's own draw function: the drawn codes of every
-// segment follow the network's distribution (a chi-square test at a
-// fixed seed), and every decoded segment value lies inside the mined
-// element its code selected. In prefix mode the low 64 bits are zero and
-// the segments above them still lie inside their elements. The golden
+// segment, and the drawn (parent, child) code pairs of every network
+// edge, follow the network's distribution (chi-square tests at a fixed
+// seed), and every decoded segment value lies inside the mined element
+// its code selected. In prefix mode the low 64 bits are zero and the
+// segments above them still lie inside their elements. The golden
 // datasets' models run through Load, as uploaded models do.
 func TestDrawSamplesTheModel(t *testing.T) {
 	m, _ := buildTestModel(t, 4000, 31, Options{})
@@ -36,7 +39,7 @@ func TestDrawSamplesTheModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, drawCase{ds, gm, nil, false})
+		cases = append(cases, drawCase{ds, gm, nil, false}, drawCase{ds + "/evidence", gm, genEvidence(t, gm), false})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +60,11 @@ func TestDrawSamplesTheModel(t *testing.T) {
 			for i, sm := range m.Segments {
 				counts[i] = make([]int, sm.Arity())
 			}
+			edges := m.Net.Edges()
+			joints := make([][]int, len(edges))
+			for e, pc := range edges {
+				joints[e] = make([]int, m.Net.Vars[pc[0]].Arity*m.Net.Vars[pc[1]].Arity)
+			}
 			rng := rand.New(rand.NewSource(17))
 			buf := make([]int, m.Net.NumVars())
 			const n = 20000
@@ -64,6 +72,9 @@ func TestDrawSamplesTheModel(t *testing.T) {
 				a := draw(rng, buf)
 				if _, lo := a.Uint64s(); tc.mask64 && lo != 0 {
 					t.Fatalf("prefix draw %v has nonzero low 64 bits", a)
+				}
+				for e, pc := range edges {
+					joints[e][buf[pc[0]]*m.Net.Vars[pc[1]].Arity+buf[pc[1]]]++
 				}
 				for i, sm := range m.Segments {
 					counts[i][buf[i]]++
@@ -87,8 +98,46 @@ func TestDrawSamplesTheModel(t *testing.T) {
 						sm.Seg.Label, stat, crit, df, counts[i], want[i])
 				}
 			}
+			for e, pc := range edges {
+				p := edgeJoint(t, m.Net, idx, want[pc[0]], pc[0], pc[1])
+				stat, df, ok := chiSquare(joints[e], p, n)
+				pl, cl := m.Segments[pc[0]].Seg.Label, m.Segments[pc[1]].Seg.Label
+				if !ok {
+					t.Errorf("edge %s→%s: drew a code pair of probability 0", pl, cl)
+					continue
+				}
+				if crit := chiSquareCritical(df); df > 0 && stat > crit {
+					t.Errorf("edge %s→%s: chi-square %.1f > %.1f (df %d)", pl, cl, stat, crit, df)
+				}
+			}
 		})
 	}
+}
+
+// edgeJoint returns the joint distribution of a network edge's parent and
+// child codes under evidence, parent-major: P(parent | evidence) from
+// pParent (Query's answer) times P(child | parent, evidence) from Query
+// with the parent observed as well.
+func edgeJoint(t *testing.T, net *bayes.Network, evidence map[int]int, pParent []float64, parent, child int) []float64 {
+	t.Helper()
+	arity := net.Vars[child].Arity
+	joint := make([]float64, len(pParent)*arity)
+	cond := map[int]int{}
+	maps.Copy(cond, evidence)
+	for pv, pp := range pParent {
+		if pp == 0 {
+			continue
+		}
+		cond[parent] = pv
+		pc, err := net.Query(child, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cv, q := range pc {
+			joint[pv*arity+cv] = pp * q
+		}
+	}
+	return joint
 }
 
 // chiSquare returns Pearson's statistic of observed counts against the

@@ -25,25 +25,28 @@ import (
 )
 
 // Options configures model building. The zero value reproduces the paper's
-// configuration.
+// configuration. Model files persist every field that changes how a
+// model is built, under the JSON tags here and on the config types, so a
+// loaded model reports the configuration it was trained with and a
+// retrain from it reproduces the model.
 type Options struct {
 	// Segmentation configures the entropy-threshold segmentation (§4.2).
-	Segmentation segment.Config
+	Segmentation segment.Config `json:"segmentation"`
 	// Mining configures per-segment value mining (§4.3).
-	Mining mining.Config
+	Mining mining.Config `json:"mining"`
 	// Learn configures Bayesian-network structure learning and parameter
 	// fitting (§4.4).
-	Learn bayes.LearnConfig
+	Learn bayes.LearnConfig `json:"learn"`
 	// Prefix64Only restricts the model to the top 64 bits of the address
 	// (network identifiers), the configuration used for client /64-prefix
 	// prediction in §5.6 of the paper.
-	Prefix64Only bool
+	Prefix64Only bool `json:"prefix64_only"`
 	// Workers bounds the number of goroutines used while training
 	// (0 = runtime.GOMAXPROCS). Training is deterministic: the same input
 	// yields a bit-identical model — and bit-identical serialized JSON —
 	// for every worker count, so Workers is purely an operational knob.
 	// It is deliberately NOT persisted in model JSON.
-	Workers int
+	Workers int `json:"-"`
 	// OnStage, if non-nil, receives the name and wall-clock duration of
 	// each completed pipeline stage (the names in BuildStages, in order).
 	// It is called from the goroutine running Build. Like Workers it is an
@@ -212,8 +215,10 @@ func newModel(m *Model, enc *mining.Encoder) (*Model, error) {
 }
 
 // segmentVars returns the network variables of the mined segments,
-// refusing a segment without values or with more than MaxArity of them.
-// Build calls it before compiling, newModel for every model.
+// refusing a segment without values or with more than MaxArity of them,
+// and a value whose range is inverted or leaves its segment: compiling
+// it would cut the value axis past its end. Build calls it before
+// compiling, newModel for every model.
 func segmentVars(models []*mining.SegmentModel) ([]bayes.Variable, error) {
 	vars := make([]bayes.Variable, len(models))
 	for i, sm := range models {
@@ -222,6 +227,12 @@ func segmentVars(models []*mining.SegmentModel) ([]bayes.Variable, error) {
 			return nil, fmt.Errorf("core: segment %s mined no values", sm.Seg.Label)
 		case a > MaxArity:
 			return nil, fmt.Errorf("core: segment %s has %d values, more than the %d allowed", sm.Seg.Label, a, MaxArity)
+		}
+		for _, v := range sm.Values {
+			if v.Lo > v.Hi || v.Hi > sm.Seg.MaxValue() {
+				return nil, fmt.Errorf("core: segment %s value %s [%#x, %#x] outside 0..%#x or inverted",
+					sm.Seg.Label, v.Code, v.Lo, v.Hi, sm.Seg.MaxValue())
+			}
 		}
 		vars[i] = bayes.Variable{Name: sm.Seg.Label, Arity: sm.Arity()}
 	}

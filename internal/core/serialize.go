@@ -33,114 +33,7 @@ type modelJSON struct {
 	ACRAddrs      int            `json:"acr_addrs"`
 	Segments      []segmentJSON  `json:"segments"`
 	Net           *bayes.Network `json:"net"`
-	Options       *optionsJSON   `json:"options,omitempty"`
-}
-
-// optionsJSON is the serialized form of Options. Every field that changes
-// how a model is built is persisted, so that a loaded model reports exactly
-// the configuration it was trained with (and retraining from the stored
-// options reproduces it). Options.Workers is deliberately absent:
-// training is bit-deterministic across worker counts, so the model does
-// not depend on it and serialized output must stay byte-identical
-// whatever parallelism trained it.
-type optionsJSON struct {
-	Segmentation segmentConfigJSON `json:"segmentation"`
-	Mining       miningConfigJSON  `json:"mining"`
-	Learn        learnConfigJSON   `json:"learn"`
-	Prefix64Only bool              `json:"prefix64_only"`
-}
-
-type segmentConfigJSON struct {
-	// Thresholds and ForcedBoundaries must NOT use omitempty: nil (use the
-	// defaults) and [] (explicitly none) mean different things to
-	// segment.Config, and both must survive the round trip.
-	Thresholds       []float64 `json:"thresholds"`
-	Hysteresis       float64   `json:"hysteresis,omitempty"`
-	ForcedBoundaries []int     `json:"forced_boundaries"`
-	MaxNybble        int       `json:"max_nybble,omitempty"`
-}
-
-type miningConfigJSON struct {
-	NominateLimit  int     `json:"nominate_limit,omitempty"`
-	StopFraction   float64 `json:"stop_fraction,omitempty"`
-	SmallSetLimit  int     `json:"small_set_limit,omitempty"`
-	TukeyK         float64 `json:"tukey_k,omitempty"`
-	MinRangePoints int     `json:"min_range_points,omitempty"`
-}
-
-type learnConfigJSON struct {
-	MaxParents           int     `json:"max_parents,omitempty"`
-	EquivalentSampleSize float64 `json:"equivalent_sample_size,omitempty"`
-	Pseudocount          float64 `json:"pseudocount,omitempty"`
-	MaxParentConfigs     int     `json:"max_parent_configs,omitempty"`
-	Structure            int     `json:"structure,omitempty"`
-	Score                int     `json:"score,omitempty"`
-}
-
-// validate rejects learn options Learn would refuse, so a model file
-// that a refresh retrain would fail on is refused when it is loaded.
-func (lj learnConfigJSON) validate() error {
-	if lj.MaxParents < 0 || lj.MaxParents > bayes.MaxParentsLimit {
-		return fmt.Errorf("core: learn.max_parents %d outside 0..%d", lj.MaxParents, bayes.MaxParentsLimit)
-	}
-	if lj.MaxParentConfigs < 0 || lj.MaxParentConfigs > bayes.MaxParentConfigsLimit {
-		return fmt.Errorf("core: learn.max_parent_configs %d outside 0..%d", lj.MaxParentConfigs, bayes.MaxParentConfigsLimit)
-	}
-	return nil
-}
-
-func optionsToJSON(o Options) *optionsJSON {
-	return &optionsJSON{
-		Segmentation: segmentConfigJSON{
-			Thresholds:       o.Segmentation.Thresholds,
-			Hysteresis:       o.Segmentation.Hysteresis,
-			ForcedBoundaries: o.Segmentation.ForcedBoundaries,
-			MaxNybble:        o.Segmentation.MaxNybble,
-		},
-		Mining: miningConfigJSON{
-			NominateLimit:  o.Mining.NominateLimit,
-			StopFraction:   o.Mining.StopFraction,
-			SmallSetLimit:  o.Mining.SmallSetLimit,
-			TukeyK:         o.Mining.TukeyK,
-			MinRangePoints: o.Mining.MinRangePoints,
-		},
-		Learn: learnConfigJSON{
-			MaxParents:           o.Learn.MaxParents,
-			EquivalentSampleSize: o.Learn.EquivalentSampleSize,
-			Pseudocount:          o.Learn.Pseudocount,
-			MaxParentConfigs:     o.Learn.MaxParentConfigs,
-			Structure:            int(o.Learn.Structure),
-			Score:                int(o.Learn.Score),
-		},
-		Prefix64Only: o.Prefix64Only,
-	}
-}
-
-func (oj *optionsJSON) toOptions() Options {
-	return Options{
-		Segmentation: segment.Config{
-			Thresholds:       oj.Segmentation.Thresholds,
-			Hysteresis:       oj.Segmentation.Hysteresis,
-			ForcedBoundaries: oj.Segmentation.ForcedBoundaries,
-			MaxNybble:        oj.Segmentation.MaxNybble,
-		},
-		Mining: mining.Config{
-			NominateLimit:  oj.Mining.NominateLimit,
-			StopFraction:   oj.Mining.StopFraction,
-			SmallSetLimit:  oj.Mining.SmallSetLimit,
-			TukeyK:         oj.Mining.TukeyK,
-			MinRangePoints: oj.Mining.MinRangePoints,
-		},
-		Learn: bayes.LearnConfig{
-			MaxParents:           oj.Learn.MaxParents,
-			EquivalentSampleSize: oj.Learn.EquivalentSampleSize,
-			Pseudocount:          oj.Learn.Pseudocount,
-			MaxParentConfigs:     oj.Learn.MaxParentConfigs,
-			Structure:            bayes.Structure(oj.Learn.Structure),
-			Score:                bayes.Score(oj.Learn.Score),
-		},
-		Prefix64Only: oj.Prefix64Only,
-	}
+	Options       *Options       `json:"options,omitempty"`
 }
 
 type segmentJSON struct {
@@ -170,7 +63,7 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 		ACRCounts:    append([]int(nil), m.ACR.Counts[:]...),
 		ACRAddrs:     m.ACR.N,
 		Net:          m.Net,
-		Options:      optionsToJSON(m.Opts),
+		Options:      &m.Opts,
 	}
 	out.EntropyCounts = make([][]int, len(m.Profile.Counts))
 	for i := range m.Profile.Counts {
@@ -206,8 +99,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("core: model has no Bayesian network")
 	}
 	if in.Options != nil {
-		if err := in.Options.Learn.validate(); err != nil {
-			return err
+		// A refresh retrain reuses these options: refuse a file it would fail on.
+		if err := in.Options.Learn.Validate(); err != nil {
+			return fmt.Errorf("core: learn options in model file: %w", err)
 		}
 	}
 
@@ -254,7 +148,7 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	// paper's configuration).
 	opts := Options{Prefix64Only: in.Prefix64Only}
 	if in.Options != nil {
-		opts = in.Options.toOptions()
+		opts = *in.Options
 	}
 	loaded, err := newModel(&Model{
 		Profile:      profile,

@@ -13,13 +13,17 @@ import (
 
 // TestOptionsRoundTrip verifies that Save/Load preserves the full Options —
 // not just Prefix64Only but the segmentation, mining and learning
-// configuration the model was built with.
+// configuration the model was built with. Every persisted field is set,
+// and the saved options object is compared with persistedOptions, so a
+// renamed JSON name fails here instead of quietly dropping that field
+// from older files.
 func TestOptionsRoundTrip(t *testing.T) {
 	opts := Options{
 		Segmentation: segment.Config{
 			Thresholds:       []float64{0.025, 0.1, 0.3, 0.5, 0.9},
 			Hysteresis:       0.08,
 			ForcedBoundaries: []int{32, 64},
+			MaxNybble:        20,
 		},
 		Mining: mining.Config{
 			NominateLimit:  12,
@@ -34,7 +38,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 			Pseudocount:          0.25,
 			MaxParentConfigs:     2048,
 			Structure:            bayes.StructureChain,
-			Score:                bayes.ScoreBDeu,
+			Score:                bayes.ScoreBIC,
 		},
 	}
 	m, _ := buildTestModel(t, 2000, 7, opts)
@@ -42,6 +46,13 @@ func TestOptionsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+	var doc struct{ Options json.RawMessage }
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if string(doc.Options) != persistedOptions {
+		t.Errorf("saved options:\n got  %s\n want %s", doc.Options, persistedOptions)
 	}
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -60,6 +71,14 @@ func TestOptionsRoundTrip(t *testing.T) {
 		t.Error("second save differs from first")
 	}
 }
+
+// persistedOptions is the options object saved for TestOptionsRoundTrip's
+// configuration. Model files already written carry these names, so a
+// field whose name changes would load from them as its zero value.
+const persistedOptions = `{"segmentation":{"thresholds":[0.025,0.1,0.3,0.5,0.9],"hysteresis":0.08,"forced_boundaries":[32,64],"max_nybble":20},` +
+	`"mining":{"nominate_limit":12,"stop_fraction":0.002,"small_set_limit":8,"tukey_k":2,"min_range_points":4},` +
+	`"learn":{"max_parents":1,"equivalent_sample_size":2,"pseudocount":0.25,"max_parent_configs":2048,"structure":2,"score":1},` +
+	`"prefix64_only":false}`
 
 // TestOptionsRoundTripPrefix64 checks the flag that existed before full
 // options were persisted still round-trips through the new field.

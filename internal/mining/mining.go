@@ -113,25 +113,26 @@ func (v Value) Sample(rng *rand.Rand) uint64 {
 	}
 }
 
-// Config controls segment mining.
+// Config controls segment mining. Model files persist it under its JSON
+// tags.
 type Config struct {
 	// NominateLimit is the maximum number of elements each step may add
 	// (the paper uses 10). Zero means the default.
-	NominateLimit int
+	NominateLimit int `json:"nominate_limit,omitempty"`
 	// StopFraction stops mining when no more than this fraction of
 	// observations remains unexplained (the paper uses 0.001). Zero means
 	// the default; negative means never stop early.
-	StopFraction float64
+	StopFraction float64 `json:"stop_fraction,omitempty"`
 	// SmallSetLimit is the |D_k| at or below which the remaining values are
 	// taken verbatim instead of closed with a range (the paper uses 10).
 	// Zero means the default.
-	SmallSetLimit int
+	SmallSetLimit int `json:"small_set_limit,omitempty"`
 	// TukeyK is the outlier fence multiplier (default 1.5).
-	TukeyK float64
+	TukeyK float64 `json:"tukey_k,omitempty"`
 	// MinRangePoints is the minimum number of distinct values for a DBSCAN
 	// range to be nominated (default 3); smaller clusters are better
 	// represented as exact values by later rounds.
-	MinRangePoints int
+	MinRangePoints int `json:"min_range_points,omitempty"`
 }
 
 // Defaults used when Config fields are zero.

@@ -23,24 +23,27 @@ var DefaultThresholds = []float64{0.025, 0.1, 0.3, 0.5, 0.9}
 // segment is started.
 const DefaultHysteresis = 0.05
 
-// Config controls segmentation.
+// Config controls segmentation. Model files persist it under its JSON
+// tags. Thresholds and ForcedBoundaries have no omitempty: nil (use the
+// defaults) and [] (explicitly none) mean different things, and both
+// must survive a save and load.
 type Config struct {
 	// Thresholds is the ordered list of entropy thresholds T. If nil,
 	// DefaultThresholds is used.
-	Thresholds []float64
+	Thresholds []float64 `json:"thresholds"`
 	// Hysteresis is Th. If zero, DefaultHysteresis is used. Set to a
 	// negative value for no hysteresis.
-	Hysteresis float64
+	Hysteresis float64 `json:"hysteresis,omitempty"`
 	// ForcedBoundaries lists bit positions at which a segment boundary is
 	// always placed (in addition to threshold crossings). If nil, the
 	// paper's defaults {32, 64} are used. Positions must be multiples of 4
 	// within 4..124; others are ignored.
-	ForcedBoundaries []int
+	ForcedBoundaries []int `json:"forced_boundaries"`
 	// MaxNybble restricts segmentation to the first MaxNybble nybbles of
 	// the address (the rest are not assigned to any segment). Zero means
 	// all 32 nybbles. The paper uses 16 for client /64-prefix prediction
 	// (§5.6).
-	MaxNybble int
+	MaxNybble int `json:"max_nybble,omitempty"`
 }
 
 func (c Config) thresholds() []float64 {

@@ -40,9 +40,6 @@ type RefreshOptions struct {
 	// log-likelihood on the live window must exceed the active model's
 	// before it may be published. Zero means any improvement.
 	ShadowMargin float64
-	// TrainWorkers bounds each retraining job's parallelism (0 = all
-	// cores), like Options.TrainWorkers for client-requested training.
-	TrainWorkers int
 	// OnEvent, if non-nil, receives loop events (evaluations that trip or
 	// clear the detector, rotations, shadow rejections) for logging.
 	OnEvent func(model, event, detail string)
@@ -138,6 +135,9 @@ type Refresher struct {
 	reg  *registry.Registry
 	pool *Pool
 	opts RefreshOptions
+	// trainWorkers bounds each retrain's parallelism (0 = all cores):
+	// the server's Options.TrainWorkers, installed by serve.New.
+	trainWorkers int
 
 	// Observability wiring, installed by serve.New before traffic (tests
 	// constructing a bare Refresher get a nop logger and nil-safe metrics).
@@ -331,7 +331,7 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 			return errors.New("empty observation window")
 		}
 		opts := active.Opts
-		opts.Workers = r.opts.TrainWorkers
+		opts.Workers = r.trainWorkers
 		trainSpan := root.StartChild("train")
 		trainSpan.SetInt("window", int64(len(window)))
 		opts.OnStage = stageHook(r.stageHist, trainSpan, r.logger,

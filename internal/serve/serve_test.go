@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -229,6 +230,36 @@ func TestUploadArityBound(t *testing.T) {
 	w := do(t, s, "PUT", "/v1/models/wide", PutModelRequest{Model: doc(core.MaxArity + 1)})
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "more than the") {
 		t.Errorf("%d values: status = %d (%s), want 400 naming the bound", core.MaxArity+1, w.Code, w.Body.String())
+	}
+}
+
+// TestUploadValueOutsideSegment uploads a model whose four-nybble
+// segment holds a value past 0xffff next to a range over the whole
+// segment. Compiling its encoder would never end; the registry refuses
+// the document as invalid and the upload answers 400.
+func TestUploadValueOutsideSegment(t *testing.T) {
+	s, reg := newTestServer(t, Options{})
+	raw, err := json.Marshal(map[string]any{
+		"version": 1,
+		"segments": []map[string]any{{"label": "A", "start": 0, "width": 4, "total": 2, "values": []map[string]any{
+			{"code": "A1", "lo": 0, "hi": 0xffff, "count": 1, "step": 4},
+			{"code": "A2", "lo": 70000, "hi": 70000, "count": 1, "step": 1},
+		}}},
+		"net": bayes.Network{
+			Vars:    []bayes.Variable{{Name: "A", Arity: 2}},
+			Parents: [][]int{nil},
+			CPTs:    []*bayes.CPT{{Arity: 2, Rows: [][]float64{{0.5, 0.5}}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.PutRaw("far", raw); !errors.Is(err, registry.ErrInvalidModel) {
+		t.Fatalf("PutRaw: err = %v, want ErrInvalidModel", err)
+	}
+	w := do(t, s, "PUT", "/v1/models/far", PutModelRequest{Model: raw})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "outside") {
+		t.Errorf("status = %d (%s), want 400 naming the value range", w.Code, w.Body.String())
 	}
 }
 

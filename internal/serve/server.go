@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"entropyip/internal/admission"
-	"entropyip/internal/bayes"
 	"entropyip/internal/buildinfo"
 	"entropyip/internal/core"
 	"entropyip/internal/ip6"
@@ -189,10 +188,6 @@ type Server struct {
 // New returns a Server over the given registry.
 func New(reg *registry.Registry, opts Options) *Server {
 	pool := NewPool(opts.workers(), opts.queueDepth())
-	refreshOpts := opts.Refresh
-	if refreshOpts.TrainWorkers == 0 {
-		refreshOpts.TrainWorkers = opts.TrainWorkers
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = obs.NopLogger()
@@ -204,7 +199,7 @@ func New(reg *registry.Registry, opts Options) *Server {
 		opts:      opts,
 		pool:      pool,
 		metrics:   newMetrics(o),
-		refresher: NewRefresher(reg, pool, refreshOpts),
+		refresher: NewRefresher(reg, pool, opts.Refresh),
 		mux:       http.NewServeMux(),
 		obs:       o,
 		logger:    logger,
@@ -214,6 +209,7 @@ func New(reg *registry.Registry, opts Options) *Server {
 		draining:  make(chan struct{}),
 	}
 	s.refresher.tracer = s.tracer
+	s.refresher.trainWorkers = opts.TrainWorkers
 	s.registerObservability()
 	// Model routes go through the admission rate gate; health, metrics and
 	// introspection stay ungated so load balancers and operators observe
@@ -616,8 +612,9 @@ func (s *Server) train(w http.ResponseWriter, r *http.Request, name string, req 
 		writeError(w, r, http.StatusBadRequest, "options.workers must be in 0..%d", MaxTrainWorkers)
 		return
 	}
-	if req.Options.MaxParents < 0 || req.Options.MaxParents > bayes.MaxParentsLimit {
-		writeError(w, r, http.StatusBadRequest, "options.max_parents must be in 0..%d", bayes.MaxParentsLimit)
+	buildOpts := req.Options.coreOptions(s.opts.TrainWorkers)
+	if err := buildOpts.Learn.Validate(); err != nil {
+		writeError(w, r, http.StatusBadRequest, "options: %v", err)
 		return
 	}
 	addrs := make([]ip6.Addr, 0, len(req.Addresses))
@@ -632,7 +629,6 @@ func (s *Server) train(w http.ResponseWriter, r *http.Request, name string, req 
 	var info registry.Info
 	var buildErr error
 	err := s.pool.Do(r.Context(), func() error {
-		buildOpts := req.Options.coreOptions(s.opts.TrainWorkers)
 		ctx := r.Context()
 		buildOpts.OnStage = stageHook(s.stageHist, requestSpan(ctx), s.logger,
 			"request_id", requestID(ctx), "trace_id", traceIDString(ctx), "model", name)
