@@ -19,6 +19,7 @@ import (
 
 	"entropyip/internal/core"
 	"entropyip/internal/report"
+	"entropyip/internal/stats"
 )
 
 func main() {
@@ -125,7 +126,7 @@ func main() {
 		t := &report.Table{Title: "Figure 6: total entropy (H_S) of the aggregate datasets",
 			Header: []string{"Dataset", "H_S", "mean H (bits 0-64)", "mean H (bits 64-128)"}}
 		for _, s := range series {
-			t.Add(s.Dataset, fmt.Sprintf("%.1f", s.Total), fmt.Sprintf("%.2f", mean(s.H[:16])), fmt.Sprintf("%.2f", mean(s.H[16:])))
+			t.Add(s.Dataset, fmt.Sprintf("%.1f", s.Total), fmt.Sprintf("%.2f", stats.Mean(s.H[:16])), fmt.Sprintf("%.2f", stats.Mean(s.H[16:])))
 		}
 		fmt.Fprintln(out, t)
 		return nil
@@ -138,7 +139,7 @@ func main() {
 		t := &report.Table{Title: "Figure 8: per-dataset entropy summaries",
 			Header: []string{"Dataset", "H_S", "mean ACR (bits 32-64)", "mean H (bits 64-128)"}}
 		for _, s := range series {
-			t.Add(s.Dataset, fmt.Sprintf("%.1f", s.Total), fmt.Sprintf("%.2f", mean(s.ACR[8:16])), fmt.Sprintf("%.2f", mean(s.H[16:])))
+			t.Add(s.Dataset, fmt.Sprintf("%.1f", s.Total), fmt.Sprintf("%.2f", stats.Mean(s.ACR[8:16])), fmt.Sprintf("%.2f", stats.Mean(s.H[16:])))
 		}
 		fmt.Fprintln(out, t)
 		return nil
@@ -156,15 +157,4 @@ func main() {
 		fmt.Fprintln(out, t)
 		return nil
 	})
-}
-
-func mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }

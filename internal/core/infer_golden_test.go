@@ -17,20 +17,22 @@ import (
 // Dependencies. Inference is deterministic, so a change to variable
 // elimination, its factor order or the conditional sampler that alters a
 // posterior by one bit fails here. A change that is meant to alter
-// inference updates these hashes and says why.
+// inference updates these hashes and says why. The browse hash is over
+// SegmentDistribution's JSON, so it also covers the browse response's
+// wire names.
 func TestInferenceGoldenHashes(t *testing.T) {
 	golden := map[string]map[string]string{
 		"S5": {
 			"generate_w1":  "da49abb3706a3daf8ce69526cd0898035b1f8096a3a5b55161747481472aaece",
 			"generate_w2":  "da49abb3706a3daf8ce69526cd0898035b1f8096a3a5b55161747481472aaece",
-			"browse":       "a6953f610ee8f0b85cf0f5a567aa88867eb2b1edaddf00c190fc033130ac9cd6",
+			"browse":       "c93a6291781d537ecfbdcf26a56c77eb12b79eef8840a373beb6aec992c3f573",
 			"marginals":    "041b1e20a66bc25e516d7ca5164bd8c7cc6ef81ce9e2e0e11c774127b59e5910",
 			"dependencies": "f3b818d30611a7938636ff891b60bd370564cc7c33b8a333f6911fecfc8b0de4",
 		},
 		"C1": {
 			"generate_w1":  "7636d21f09f4a5781fdfefe934895bfbd5eaed2778782207d9fe2093ede75df3",
 			"generate_w2":  "7636d21f09f4a5781fdfefe934895bfbd5eaed2778782207d9fe2093ede75df3",
-			"browse":       "ecbb158180041d4e5017c8a181982b2b774ef7956fe4cac1805316d343650dec",
+			"browse":       "ecb70ef4dd2394c940a2c6ff89f18659b2d7e6f8d805e4368a2e3fc99c45fe9a",
 			"marginals":    "793261f107b7eb6bf00a3a3816a78880ce3854eff1c4ab11b842aca54931516b",
 			"dependencies": "3a300154bd9fa479a40ea1b776defddc49945cc1f7980190b339774c14191f0f",
 		},

@@ -315,20 +315,26 @@ func (m *Model) EvidenceFromAddr(a ip6.Addr, labels ...string) (Evidence, error)
 }
 
 // SegmentDistribution is the posterior distribution of one segment, the row
-// of the conditional probability browser.
+// of the conditional probability browser. Its JSON names are the browse
+// response's wire format.
 type SegmentDistribution struct {
-	Label string
+	// Label is the segment letter (A, B, C, ...).
+	Label string `json:"label"`
 	// Entries are the segment's mined values with their posterior
 	// probabilities, in mined (code) order.
-	Entries []DistEntry
+	Entries []DistEntry `json:"entries"`
 }
 
 // DistEntry is one value of a segment with its posterior probability.
 type DistEntry struct {
-	Code    string
-	Display string
-	Prob    float64
-	IsRange bool
+	// Code is the value code (e.g. "B2").
+	Code string `json:"code"`
+	// Display is the human-readable value or range.
+	Display string `json:"display"`
+	// Prob is the posterior probability given the evidence.
+	Prob float64 `json:"prob"`
+	// IsRange marks mined ranges as opposed to exact values.
+	IsRange bool `json:"is_range,omitempty"`
 }
 
 // Browse computes the posterior distribution of every segment given the

@@ -32,7 +32,8 @@ const (
 //   - sampled: every SampleEvery-th remaining trace — kept so the ring
 //     always holds a baseline of normal traffic to compare against.
 type Policy struct {
-	// Capacity is the total number of retained traces across all shards.
+	// Capacity is the number of retained traces; the oldest is evicted
+	// when a new keep finds the ring full.
 	Capacity int
 	// MaxSpans bounds each trace's span arena; spans past it are counted
 	// as dropped, not recorded.
@@ -60,41 +61,27 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-const recShards = 8
-
-// recShard is one lock-protected ring of retained traces. Sharding by
-// trace-ID byte keeps completion under concurrent load from serializing
-// on one mutex; readers (List/Get) take the same short locks.
-type recShard struct {
-	mu   sync.Mutex
-	ring []*traceData // fixed capacity; idx wraps
-	idx  int
-}
-
 // Recorder is the in-process flight recorder: completed traces land here
 // and the tail-sampling policy decides keep vs discard. Kept traces are
-// copied into right-sized traces retained in a lock-sharded ring
-// (evicting the oldest in that shard); arenas return to the tracer pool
-// (see complete).
+// copied into right-sized traces retained in one ring under one mutex
+// (evicting the oldest); arenas return to the tracer pool (see complete).
+// A keep holds the lock for one slot store, and at the default policy
+// only 1 in 64 ordinary traces is kept, so one lock suffices.
 type Recorder struct {
 	policy    Policy
-	seq       atomic.Uint64
 	sampleCtr atomic.Uint64
 	kept      atomic.Uint64
 	discarded atomic.Uint64
-	shards    [recShards]recShard
+
+	mu   sync.Mutex
+	ring []*traceData // Capacity slots, filled from 0
+	next int          // slot of the next keep: the oldest trace once full
 }
 
 // NewRecorder builds a recorder with p (zero fields take defaults).
 func NewRecorder(p Policy) *Recorder {
 	r := &Recorder{policy: p.withDefaults()}
-	per := (r.policy.Capacity + recShards - 1) / recShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range r.shards {
-		r.shards[i].ring = make([]*traceData, per)
-	}
+	r.ring = make([]*traceData, r.policy.Capacity)
 	return r
 }
 
@@ -155,7 +142,6 @@ func (r *Recorder) keep(td *traceData, n int, reason string) {
 		traceID:      td.traceID,
 		remoteParent: td.remoteParent,
 		keptBecause:  reason,
-		seq:          r.seq.Add(1),
 		spans:        make([]Span, n),
 	}
 	kept.next.Store(int32(n))
@@ -169,11 +155,10 @@ func (r *Recorder) keep(td *traceData, n int, reason string) {
 	}
 	r.kept.Add(1)
 
-	sh := &r.shards[kept.traceID[0]%recShards]
-	sh.mu.Lock()
-	sh.ring[sh.idx] = kept
-	sh.idx = (sh.idx + 1) % len(sh.ring)
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.ring[r.next] = kept
+	r.next = (r.next + 1) % len(r.ring)
+	r.mu.Unlock()
 }
 
 // Summary is the list-view of one retained trace.
@@ -217,28 +202,25 @@ type RecorderStats struct {
 	Capacity  int    `json:"capacity"`
 }
 
-// Stats returns the recorder's counters. Retained walks the shards under
-// their locks.
+// Stats returns the recorder's counters. Retained walks the ring under
+// its lock.
 func (r *Recorder) Stats() RecorderStats {
 	st := RecorderStats{
 		Kept:      r.kept.Load(),
 		Discarded: r.discarded.Load(),
+		Capacity:  len(r.ring),
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		st.Capacity += len(sh.ring)
-		for _, td := range sh.ring {
-			if td != nil {
-				st.Retained++
-			}
+	r.mu.Lock()
+	for _, td := range r.ring {
+		if td != nil {
+			st.Retained++
 		}
-		sh.mu.Unlock()
 	}
+	r.mu.Unlock()
 	return st
 }
 
-// snapshotSummary builds a Summary under the shard lock (td is immutable
+// snapshotSummary builds a Summary under the ring lock (td is immutable
 // once retained, but the ring slot itself must be read under the lock).
 func snapshotSummary(td *traceData) Summary {
 	root := &td.spans[0]
@@ -267,34 +249,17 @@ func snapshotSummary(td *traceData) Summary {
 // List returns summaries of retained traces, newest first, up to max
 // (<= 0 means all).
 func (r *Recorder) List(max int) []Summary {
-	type seqSum struct {
-		seq uint64
-		s   Summary
-	}
-	var all []seqSum
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, td := range sh.ring {
-			if td != nil {
-				all = append(all, seqSum{td.seq, snapshotSummary(td)})
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []Summary
+	// Walk back from the newest slot; the first empty slot ends a ring
+	// that has not yet filled.
+	for i := 1; i <= len(r.ring) && (max <= 0 || len(out) < max); i++ {
+		td := r.ring[(r.next-i+len(r.ring))%len(r.ring)]
+		if td == nil {
+			break
 		}
-		sh.mu.Unlock()
-	}
-	// Insertion sort by completion sequence, newest first: the ring is
-	// small (hundreds) and mostly ordered per shard.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].seq > all[j-1].seq; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	if max > 0 && len(all) > max {
-		all = all[:max]
-	}
-	out := make([]Summary, len(all))
-	for i := range all {
-		out[i] = all[i].s
+		out = append(out, snapshotSummary(td))
 	}
 	return out
 }
@@ -305,11 +270,10 @@ func (r *Recorder) List(max int) []Summary {
 // same trace ID; Get merges those onto one timeline beneath a synthetic
 // "trace" root so the round reads as a single connected trace.
 func (r *Recorder) Get(id TraceID) (Tree, bool) {
-	sh := &r.shards[id[0]%recShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var matches []*traceData
-	for _, td := range sh.ring {
+	for _, td := range r.ring {
 		if td != nil && td.traceID == id {
 			matches = append(matches, td)
 		}
@@ -362,7 +326,7 @@ func shiftNode(n *Node, us int64) {
 	}
 }
 
-// buildTree assembles the parent/child structure. Runs under the shard
+// buildTree assembles the parent/child structure. Runs under the ring
 // lock; the retained arena is immutable so this only reads.
 func buildTree(td *traceData) Tree {
 	root := &td.spans[0]

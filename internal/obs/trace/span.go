@@ -91,7 +91,6 @@ type traceData struct {
 	next         atomic.Int32 // arena high-water mark
 	dropped      atomic.Int32 // spans that did not fit the arena
 	keptBecause  string       // set by the recorder at completion
-	seq          uint64       // recorder completion sequence, for ordering
 	spans        []Span
 }
 

@@ -6,8 +6,8 @@
 //   - Zero-allocation span creation on the request hot path: spans live in
 //     a pooled per-trace arena with fixed attribute slots, claimed by
 //     atomic index (see span.go).
-//   - An always-on flight recorder: a lock-sharded ring buffer retaining
-//     completed traces under a tail-sampling policy (see recorder.go).
+//   - An always-on flight recorder: one ring buffer retaining completed
+//     traces under a tail-sampling policy (see recorder.go).
 //
 // The package deliberately implements only what the serving plane needs;
 // it is not an OpenTelemetry SDK. IDs are correlation identifiers, not
@@ -17,6 +17,7 @@ package trace
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"sync/atomic"
 )
@@ -33,23 +34,11 @@ func (t TraceID) IsValid() bool { return t != TraceID{} }
 // IsValid reports whether the span ID is non-zero.
 func (s SpanID) IsValid() bool { return s != SpanID{} }
 
-const hexDigits = "0123456789abcdef"
-
 // AppendHex appends the lowercase hex encoding of the trace ID to dst.
-func (t TraceID) AppendHex(dst []byte) []byte {
-	for _, b := range t {
-		dst = append(dst, hexDigits[b>>4], hexDigits[b&0xf])
-	}
-	return dst
-}
+func (t TraceID) AppendHex(dst []byte) []byte { return hex.AppendEncode(dst, t[:]) }
 
 // AppendHex appends the lowercase hex encoding of the span ID to dst.
-func (s SpanID) AppendHex(dst []byte) []byte {
-	for _, b := range s {
-		dst = append(dst, hexDigits[b>>4], hexDigits[b&0xf])
-	}
-	return dst
-}
+func (s SpanID) AppendHex(dst []byte) []byte { return hex.AppendEncode(dst, s[:]) }
 
 // String returns the 32-char lowercase hex form.
 func (t TraceID) String() string {
@@ -65,28 +54,10 @@ func (s SpanID) String() string {
 
 var errBadHex = errors.New("trace: invalid hex")
 
-// hexNibble decodes one lowercase-or-uppercase hex digit. Returns 0xff on
-// a non-hex byte.
-func hexNibble(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10
-	}
-	return 0xff
-}
-
-func decodeHex(dst, src []byte) error {
-	for i := 0; i < len(dst); i++ {
-		hi := hexNibble(src[2*i])
-		lo := hexNibble(src[2*i+1])
-		if hi == 0xff || lo == 0xff {
-			return errBadHex
-		}
-		dst[i] = hi<<4 | lo
+// decodeHex fills dst from the 2*len(dst) hex digits of src (either case).
+func decodeHex(dst []byte, src string) error {
+	if _, err := hex.Decode(dst, []byte(src)); err != nil {
+		return errBadHex
 	}
 	return nil
 }
@@ -97,7 +68,7 @@ func ParseTraceID(s string) (TraceID, error) {
 	if len(s) != 32 {
 		return t, errors.New("trace: trace-id must be 32 hex chars")
 	}
-	if err := decodeHex(t[:], []byte(s)); err != nil {
+	if err := decodeHex(t[:], s); err != nil {
 		return TraceID{}, err
 	}
 	if !t.IsValid() {
@@ -136,16 +107,14 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	if len(h) < traceparentLen {
 		return sc, ErrBadTraceparent
 	}
-	vh := hexNibble(h[0])
-	vl := hexNibble(h[1])
-	if vh == 0xff || vl == 0xff {
+	var version, flags [1]byte
+	if decodeHex(version[:], h[:2]) != nil {
 		return sc, ErrBadTraceparent
 	}
-	version := vh<<4 | vl
-	if version == 0xff {
+	if version[0] == 0xff {
 		return sc, ErrBadTraceparent
 	}
-	if version == 0 && len(h) != traceparentLen {
+	if version[0] == 0 && len(h) != traceparentLen {
 		return sc, ErrBadTraceparent
 	}
 	if len(h) > traceparentLen && h[traceparentLen] != '-' {
@@ -154,21 +123,13 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	if h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return sc, ErrBadTraceparent
 	}
-	if err := decodeHex(sc.TraceID[:], []byte(h[3:35])); err != nil {
+	if decodeHex(sc.TraceID[:], h[3:35]) != nil ||
+		decodeHex(sc.SpanID[:], h[36:52]) != nil ||
+		decodeHex(flags[:], h[53:55]) != nil ||
+		!sc.IsValid() {
 		return SpanContext{}, ErrBadTraceparent
 	}
-	if err := decodeHex(sc.SpanID[:], []byte(h[36:52])); err != nil {
-		return SpanContext{}, ErrBadTraceparent
-	}
-	fh := hexNibble(h[53])
-	fl := hexNibble(h[54])
-	if fh == 0xff || fl == 0xff {
-		return SpanContext{}, ErrBadTraceparent
-	}
-	if !sc.IsValid() {
-		return SpanContext{}, ErrBadTraceparent
-	}
-	sc.Sampled = (fh<<4|fl)&0x01 != 0
+	sc.Sampled = flags[0]&0x01 != 0
 	return sc, nil
 }
 

@@ -242,6 +242,32 @@ func TestRingEvictionBounded(t *testing.T) {
 	}
 }
 
+func TestRingCapacityExactNewestFirst(t *testing.T) {
+	tr, rec := newTestSetup(Policy{Capacity: 10, SampleEvery: 1})
+	ids := make([]TraceID, 25)
+	for i := range ids {
+		root := tr.StartRoot("t", SpanContext{})
+		ids[i] = root.TraceID()
+		root.Finish()
+	}
+	if st := rec.Stats(); st.Capacity != 10 || st.Retained != 10 || st.Kept != 25 {
+		t.Fatalf("stats = %+v, want capacity 10, retained 10, kept 25", st)
+	}
+	l := rec.List(0)
+	if len(l) != 10 {
+		t.Fatalf("List returned %d, want 10", len(l))
+	}
+	for i, s := range l {
+		if want := ids[24-i].String(); s.TraceID != want {
+			t.Fatalf("List[%d] = %s, want keep #%d (%s)", i, s.TraceID, 24-i, want)
+		}
+	}
+	// The globally oldest traces are the ones evicted.
+	if _, ok := rec.Get(ids[14]); ok {
+		t.Fatal("keep #14 still retained")
+	}
+}
+
 func TestArenaOverflowDropsSpans(t *testing.T) {
 	tr, rec := newTestSetup(Policy{MaxSpans: 4, SampleEvery: 1})
 	root := tr.StartRoot("r", SpanContext{})
@@ -435,10 +461,9 @@ func TestStragglerChildClosedAtRootEnd(t *testing.T) {
 // retained returns the recorder's retained copy of trace id.
 func retained(t *testing.T, rec *Recorder, id TraceID) *traceData {
 	t.Helper()
-	sh := &rec.shards[id[0]%recShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, td := range sh.ring {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for _, td := range rec.ring {
 		if td != nil && td.traceID == id {
 			return td
 		}

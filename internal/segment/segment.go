@@ -7,6 +7,7 @@ package segment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"entropyip/internal/entropy"
@@ -174,7 +175,7 @@ func Segments(profile *entropy.Profile, cfg Config) *Segmentation {
 			continue
 		}
 		prev, cur := profile.H[i-1], profile.H[i]
-		if crossesThreshold(prev, cur, thresholds) && abs(cur-prev) > th {
+		if crossesThreshold(prev, cur, thresholds) && math.Abs(cur-prev) > th {
 			cuts = append(cuts, i)
 		}
 	}
@@ -220,13 +221,6 @@ func crossesThreshold(a, b float64, thresholds []float64) bool {
 		}
 	}
 	return false
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func meanEntropy(p *entropy.Profile, s Segment) float64 {

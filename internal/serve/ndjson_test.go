@@ -10,7 +10,8 @@ import (
 	"entropyip/internal/ip6"
 )
 
-// escapeCorpus exercises every branch of encoding/json's string escaper:
+// escapeCorpus exercises every branch of encoding/json's string escaper,
+// which the error trailer relies on:
 // plain ASCII, the named escapes, generic control characters, the HTML
 // set, multi-byte UTF-8, the JS line separators, and invalid UTF-8.
 var escapeCorpus = []string{
@@ -26,27 +27,6 @@ var escapeCorpus = []string{
 	"invalid \xff\xfe utf8",
 	"truncated \xe2\x82 rune",
 	"mixed <\n \xffé>",
-}
-
-// TestAppendJSONStringMatchesEncodingJSON pins the byte-identity contract
-// of the hand-rolled escaper against the old encoding/json path, so
-// replacing the per-line Encoder cannot change any stream byte.
-func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
-	for _, s := range escapeCorpus {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := appendJSONString(nil, s)
-		if !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %q, encoding/json = %q", s, got, want)
-		}
-		// Appending after existing content must not disturb it.
-		pre := appendJSONString([]byte("xy"), s)
-		if !bytes.Equal(pre, append([]byte("xy"), want...)) {
-			t.Errorf("appendJSONString onto prefix = %q, want xy+%q", pre, want)
-		}
-	}
 }
 
 // TestGenerateNDJSONLinesMatchEncodingJSON pins each stream line shape

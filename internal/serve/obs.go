@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"entropyip/internal/core"
@@ -166,16 +165,6 @@ func stageHook(hist map[string]*obs.Histogram, span *trace.Span, logger *slog.Lo
 	}
 }
 
-// metricsBufPool reuses exposition render buffers across scrapes; a
-// scrape's output for a few dozen families fits 16 KiB after the first
-// few requests grow the buffer.
-var metricsBufPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, 1<<14)
-		return &b
-	},
-}
-
 // handleMetrics serves GET /metrics. The default exposition is the
 // Prometheus text format v0.0.4; scrapers that ask for
 // application/openmetrics-text via Accept get the OpenMetrics 1.0
@@ -185,19 +174,16 @@ var metricsBufPool = sync.Pool{
 // same instrumented middleware as everything else, so scrapes appear in
 // the request metrics too.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	bp := metricsBufPool.Get().(*[]byte)
 	var buf []byte
 	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		buf = s.obs.RenderOpenMetrics((*bp)[:0])
+		buf = s.obs.RenderOpenMetrics(nil)
 		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
 	} else {
-		buf = s.obs.Render((*bp)[:0])
+		buf = s.obs.Render(nil)
 		w.Header().Set("Content-Type", obs.ContentType)
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
-	*bp = buf[:0]
-	metricsBufPool.Put(bp)
 }
 
 // reqInfoKey carries the middleware's per-request identity — request ID,

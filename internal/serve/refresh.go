@@ -115,7 +115,6 @@ type modelStream struct {
 	mu            sync.Mutex
 	sinceEval     int
 	retraining    bool
-	evaluations   int
 	rotations     int
 	shadowRejects int
 	lastVerdict   *drift.Verdict
@@ -273,9 +272,6 @@ func (r *Refresher) Evaluate(ctx context.Context, name string) (drift.Verdict, e
 	span.SetBool("drifting", v.Drifting)
 
 	s.mu.Lock()
-	if !v.Skipped {
-		s.evaluations++
-	}
 	s.lastVerdict = &v
 	shouldRetrain := v.Drifting && r.opts.AutoRefresh && !s.retraining
 	if shouldRetrain {
@@ -451,13 +447,13 @@ func (r *Refresher) Status(name string) (DriftStatus, bool) {
 // status reads the stream's observable state, the one read Status,
 // Summary and collect share.
 func (s *modelStream) status() DriftStatus {
-	drifting, _ := s.det.State()
+	drifting, evaluations := s.det.State()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return DriftStatus{
 		Model:         s.name,
 		Ingest:        s.buf.Stats(),
-		Evaluations:   s.evaluations,
+		Evaluations:   evaluations,
 		Drifting:      drifting,
 		Retraining:    s.retraining,
 		Rotations:     s.rotations,

@@ -381,6 +381,32 @@ func TestBrowseMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestBrowseResponseKeys pins the browse response's JSON names, which
+// core.SegmentDistribution and core.DistEntry now carry themselves:
+// browseResponseJSON is the encoding the response had while serve kept
+// its own copies of those types, so a renamed tag fails here.
+func TestBrowseResponseKeys(t *testing.T) {
+	resp := BrowseResponse{Name: "web", Version: 3, Distributions: []core.SegmentDistribution{
+		{Label: "A", Entries: []core.DistEntry{
+			{Code: "A1", Display: "2001:0db8", Prob: 0.75},
+			{Code: "A2", Display: "2001:0db9-2001:0dbf", Prob: 0.25, IsRange: true},
+		}},
+		{Label: "B", Entries: []core.DistEntry{}},
+	}}
+	got, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != browseResponseJSON {
+		t.Errorf("browse response:\n got  %s\n want %s", got, browseResponseJSON)
+	}
+}
+
+const browseResponseJSON = `{"name":"web","version":3,"distributions":[` +
+	`{"label":"A","entries":[{"code":"A1","display":"2001:0db8","prob":0.75},` +
+	`{"code":"A2","display":"2001:0db9-2001:0dbf","prob":0.25,"is_range":true}]},` +
+	`{"label":"B","entries":[]}]}`
+
 func TestBrowseErrors(t *testing.T) {
 	s, reg := newTestServer(t, Options{})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {

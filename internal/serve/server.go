@@ -675,33 +675,13 @@ type BrowseRequest struct {
 	Evidence map[string]string `json:"evidence,omitempty"`
 }
 
-// Distribution is the posterior distribution of one segment.
-type Distribution struct {
-	// Label is the segment letter (A, B, C, ...).
-	Label string `json:"label"`
-	// Entries are the segment's mined values with posterior probability.
-	Entries []DistributionEntry `json:"entries"`
-}
-
-// DistributionEntry is one value of a segment.
-type DistributionEntry struct {
-	// Code is the value code (e.g. "B2").
-	Code string `json:"code"`
-	// Display is the human-readable value or range.
-	Display string `json:"display"`
-	// Prob is the posterior probability given the request's evidence.
-	Prob float64 `json:"prob"`
-	// IsRange marks mined ranges as opposed to exact values.
-	IsRange bool `json:"is_range,omitempty"`
-}
-
 // BrowseResponse is the body of a successful browse query.
 type BrowseResponse struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`
 	// Distributions holds one posterior per segment, in address order —
 	// the rows of Figs. 1(b), 7(b), 9(b), 10(b).
-	Distributions []Distribution `json:"distributions"`
+	Distributions []core.SegmentDistribution `json:"distributions"`
 }
 
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
@@ -719,24 +699,7 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	out := BrowseResponse{
-		Name:          info.Name,
-		Version:       info.Version,
-		Distributions: make([]Distribution, len(dists)),
-	}
-	for i, d := range dists {
-		entries := make([]DistributionEntry, len(d.Entries))
-		for k, e := range d.Entries {
-			entries[k] = DistributionEntry{
-				Code:    e.Code,
-				Display: e.Display,
-				Prob:    e.Prob,
-				IsRange: e.IsRange,
-			}
-		}
-		out.Distributions[i] = Distribution{Label: d.Label, Entries: entries}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, BrowseResponse{Name: info.Name, Version: info.Version, Distributions: dists})
 }
 
 // handleDriftStatus reports the drift state of one model.

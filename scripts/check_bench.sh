@@ -47,7 +47,8 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          Generate1K Generate10k Generate100k Encode100k EncodeDistinct100k
          Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
-         MetricsHotPath SpanHotPath DriftScore16k DriftWindow16k NewCondSampler Posteriors
+         MetricsHotPath SpanHotPath TraceparentParse DriftScore16k DriftWindow16k
+         NewCondSampler Posteriors
          SetDedup SetContains FreqOf100k ClusterHist4096 Read100k
          ParseLineBytes)
 
@@ -55,7 +56,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
 # exactly 0, base entry or not.
 ZERO_ALLOC=(Encode100k Decode100k ParseFormat ObserveIngest GenerateNDJSON
             GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath
-            SetContains ParseLineBytes)
+            TraceparentParse SetContains ParseLineBytes)
 
 if command -v benchstat >/dev/null 2>&1; then
     echo "== benchstat base vs new (informational) =="
