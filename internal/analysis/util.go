@@ -33,19 +33,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgCall reports whether call is a call of the named package-level
-// function (pkgPath.name), e.g. IsPkgCall(info, call, "fmt", "Sprintf").
-func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := Callee(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && !isMethod(fn)
-}
-
-func isMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
-}
-
 // MatchPath reports whether an import-path pattern matches a package
 // path. Patterns follow the go tool's convention: "..." matches
 // everything, a trailing "/..." matches the named package and its

@@ -20,7 +20,7 @@ func benchLearnData(b *testing.B, n int) ([][]int, []int, []Variable) {
 	}
 	profile := entropy.NewProfile(addrs)
 	sg := segment.Segments(profile, segment.Config{})
-	models := mining.MineAll(addrs, sg, mining.Config{})
+	models := mining.MineAllWorkers(addrs, sg, mining.Config{}, 0)
 	vars := make([]Variable, len(models))
 	for i, m := range models {
 		vars[i] = Variable{Name: m.Seg.Label, Arity: m.Arity()}

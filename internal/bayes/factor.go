@@ -70,9 +70,6 @@ func (f *Factor) assignment(idx int, out []int) []int {
 // order).
 func (f *Factor) At(assign []int) float64 { return f.Values[f.index(assign)] }
 
-// Set sets the factor value for the given assignment.
-func (f *Factor) Set(assign []int, v float64) { f.Values[f.index(assign)] = v }
-
 // Clone returns a deep copy of the factor.
 func (f *Factor) Clone() *Factor {
 	return &Factor{

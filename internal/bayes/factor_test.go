@@ -7,6 +7,9 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// set sets the factor value for the given assignment.
+func set(f *Factor, assign []int, v float64) { f.Values[f.index(assign)] = v }
+
 func TestFactorIndexRoundTrip(t *testing.T) {
 	f := NewFactor([]int{0, 1, 2}, []int{2, 3, 4})
 	if len(f.Values) != 24 {
@@ -23,9 +26,9 @@ func TestFactorIndexRoundTrip(t *testing.T) {
 
 func TestFactorAtSet(t *testing.T) {
 	f := NewFactor([]int{5, 7}, []int{2, 2})
-	f.Set([]int{1, 0}, 0.25)
+	set(f, []int{1, 0}, 0.25)
 	if !approx(f.At([]int{1, 0}), 0.25) {
-		t.Error("At/Set mismatch")
+		t.Error("At/set mismatch")
 	}
 	if f.Sum() != 0.25 {
 		t.Errorf("Sum = %v", f.Sum())
@@ -52,13 +55,13 @@ func TestFactorPanics(t *testing.T) {
 func TestProduct(t *testing.T) {
 	// P(A) * P(B|A) should give the joint.
 	pa := NewFactor([]int{0}, []int{2})
-	pa.Set([]int{0}, 0.6)
-	pa.Set([]int{1}, 0.4)
+	set(pa, []int{0}, 0.6)
+	set(pa, []int{1}, 0.4)
 	pba := NewFactor([]int{0, 1}, []int{2, 2})
-	pba.Set([]int{0, 0}, 0.9)
-	pba.Set([]int{0, 1}, 0.1)
-	pba.Set([]int{1, 0}, 0.2)
-	pba.Set([]int{1, 1}, 0.8)
+	set(pba, []int{0, 0}, 0.9)
+	set(pba, []int{0, 1}, 0.1)
+	set(pba, []int{1, 0}, 0.2)
+	set(pba, []int{1, 1}, 0.8)
 	joint := Product(pa, pba)
 	if !approx(joint.At([]int{0, 0}), 0.54) || !approx(joint.At([]int{1, 1}), 0.32) {
 		t.Errorf("joint wrong: %v", joint.Values)
@@ -70,7 +73,7 @@ func TestProduct(t *testing.T) {
 	// product.
 	pc := NewFactor([]int{2}, []int{3})
 	for i := 0; i < 3; i++ {
-		pc.Set([]int{i}, 1.0/3)
+		set(pc, []int{i}, 1.0/3)
 	}
 	outer := Product(pa, pc)
 	if len(outer.Values) != 6 || !approx(outer.Sum(), 1) {
@@ -80,10 +83,10 @@ func TestProduct(t *testing.T) {
 
 func TestSumOut(t *testing.T) {
 	joint := NewFactor([]int{0, 1}, []int{2, 2})
-	joint.Set([]int{0, 0}, 0.54)
-	joint.Set([]int{0, 1}, 0.06)
-	joint.Set([]int{1, 0}, 0.08)
-	joint.Set([]int{1, 1}, 0.32)
+	set(joint, []int{0, 0}, 0.54)
+	set(joint, []int{0, 1}, 0.06)
+	set(joint, []int{1, 0}, 0.08)
+	set(joint, []int{1, 1}, 0.32)
 	pb := joint.SumOut(0)
 	if len(pb.Vars) != 1 || pb.Vars[0] != 1 {
 		t.Fatalf("vars = %v", pb.Vars)
@@ -100,10 +103,10 @@ func TestSumOut(t *testing.T) {
 
 func TestReduce(t *testing.T) {
 	joint := NewFactor([]int{0, 1}, []int{2, 2})
-	joint.Set([]int{0, 0}, 0.54)
-	joint.Set([]int{0, 1}, 0.06)
-	joint.Set([]int{1, 0}, 0.08)
-	joint.Set([]int{1, 1}, 0.32)
+	set(joint, []int{0, 0}, 0.54)
+	set(joint, []int{0, 1}, 0.06)
+	set(joint, []int{1, 0}, 0.08)
+	set(joint, []int{1, 1}, 0.32)
 	reduced := joint.Reduce(map[int]int{0: 1})
 	if len(reduced.Vars) != 1 || reduced.Vars[0] != 1 {
 		t.Fatalf("vars = %v", reduced.Vars)
@@ -123,8 +126,8 @@ func TestNormalize(t *testing.T) {
 	if f.Normalize() {
 		t.Error("all-zero factor cannot normalize")
 	}
-	f.Set([]int{0}, 3)
-	f.Set([]int{1}, 1)
+	set(f, []int{0}, 3)
+	set(f, []int{1}, 1)
 	if !f.Normalize() {
 		t.Fatal("normalize failed")
 	}
@@ -135,9 +138,9 @@ func TestNormalize(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	f := NewFactor([]int{0}, []int{2})
-	f.Set([]int{0}, 1)
+	set(f, []int{0}, 1)
 	c := f.Clone()
-	c.Set([]int{0}, 5)
+	set(c, []int{0}, 5)
 	if f.At([]int{0}) != 1 {
 		t.Error("Clone shares storage")
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"entropyip/internal/bayes"
 	"entropyip/internal/ip6"
 	"entropyip/internal/synth"
 )
@@ -222,6 +225,57 @@ func BenchmarkBuildWorkers100k(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(addrs, Options{Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// spreadValuesModel returns a model file with segs adjacent segments of
+// width nybbles each, every one holding n exact values spread evenly over
+// its domain, and a network of independent uniform variables over them.
+func spreadValuesModel(tb testing.TB, segs, width, n int) []byte {
+	m := modelJSON{Version: modelVersion, Net: &bayes.Network{}}
+	stride := (uint64(1) << (4 * width)) / uint64(n)
+	row := make([]float64, n)
+	for k := range row {
+		row[k] = 1 / float64(n)
+	}
+	for s := 0; s < segs; s++ {
+		label := string(rune('A' + s))
+		values := make([]valueJSON, n)
+		for k := range values {
+			v := uint64(k) * stride
+			values[k] = valueJSON{Code: fmt.Sprint(label, k+1), Lo: v, Hi: v, Count: 1, Step: 1}
+		}
+		m.Segments = append(m.Segments, segmentJSON{Label: label, Start: s * width, Width: width, Total: n, Values: values})
+		m.Net.Vars = append(m.Net.Vars, bayes.Variable{Name: label, Arity: n})
+		m.Net.Parents = append(m.Net.Parents, nil)
+		m.Net.CPTs = append(m.Net.CPTs, &bayes.CPT{Arity: n, Rows: [][]float64{row}})
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// BenchmarkLoadMaxArity is what loading an untrusted model file costs at
+// the MaxArity bound, in the two shapes that compile each segment's
+// encoder differently: four width-8 segments of MaxArity values each
+// (interval tables) and one 3-nybble segment of MaxArity values (a direct
+// value table).
+func BenchmarkLoadMaxArity(b *testing.B) {
+	for _, shape := range []struct {
+		name        string
+		segs, width int
+	}{{"4x8nybbles", 4, 8}, {"1x3nybbles", 1, 3}} {
+		raw := spreadValuesModel(b, shape.segs, shape.width, MaxArity)
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Load(bytes.NewReader(raw)); err != nil {
 					b.Fatal(err)
 				}
 			}

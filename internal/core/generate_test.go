@@ -25,7 +25,7 @@ func TestGenerateBasics(t *testing.T) {
 		}
 	}
 	// All candidates stay within the training /32 (segment A is constant).
-	p32 := ip6.MustParsePrefix("2001:db8::/32")
+	p32 := ip6.PrefixFrom(ip6.MustParseAddr("2001:db8::"), 32)
 	for _, a := range got {
 		if !p32.Contains(a) {
 			t.Errorf("candidate %v escapes the /32", a)

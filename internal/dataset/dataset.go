@@ -1,8 +1,7 @@
-// Package dataset handles on-disk IPv6 address datasets and the sampling
-// conventions of the paper: files with one address per line (any textual
-// form, '#' comments allowed), deduplication, train/test splitting, and the
-// stratified per-/32 sampling used to build the aggregate training sets
-// (§3, §5.1).
+// Package dataset handles on-disk IPv6 address datasets: files with one
+// address per line (any textual form, '#' comments allowed), read and
+// written with deduplication (§3). The paper's train/test split and
+// stratified per-/32 sampling (§5.1) live in package stats.
 package dataset
 
 import (
@@ -13,7 +12,6 @@ import (
 	"os"
 
 	"entropyip/internal/ip6"
-	"entropyip/internal/stats"
 )
 
 // Dataset is a named collection of unique IPv6 addresses.
@@ -38,34 +36,6 @@ func (d *Dataset) Set() *ip6.Set {
 	s := ip6.NewSet(len(d.Addrs))
 	s.AddAll(d.Addrs)
 	return s
-}
-
-// Prefixes returns the distinct prefixes of the given length covering the
-// dataset.
-func (d *Dataset) Prefixes(bits int) *ip6.PrefixSet {
-	return d.Set().Prefixes(bits)
-}
-
-// Split partitions the dataset into a training sample of n addresses and
-// the remaining test set, using the given seed (the paper's methodology:
-// train on a random 1K sample, test on the rest).
-//
-// Every call derives a private *rand.Rand from the seed — never the
-// package-global math/rand state — so concurrent Split and
-// StratifiedSample calls (e.g. from eipserved's training worker pool) are
-// race-free and each seed reproduces its sample exactly.
-func (d *Dataset) Split(n int, seed int64) (train, test []ip6.Addr) {
-	return stats.SplitTrainTest(stats.RNG(seed), d.Addrs, n)
-}
-
-// StratifiedSample selects up to perPrefix addresses from every /32 prefix,
-// the paper's guard against over-representing large networks in aggregate
-// datasets. Like Split, it uses a private seed-derived *rand.Rand, making
-// concurrent calls race-free.
-func (d *Dataset) StratifiedSample(perPrefix int, seed int64) []ip6.Addr {
-	return stats.StratifiedSample(stats.RNG(seed), d.Addrs, func(a ip6.Addr) string {
-		return ip6.Prefix32(a).String()
-	}, perPrefix)
 }
 
 // MaxLineBytes bounds the length of one input line everywhere NDJSON and
@@ -177,11 +147,4 @@ func (d *Dataset) SaveFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Anonymized returns a copy of the dataset with every address rewritten
-// into the documentation prefix, preserving per-/32 distinctions, as the
-// paper does when presenting results.
-func (d *Dataset) Anonymized() *Dataset {
-	return New(d.Name+"-anon", ip6.AnonymizeSet(d.Addrs))
 }

@@ -20,8 +20,8 @@ func TestNewDeduplicates(t *testing.T) {
 	if !d.Set().Contains(a) || !d.Set().Contains(b) {
 		t.Error("Set membership wrong")
 	}
-	if d.Prefixes(64).Len() != 1 {
-		t.Errorf("Prefixes(64) = %d", d.Prefixes(64).Len())
+	if d.Set().Prefixes(64).Len() != 1 {
+		t.Errorf("Prefixes(64) = %d", d.Set().Prefixes(64).Len())
 	}
 }
 
@@ -103,85 +103,5 @@ func TestFileRoundTrip(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	if !strings.HasPrefix(string(raw), "# dataset file: 2 unique") {
 		t.Errorf("unexpected header: %q", string(raw[:40]))
-	}
-}
-
-func TestSplit(t *testing.T) {
-	addrs := make([]ip6.Addr, 100)
-	base := ip6.MustParseAddr("2001:db8::")
-	for i := range addrs {
-		addrs[i] = base.SetField(24, 8, uint64(i+1))
-	}
-	d := New("split", addrs)
-	train, test := d.Split(30, 1)
-	if len(train) != 30 || len(test) != 70 {
-		t.Fatalf("split sizes: %d/%d", len(train), len(test))
-	}
-	// Deterministic.
-	train2, _ := d.Split(30, 1)
-	for i := range train {
-		if train[i] != train2[i] {
-			t.Fatal("Split not deterministic")
-		}
-	}
-	// Disjoint.
-	ts := ip6.NewSet(len(train))
-	ts.AddAll(train)
-	for _, a := range test {
-		if ts.Contains(a) {
-			t.Fatal("train and test overlap")
-		}
-	}
-}
-
-func TestStratifiedSample(t *testing.T) {
-	var addrs []ip6.Addr
-	for p := 0; p < 3; p++ {
-		base := ip6.MustParseAddr("2001:db8::").SetField(0, 4, uint64(0x2+p))
-		count := []int{100, 5, 50}[p]
-		for i := 0; i < count; i++ {
-			addrs = append(addrs, base.SetField(24, 8, uint64(i+1)))
-		}
-	}
-	d := New("strat", addrs)
-	sample := d.StratifiedSample(20, 2)
-	per := map[ip6.Prefix]int{}
-	for _, a := range sample {
-		per[ip6.Prefix32(a)]++
-	}
-	if len(per) != 3 {
-		t.Fatalf("strata = %d", len(per))
-	}
-	for p, c := range per {
-		if c > 20 {
-			t.Errorf("stratum %v has %d > 20 samples", p, c)
-		}
-	}
-	if len(sample) != 20+5+20 {
-		t.Errorf("sample size = %d, want 45", len(sample))
-	}
-}
-
-func TestAnonymized(t *testing.T) {
-	d := New("real", []ip6.Addr{
-		ip6.MustParseAddr("2a02:26f0:1:2::1"),
-		ip6.MustParseAddr("2a02:26f0:1:2::2"),
-		ip6.MustParseAddr("2600:1480:5::10"),
-	})
-	anon := d.Anonymized()
-	if anon.Len() != d.Len() {
-		t.Fatal("anonymization changed the count")
-	}
-	doc := ip6.MustParsePrefix("2001:db0::/20")
-	for _, a := range anon.Addrs {
-		_ = doc
-		if a.Field(1, 3) != 0x001 && a.Field(4, 4) != 0x0db8 {
-			// Anonymize keeps 001:db8 in nybbles 1-7 and varies nybble 0.
-			t.Errorf("address %v does not look anonymized", a)
-		}
-	}
-	// Distinct /32s remain distinct.
-	if anon.Prefixes(32).Len() != 2 {
-		t.Errorf("anonymized /32 count = %d, want 2", anon.Prefixes(32).Len())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"entropyip/internal/ip6"
@@ -135,55 +134,5 @@ func BenchmarkParseLineBytes(b *testing.B) {
 		if _, _, err := ParseLineBytes(lines[i%len(lines)]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestSplitAndStratifiedSampleConcurrent is the race regression test for
-// the sampling entry points the serve training pool calls concurrently:
-// each call must derive its own rand state from the seed, never touching
-// shared state, and produce the same sample for the same seed.
-func TestSplitAndStratifiedSampleConcurrent(t *testing.T) {
-	addrs := make([]ip6.Addr, 0, 4000)
-	for i := 0; i < 4000; i++ {
-		addrs = append(addrs, ip6.MustParseAddr(fmt.Sprintf("2001:db8:%x::%x", i%7, i)))
-	}
-	d := New("conc", addrs)
-	wantTrain, _ := d.Split(1000, 42)
-	wantSample := d.StratifiedSample(100, 42)
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			train, test := d.Split(1000, 42)
-			if len(train) != len(wantTrain) || len(test) != d.Len()-len(wantTrain) {
-				errs <- "Split sizes changed under concurrency"
-				return
-			}
-			for i := range train {
-				if train[i] != wantTrain[i] {
-					errs <- "Split sample not reproducible for a fixed seed"
-					return
-				}
-			}
-			sample := d.StratifiedSample(100, 42)
-			if len(sample) != len(wantSample) {
-				errs <- "StratifiedSample size changed under concurrency"
-				return
-			}
-			for i := range sample {
-				if sample[i] != wantSample[i] {
-					errs <- "StratifiedSample not reproducible for a fixed seed"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
 	}
 }

@@ -312,36 +312,3 @@ func euclid(a, b []float64) float64 {
 	}
 	return math.Sqrt(sum)
 }
-
-// Interval is a closed range of values belonging to one cluster.
-type Interval struct {
-	Lo, Hi float64
-	// Size is the number of points in the cluster.
-	Size int
-}
-
-// Intervals summarizes a 1-D clustering result as the [min, max] interval
-// of each cluster, ordered by cluster label.
-func Intervals(values []float64, r Result) []Interval {
-	if r.NumClusters == 0 {
-		return nil
-	}
-	out := make([]Interval, r.NumClusters)
-	for i := range out {
-		out[i] = Interval{Lo: math.Inf(1), Hi: math.Inf(-1)}
-	}
-	for i, lbl := range r.Labels {
-		if lbl == Noise {
-			continue
-		}
-		iv := &out[lbl]
-		if values[i] < iv.Lo {
-			iv.Lo = values[i]
-		}
-		if values[i] > iv.Hi {
-			iv.Hi = values[i]
-		}
-		iv.Size++
-	}
-	return out
-}

@@ -87,9 +87,10 @@ func TestClusterDenseRangeAndOutliers(t *testing.T) {
 	if r.NumClusters != 1 {
 		t.Fatalf("NumClusters = %d, want 1", r.NumClusters)
 	}
-	ivs := Intervals(values, r)
-	if len(ivs) != 1 || ivs[0].Lo != 100 || ivs[0].Hi != 150 || ivs[0].Size != 51 {
-		t.Errorf("Intervals = %+v", ivs)
+	for i := 0; i <= 50; i++ {
+		if r.Labels[i] != 0 {
+			t.Fatalf("value %v has label %d, want cluster 0", values[i], r.Labels[i])
+		}
 	}
 	if r.Labels[len(values)-1] != Noise || r.Labels[len(values)-2] != Noise {
 		t.Error("isolated values should be noise")
@@ -100,21 +101,6 @@ func TestCluster1DEmpty(t *testing.T) {
 	r := Cluster(points1D(nil), 1, 2)
 	if r.NumClusters != 0 {
 		t.Error("empty input should produce no clusters")
-	}
-	if Intervals(nil, r) != nil {
-		t.Error("Intervals of empty result should be nil")
-	}
-}
-
-func TestIntervalsMultipleClusters(t *testing.T) {
-	values := []float64{1, 2, 3, 100, 101, 102, 103}
-	r := Cluster(points1D(values), 1.5, 3)
-	ivs := Intervals(values, r)
-	if len(ivs) != 2 {
-		t.Fatalf("Intervals = %+v", ivs)
-	}
-	if ivs[0].Lo != 1 || ivs[0].Hi != 3 || ivs[1].Lo != 100 || ivs[1].Hi != 103 {
-		t.Errorf("Intervals = %+v", ivs)
 	}
 }
 

@@ -24,7 +24,7 @@ func testPlan(subnets []uint64, weights []float64) *plan.Plan {
 func trainModel(t *testing.T, p *plan.Plan, n int, seed int64) *core.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m, err := core.Build(p.GenerateUnique(rng, n), core.Options{})
+	m, err := core.Build(drawUnique(p, rng, n), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func trainModel(t *testing.T, p *plan.Plan, n int, seed int64) *core.Model {
 func TestScoreSameDistributionIsLow(t *testing.T) {
 	p := testPlan([]uint64{0x0001, 0x0002}, []float64{0.7, 0.3})
 	m := trainModel(t, p, 3000, 1)
-	window := p.Generate(rand.New(rand.NewSource(99)), 2000)
+	window := draw(p, rand.New(rand.NewSource(99)), 2000)
 	rep, err := Score(m, window)
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +56,9 @@ func TestScoreShiftedDistributionIsHigh(t *testing.T) {
 	// The operator rolled out new subnets: the live window comes from a
 	// disjoint subnet set.
 	b := testPlan([]uint64{0x00a1, 0x00a2}, []float64{0.5, 0.5})
-	window := b.Generate(rand.New(rand.NewSource(99)), 2000)
+	window := draw(b, rand.New(rand.NewSource(99)), 2000)
 
-	repA, err := Score(m, a.Generate(rand.New(rand.NewSource(5)), 2000))
+	repA, err := Score(m, draw(a, rand.New(rand.NewSource(5)), 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestScoreShiftedDistributionIsHigh(t *testing.T) {
 func TestScoreIsDeterministic(t *testing.T) {
 	p := testPlan([]uint64{0x0001, 0x0002}, []float64{0.7, 0.3})
 	m := trainModel(t, p, 2000, 1)
-	window := p.Generate(rand.New(rand.NewSource(3)), 1500)
+	window := draw(p, rand.New(rand.NewSource(3)), 1500)
 	r1, err := Score(m, window)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestScoreLegacyModelWithoutNybbleCounts(t *testing.T) {
 	m := trainModel(t, p, 2000, 1)
 	// Simulate a model file from before entropy_counts were persisted.
 	m.Profile = &entropy.Profile{N: m.Profile.N, H: m.Profile.H, Raw: m.Profile.Raw}
-	rep, err := Score(m, p.Generate(rand.New(rand.NewSource(9)), 1000))
+	rep, err := Score(m, draw(p, rand.New(rand.NewSource(9)), 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestScoreLegacyModelWithoutNybbleCounts(t *testing.T) {
 func TestScorePrefix64OnlyMasksWindow(t *testing.T) {
 	p := testPlan([]uint64{0x0001, 0x0002}, []float64{0.6, 0.4})
 	rng := rand.New(rand.NewSource(1))
-	m, err := core.Build(p.GenerateUnique(rng, 3000), core.Options{Prefix64Only: true})
+	m, err := core.Build(drawUnique(p, rng, 3000), core.Options{Prefix64Only: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := p.Generate(rand.New(rand.NewSource(7)), 1500)
+	window := draw(p, rand.New(rand.NewSource(7)), 1500)
 	rep, err := Score(m, window)
 	if err != nil {
 		t.Fatal(err)
@@ -241,4 +241,26 @@ func TestDetectorDefaults(t *testing.T) {
 	if bad.exit() != 0.2 {
 		t.Errorf("exit not clamped: %v", bad.exit())
 	}
+}
+
+// draw draws n addresses from p (duplicates possible, as in real traffic).
+func draw(p *plan.Plan, rng *rand.Rand, n int) []ip6.Addr {
+	out := make([]ip6.Addr, n)
+	for i := range out {
+		out[i] = p.One(rng)
+	}
+	return out
+}
+
+// drawUnique draws from p until n unique addresses have been produced or
+// n×20 draws are spent.
+func drawUnique(p *plan.Plan, rng *rand.Rand, n int) []ip6.Addr {
+	seen := ip6.NewSet(n)
+	out := make([]ip6.Addr, 0, n)
+	for attempts := 0; len(out) < n && attempts < n*20; attempts++ {
+		if a := p.One(rng); seen.Add(a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }

@@ -114,14 +114,14 @@ func TestWindowIntervalLongerThanWindow(t *testing.T) {
 func TestWindowPrefix64Only(t *testing.T) {
 	p := testPlan([]uint64{0x0001, 0x0002, 0x0003}, []float64{0.5, 0.3, 0.2})
 	rng := rand.New(rand.NewSource(7))
-	m, err := core.Build(p.GenerateUnique(rng, 3000), core.Options{Prefix64Only: true})
+	m, err := core.Build(drawUnique(p, rng, 3000), core.Options{Prefix64Only: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := ingest.New(ingest.Config{WindowSize: 1024})
 	var w Window
 	for i := 0; i < 6; i++ {
-		buf.AddBatch(p.Generate(rng, 500))
+		buf.AddBatch(draw(p, rng, 500))
 		checkWindow(t, &w, m, buf, "prefix64")
 	}
 }

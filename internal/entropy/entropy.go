@@ -211,15 +211,6 @@ func NewWindowedWorkers(addrs []ip6.Addr, workers int) Windowed {
 	return w
 }
 
-// At returns the windowed entropy for the window starting at nybble pos
-// with the given length in nybbles. It returns 0 for out-of-range queries.
-func (w Windowed) At(pos, length int) float64 {
-	if pos < 0 || pos >= len(w) || length < 1 || length > len(w[pos]) {
-		return 0
-	}
-	return w[pos][length-1]
-}
-
 // Max returns the maximum entropy value in the matrix (useful for scaling
 // heat-map rendering).
 func (w Windowed) Max() float64 {
@@ -336,44 +327,4 @@ func JensenShannon(p, q []float64) float64 {
 		return 1
 	}
 	return js
-}
-
-// BitProfile computes a per-bit (1-bit granularity) normalized entropy
-// profile. The paper discusses 1-bit and 16-bit alternatives to the 4-bit
-// default (§4.5); this is provided for that ablation.
-func BitProfile(addrs []ip6.Addr) []float64 {
-	counts := make([][2]int, 128)
-	for _, a := range addrs {
-		b := a.Bytes()
-		for bit := 0; bit < 128; bit++ {
-			v := b[bit/8] >> (7 - uint(bit%8)) & 1
-			counts[bit][v]++
-		}
-	}
-	out := make([]float64, 128)
-	for i, c := range counts {
-		out[i] = Normalized(Shannon(c[:]), 2)
-	}
-	return out
-}
-
-// WordProfile computes a per-16-bit-word normalized entropy profile
-// (8 words per address), the other granularity discussed in §4.5.
-func WordProfile(addrs []ip6.Addr) []float64 {
-	counts := make([]map[uint16]int, 8)
-	for i := range counts {
-		counts[i] = make(map[uint16]int)
-	}
-	for _, a := range addrs {
-		b := a.Bytes()
-		for w := 0; w < 8; w++ {
-			v := uint16(b[2*w])<<8 | uint16(b[2*w+1])
-			counts[w][v]++
-		}
-	}
-	out := make([]float64, 8)
-	for i, c := range counts {
-		out[i] = Normalized(ShannonMap(c), 1<<16)
-	}
-	return out
 }

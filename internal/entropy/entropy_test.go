@@ -127,7 +127,7 @@ func TestProfilePaperExample(t *testing.T) {
 	}
 	addrs := make([]ip6.Addr, len(lines))
 	for i, l := range lines {
-		addrs[i] = ip6.MustParseHex(l)
+		addrs[i] = ip6.MustParseAddr(l)
 	}
 	p := NewProfile(addrs)
 	if !almostEqual(p.H[31], 0.2427, 5e-4) {
@@ -218,30 +218,26 @@ func TestWindowed(t *testing.T) {
 		}
 	}
 	// Window fully inside the constant part has zero entropy.
-	if w.At(0, 16) != 0 {
-		t.Errorf("constant window entropy = %v", w.At(0, 16))
+	if w[0][15] != 0 {
+		t.Errorf("constant window entropy = %v", w[0][15])
 	}
 	// Window over the random low nybbles: entropy is bounded by the number
 	// of samples, log2(5000) ≈ 12.3 bits.
-	if w.At(28, 4) < 11.5 {
-		t.Errorf("random window entropy = %v, want ~12.3", w.At(28, 4))
+	if w[28][3] < 11.5 {
+		t.Errorf("random window entropy = %v, want ~12.3", w[28][3])
 	}
 	// Full-length window entropy equals entropy over whole addresses.
-	if w.At(0, 32) < 12 {
-		t.Errorf("full window entropy = %v, want close to log2(5000)", w.At(0, 32))
+	if w[0][31] < 12 {
+		t.Errorf("full window entropy = %v, want close to log2(5000)", w[0][31])
 	}
 	// Monotone in window length for fixed position.
 	for length := 2; length <= 32; length++ {
-		if w.At(0, length) < w.At(0, length-1)-1e-9 {
+		if w[0][length-1] < w[0][length-2]-1e-9 {
 			t.Errorf("windowed entropy not monotone at length %d", length)
 		}
 	}
 	if w.Max() < 11.5 {
 		t.Errorf("Max = %v", w.Max())
-	}
-	// Out of range queries.
-	if w.At(-1, 1) != 0 || w.At(0, 0) != 0 || w.At(31, 2) != 0 {
-		t.Error("out-of-range At should return 0")
 	}
 	// An empty set keeps the full shape, all zero.
 	empty := NewWindowed(nil)
@@ -250,50 +246,6 @@ func TestWindowed(t *testing.T) {
 	}
 	if empty.Max() != 0 {
 		t.Errorf("empty set: Max = %v, want 0", empty.Max())
-	}
-}
-
-func TestBitProfile(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	addrs := make([]ip6.Addr, 4000)
-	base := ip6.MustParseAddr("2001:db8::")
-	for i := range addrs {
-		addrs[i] = base.SetField(24, 8, rng.Uint64())
-	}
-	bp := BitProfile(addrs)
-	if len(bp) != 128 {
-		t.Fatalf("len = %d", len(bp))
-	}
-	for bit := 0; bit < 96; bit++ {
-		if bp[bit] != 0 {
-			t.Errorf("bit %d should be constant", bit)
-		}
-	}
-	for bit := 96; bit < 128; bit++ {
-		if bp[bit] < 0.98 {
-			t.Errorf("bit %d entropy = %v, want ~1", bit, bp[bit])
-		}
-	}
-}
-
-func TestWordProfile(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	addrs := make([]ip6.Addr, 3000)
-	base := ip6.MustParseAddr("2001:db8::")
-	for i := range addrs {
-		addrs[i] = base.SetField(28, 4, rng.Uint64())
-	}
-	wp := WordProfile(addrs)
-	if len(wp) != 8 {
-		t.Fatalf("len = %d", len(wp))
-	}
-	for w := 0; w < 7; w++ {
-		if wp[w] != 0 {
-			t.Errorf("word %d should be constant", w)
-		}
-	}
-	if wp[7] <= 0 || wp[7] > 1 {
-		t.Errorf("word 7 entropy = %v", wp[7])
 	}
 }
 

@@ -55,10 +55,10 @@ func (c Config) windowSize() int {
 
 // Stats is a snapshot of buffer counters.
 type Stats struct {
-	// Observed counts every address offered to Add.
+	// Observed counts every address offered to AddBatch.
 	Observed uint64 `json:"observed"`
 	// Accepted counts addresses that entered the window; every offered
-	// address does (see Buffer.Add), so it equals Observed.
+	// address does (see Buffer.AddBatch), so it equals Observed.
 	Accepted uint64 `json:"accepted"`
 	// Deduped counts same-/64 window entries displaced early by the
 	// per-/64 cap (a newer observation of the prefix replaced its
@@ -148,20 +148,11 @@ func removeSlot(s []int32, idx int32) []int32 {
 	return s
 }
 
-// Add offers one observed address to the buffer. It returns true when the
-// address entered the window — which, with the per-/64 cap, it always
-// does: a capped prefix's newest observation replaces its oldest window
+// AddBatch offers a batch of addresses under one lock acquisition and
+// returns how many entered the window — all of them: with the per-/64
+// cap, a capped prefix's newest observation replaces its oldest window
 // entry rather than being dropped, so the window tracks the live
 // distribution even for heavy-hitter prefixes.
-func (b *Buffer) Add(a ip6.Addr) bool {
-	b.mu.Lock()
-	b.add(a)
-	b.mu.Unlock()
-	return true
-}
-
-// AddBatch offers a batch of addresses under one lock acquisition and
-// returns how many were accepted (all of them; see Add).
 func (b *Buffer) AddBatch(addrs []ip6.Addr) int {
 	b.mu.Lock()
 	for _, a := range addrs {

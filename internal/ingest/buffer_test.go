@@ -23,7 +23,7 @@ func addr(t *testing.T, s string) ip6.Addr {
 func TestBufferWindowSlides(t *testing.T) {
 	b := New(Config{WindowSize: 4})
 	for i := 0; i < 10; i++ {
-		if !b.Add(addr(t, fmt.Sprintf("2001:db8::%d", i+1))) {
+		if !offer(b, addr(t, fmt.Sprintf("2001:db8::%d", i+1))) {
 			t.Fatalf("Add %d rejected", i)
 		}
 	}
@@ -48,12 +48,12 @@ func TestBufferPer64CapKeepsNewest(t *testing.T) {
 	// 5 addresses in one /64: only 2 window slots, holding the NEWEST two
 	// (a capped prefix's slots must not freeze on its first addresses).
 	for i := 0; i < 5; i++ {
-		if !b.Add(addr(t, fmt.Sprintf("2001:db8:0:1::%d", i+1))) {
+		if !offer(b, addr(t, fmt.Sprintf("2001:db8:0:1::%d", i+1))) {
 			t.Fatalf("Add %d rejected", i)
 		}
 	}
 	// Another /64 is unaffected.
-	b.Add(addr(t, "2001:db8:0:2::1"))
+	offer(b, addr(t, "2001:db8:0:2::1"))
 	st := b.Stats()
 	if st.Accepted != 6 || st.Deduped != 3 {
 		t.Errorf("stats = %+v, want accepted=6 deduped=3", st)
@@ -77,17 +77,17 @@ func TestBufferPer64CapKeepsNewest(t *testing.T) {
 
 func TestBufferPer64CapSlotsReleasedOnEviction(t *testing.T) {
 	b := New(Config{WindowSize: 2, MaxPer64: 2})
-	b.Add(addr(t, "2001:db8:0:1::1"))
-	b.Add(addr(t, "2001:db8:0:1::2"))
+	offer(b, addr(t, "2001:db8:0:1::1"))
+	offer(b, addr(t, "2001:db8:0:1::2"))
 	// Capped: replaces ::1 in place.
-	if !b.Add(addr(t, "2001:db8:0:1::3")) {
+	if !offer(b, addr(t, "2001:db8:0:1::3")) {
 		t.Fatal("capped add should replace, not reject")
 	}
 	// Ring eviction by another /64 must release the first prefix's slot
 	// accounting so later adds of that prefix take normal slots again.
-	b.Add(addr(t, "2001:db8:0:2::1"))
-	b.Add(addr(t, "2001:db8:0:2::2"))
-	b.Add(addr(t, "2001:db8:0:1::4"))
+	offer(b, addr(t, "2001:db8:0:2::1"))
+	offer(b, addr(t, "2001:db8:0:2::2"))
+	offer(b, addr(t, "2001:db8:0:1::4"))
 	st := b.Stats()
 	if st.Window != 2 {
 		t.Fatalf("window = %d, want 2", st.Window)
@@ -108,7 +108,7 @@ func TestBufferConcurrentAddSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				b.Add(addr(t, fmt.Sprintf("2001:db8:%x:%x::%x", w, i%32, i+1)))
+				offer(b, addr(t, fmt.Sprintf("2001:db8:%x:%x::%x", w, i%32, i+1)))
 				if i%64 == 0 {
 					_ = b.Snapshot()
 					_ = b.Stats()
@@ -161,9 +161,7 @@ func TestBufferWindowIndependentOfGOMAXPROCS(t *testing.T) {
 func TestBufferWindowHoldsLastWindowSizeAdds(t *testing.T) {
 	addrs := skewedAddrs(10_050)
 	b := New(Config{WindowSize: 1000})
-	for _, a := range addrs {
-		b.Add(a)
-	}
+	b.AddBatch(addrs)
 	snap := b.Snapshot()
 	if len(snap) != 1000 {
 		t.Fatalf("window = %d addresses, want 1000", len(snap))
@@ -240,9 +238,9 @@ func TestBufferDrainFillingWindow(t *testing.T) {
 	if got := b.DrainAll(); len(got) != 0 {
 		t.Fatalf("empty buffer drained %d addresses", len(got))
 	}
-	b.Add(addr(t, "2001:db8:0:1::1"))
-	b.Add(addr(t, "2001:db8:0:1::2")) // same /64: replaces slot 0
-	b.Add(addr(t, "2001:db8:0:2::1"))
+	offer(b, addr(t, "2001:db8:0:1::1"))
+	offer(b, addr(t, "2001:db8:0:1::2")) // same /64: replaces slot 0
+	offer(b, addr(t, "2001:db8:0:2::1"))
 	want := []Change{
 		{Slot: 0, Cur: addr(t, "2001:db8:0:1::2")},
 		{Slot: 1, Cur: addr(t, "2001:db8:0:2::1")},
@@ -250,9 +248,12 @@ func TestBufferDrainFillingWindow(t *testing.T) {
 	if got := b.Drain(nil); !slices.Equal(got, want) {
 		t.Errorf("drain = %+v, want %+v", got, want)
 	}
-	b.Add(addr(t, "2001:db8:0:1::3"))
+	offer(b, addr(t, "2001:db8:0:1::3"))
 	want = []Change{{Slot: 0, Prev: want[0].Cur, HadPrev: true, Cur: addr(t, "2001:db8:0:1::3")}}
 	if got := b.Drain(nil); !slices.Equal(got, want) {
 		t.Errorf("drain = %+v, want %+v", got, want)
 	}
 }
+
+// offer adds one address to the window.
+func offer(b *Buffer, a ip6.Addr) bool { return b.AddBatch([]ip6.Addr{a}) == 1 }

@@ -124,7 +124,7 @@ func TestStringMatchesNetipProperty(t *testing.T) {
 func TestHexRoundTripProperty(t *testing.T) {
 	f := func(b [16]byte) bool {
 		a := AddrFrom16(b)
-		back, err := ParseHex(a.Hex())
+		back, err := ParseAddr(a.Hex())
 		return err == nil && back == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

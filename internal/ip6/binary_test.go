@@ -41,7 +41,7 @@ func TestAddrBinaryRoundTrip(t *testing.T) {
 
 func TestPrefixBinaryRoundTrip(t *testing.T) {
 	for _, s := range []string{"::/0", "2001:db8::/32", "2001:db8:1:2::/64", "::1/128"} {
-		p := MustParsePrefix(s)
+		p := mustParsePrefix(s)
 		b := p.AppendBinary(nil)
 		if len(b) != 17 {
 			t.Fatalf("%s: AppendBinary wrote %d bytes", s, len(b))
@@ -63,7 +63,7 @@ func TestPrefixBinaryRoundTrip(t *testing.T) {
 	raw := MustParseAddr("2001:db8::1").AppendBinary(nil)
 	raw = append(raw, 32)
 	got, ok := PrefixFromBinary(raw)
-	if !ok || got != MustParsePrefix("2001:db8::/32") {
+	if !ok || got != mustParsePrefix("2001:db8::/32") {
 		t.Errorf("unmasked input = %v, %v; want 2001:db8::/32", got, ok)
 	}
 }

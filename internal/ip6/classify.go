@@ -1,25 +1,15 @@
 package ip6
 
-import "fmt"
-
-// This file contains "stateless" single-address classification helpers of
-// the kind implemented by the addr6 tool referenced by the paper. The paper
-// argues such rules are error-prone in isolation (context matters); we
-// implement them anyway, both as utility for the synthetic plan generators
-// and as ground truth oracles in tests and baseline generators.
+// This file contains the "stateless" single-address tests, of the kind
+// implemented by the addr6 tool referenced by the paper, that the baseline
+// generators use. The paper argues such rules are error-prone in isolation
+// (context matters).
 
 // IsEUI64 reports whether the interface identifier (low 64 bits) looks like
 // a Modified EUI-64 derived from a MAC address: the bytes 0xff, 0xfe appear
 // in positions 11-12 (bits 88-104 of the address).
 func IsEUI64(a Addr) bool {
 	return a[11] == 0xff && a[12] == 0xfe
-}
-
-// IsGloballyUniqueEUI64 reports whether the address both has the ff:fe
-// EUI-64 marker and has the "u" (universal/local) bit set, i.e. claims to
-// be derived from a globally unique MAC address.
-func IsGloballyUniqueEUI64(a Addr) bool {
-	return IsEUI64(a) && a[8]&0x02 != 0
 }
 
 // EmbeddedIPv4 checks whether the low 32 bits of the address decode to a
@@ -33,203 +23,4 @@ func EmbeddedIPv4(a Addr) (uint32, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// EmbeddedDecimalIPv4 checks whether the interface identifier encodes an
-// IPv4 address as base-10 octets across the four 16-bit aligned words of
-// the IID (e.g. ...:192:0:2:33 for 192.0.2.33), the pattern the paper
-// observes in router dataset R4. It returns the decoded IPv4 address.
-func EmbeddedDecimalIPv4(a Addr) (uint32, bool) {
-	var octets [4]uint32
-	for i := 0; i < 4; i++ {
-		word := uint32(a[8+2*i])<<8 | uint32(a[9+2*i])
-		// Each word, read as hexadecimal text, must be a decimal number
-		// 0-255. E.g. the word 0x0192 reads "192".
-		dec, ok := hexWordAsDecimal(word)
-		if !ok || dec > 255 {
-			return 0, false
-		}
-		octets[i] = dec
-	}
-	v := octets[0]<<24 | octets[1]<<16 | octets[2]<<8 | octets[3]
-	if v == 0 {
-		return 0, false
-	}
-	return v, true
-}
-
-// hexWordAsDecimal interprets the hexadecimal textual form of word as a
-// decimal integer, e.g. 0x0192 -> 192. It fails if any nybble is not a
-// decimal digit.
-func hexWordAsDecimal(word uint32) (uint32, bool) {
-	var dec uint32
-	started := false
-	for shift := 12; shift >= 0; shift -= 4 {
-		d := word >> uint(shift) & 0xf
-		if d > 9 {
-			return 0, false
-		}
-		if d != 0 {
-			started = true
-		}
-		if started || shift == 0 {
-			dec = dec*10 + d
-		}
-	}
-	return dec, true
-}
-
-// IsLowByte reports whether the interface identifier is "low-byte": all of
-// the IID is zero except for the lowest byte (and optionally the second
-// lowest), a pattern common for routers and statically addressed servers.
-func IsLowByte(a Addr) bool {
-	for i := 8; i < 14; i++ {
-		if a[i] != 0 {
-			return false
-		}
-	}
-	return a[14] != 0 || a[15] != 0 || isAllZeroIID(a)
-}
-
-func isAllZeroIID(a Addr) bool {
-	for i := 8; i < 16; i++ {
-		if a[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IIDLooksRandom applies the heuristic used by stateless classifiers: the
-// interface identifier is considered pseudo-random when its nybbles take
-// many distinct values and no well-known pattern (EUI-64, low-byte,
-// embedded IPv4) matches. The paper shows this heuristic misclassifies
-// structured addresses; Entropy/IP exists to do better. The function is
-// still useful for constructing baselines.
-func IIDLooksRandom(a Addr) bool {
-	if IsEUI64(a) || IsLowByte(a) {
-		return false
-	}
-	if _, ok := EmbeddedDecimalIPv4(a); ok {
-		return false
-	}
-	// Count distinct nybble values in the IID.
-	var seen [16]bool
-	distinct := 0
-	for i := 16; i < 32; i++ {
-		v := a.Nybble(i)
-		if !seen[v] {
-			seen[v] = true
-			distinct++
-		}
-	}
-	return distinct >= 6
-}
-
-// AddrKind is a coarse stateless classification of a single address.
-type AddrKind int
-
-// Stateless classification outcomes.
-const (
-	KindUnknown AddrKind = iota
-	KindEUI64
-	KindLowByte
-	KindEmbeddedIPv4
-	KindRandomIID
-)
-
-// String returns a human-readable name for the kind.
-func (k AddrKind) String() string {
-	switch k {
-	case KindEUI64:
-		return "eui64"
-	case KindLowByte:
-		return "lowbyte"
-	case KindEmbeddedIPv4:
-		return "embedded-ipv4"
-	case KindRandomIID:
-		return "random-iid"
-	default:
-		return "unknown"
-	}
-}
-
-// Classify applies the stateless heuristics in precedence order and returns
-// the first match.
-func Classify(a Addr) AddrKind {
-	switch {
-	case IsEUI64(a):
-		return KindEUI64
-	case IsLowByte(a):
-		return KindLowByte
-	default:
-		if _, ok := EmbeddedDecimalIPv4(a); ok {
-			return KindEmbeddedIPv4
-		}
-		if IIDLooksRandom(a) {
-			return KindRandomIID
-		}
-		return KindUnknown
-	}
-}
-
-// DocumentationPrefix is the IPv6 documentation prefix 2001:db8::/32 used
-// by the paper when anonymizing results.
-var DocumentationPrefix = MustParsePrefix("2001:db8::/32")
-
-// Anonymize rewrites the first 32 bits of the address into the
-// documentation prefix 2001:db8::/32, as done in the paper's presentation
-// of results. The variant parameter increments the first nybble (mod 6,
-// staying within 2..7) so that distinct real /32s remain distinguishable
-// after anonymization, mirroring the paper's "incrementing the first nybble
-// when necessary".
-func Anonymize(a Addr, variant int) Addr {
-	doc := DocumentationPrefix.Addr()
-	for i := 0; i < 4; i++ {
-		a[i] = doc[i]
-	}
-	if variant > 0 {
-		first := byte(2 + variant%6)
-		a = a.SetNybble(0, first)
-	}
-	return a
-}
-
-// AnonymizeSet anonymizes a set of addresses, assigning a distinct variant
-// to each distinct original /32 prefix (in order of first appearance) so
-// that prefix structure is preserved.
-func AnonymizeSet(addrs []Addr) []Addr {
-	variants := make(map[Prefix]int)
-	out := make([]Addr, len(addrs))
-	for i, a := range addrs {
-		p := Prefix32(a)
-		v, ok := variants[p]
-		if !ok {
-			v = len(variants)
-			variants[p] = v
-		}
-		out[i] = Anonymize(a, v)
-	}
-	return out
-}
-
-// FormatFixedWidth renders a slice of addresses in the paper's fixed-width
-// hexadecimal form (Fig. 3), one address per line.
-func FormatFixedWidth(addrs []Addr) string {
-	buf := make([]byte, 0, len(addrs)*(NybbleCount+1))
-	for _, a := range addrs {
-		buf = a.AppendHex(buf)
-		buf = append(buf, '\n')
-	}
-	return string(buf)
-}
-
-// ValidateNybbles checks that every value in n is a valid nybble (0-15).
-func ValidateNybbles(n Nybbles) error {
-	for i, v := range n {
-		if v > 0x0f {
-			return fmt.Errorf("ip6: nybble %d out of range: %d", i, v)
-		}
-	}
-	return nil
 }

@@ -1,21 +1,14 @@
 package ip6
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestIsEUI64(t *testing.T) {
 	eui := MustParseAddr("2001:db8::0211:22ff:fe33:4455")
 	if !IsEUI64(eui) {
 		t.Error("expected EUI-64")
 	}
-	if !IsGloballyUniqueEUI64(eui) {
-		t.Error("expected globally unique EUI-64 (u bit set)")
-	}
-	local := MustParseAddr("2001:db8::0011:22ff:fe33:4455")
-	if IsGloballyUniqueEUI64(local) {
-		t.Error("u bit clear should not be globally unique")
+	if !IsEUI64(MustParseAddr("2001:db8::0011:22ff:fe33:4455")) {
+		t.Error("expected EUI-64 with the u bit clear")
 	}
 	if IsEUI64(MustParseAddr("2001:db8::1")) {
 		t.Error("::1 is not EUI-64")
@@ -30,162 +23,5 @@ func TestEmbeddedIPv4(t *testing.T) {
 	}
 	if _, ok := EmbeddedIPv4(MustParseAddr("2001:db8::")); ok {
 		t.Error("all-zero low 32 bits should not report embedded IPv4")
-	}
-}
-
-func TestEmbeddedDecimalIPv4(t *testing.T) {
-	// 192.0.2.33 written as base-10 octets in 16-bit words: ...:192:0:2:33
-	a := MustParseAddr("2001:db8::192:0:2:33")
-	v, ok := EmbeddedDecimalIPv4(a)
-	if !ok || v != (192<<24|0<<16|2<<8|33) {
-		t.Errorf("EmbeddedDecimalIPv4 = %d.%d.%d.%d, ok=%v", v>>24, v>>16&0xff, v>>8&0xff, v&0xff, ok)
-	}
-	// Word with hex digit > 9 cannot be a decimal octet.
-	if _, ok := EmbeddedDecimalIPv4(MustParseAddr("2001:db8::19a:0:2:33")); ok {
-		t.Error("hex digits should not decode as decimal")
-	}
-	// Word exceeding 255 cannot be an octet.
-	if _, ok := EmbeddedDecimalIPv4(MustParseAddr("2001:db8::999:0:2:33")); ok {
-		t.Error("999 is not a valid octet")
-	}
-	if _, ok := EmbeddedDecimalIPv4(MustParseAddr("2001:db8::")); ok {
-		t.Error("all zero should not decode")
-	}
-}
-
-func TestHexWordAsDecimal(t *testing.T) {
-	cases := []struct {
-		word uint32
-		want uint32
-		ok   bool
-	}{
-		{0x0192, 192, true},
-		{0x0000, 0, true},
-		{0x0255, 255, true},
-		{0x0256, 256, true}, // decodes but is >255; caller rejects
-		{0x00ff, 0, false},
-		{0x1a00, 0, false},
-	}
-	for _, c := range cases {
-		got, ok := hexWordAsDecimal(c.word)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("hexWordAsDecimal(%#x) = %d, %v; want %d, %v", c.word, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestIsLowByte(t *testing.T) {
-	if !IsLowByte(MustParseAddr("2001:db8::1")) {
-		t.Error("::1 IID is low-byte")
-	}
-	if !IsLowByte(MustParseAddr("2001:db8:1:2::201")) {
-		t.Error("::0201 IID is low-byte")
-	}
-	if IsLowByte(MustParseAddr("2001:db8::1:0:0:1")) {
-		t.Error("high IID bytes set; not low-byte")
-	}
-}
-
-func TestIIDLooksRandomAndClassify(t *testing.T) {
-	random := MustParseAddr("2001:db8::17ec:d7eb:19b0:dfe4")
-	if !IIDLooksRandom(random) {
-		t.Error("expected random-looking IID")
-	}
-	if Classify(random) != KindRandomIID {
-		t.Errorf("Classify = %v", Classify(random))
-	}
-	if Classify(MustParseAddr("2001:db8::0211:22ff:fe33:4455")) != KindEUI64 {
-		t.Error("expected KindEUI64")
-	}
-	if Classify(MustParseAddr("2001:db8::1")) != KindLowByte {
-		t.Error("expected KindLowByte")
-	}
-	if Classify(MustParseAddr("2001:db8::192:0:2:33")) != KindEmbeddedIPv4 {
-		t.Error("expected KindEmbeddedIPv4")
-	}
-	// The paper's example of a misclassified address: structured but
-	// random-looking to stateless rules.
-	tricky := MustParseAddr("2001:db8:221:ffff:ffff:ffff:ffc0:122a")
-	if !IIDLooksRandom(tricky) {
-		t.Error("stateless heuristic should (mis)classify this as random; Entropy/IP fixes that with context")
-	}
-}
-
-func TestAddrKindString(t *testing.T) {
-	kinds := map[AddrKind]string{
-		KindUnknown:      "unknown",
-		KindEUI64:        "eui64",
-		KindLowByte:      "lowbyte",
-		KindEmbeddedIPv4: "embedded-ipv4",
-		KindRandomIID:    "random-iid",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
-		}
-	}
-}
-
-func TestAnonymize(t *testing.T) {
-	a := MustParseAddr("2a02:1234:5678:9abc::1")
-	anon := Anonymize(a, 0)
-	if !DocumentationPrefix.Contains(anon) {
-		t.Errorf("anonymized address %v not in documentation prefix", anon)
-	}
-	// Low bits preserved.
-	if anon.Field(8, 16) != a.Field(8, 16) || anon.Field(24, 8) != a.Field(24, 8) {
-		t.Error("anonymization should preserve bits beyond /32")
-	}
-	anon1 := Anonymize(a, 1)
-	if anon1.Nybble(0) == anon.Nybble(0) {
-		t.Error("variant should change the first nybble")
-	}
-}
-
-func TestAnonymizeSet(t *testing.T) {
-	addrs := []Addr{
-		MustParseAddr("2a02:1:1::1"),
-		MustParseAddr("2a02:1:1::2"),
-		MustParseAddr("2a03:2:2::1"),
-	}
-	out := AnonymizeSet(addrs)
-	if len(out) != 3 {
-		t.Fatalf("len = %d", len(out))
-	}
-	// Addresses from the same original /32 share an anonymized /32; a
-	// different original /32 gets a different one.
-	if Prefix32(out[0]) != Prefix32(out[1]) {
-		t.Error("same /32 should anonymize identically")
-	}
-	if Prefix32(out[0]) == Prefix32(out[2]) {
-		t.Error("different /32s should anonymize differently")
-	}
-}
-
-func TestFormatFixedWidth(t *testing.T) {
-	addrs := []Addr{MustParseAddr("2001:db8::1"), MustParseAddr("2001:db8::2")}
-	s := FormatFixedWidth(addrs)
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[0] != "20010db8000000000000000000000001" {
-		t.Errorf("line 0 = %q", lines[0])
-	}
-	for _, l := range lines {
-		if len(l) != NybbleCount {
-			t.Errorf("line %q has length %d", l, len(l))
-		}
-	}
-}
-
-func TestValidateNybbles(t *testing.T) {
-	var n Nybbles
-	if err := ValidateNybbles(n); err != nil {
-		t.Errorf("zero nybbles should be valid: %v", err)
-	}
-	n[5] = 0x1f
-	if err := ValidateNybbles(n); err == nil {
-		t.Error("expected error for out-of-range nybble")
 	}
 }

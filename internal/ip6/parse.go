@@ -141,14 +141,9 @@ func MustParseAddr(s string) Addr {
 	return a
 }
 
-// ParseHex parses the fixed-width 32-character hexadecimal form of an IPv6
+// parseHex parses the fixed-width 32-character hexadecimal form of an IPv6
 // address (no colons), as used in the paper's Fig. 3 and by the dataset
 // files in this repository. Shorter strings are rejected.
-func ParseHex(s string) (Addr, error) {
-	return parseHex(s)
-}
-
-// parseHex is ParseHex over the generic input representation.
 func parseHex[T ~string | ~[]byte](s T) (Addr, error) {
 	var a Addr
 	if len(s) != NybbleCount {
@@ -162,15 +157,6 @@ func parseHex[T ~string | ~[]byte](s T) (Addr, error) {
 		a[i/2] = a[i/2]<<4 | v
 	}
 	return a, nil
-}
-
-// MustParseHex is like ParseHex but panics on error.
-func MustParseHex(s string) Addr {
-	a, err := ParseHex(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // parseIPv4 parses a dotted-quad IPv4 address that runs to the end of s

@@ -40,15 +40,6 @@ func ParsePrefix(s string) (Prefix, error) {
 	return PrefixFrom(a, bits), nil
 }
 
-// MustParsePrefix is like ParsePrefix but panics on error.
-func MustParsePrefix(s string) Prefix {
-	p, err := ParsePrefix(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Addr returns the (masked) base address of the prefix.
 func (p Prefix) Addr() Addr { return p.addr }
 

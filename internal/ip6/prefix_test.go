@@ -7,7 +7,7 @@ import (
 )
 
 func TestParsePrefix(t *testing.T) {
-	p := MustParsePrefix("2001:db8::/32")
+	p := mustParsePrefix("2001:db8::/32")
 	if p.Bits() != 32 {
 		t.Errorf("Bits() = %d", p.Bits())
 	}
@@ -15,7 +15,7 @@ func TestParsePrefix(t *testing.T) {
 		t.Errorf("String() = %q", p.String())
 	}
 	// Non-canonical input is masked.
-	q := MustParsePrefix("2001:db8:ffff::1/32")
+	q := mustParsePrefix("2001:db8:ffff::1/32")
 	if q != p {
 		t.Errorf("masking failed: %v != %v", q, p)
 	}
@@ -27,7 +27,7 @@ func TestParsePrefix(t *testing.T) {
 }
 
 func TestPrefixContains(t *testing.T) {
-	p := MustParsePrefix("2001:db8:40::/42")
+	p := mustParsePrefix("2001:db8:40::/42")
 	cases := []struct {
 		addr string
 		want bool
@@ -60,9 +60,9 @@ func TestPrefixContainsMatchesNetip(t *testing.T) {
 }
 
 func TestPrefixContainsPrefixAndOverlaps(t *testing.T) {
-	p32 := MustParsePrefix("2001:db8::/32")
-	p48 := MustParsePrefix("2001:db8:1::/48")
-	other := MustParsePrefix("2001:db9::/32")
+	p32 := mustParsePrefix("2001:db8::/32")
+	p48 := mustParsePrefix("2001:db8:1::/48")
+	other := mustParsePrefix("2001:db9::/32")
 	if !p32.ContainsPrefix(p48) {
 		t.Error("/32 should contain /48")
 	}
@@ -78,14 +78,14 @@ func TestPrefixContainsPrefixAndOverlaps(t *testing.T) {
 }
 
 func TestPrefixFirstLast(t *testing.T) {
-	p := MustParsePrefix("2001:db8::/64")
+	p := mustParsePrefix("2001:db8::/64")
 	if p.First() != MustParseAddr("2001:db8::") {
 		t.Errorf("First() = %v", p.First())
 	}
 	if p.Last() != MustParseAddr("2001:db8::ffff:ffff:ffff:ffff") {
 		t.Errorf("Last() = %v", p.Last())
 	}
-	all := MustParsePrefix("::/0")
+	all := mustParsePrefix("::/0")
 	if all.Last() != MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff") {
 		t.Errorf("/0 Last() = %v", all.Last())
 	}
@@ -118,7 +118,7 @@ func TestPrefixHelpers(t *testing.T) {
 }
 
 func TestPrefixMarshalText(t *testing.T) {
-	p := MustParsePrefix("2001:db8::/56")
+	p := mustParsePrefix("2001:db8::/56")
 	text, err := p.MarshalText()
 	if err != nil {
 		t.Fatal(err)
@@ -142,4 +142,13 @@ func TestPrefixFromPanics(t *testing.T) {
 		}
 	}()
 	PrefixFrom(Addr{}, 200)
+}
+
+// mustParsePrefix is ParsePrefix for literals known to be valid.
+func mustParsePrefix(s string) Prefix {
+	p, err := ParsePrefix(s)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -61,7 +61,7 @@ func TestSetOfAndPrefixes(t *testing.T) {
 	if ps.Len() != 2 {
 		t.Errorf("distinct /48s = %d, want 2", ps.Len())
 	}
-	if !ps.Contains(MustParsePrefix("2001:db8:1::/48")) {
+	if !ps.Contains(mustParsePrefix("2001:db8:1::/48")) {
 		t.Error("missing expected /48")
 	}
 }
@@ -95,9 +95,9 @@ func TestSortAddrs(t *testing.T) {
 func TestPrefixSetDiff(t *testing.T) {
 	a := NewPrefixSet(0)
 	b := NewPrefixSet(0)
-	p1 := MustParsePrefix("2001:db8:1::/48")
-	p2 := MustParsePrefix("2001:db8:2::/48")
-	p3 := MustParsePrefix("2001:db8:3::/48")
+	p1 := mustParsePrefix("2001:db8:1::/48")
+	p2 := mustParsePrefix("2001:db8:2::/48")
+	p3 := mustParsePrefix("2001:db8:3::/48")
 	a.Add(p1)
 	a.Add(p2)
 	b.Add(p2)
@@ -110,9 +110,9 @@ func TestPrefixSetDiff(t *testing.T) {
 
 func TestPrefixSetSortedAndContainsAddr(t *testing.T) {
 	s := NewPrefixSet(0)
-	s.Add(MustParsePrefix("2001:db8:2::/48"))
-	s.Add(MustParsePrefix("2001:db8:1::/48"))
-	if s.Add(MustParsePrefix("2001:db8:1::/48")) {
+	s.Add(mustParsePrefix("2001:db8:2::/48"))
+	s.Add(mustParsePrefix("2001:db8:1::/48"))
+	if s.Add(mustParsePrefix("2001:db8:1::/48")) {
 		t.Error("duplicate Add should return false")
 	}
 	sorted := s.Sorted()

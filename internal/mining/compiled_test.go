@@ -171,7 +171,7 @@ func TestCompiledEncoderMatchesEncoderOnMinedModels(t *testing.T) {
 		{Label: "C", Start: 10, Width: 6},
 		{Label: "D", Start: 16, Width: 16},
 	}}
-	models := MineAll(addrs, sg, Config{})
+	models := MineAllWorkers(addrs, sg, Config{}, 0)
 	enc := NewEncoder(models)
 	c := enc.Compiled()
 

@@ -38,7 +38,7 @@ func referenceDistinct(enc *Encoder, addrs []ip6.Addr) (rows [][]int, counts []i
 // past their first size.
 func TestEncodeDistinctMatchesReference(t *testing.T) {
 	base := buildTestSet(3000, 4)
-	enc := NewEncoder(MineAll(base, segment.Segments(entropy.NewProfile(base), segment.Config{}), Config{}))
+	enc := NewEncoder(MineAllWorkers(base, segment.Segments(entropy.NewProfile(base), segment.Config{}), Config{}, 0))
 
 	var runs []ip6.Addr
 	for i := 0; len(runs) < 1000; i++ {
@@ -90,7 +90,7 @@ func TestEncodeDistinct(t *testing.T) {
 	addrs := buildTestSet(200, 8)
 	prof := entropy.NewProfile(addrs)
 	sg := segment.Segments(prof, segment.Config{})
-	enc := NewEncoder(MineAll(addrs, sg, Config{}))
+	enc := NewEncoder(MineAllWorkers(addrs, sg, Config{}, 0))
 	rows, counts := enc.EncodeDistinct(addrs, 0)
 	if len(rows) != len(counts) || len(rows) == 0 || len(rows) > len(addrs) {
 		t.Fatalf("%d rows, %d counts for %d addresses", len(rows), len(counts), len(addrs))

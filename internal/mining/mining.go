@@ -494,20 +494,14 @@ func rangeEps(seg segment.Segment) float64 {
 	return span
 }
 
-// MineAll mines every segment of a segmentation from the training
-// addresses and returns the per-segment models in segment order, using all
-// available cores. The result is identical for any worker count; use
-// MineAllWorkers to bound concurrency.
-func MineAll(addrs []ip6.Addr, sg *segment.Segmentation, cfg Config) []*SegmentModel {
-	return MineAllWorkers(addrs, sg, cfg, 0)
-}
-
-// MineAllWorkers is MineAll with bounded concurrency (<= 0 selects
-// GOMAXPROCS). Segments are independent by construction — each mines its
-// own value multiset, including its weighted-DBSCAN passes — so they run
-// concurrently, dispatched dynamically because per-segment cost is skewed
-// (wide high-entropy segments dominate). Each result lands at its
-// segment's index, so the output is identical for any worker count.
+// MineAllWorkers mines every segment of a segmentation from the training
+// addresses and returns the per-segment models in segment order, on at
+// most workers goroutines (<= 0 selects GOMAXPROCS). Segments are
+// independent by construction — each mines its own value multiset,
+// including its weighted-DBSCAN passes — so they run concurrently,
+// dispatched dynamically because per-segment cost is skewed (wide
+// high-entropy segments dominate). Each result lands at its segment's
+// index, so the output is identical for any worker count.
 func MineAllWorkers(addrs []ip6.Addr, sg *segment.Segmentation, cfg Config, workers int) []*SegmentModel {
 	out := make([]*SegmentModel, len(sg.Segments))
 	parallel.ForEach(workers, len(sg.Segments), func(si int) {

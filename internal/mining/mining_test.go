@@ -305,7 +305,7 @@ func TestMineAllAndEncoderRoundTrip(t *testing.T) {
 	addrs := buildTestSet(3000, 5)
 	prof := entropy.NewProfile(addrs)
 	sg := segment.Segments(prof, segment.Config{})
-	models := MineAll(addrs, sg, Config{})
+	models := MineAllWorkers(addrs, sg, Config{}, 0)
 	if len(models) != len(sg.Segments) {
 		t.Fatalf("models = %d, segments = %d", len(models), len(sg.Segments))
 	}
@@ -365,7 +365,7 @@ func TestEncoderDecodeErrors(t *testing.T) {
 	addrs := buildTestSet(500, 6)
 	prof := entropy.NewProfile(addrs)
 	sg := segment.Segments(prof, segment.Config{})
-	enc := NewEncoder(MineAll(addrs, sg, Config{}))
+	enc := NewEncoder(MineAllWorkers(addrs, sg, Config{}, 0))
 	rng := rand.New(rand.NewSource(1))
 	if _, err := enc.Decode([]int{0}, rng); err == nil {
 		t.Error("expected length error")
@@ -467,7 +467,7 @@ func BenchmarkMineAll1K(b *testing.B) {
 	sg := segment.Segments(prof, segment.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MineAll(addrs, sg, Config{})
+		MineAllWorkers(addrs, sg, Config{}, 0)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestEncodeDistinctWorkersEquivalent(t *testing.T) {
 	addrs := miningPopulation(4000, 2)
 	profile := entropy.NewProfileWorkers(addrs, 1)
 	sg := segment.Segments(profile, segment.Config{})
-	enc := NewEncoder(MineAll(addrs, sg, Config{}))
+	enc := NewEncoder(MineAllWorkers(addrs, sg, Config{}, 0))
 	wantRows, wantCounts := enc.EncodeDistinct(addrs, 1)
 	for _, workers := range []int{3, 7, 0} {
 		rows, counts := enc.EncodeDistinct(addrs, workers)

@@ -6,7 +6,7 @@
 // log/slog-based structured-logger factory, process-unique request IDs,
 // and a lightweight stage tracer for the training pipeline.
 //
-// Hot-path contract: Counter.Inc/Add, Gauge.Inc/Dec/Add/Set,
+// Hot-path contract: Counter.Inc/Add, Gauge.Inc/Dec,
 // Histogram.Observe and Histogram.ObserveExemplar never allocate and
 // never take a lock (BenchmarkMetricsHotPath is CI-gated at 0 allocs/op,
 // the same gate the serving-plane I/O paths live under). Registration and
@@ -36,7 +36,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a metric that can go up and down (in-flight requests, queue
-// depth). The zero value is ready to use.
+// depth). The zero value is ready to use; a scrape reads it through a
+// Registry.GaugeFunc.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -46,12 +47,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec subtracts one from the gauge.
 func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Add adds d (which may be negative) to the gauge.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -172,12 +167,3 @@ func (h *Histogram) observe(v float64, exemplarID string) {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}

@@ -15,17 +15,27 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	g := r.Gauge("g", "help")
+	var g Gauge
 	g.Inc()
-	g.Add(10)
+	g.Inc()
 	g.Dec()
-	if got := g.Value(); got != 10 {
-		t.Fatalf("gauge = %d, want 10", got)
+	if got := g.Value(); got != 1 {
+		t.Fatalf("gauge = %d, want 1", got)
 	}
-	g.Set(-3)
-	if got := g.Value(); got != -3 {
-		t.Fatalf("gauge = %d, want -3", got)
+	g.Dec()
+	g.Dec()
+	if got := g.Value(); got != -1 {
+		t.Fatalf("gauge = %d, want -1", got)
 	}
+}
+
+// histCount returns the total number of observations in h.
+func histCount(h *Histogram) uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // TestHistogramInvariants pins the Prometheus histogram contract:
@@ -40,7 +50,7 @@ func TestHistogramInvariants(t *testing.T) {
 		h.Observe(v)
 		wantSum += v
 	}
-	if got := h.Count(); got != uint64(len(obsValues)) {
+	if got := histCount(h); got != uint64(len(obsValues)) {
 		t.Fatalf("count = %d, want %d", got, len(obsValues))
 	}
 	if got := h.Sum(); math.Abs(got-wantSum) > 1e-9 {
@@ -89,7 +99,7 @@ func TestRegistryMisusePanics(t *testing.T) {
 				t.Fatal("re-registering a counter name as gauge did not panic")
 			}
 		}()
-		r.Gauge("m_total", "help")
+		r.GaugeFunc("m_total", "help", func() float64 { return 0 })
 	})
 	t.Run("duplicate series", func(t *testing.T) {
 		defer func() {
@@ -120,7 +130,8 @@ func TestMetricsRace(t *testing.T) {
 	)
 	r := NewRegistry()
 	c := r.Counter("race_total", "help")
-	g := r.Gauge("race_inflight", "help")
+	var g Gauge
+	r.GaugeFunc("race_inflight", "help", func() float64 { return float64(g.Value()) })
 	h := r.Histogram("race_seconds", "help", nil)
 
 	stop := make(chan struct{})
@@ -161,7 +172,7 @@ func TestMetricsRace(t *testing.T) {
 	if got := g.Value(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if got := h.Count(); got != goroutines*iters {
+	if got := histCount(h); got != goroutines*iters {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 	var wantSum float64

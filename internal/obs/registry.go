@@ -28,12 +28,12 @@ func (t metricType) String() string {
 	}
 }
 
-// series is one (label set, value source) pair inside a family. Exactly
-// one of c/g/h/fn is set, matching the family's type.
+// series is one (label set, value source) pair inside a family. One of
+// c/h/fn is set, matching the family's type: c for a counter, fn for a
+// gauge, h for a histogram.
 type series struct {
 	labels string // rendered inner label list: `k="v",k2="v2"`, "" if unlabeled
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -51,11 +51,11 @@ type family struct {
 // and renders them all in the Prometheus text exposition format v0.0.4.
 //
 // Registration is for metrics whose lifetime matches the process: the
-// returned Counter/Gauge/Histogram is written on the hot path and read at
-// scrape time. Dynamic series — anything keyed by data that appears at
-// runtime, like per-model gauges — go through Collect callbacks instead,
-// which emit fresh samples on every scrape and so can never leak series
-// for models that have been deleted.
+// returned Counter or Histogram (or the Gauge a GaugeFunc reads) is
+// written on the hot path and read at scrape time. Dynamic series —
+// anything keyed by data that appears at runtime, like per-model gauges —
+// go through Collect callbacks instead, which emit fresh samples on every
+// scrape and so can never leak series for models that have been deleted.
 type Registry struct {
 	mu         sync.Mutex
 	families   map[string]*family
@@ -100,19 +100,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	c := &Counter{}
 	r.register(name, help, typeCounter, &series{labels: renderLabels(labels), c: c})
 	return c
-}
-
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time (for totals already maintained elsewhere).
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(name, help, typeCounter, &series{labels: renderLabels(labels), fn: fn})
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, typeGauge, &series{labels: renderLabels(labels), g: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
@@ -198,19 +185,11 @@ func (f *family) render(buf []byte, om bool) []byte {
 		switch f.typ {
 		case typeCounter:
 			buf = appendSamplePrefix(buf, f.name, "", s.labels, "")
-			if s.c != nil {
-				buf = strconv.AppendUint(buf, s.c.Value(), 10)
-			} else {
-				buf = appendFloat(buf, s.fn())
-			}
+			buf = strconv.AppendUint(buf, s.c.Value(), 10)
 			buf = append(buf, '\n')
 		case typeGauge:
 			buf = appendSamplePrefix(buf, f.name, "", s.labels, "")
-			if s.g != nil {
-				buf = strconv.AppendInt(buf, s.g.Value(), 10)
-			} else {
-				buf = appendFloat(buf, s.fn())
-			}
+			buf = appendFloat(buf, s.fn())
 			buf = append(buf, '\n')
 		case typeHistogram:
 			buf = s.h.renderSeries(buf, f.name, s.labels, om)

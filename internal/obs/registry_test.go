@@ -21,10 +21,9 @@ func TestRenderGolden(t *testing.T) {
 	r.Counter("demo_requests_total", "Requests served.", "route", "POST /v1/models/{name}/generate").Add(3)
 	plain := r.Counter("demo_restarts_total", "Restarts (unlabeled counter).")
 	plain.Inc()
-	g := r.Gauge("demo_in_flight", "In-flight requests.")
-	g.Set(2)
+	r.GaugeFunc("demo_in_flight", "In-flight requests.", func() float64 { return 2 })
 	r.GaugeFunc("demo_uptime_seconds", "Uptime (gauge func).", func() float64 { return 12.5 })
-	r.CounterFunc("demo_ticks_total", "Ticks (counter func).", func() float64 { return 99 })
+	r.Counter("demo_ticks_total", "Ticks (counter func).").Add(99)
 	h := r.Histogram("demo_request_seconds", "Request latency.", []float64{0.025, 0.25, 2.5}, "route", "GET /v1/models")
 	for _, v := range []float64{0.01, 0.02, 0.2, 1, 30} {
 		h.Observe(v)
@@ -32,7 +31,7 @@ func TestRenderGolden(t *testing.T) {
 	// Label escaping: backslash, quote, newline in a value.
 	r.Counter("demo_weird_total", "Escaping check.", "path", "a\\b\"c\nd").Add(7)
 	// Help escaping: backslash and newline.
-	r.Gauge("demo_helptext", "line one\nline \\ two").Set(1)
+	r.GaugeFunc("demo_helptext", "line one\nline \\ two", func() float64 { return 1 })
 	// Dynamic per-entity series via a collector.
 	r.Collect(func(e *Expo) {
 		e.Gauge("demo_model_window", "Per-model ingest window.", 4096, "model", "web")
@@ -154,8 +153,8 @@ func TestExemplarLatestWinsAndBounds(t *testing.T) {
 	if !strings.Contains(om, `# {trace_id="bbbb"} 0.7`) {
 		t.Fatalf("latest exemplar did not win:\n%s", om)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if histCount(h) != 4 {
+		t.Fatalf("count = %d, want 4", histCount(h))
 	}
 }
 
@@ -173,7 +172,7 @@ func TestExemplarRace(t *testing.T) {
 		r.RenderOpenMetrics(nil)
 	}
 	<-done
-	if h.Count() != 5000 {
-		t.Fatalf("count = %d", h.Count())
+	if histCount(h) != 5000 {
+		t.Fatalf("count = %d", histCount(h))
 	}
 }

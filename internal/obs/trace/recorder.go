@@ -85,9 +85,6 @@ func NewRecorder(p Policy) *Recorder {
 	return r
 }
 
-// Policy returns the recorder's effective (defaulted) policy.
-func (r *Recorder) Policy() Policy { return r.policy }
-
 // complete applies the tail-sampling policy to a finished trace. Called
 // from Span.Finish on the root span's goroutine.
 //

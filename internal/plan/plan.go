@@ -72,29 +72,6 @@ func (p *Plan) One(rng *rand.Rand) ip6.Addr {
 	return a
 }
 
-// Generate draws n addresses (duplicates possible, as in real traffic).
-func (p *Plan) Generate(rng *rand.Rand, n int) []ip6.Addr {
-	out := make([]ip6.Addr, n)
-	for i := range out {
-		out[i] = p.One(rng)
-	}
-	return out
-}
-
-// GenerateUnique draws addresses until n unique ones have been produced or
-// the attempt budget (n×20) is exhausted, whichever comes first.
-func (p *Plan) GenerateUnique(rng *rand.Rand, n int) []ip6.Addr {
-	seen := ip6.NewSet(n)
-	out := make([]ip6.Addr, 0, n)
-	for attempts := 0; len(out) < n && attempts < n*20; attempts++ {
-		a := p.One(rng)
-		if seen.Add(a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Component is one weighted variant of a mixture.
 type Component struct {
 	Weight float64
@@ -148,15 +125,6 @@ func (m *Mixture) One(rng *rand.Rand) ip6.Addr {
 	return m.Components[len(m.Components)-1].Plan.One(rng)
 }
 
-// Generate draws n addresses from the mixture (duplicates possible).
-func (m *Mixture) Generate(rng *rand.Rand, n int) []ip6.Addr {
-	out := make([]ip6.Addr, n)
-	for i := range out {
-		out[i] = m.One(rng)
-	}
-	return out
-}
-
 // GenerateUnique draws until n unique addresses are produced or the attempt
 // budget (n×20) is exhausted.
 func (m *Mixture) GenerateUnique(rng *rand.Rand, n int) []ip6.Addr {
@@ -180,9 +148,6 @@ func (c constGen) Value(*rand.Rand, ip6.Addr, int) uint64 { return uint64(c) }
 
 // Const returns a generator that always produces v.
 func Const(v uint64) Generator { return constGen(v) }
-
-// Zero returns a generator producing 0 (useful to overwrite regions).
-func Zero() Generator { return constGen(0) }
 
 // weightedGen draws from a fixed set of values with weights.
 type weightedGen struct {
@@ -274,26 +239,6 @@ func (randomGen) Value(rng *rand.Rand, _ ip6.Addr, width int) uint64 {
 	return v & (uint64(1)<<(4*uint(width)) - 1)
 }
 
-// seqGen produces consecutive values starting from start, wrapping at the
-// field width (sequential assignment from a pool, as in some client
-// networks).
-type seqGen struct {
-	next uint64
-}
-
-// Sequential returns a generator producing start, start+1, start+2, ...
-// (shared state: every address drawn advances the counter).
-func Sequential(start uint64) Generator { return &seqGen{next: start} }
-
-func (g *seqGen) Value(_ *rand.Rand, _ ip6.Addr, width int) uint64 {
-	v := g.next
-	g.next++
-	if width < 16 {
-		v &= uint64(1)<<(4*uint(width)) - 1
-	}
-	return v
-}
-
 // funcGen wraps an arbitrary function.
 type funcGen func(rng *rand.Rand, partial ip6.Addr, width int) uint64
 
@@ -351,16 +296,11 @@ func EmbeddedIPv4Hex(firstOctet byte) Generator {
 	})
 }
 
-// EmbeddedIPv4Decimal returns a generator that writes a random IPv4 address
-// as base-10 octets across the four 16-bit words of the IID (the R4
-// pattern: ...:192:0:2:33).
-func EmbeddedIPv4Decimal(firstOctet byte) Generator {
-	return EmbeddedIPv4DecimalPool(uint32(firstOctet)<<24, 24)
-}
-
-// EmbeddedIPv4DecimalPool is like EmbeddedIPv4Decimal but draws the IPv4
-// address from the pool base | random(2^hostBits), modelling an operator
-// whose router loopbacks come from one internal block.
+// EmbeddedIPv4DecimalPool returns a generator that writes an IPv4 address
+// drawn from the pool base | random(2^hostBits) as base-10 octets across
+// the four 16-bit words of the IID (the R4 pattern: ...:192:0:2:33),
+// modelling an operator whose router loopbacks come from one internal
+// block.
 func EmbeddedIPv4DecimalPool(base uint32, hostBits int) Generator {
 	if hostBits < 0 || hostBits > 32 {
 		panic("plan: EmbeddedIPv4DecimalPool hostBits out of range")
@@ -393,15 +333,4 @@ func decimalAsHexWord(v uint64) uint64 {
 		shift += 4
 	}
 	return w
-}
-
-// DependentOnField returns a generator whose output is chosen by inspecting
-// an earlier field of the partially built address: chooser receives that
-// field's value and must return the generator to delegate to. It expresses
-// plans where, e.g., the IID style depends on the subnet.
-func DependentOnField(start, width int, chooser func(value uint64) Generator) Generator {
-	return Func(func(rng *rand.Rand, partial ip6.Addr, w int) uint64 {
-		g := chooser(partial.Field(start, width))
-		return g.Value(rng, partial, w)
-	})
 }

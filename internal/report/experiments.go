@@ -30,11 +30,6 @@ type Sizes struct {
 	Seed int64
 }
 
-// DefaultSizes returns the laptop-scale defaults.
-func DefaultSizes() Sizes {
-	return Sizes{TrainSize: 1000, Candidates: 100_000, Seed: 1}
-}
-
 func (s Sizes) trainSize() int {
 	if s.TrainSize <= 0 {
 		return 1000

@@ -37,10 +37,6 @@ func TestPercentAndCount(t *testing.T) {
 }
 
 func TestDefaultSizes(t *testing.T) {
-	s := DefaultSizes()
-	if s.trainSize() != 1000 || s.candidates() != 100_000 {
-		t.Error("defaults wrong")
-	}
 	var zero Sizes
 	if zero.trainSize() != 1000 || zero.candidates() != 100_000 {
 		t.Error("zero-value sizes should fall back to defaults")

@@ -92,6 +92,3 @@ func (u *Universe) HasRDNS(a ip6.Addr) bool { return u.rdns.Contains(a) }
 func (u *Universe) ActivePrefix64(a ip6.Addr) bool {
 	return u.prefixes.Contains(ip6.Prefix64(a))
 }
-
-// ActivePrefixes returns the set of active /64 prefixes.
-func (u *Universe) ActivePrefixes() *ip6.PrefixSet { return u.prefixes }

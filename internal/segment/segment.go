@@ -329,27 +329,3 @@ func (sg *Segmentation) Validate() error {
 	}
 	return nil
 }
-
-// FixedWidth returns a segmentation that ignores entropy and simply cuts
-// the address into fixed-width segments of the given number of nybbles
-// (the last segment may be shorter). It is used as an ablation baseline.
-func FixedWidth(width, maxNybble int) *Segmentation {
-	if width < 1 {
-		width = 1
-	}
-	if width > 16 {
-		width = 16
-	}
-	if maxNybble <= 0 || maxNybble > ip6.NybbleCount {
-		maxNybble = ip6.NybbleCount
-	}
-	var segs []Segment
-	for start := 0; start < maxNybble; start += width {
-		w := width
-		if start+w > maxNybble {
-			w = maxNybble - start
-		}
-		segs = append(segs, Segment{Label: Label(len(segs)), Start: start, Width: w})
-	}
-	return &Segmentation{Segments: segs}
-}

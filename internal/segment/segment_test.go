@@ -274,31 +274,6 @@ func TestSegmentationString(t *testing.T) {
 	}
 }
 
-func TestFixedWidth(t *testing.T) {
-	sg := FixedWidth(4, 0)
-	if err := sg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sg.Segments) != 8 || sg.Covered() != 32 {
-		t.Errorf("FixedWidth(4) = %v", sg)
-	}
-	sg = FixedWidth(5, 16)
-	if sg.Covered() != 16 {
-		t.Errorf("Covered = %d", sg.Covered())
-	}
-	last := sg.Segments[len(sg.Segments)-1]
-	if last.Width != 1 {
-		t.Errorf("last width = %d", last.Width)
-	}
-	// Degenerate widths clamp.
-	if got := FixedWidth(0, 0); got.Segments[0].Width != 1 {
-		t.Error("width 0 should clamp to 1")
-	}
-	if got := FixedWidth(99, 0); got.Segments[0].Width != 16 {
-		t.Error("width 99 should clamp to 16")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	sg := Segments(flatProfile(0.4), Config{})
 	bad := &Segmentation{Segments: append([]Segment(nil), sg.Segments...)}

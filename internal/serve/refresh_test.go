@@ -15,6 +15,7 @@ import (
 	"entropyip/internal/core"
 	"entropyip/internal/drift"
 	"entropyip/internal/ingest"
+	"entropyip/internal/ip6"
 	"entropyip/internal/plan"
 	"entropyip/internal/scan"
 )
@@ -33,7 +34,7 @@ func refreshPlan(subnets []uint64, weights []float64) *plan.Plan {
 func buildOn(t *testing.T, p *plan.Plan, n int, seed int64) *core.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m, err := core.Build(p.GenerateUnique(rng, n), core.Options{})
+	m, err := core.Build(drawUnique(p, rng, n), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 
 	// Ground truth: the operator's network now runs variant B.
 	rng := rand.New(rand.NewSource(2))
-	universe := scan.NewUniverse(variantB.GenerateUnique(rng, 12000), scan.UniverseConfig{Seed: 3})
+	universe := scan.NewUniverse(drawUnique(variantB, rng, 12000), scan.UniverseConfig{Seed: 3})
 	staleRes := hitRate(t, stale, universe, 2000)
 
 	// Concurrent /generate load across the rotation: every response must
@@ -326,7 +327,7 @@ func TestRefreshShadowRejection(t *testing.T) {
 	}
 	r := s.Refresher()
 	traffic := rand.New(rand.NewSource(9))
-	if _, err := r.Observe(context.Background(), "m", p.Generate(traffic, 512)); err != nil {
+	if _, err := r.Observe(context.Background(), "m", draw(p, traffic, 512)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the background retrain to be judged.
@@ -368,7 +369,7 @@ func TestRefreshNoAutoRefreshOnlyReports(t *testing.T) {
 	r := s.Refresher()
 	traffic := rand.New(rand.NewSource(5))
 	for i := 0; i < 2; i++ {
-		if _, err := r.Observe(context.Background(), "m", b.Generate(traffic, 256)); err != nil {
+		if _, err := r.Observe(context.Background(), "m", draw(b, traffic, 256)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +405,7 @@ func TestRefreshEvaluateEveryBatching(t *testing.T) {
 	r := s.Refresher()
 	traffic := rand.New(rand.NewSource(5))
 	for i := 0; i < 9; i++ {
-		res, err := r.Observe(context.Background(), "m", p.Generate(traffic, 10))
+		res, err := r.Observe(context.Background(), "m", draw(p, traffic, 10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +413,7 @@ func TestRefreshEvaluateEveryBatching(t *testing.T) {
 			t.Fatalf("observation %d evaluated early", i)
 		}
 	}
-	res, err := r.Observe(context.Background(), "m", p.Generate(traffic, 10))
+	res, err := r.Observe(context.Background(), "m", draw(p, traffic, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestDeleteForgetsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	traffic := rand.New(rand.NewSource(5))
-	if _, err := s.Refresher().Observe(context.Background(), "m", p.Generate(traffic, 50)); err != nil {
+	if _, err := s.Refresher().Observe(context.Background(), "m", draw(p, traffic, 50)); err != nil {
 		t.Fatal(err)
 	}
 	if rec := do(t, s, http.MethodDelete, "/v1/models/m", nil); rec.Code != http.StatusNoContent {
@@ -449,7 +450,7 @@ func TestDeleteForgetsStream(t *testing.T) {
 	if _, err := reg.Put("m", buildOn(t, p, 1500, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Refresher().Observe(context.Background(), "m", p.Generate(traffic, 10)); err != nil {
+	if _, err := s.Refresher().Observe(context.Background(), "m", draw(p, traffic, 10)); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.Refresher().Status("m")
@@ -503,7 +504,7 @@ func TestEvaluateAfterRotationMatchesScore(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := r.Observe(ctx, "m", b.Generate(traffic, 300)); err != nil {
+		if _, err := r.Observe(ctx, "m", draw(b, traffic, 300)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,8 +513,30 @@ func TestEvaluateAfterRotationMatchesScore(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("first evaluation after rotation")
-	if _, err := r.Observe(ctx, "m", b.Generate(traffic, 300)); err != nil {
+	if _, err := r.Observe(ctx, "m", draw(b, traffic, 300)); err != nil {
 		t.Fatal(err)
 	}
 	check("after rotation")
+}
+
+// draw draws n addresses from p (duplicates possible, as in real traffic).
+func draw(p *plan.Plan, rng *rand.Rand, n int) []ip6.Addr {
+	out := make([]ip6.Addr, n)
+	for i := range out {
+		out[i] = p.One(rng)
+	}
+	return out
+}
+
+// drawUnique draws from p until n unique addresses have been produced or
+// n×20 draws are spent.
+func drawUnique(p *plan.Plan, rng *rand.Rand, n int) []ip6.Addr {
+	seen := ip6.NewSet(n)
+	out := make([]ip6.Addr, 0, n)
+	for attempts := 0; len(out) < n && attempts < n*20; attempts++ {
+		if a := p.One(rng); seen.Add(a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }

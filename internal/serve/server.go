@@ -240,9 +240,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Metrics exposes the server's request metrics (for the daemon's logs).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // handle registers an instrumented handler under a method+path pattern:
 // per-route counters and latency histogram (with trace exemplars), a
 // per-request ID (honored from a well-formed inbound X-Request-Id or

@@ -226,7 +226,7 @@ func TestRotationTraceShape(t *testing.T) {
 	traffic := rand.New(rand.NewSource(7))
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, err := r.Observe(context.Background(), "live", variantB.Generate(traffic, 512)); err != nil {
+		if _, err := r.Observe(context.Background(), "live", draw(variantB, traffic, 512)); err != nil {
 			t.Fatal(err)
 		}
 		st, _ := r.Status("live")

@@ -17,16 +17,12 @@ import (
 
 // Freq is a frequency table over uint64-valued observations (segment values
 // fit in a uint64; see internal/segment). It is one histogram sorted by
-// value, so ordered reads (Entries, Min, Max) cost nothing and removals
-// are a binary search plus one shift; adding a value not yet in the table
-// shifts the entries above it, so large tables are built with FreqOf.
+// value, built once by FreqOf, so ordered reads (Entries, Min, Max) cost
+// nothing and removals are a binary search plus one shift.
 type Freq struct {
 	entries []Entry // ascending Value, every Count > 0
 	total   int
 }
-
-// NewFreq returns an empty frequency table.
-func NewFreq() *Freq { return &Freq{} }
 
 // FreqOf builds a frequency table from the given observations, leaving
 // values unchanged: it sorts a copy with SortByKey and counts the runs.
@@ -57,23 +53,6 @@ func (f *Freq) search(v uint64) (int, bool) {
 	return slices.BinarySearchFunc(f.entries, v, func(e Entry, v uint64) int { return cmp.Compare(e.Value, v) })
 }
 
-// Add records one observation of value v.
-func (f *Freq) Add(v uint64) { f.AddN(v, 1) }
-
-// AddN records n observations of value v.
-func (f *Freq) AddN(v uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	i, ok := f.search(v)
-	if ok {
-		f.entries[i].Count += n
-	} else {
-		f.entries = slices.Insert(f.entries, i, Entry{Value: v, Count: n})
-	}
-	f.total += n
-}
-
 // Remove deletes all observations of value v and returns how many there
 // were. It is used by segment mining, which removes mined values from the
 // remaining pool after each step.
@@ -88,36 +67,11 @@ func (f *Freq) Remove(v uint64) int {
 	return n
 }
 
-// Count returns the number of observations of value v.
-func (f *Freq) Count(v uint64) int {
-	if i, ok := f.search(v); ok {
-		return f.entries[i].Count
-	}
-	return 0
-}
-
 // Total returns the total number of observations.
 func (f *Freq) Total() int { return f.total }
 
 // Distinct returns the number of distinct observed values.
 func (f *Freq) Distinct() int { return len(f.entries) }
-
-// P returns the empirical probability of value v.
-func (f *Freq) P(v uint64) float64 {
-	if f.total == 0 {
-		return 0
-	}
-	return float64(f.Count(v)) / float64(f.total)
-}
-
-// Values returns the distinct observed values in ascending order.
-func (f *Freq) Values() []uint64 {
-	out := make([]uint64, len(f.entries))
-	for i, e := range f.entries {
-		out[i] = e.Value
-	}
-	return out
-}
 
 // Entry is a (value, count) pair.
 type Entry struct {
@@ -126,28 +80,9 @@ type Entry struct {
 }
 
 // Entries returns (value, count) pairs in ascending value order. The
-// slice is the table's own storage: it is valid until the next Add,
-// AddN, Remove or RemoveRange, and callers must not modify it.
+// slice is the table's own storage: it is valid until the next Remove or
+// RemoveRange, and callers must not modify it.
 func (f *Freq) Entries() []Entry { return slices.Clip(f.entries) }
-
-// TopK returns up to k entries with the highest counts, ties broken by
-// ascending value, in descending count order.
-func (f *Freq) TopK(k int) []Entry {
-	entries := slices.Clone(f.entries)
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].Value < entries[j].Value
-	})
-	if k > len(entries) {
-		k = len(entries)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return entries[:k]
-}
 
 // Min returns the smallest observed value; ok is false if the table is
 // empty.
@@ -181,16 +116,6 @@ func (f *Freq) span(lo, hi uint64) (i, j int) {
 	return i, j
 }
 
-// CountRange returns the number of observations with lo <= value <= hi.
-func (f *Freq) CountRange(lo, hi uint64) int {
-	i, j := f.span(lo, hi)
-	n := 0
-	for _, e := range f.entries[i:j] {
-		n += e.Count
-	}
-	return n
-}
-
 // RemoveRange deletes all observations with lo <= value <= hi and returns
 // how many observations were removed.
 func (f *Freq) RemoveRange(lo, hi uint64) int {
@@ -202,11 +127,6 @@ func (f *Freq) RemoveRange(lo, hi uint64) int {
 	f.entries = slices.Delete(f.entries, i, j)
 	f.total -= removed
 	return removed
-}
-
-// Clone returns a deep copy of the frequency table.
-func (f *Freq) Clone() *Freq {
-	return &Freq{entries: slices.Clone(f.entries), total: f.total}
 }
 
 // Quartiles returns the first quartile, median and third quartile of the
@@ -249,12 +169,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// IQR returns the inter-quartile range of the data.
-func IQR(data []float64) float64 {
-	q1, _, q3 := Quartiles(data)
-	return q3 - q1
-}
-
 // TukeyUpperFence returns the classic upper outlier fence Q3 + k·IQR.
 // The paper uses k = 1.5 to find unusually prevalent segment values.
 func TukeyUpperFence(data []float64, k float64) float64 {
@@ -273,21 +187,3 @@ func Mean(data []float64) float64 {
 	}
 	return sum / float64(len(data))
 }
-
-// Variance returns the population variance of the data (0 for fewer than
-// two samples).
-func Variance(data []float64) float64 {
-	if len(data) < 2 {
-		return 0
-	}
-	m := Mean(data)
-	sum := 0.0
-	for _, v := range data {
-		d := v - m
-		sum += d * d
-	}
-	return sum / float64(len(data))
-}
-
-// StdDev returns the population standard deviation of the data.
-func StdDev(data []float64) float64 { return math.Sqrt(Variance(data)) }

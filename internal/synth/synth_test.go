@@ -133,7 +133,7 @@ func TestS1Features(t *testing.T) {
 		if v4, ok := ip6.EmbeddedIPv4(a); ok && v4>>24 == 127 {
 			embedded++
 		}
-		if ip6.IIDLooksRandom(a) {
+		if iidLooksRandom(a) {
 			random++
 		}
 	}
@@ -179,7 +179,7 @@ func TestR4DecimalEmbeddedIPv4(t *testing.T) {
 	addrs := gen(t, "R4", 2000)
 	ok := 0
 	for _, a := range addrs {
-		if _, is := ip6.EmbeddedDecimalIPv4(a); is {
+		if _, is := embeddedDecimalIPv4(a); is {
 			ok++
 		}
 	}
@@ -318,4 +318,58 @@ func BenchmarkGenerateC3(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// iidLooksRandom applies the heuristic used by stateless classifiers: the
+// interface identifier is considered pseudo-random when its nybbles take
+// many distinct values and no well-known pattern (EUI-64, low-byte,
+// embedded IPv4) matches. The paper shows this heuristic misclassifies
+// structured addresses; it is good enough to check a synthetic dataset's
+// dominant IID style.
+func iidLooksRandom(a ip6.Addr) bool {
+	lowByte := true // all of the IID but its lowest two bytes is zero
+	for i := 8; i < 14; i++ {
+		lowByte = lowByte && a[i] == 0
+	}
+	if ip6.IsEUI64(a) || lowByte {
+		return false
+	}
+	if _, ok := embeddedDecimalIPv4(a); ok {
+		return false
+	}
+	var seen [16]bool
+	distinct := 0
+	for i := 16; i < 32; i++ {
+		if v := a.Nybble(i); !seen[v] {
+			seen[v] = true
+			distinct++
+		}
+	}
+	return distinct >= 6
+}
+
+// embeddedDecimalIPv4 checks whether the interface identifier encodes an
+// IPv4 address as base-10 octets across the four 16-bit aligned words of
+// the IID (e.g. ...:192:0:2:33 for 192.0.2.33), the pattern the paper
+// observes in router dataset R4. It returns the decoded IPv4 address.
+func embeddedDecimalIPv4(a ip6.Addr) (uint32, bool) {
+	var v uint32
+	for i := 0; i < 4; i++ {
+		word := uint32(a[8+2*i])<<8 | uint32(a[9+2*i])
+		// Each word, read as hexadecimal text, must be a decimal number
+		// 0-255. E.g. the word 0x0192 reads "192".
+		var dec uint32
+		for shift := 12; shift >= 0; shift -= 4 {
+			d := word >> uint(shift) & 0xf
+			if d > 9 {
+				return 0, false
+			}
+			dec = dec*10 + d
+		}
+		if dec > 255 {
+			return 0, false
+		}
+		v = v<<8 | dec
+	}
+	return v, v != 0
 }

@@ -61,37 +61,6 @@ func ASCIIEntropy(h []float64, acr []float64, segments []string) string {
 	return b.String()
 }
 
-// ASCIIWindowed renders the windowed-entropy matrix (Fig. 5) as a
-// heat map using a coarse character ramp.
-func ASCIIWindowed(w [][]float64) string {
-	ramp := []byte(" .:-=+*#%@")
-	max := 0.0
-	for _, row := range w {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	if max == 0 {
-		max = 1
-	}
-	var b strings.Builder
-	b.WriteString("windowed entropy (rows: window position, cols: window length)\n")
-	for pos, row := range w {
-		fmt.Fprintf(&b, "%2d |", pos)
-		for _, v := range row {
-			idx := int(v / max * float64(len(ramp)-1))
-			if idx >= len(ramp) {
-				idx = len(ramp) - 1
-			}
-			b.WriteByte(ramp[idx])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // ASCIIBrowser renders the conditional probability browser (the per-segment
 // value distributions) as a text table: one block per segment, one line per
 // mined value with a probability bar.

@@ -60,19 +60,6 @@ func TestASCIIEntropy(t *testing.T) {
 	_ = ASCIIEntropy(make([]float64, 64), nil, nil)
 }
 
-func TestASCIIWindowed(t *testing.T) {
-	w := [][]float64{{0, 1, 2}, {3, 4}, {5}}
-	out := ASCIIWindowed(w)
-	if !strings.Contains(out, "windowed entropy") {
-		t.Error("missing title")
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 4 {
-		t.Error("expected one line per position plus title")
-	}
-	// All-zero matrix must not divide by zero.
-	_ = ASCIIWindowed([][]float64{{0, 0}})
-}
-
 func TestASCIIBrowser(t *testing.T) {
 	m := vizModel(t)
 	dists, err := m.Browse(nil)

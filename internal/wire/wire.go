@@ -300,24 +300,10 @@ func (w *Writer) Seed(seed int64) error {
 	return err
 }
 
-// Trace emits a Trace frame carrying the request's 16-byte W3C trace ID,
-// so binary-stream consumers can correlate a mid-stream Error frame with
-// server logs and /v1/debug/traces. Servers send it right after the
-// stream header, before any data frame.
-func (w *Writer) Trace(id [16]byte) error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	// Built in w.buf for the same escape-allocation reason as Seed.
-	w.buf = append(w.buf[:0], KindTrace, w.stream, 0, 1)
-	w.buf = append(w.buf, id[:]...)
-	_, err := w.sink.Write(w.buf)
-	w.buf = w.buf[:FrameHeaderSize]
-	return err
-}
-
-// AppendTraceFrame appends a complete Trace frame to dst — for callers
-// that write the frame alongside the stream header without a Writer.
+// AppendTraceFrame appends a complete Trace frame carrying the request's
+// 16-byte W3C trace ID to dst, so binary-stream consumers can correlate a
+// mid-stream Error frame with server logs and /v1/debug/traces. Servers
+// write it with the stream header, before any data frame.
 func AppendTraceFrame(dst []byte, stream int, id [16]byte) []byte {
 	dst = append(dst, KindTrace, byte(stream), 0, 1)
 	return append(dst, id[:]...)

@@ -136,10 +136,10 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 
 func TestWriterReaderPrefixes(t *testing.T) {
 	want := []ip6.Prefix{
-		ip6.MustParsePrefix("2001:db8::/32"),
-		ip6.MustParsePrefix("2001:db8:1:2::/64"),
-		ip6.MustParsePrefix("::/0"),
-		ip6.MustParsePrefix("ff::1/128"),
+		ip6.PrefixFrom(ip6.MustParseAddr("2001:db8::"), 32),
+		ip6.PrefixFrom(ip6.MustParseAddr("2001:db8:1:2::"), 64),
+		ip6.PrefixFrom(ip6.MustParseAddr("::"), 0),
+		ip6.PrefixFrom(ip6.MustParseAddr("ff::1"), 128),
 	}
 	var body bytes.Buffer
 	body.Write(AppendHeader(nil, Header{Flags: FlagPrefixes, Streams: 1}))
@@ -435,9 +435,10 @@ func TestTraceFrameRoundTrip(t *testing.T) {
 	if err := w.AddAddr(ip6.Addr{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Trace(id); err != nil { // Trace must flush pending data first
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	body.Write(AppendTraceFrame(nil, 0, id))
 	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func newServer(t *testing.T) *Client {
 
 // newServerURL is newServer plus the base URL, for tests that hit
 // endpoints the client doesn't wrap (the trace debug endpoint).
-func newServerURL(t *testing.T) (*Client, string) {
+func newServerURL(t testing.TB) (*Client, string) {
 	t.Helper()
 	reg, err := registry.Open(t.TempDir(), 8)
 	if err != nil {

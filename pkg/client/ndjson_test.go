@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"entropyip/internal/ip6"
@@ -108,5 +109,32 @@ func BenchmarkDecodeNDJSON1k(b *testing.B) {
 		if err != nil || n != 1000 {
 			b.Fatalf("decoded %d candidates: %v", n, err)
 		}
+	}
+}
+
+// BenchmarkGenerateLoopback is one 1000-candidate generate request from
+// the real client to a real server over a loopback socket: request
+// encoding, the server's handler, the socket and the client's decode.
+// internal/serve's BenchmarkGenerateHTTP times the handler alone, writing
+// into a discard writer.
+func BenchmarkGenerateLoopback(b *testing.B) {
+	c, _ := newServerURL(b)
+	for _, enc := range []struct {
+		name   string
+		binary bool
+	}{{"binary", true}, {"ndjson", false}} {
+		b.Run(enc.name, func(b *testing.B) {
+			opts := GenerateOptions{Count: 1000, Seed: seed(1), Binary: enc.binary}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Generate(context.Background(), "web", opts, func(Event) bool { return true })
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Candidates != 1000 {
+					b.Fatalf("%d candidates, want 1000", res.Candidates)
+				}
+			}
+		})
 	}
 }

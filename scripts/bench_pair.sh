@@ -31,8 +31,8 @@ NEW_OUT=$(realpath -m "$3")
 
 # Covers the gated names in scripts/check_bench.sh plus the informational
 # worker-scaling and reference-comparison sub-benchmarks, Split64
-# (internal/stats), ClusterND (internal/dbscan) and DecodeNDJSON1k
-# (pkg/client).
+# (internal/stats), ClusterND (internal/dbscan), and DecodeNDJSON1k and
+# GenerateLoopback (pkg/client).
 PKGS=(./internal/entropy ./internal/mra ./internal/mining
       ./internal/bayes ./internal/core ./internal/drift
       ./internal/ip6 ./internal/serve ./internal/obs

@@ -50,7 +50,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k/workers=1 ACR100k/workers=max
          MetricsHotPath SpanHotPath TraceparentParse DriftScore16k DriftWindow16k
          NewCondSampler Posteriors
          SetDedup SetContains FreqOf100k ClusterHist4096 Read100k
-         ParseLineBytes)
+         ParseLineBytes LoadMaxArity/4x8nybbles LoadMaxArity/1x3nybbles)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, base entry or not.
