@@ -46,8 +46,7 @@ func BenchmarkBuild100k(b *testing.B) { benchmarkBuild(b, 100_000, 0) }
 // op through the compiled flat-table encoder into a reused vector — the
 // path ingest drift scoring and likelihood evaluation run per observation
 // window. Steady state must be 0 allocs/op (gated strictly by
-// scripts/check_bench.sh); the ≥2x claim over the uncompiled scan is
-// measured against BenchmarkEncodeReference100k.
+// scripts/check_bench.sh).
 func BenchmarkEncode100k(b *testing.B) {
 	addrs := benchBuildAddrs(b, 100_000)
 	m := benchGenerateModel(b)
@@ -79,22 +78,6 @@ func BenchmarkEncodeDistinct100k(b *testing.B) {
 		rows, _ := enc.EncodeDistinct(addrs, 0)
 		if i == 0 {
 			b.ReportMetric(float64(len(rows)), "distinct")
-		}
-	}
-}
-
-// BenchmarkEncodeReference100k is the uncompiled per-element scan
-// (mining.Encoder.Encode) over the same 100k addresses — the informational
-// baseline BenchmarkEncode100k's speedup is quoted against in DESIGN.md.
-func BenchmarkEncodeReference100k(b *testing.B) {
-	addrs := benchBuildAddrs(b, 100_000)
-	m := benchGenerateModel(b)
-	enc := m.Encoder()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range addrs {
-			enc.Encode(a)
 		}
 	}
 }

@@ -428,8 +428,8 @@ type WindowEncoding struct {
 	Clamped []int
 	// BNLogLikelihood is the Bayesian-network log-likelihood (nats) of
 	// the addresses' categorical vectors (out-of-support values clamped
-	// to the nearest code, as in Encoder.Encode), summed in address
-	// order.
+	// to the nearest code, as the compiled encoder does), summed in
+	// address order.
 	BNLogLikelihood float64
 	// WithinLogDensity is the accumulated within-value log-density
 	// (nats): 0 per exact value, -log w per range of width w, and the

@@ -3,23 +3,22 @@ package mining
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"entropyip/internal/ip6"
 	"entropyip/internal/segment"
 )
 
-// CompiledEncoder is the flat-table form of Encoder: the serving-plane
-// analogue of bayes.Sampler. Encoder.Encode resolves a segment value by
-// linearly scanning the mined elements and, for values outside every
-// element, re-scanning for the numerically nearest one — fine per query,
-// but the encode path runs per address on ingest, drift scoring and
-// likelihood evaluation. NewEncoder resolves every possible outcome once:
-// each segment's value axis is cut into elementary intervals on which the
-// scan's answer is constant (element bounds plus the switch points of the
-// nearest-element fallback), so one encode is a table lookup (narrow
-// segments) or a short binary search (wide ones), with no fallback path
-// and no per-address allocation.
+// CompiledEncoder is the flat-table form of the per-segment reference
+// scans, SegmentModel.Encode and EncodeNearest: the serving-plane
+// analogue of bayes.Sampler. The scans walk every mined element per
+// value, and the encode path runs per address on ingest, drift scoring
+// and likelihood evaluation. NewEncoder resolves every possible outcome
+// once: each segment's value axis is cut into elementary intervals on
+// which the scans' answer is constant (element bounds plus the one switch
+// point of each gap between elements), so one encode is a table lookup
+// (narrow segments) or a short binary search (wide ones), with no
+// fallback path and no per-address allocation.
 //
 // The compiled tables answer exactly what Encode/EncodeNearest answer —
 // TestCompiledEncoderMatchesReference pins the equivalence exhaustively on
@@ -77,10 +76,11 @@ func compile(models []*SegmentModel) *CompiledEncoder {
 			cs.logWidth[k] = math.Log(float64(v.Width()))
 		}
 		if len(m.Values) > 0 {
+			bounds, codes := compileIntervals(m)
 			if m.Seg.Width <= directMaxNybbles {
-				cs.direct = compileDirect(m)
+				cs.direct = compileDirect(m.Seg.MaxValue(), bounds, codes)
 			} else {
-				cs.bounds, cs.codes = compileIntervals(m)
+				cs.bounds, cs.codes = bounds, codes
 			}
 		}
 		c.segs[i] = cs
@@ -88,72 +88,75 @@ func compile(models []*SegmentModel) *CompiledEncoder {
 	return c
 }
 
-// compileDirect enumerates the whole (narrow) domain through the
-// reference scan.
-func compileDirect(m *SegmentModel) []int16 {
-	max := m.Seg.MaxValue()
+// compileDirect expands the elementary intervals of a narrow segment
+// into a value→code table over its whole domain.
+func compileDirect(max uint64, bounds []uint64, codes []int32) []int16 {
 	direct := make([]int16, max+1)
-	for v := uint64(0); ; v++ {
-		direct[v] = int16(packedCode(m, v))
-		if v == max {
-			return direct
+	for i, lo := range bounds {
+		end := uint64(len(direct))
+		if i+1 < len(bounds) {
+			end = bounds[i+1]
+		}
+		for v := lo; v < end; v++ {
+			direct[v] = int16(codes[i])
 		}
 	}
+	return direct
 }
 
 // compileIntervals cuts the segment's value axis into elementary
-// intervals on which the reference scan's answer is constant:
+// intervals on which the reference scan's answer is constant, asking the
+// reference once or twice per piece:
 //
 //  1. every element's Lo and Hi+1 is a cut — inside one piece, the set of
-//     containing elements (and hence Encode's first-match answer) cannot
-//     change;
-//  2. inside an uncovered piece, EncodeNearest's answer is monotone in
-//     the value (distance to the left neighbor grows while the right
-//     shrinks), so the one or two switch points are found by binary
-//     search WITH THE REFERENCE ITSELF as the oracle — the compiled table
-//     cannot disagree with the scan it replaces by construction.
+//     containing elements (and hence Encode's answer) cannot change, so a
+//     covered piece takes its first value's code;
+//  2. an uncovered piece [lo, hi] between two elements has lo = Hi+1 of
+//     some left element and hi+1 = Lo of some right one; every other
+//     element is strictly farther, so EncodeNearest answers the left
+//     neighbour (its code at lo), then the right one (its code at hi),
+//     switching once where the right distance drops below the left — or,
+//     at an exact tie, where EncodeNearest's strict < keeps the lower
+//     index. A piece touching 0 or the segment's maximum has only one
+//     neighbour and never switches.
 func compileIntervals(m *SegmentModel) (bounds []uint64, codes []int32) {
 	max := m.Seg.MaxValue()
-	cutSet := map[uint64]struct{}{0: {}}
+	cuts := append(make([]uint64, 0, 2*len(m.Values)+1), 0)
 	for _, v := range m.Values {
-		cutSet[v.Lo] = struct{}{}
+		cuts = append(cuts, v.Lo)
 		if v.Hi < max {
-			cutSet[v.Hi+1] = struct{}{}
+			cuts = append(cuts, v.Hi+1)
 		}
 	}
-	cuts := make([]uint64, 0, len(cutSet))
-	for v := range cutSet {
-		cuts = append(cuts, v)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 
 	for ci, lo := range cuts {
 		hi := max
 		if ci+1 < len(cuts) {
 			hi = cuts[ci+1] - 1
 		}
-		// Split the piece wherever the reference answer changes (at most
-		// twice per uncovered piece; never for covered ones).
-		for {
-			code := packedCode(m, lo)
-			bounds = append(bounds, lo)
-			codes = append(codes, code)
-			if packedCode(m, hi) == code {
-				break
-			}
-			// Largest value in [lo, hi] still answering `code`.
-			last := lo
-			for l, h := lo+1, hi; l <= h; {
-				mid := l + (h-l)/2
-				if packedCode(m, mid) == code {
-					last = mid
-					l = mid + 1
-				} else {
-					h = mid - 1
-				}
-			}
-			lo = last + 1
+		code := packedCode(m, lo)
+		bounds = append(bounds, lo)
+		codes = append(codes, code)
+		if code&1 == 1 {
+			continue
 		}
+		right := packedCode(m, hi)
+		if right == code {
+			continue
+		}
+		// Values v in (l, r) are v-l from the left element and r-v from
+		// the right one; the right is nearer from mid+1 on, and at mid
+		// itself when the distances tie and it has the lower index.
+		l, r := lo-1, hi+1
+		mid := l + (r-l)/2
+		s := mid + 1
+		if (r-l)%2 == 0 && right < code {
+			s = mid
+		}
+		bounds = append(bounds, s)
+		codes = append(codes, right)
 	}
 	return bounds, codes
 }
@@ -184,8 +187,8 @@ func (cs *compiledSegment) lookup(v uint64) int32 {
 // EncodeSegment resolves segment seg of the address whose 64-bit halves
 // (ip6.Addr.Uint64s) are hi and lo: the element index and whether the
 // value was covered by a mined element (false means the nearest element
-// was substituted, Encoder.Encode's clamping). idx is -1 only for a
-// segment with no mined values.
+// was substituted, as SegmentModel.EncodeNearest does). idx is -1 only
+// for a segment with no mined values.
 func (c *CompiledEncoder) EncodeSegment(seg int, hi, lo uint64) (idx int, covered bool) {
 	cs := &c.segs[seg]
 	return unpack(cs.lookup(cs.extract(hi, lo)))
@@ -208,8 +211,8 @@ func (c *CompiledEncoder) LogWidth(seg, idx int) float64 {
 // EncodeInto encodes an address into the caller's vector (one slot per
 // segment) without allocating. exact reports whether every segment
 // value was covered by a mined element; clamped segments hold the nearest
-// element, as in Encoder.Encode. When any segment has no mined values at
-// all its slot is -1 and exact is false.
+// element, as SegmentModel.EncodeNearest picks it. When any segment has
+// no mined values at all its slot is -1 and exact is false.
 func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
 	hi, lo := a.Uint64s()
 	exact = true

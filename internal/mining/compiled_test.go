@@ -34,11 +34,13 @@ func compiledCases(width int) []*SegmentModel {
 		mkModel(width), // no values: always (-1, false)
 		mkModel(width, Value{Lo: 5, Hi: 5}),
 		mkModel(width, Value{Lo: 0, Hi: max}),
-		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 15, Hi: 15}), // exact inside range: range wins (first match)
-		mkModel(width, Value{Lo: 15, Hi: 15}, Value{Lo: 10, Hi: 20}), // exact first: exact wins at 15
+		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 15, Hi: 15}), // exact inside range: exact wins at 15
+		mkModel(width, Value{Lo: 15, Hi: 15}, Value{Lo: 10, Hi: 20}), // exact listed first: exact wins at 15
 		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 18, Hi: 30}), // overlap: earlier range wins
-		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 9, Hi: 9}),     // gap 4..8: nearest switches at 6
-		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 8, Hi: 8}),     // even gap: tie at 5..6? strict < keeps first
+		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 9, Hi: 9}),     // gap 4..8: tie at 6 keeps index 0, switch at 7
+		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 8, Hi: 8}),     // gap 4..7: no tie, switch at 6
+		mkModel(width, Value{Lo: 9, Hi: 9}, Value{Lo: 3, Hi: 3}),     // gap 4..8: tie at 6 goes right to index 0, switch at 6
+		mkModel(width, Value{Lo: 8, Hi: 8}, Value{Lo: 3, Hi: 3}),     // gap 4..7: no tie, switch at 6
 		mkModel(width, Value{Lo: 0, Hi: 0}, Value{Lo: max, Hi: max}), // extreme gap
 		mkModel(width, Value{Lo: 4, Hi: 7}, Value{Lo: 8, Hi: 11}),    // touching ranges, no gap
 		mkModel(width, Value{Lo: 2, Hi: 2}, Value{Lo: 2, Hi: 2}),     // duplicate exacts: first wins
@@ -47,6 +49,27 @@ func compiledCases(width int) []*SegmentModel {
 		mkModel(width, Value{Lo: max - 1, Hi: max}),
 		mkModel(width, Value{Lo: 0, Hi: 1}, Value{Lo: max - 1, Hi: max}, Value{Lo: max / 2, Hi: max/2 + 2}),
 	}
+}
+
+// randomCases are n seeded random value sets of 1–8 exact values or
+// ranges inside 0..255, in random index order, so overlaps, touching
+// bounds and gaps of both parities with either neighbour first all occur.
+func randomCases(width, n int) []*SegmentModel {
+	rng := rand.New(rand.NewSource(11))
+	out := make([]*SegmentModel, n)
+	for i := range out {
+		values := make([]Value, 1+rng.Intn(8))
+		for k := range values {
+			lo := uint64(rng.Intn(256))
+			hi := lo
+			if rng.Intn(2) == 0 {
+				hi += uint64(rng.Intn(min(32, 256-int(lo))))
+			}
+			values[k] = Value{Lo: lo, Hi: hi}
+		}
+		out[i] = mkModel(width, values...)
+	}
+	return out
 }
 
 // refEncode is the uncompiled answer: Encode, else EncodeNearest.
@@ -59,6 +82,20 @@ func refEncode(m *SegmentModel, v uint64) (int, bool) {
 		return -1, false
 	}
 	return idx, false
+}
+
+// refEncodeAddr is the address-level reference: refEncode on every
+// segment's value. exact is false when any segment clamps or has no
+// mined values (its slot is then -1).
+func refEncodeAddr(models []*SegmentModel, a ip6.Addr) (vec []int, exact bool) {
+	vec = make([]int, len(models))
+	exact = true
+	for i, m := range models {
+		idx, covered := refEncode(m, m.Seg.Value(a))
+		vec[i] = idx
+		exact = exact && covered
+	}
+	return vec, exact
 }
 
 // checkSegment compares the compiled encoder with the reference scan on
@@ -93,14 +130,66 @@ func checkSegment(t *testing.T, m *SegmentModel, probe func(check func(v uint64)
 // of narrow segments through BOTH compiled paths: the direct table
 // (width <= directMaxNybbles) and the interval table, which is forced by
 // checking the same value sets on a wide segment at the same small
-// values.
+// values. Past 255 a wide segment holds no element bound, so those
+// values plus its maximum cover every elementary interval.
 func TestCompiledEncoderMatchesReferenceExhaustive(t *testing.T) {
-	for _, m := range compiledCases(2) { // 256-value domain: exhaustive, direct path
-		checkSegment(t, m, func(check func(uint64)) {
+	for _, m := range append(compiledCases(2), randomCases(2, 200)...) {
+		checkSegment(t, m, func(check func(uint64)) { // 256-value domain: direct path
 			for v := uint64(0); v <= m.Seg.MaxValue(); v++ {
 				check(v)
 			}
 		})
+		wide := *m
+		wide.Seg.Width = 4
+		checkSegment(t, &wide, func(check func(uint64)) { // interval path
+			for v := uint64(0); v <= 256; v++ {
+				check(v)
+			}
+			check(wide.Seg.MaxValue())
+		})
+	}
+}
+
+// TestSegmentEncodeRule pins the reference rule itself with literal
+// answers: an exact element beats a range that contains it, the earlier
+// of two overlapping ranges wins, and an uncovered value takes the
+// nearest element, the lower index at a tie. The compiled encoder is
+// held to this rule by the MatchesReference tests.
+func TestSegmentEncodeRule(t *testing.T) {
+	type want struct {
+		v       uint64
+		idx     int
+		covered bool
+	}
+	cases := []struct {
+		name   string
+		values []Value
+		want   []want
+	}{
+		{"exact inside range", []Value{{Lo: 10, Hi: 20}, {Lo: 15, Hi: 15}},
+			[]want{{14, 0, true}, {15, 1, true}, {16, 0, true}}},
+		{"exact listed first", []Value{{Lo: 15, Hi: 15}, {Lo: 10, Hi: 20}},
+			[]want{{14, 1, true}, {15, 0, true}, {16, 1, true}}},
+		{"overlapping ranges", []Value{{Lo: 10, Hi: 20}, {Lo: 18, Hi: 30}},
+			[]want{{17, 0, true}, {18, 0, true}, {20, 0, true}, {21, 1, true}}},
+		{"tie kept left", []Value{{Lo: 3, Hi: 3}, {Lo: 9, Hi: 9}},
+			[]want{{5, 0, false}, {6, 0, false}, {7, 1, false}}},
+		{"tie goes right", []Value{{Lo: 9, Hi: 9}, {Lo: 3, Hi: 3}},
+			[]want{{5, 1, false}, {6, 0, false}, {7, 0, false}}},
+		{"no tie", []Value{{Lo: 3, Hi: 3}, {Lo: 8, Hi: 8}},
+			[]want{{5, 0, false}, {6, 1, false}}},
+		{"no tie, reversed", []Value{{Lo: 8, Hi: 8}, {Lo: 3, Hi: 3}},
+			[]want{{5, 1, false}, {6, 0, false}}},
+		{"one-sided gaps", []Value{{Lo: 100, Hi: 110}},
+			[]want{{0, 0, false}, {99, 0, false}, {111, 0, false}, {255, 0, false}}},
+	}
+	for _, tc := range cases {
+		m := mkModel(2, tc.values...)
+		for _, w := range tc.want {
+			if idx, covered := refEncode(m, w.v); idx != w.idx || covered != w.covered {
+				t.Errorf("%s: at %d = (%d, %v), want (%d, %v)", tc.name, w.v, idx, covered, w.idx, w.covered)
+			}
+		}
 	}
 }
 
@@ -150,8 +239,9 @@ func TestCompiledEncoderMatchesReferenceIntervals(t *testing.T) {
 }
 
 // TestCompiledEncoderMatchesEncoderOnMinedModels runs real mined models
-// (the shapes Mine actually produces) through both implementations over
-// whole addresses, including EncodeDistinct's tally.
+// (the shapes Mine actually produces) through the compiled encoder and
+// the per-segment reference over whole addresses, including
+// EncodeDistinct's tally.
 func TestCompiledEncoderMatchesEncoderOnMinedModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	addrs := make([]ip6.Addr, 4000)
@@ -177,7 +267,7 @@ func TestCompiledEncoderMatchesEncoderOnMinedModels(t *testing.T) {
 
 	vec := make([]int, len(models))
 	for _, a := range addrs[:1000] {
-		want, wantExact := enc.Encode(a)
+		want, wantExact := refEncodeAddr(models, a)
 		gotExact := c.EncodeInto(vec, a)
 		if gotExact != wantExact {
 			t.Fatalf("EncodeInto(%v) exact = %v, reference %v", a, gotExact, wantExact)

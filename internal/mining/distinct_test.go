@@ -12,12 +12,12 @@ import (
 )
 
 // referenceDistinct is EncodeDistinct's oracle: every address through the
-// readable scan (Encoder.Encode), tallied in a map keyed by the printed
+// per-segment reference scan (refEncodeAddr), tallied in a map keyed by the printed
 // vector, with distinct vectors listed in order of first occurrence.
 func referenceDistinct(enc *Encoder, addrs []ip6.Addr) (rows [][]int, counts []int) {
 	index := map[string]int{}
 	for _, a := range addrs {
-		vec, _ := enc.Encode(a)
+		vec, _ := refEncodeAddr(enc.Models, a)
 		key := fmt.Sprint(vec)
 		i, ok := index[key]
 		if !ok {

@@ -605,12 +605,12 @@ func (m *SegmentModel) FormatValue(v Value) string {
 
 // Encoder encodes whole addresses into categorical vectors over the mined
 // codes of every segment, the representation used to train and query the
-// Bayesian network. Encode is the readable reference scan; the bulk and
-// serving paths run on the compiled flat-table form (Compiled), which
-// answers identically. Decoding has the same split: DecodeReference is
-// the readable form, Decoder the compiled one generation runs on.
-// NewEncoder builds both compiled forms, so an Encoder is immutable and
-// safe for concurrent use.
+// Bayesian network. Every encode runs on the compiled flat-table form
+// (Compiled), which answers what the per-segment scans
+// SegmentModel.Encode and EncodeNearest answer. Decoding has a similar
+// split: DecodeReference is the readable form, Decoder the compiled one
+// generation runs on. NewEncoder builds both compiled forms, so an
+// Encoder is immutable and safe for concurrent use.
 type Encoder struct {
 	Models []*SegmentModel
 
@@ -619,8 +619,10 @@ type Encoder struct {
 }
 
 // NewEncoder returns an encoder over the given per-segment models with
-// its compiled encoder and decoder. Compiling a segment costs time
-// quadratic in its number of mined values (see compileIntervals).
+// its compiled encoder and decoder. Compiling a segment asks the
+// per-segment scans at most twice per elementary interval, so it costs
+// time quadratic in its number of mined values with a small constant
+// (see compileIntervals), plus a narrow segment's direct table.
 func NewEncoder(models []*SegmentModel) *Encoder {
 	return &Encoder{Models: models, compiled: compile(models), decoder: compileDecoder(models)}
 }
@@ -632,31 +634,6 @@ func (e *Encoder) Arities() []int {
 		out[i] = m.Arity()
 	}
 	return out
-}
-
-// Encode maps an address to its categorical vector. Values not covered by
-// any mined element are clamped to the nearest element (EncodeNearest); the
-// second return is false if any segment had to clamp.
-//
-// This is the readable reference implementation — one allocation and two
-// scans per address. Bulk callers should use Compiled().EncodeInto (zero
-// allocation, flat lookup); EncodeDistinct already does.
-func (e *Encoder) Encode(a ip6.Addr) ([]int, bool) {
-	vec := make([]int, len(e.Models))
-	exact := true
-	for i, m := range e.Models {
-		value := m.Seg.Value(a)
-		idx, ok := m.Encode(value)
-		if !ok {
-			exact = false
-			idx, ok = m.EncodeNearest(value)
-			if !ok {
-				return nil, false
-			}
-		}
-		vec[i] = idx
-	}
-	return vec, exact
 }
 
 // Decode materializes a concrete address from a categorical vector by
