@@ -8,8 +8,8 @@
 //	eipgen -model model.json -n 100000 -prefixes -condition B=B2
 //	eipgen -server http://farm:8080 -server-model web -n 100000
 //
-// Generation draws on all cores by default (-workers bounds it); the
-// emitted sequence is identical for any worker count. With -server the
+// Generation draws on all cores; the emitted sequence is identical for
+// any worker count, so there is no flag for it. With -server the
 // model stays on an eipserved farm and candidates stream back over the
 // framed binary wire encoding (16 bytes per address; -ndjson switches to
 // the text encoding) — the output is identical to generating locally
@@ -38,7 +38,6 @@ func main() {
 		prefixes  = flag.Bool("prefixes", false, "generate /64 prefixes instead of full addresses")
 		condition = flag.String("condition", "", "evidence constraining generation, e.g. \"B=B2,C=C1\"")
 		exclude   = flag.String("exclude", "", "file of addresses never to emit (e.g. the training set)")
-		workers   = flag.Int("workers", 0, "goroutines drawing candidates (0 = all cores; output is identical either way)")
 		outPath   = flag.String("o", "-", "output file ('-' for stdout)")
 		server    = flag.String("server", "", "generate remotely on an eipserved instance (base URL) instead of from a local model file")
 		srvModel  = flag.String("server-model", "", "model name on the server (with -server)")
@@ -80,7 +79,6 @@ func main() {
 			Seed:     seed,
 			Evidence: evidence,
 			Prefixes: *prefixes,
-			Workers:  *workers,
 			Binary:   !*ndjson,
 		})
 		if ferr := w.Flush(); err == nil {
@@ -107,7 +105,7 @@ func main() {
 		fatal(err)
 	}
 
-	opts := core.GenerateOptions{Count: *n, Seed: *seed, Workers: *workers}
+	opts := core.GenerateOptions{Count: *n, Seed: *seed}
 	if len(evidence) > 0 {
 		opts.Evidence = core.Evidence(evidence)
 	}

@@ -60,16 +60,14 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		dir          = flag.String("dir", "models", "model registry directory")
-		cacheSize    = flag.Int("cache", registry.DefaultCacheSize, "decoded models kept in memory (LRU)")
-		workers      = flag.Int("workers", serve.DefaultWorkers, "concurrent model-training workers")
-		queueDepth   = flag.Int("queue", serve.DefaultQueueDepth, "training requests that may wait for a worker")
-		trainWorkers = flag.Int("train-workers", 0, "goroutines each training job may use (0 = all cores; models are identical either way)")
-		genWorkers   = flag.Int("gen-workers", 0, "goroutines each generate request may use by default (0 = all cores; the candidate stream is identical either way)")
-		maxBodyMB    = flag.Int("max-body-mb", 64, "request body limit in MiB")
-		maxGenerate  = flag.Int("max-generate", serve.DefaultMaxGenerateCount, "largest count one generate request may ask for")
-		drainWait    = flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
+		addr        = flag.String("addr", ":8080", "listen address")
+		dir         = flag.String("dir", "models", "model registry directory")
+		cacheSize   = flag.Int("cache", registry.DefaultCacheSize, "decoded models kept in memory (LRU)")
+		workers     = flag.Int("workers", serve.DefaultWorkers, "concurrent model-training jobs (each build uses all cores)")
+		queueDepth  = flag.Int("queue", serve.DefaultQueueDepth, "training requests that may wait for a worker")
+		maxBodyMB   = flag.Int("max-body-mb", 64, "request body limit in MiB")
+		maxGenerate = flag.Int("max-generate", serve.DefaultMaxGenerateCount, "largest count one generate request may ask for")
+		drainWait   = flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
 
 		// Per-tenant admission control (tenant = X-Tenant header, falling
 		// back to the client IP). All zero = admission disabled.
@@ -137,8 +135,6 @@ func main() {
 		QueueDepth:       *queueDepth,
 		MaxBodyBytes:     int64(*maxBodyMB) << 20,
 		MaxGenerateCount: *maxGenerate,
-		TrainWorkers:     *trainWorkers,
-		GenerateWorkers:  *genWorkers,
 		Logger:           logger,
 		Trace: trace.Policy{
 			Capacity:      *traceCapacity,

@@ -11,8 +11,8 @@
 //	entropyip -dataset C1 -train 1000 -condition J=J1
 //
 // With -gen N it additionally generates N candidate addresses from the
-// freshly trained model (conditioned on -condition, parallelized with
-// -gen-workers), streaming them to -gen-out:
+// freshly trained model (conditioned on -condition), streaming them to
+// -gen-out:
 //
 //	entropyip -in addresses.txt -train 1000 -q -gen 100000 -gen-out cands.txt
 //
@@ -51,13 +51,11 @@ func main() {
 		dsName    = flag.String("dataset", "", "analyze a built-in synthetic dataset instead of a file")
 		trainSize = flag.Int("train", 1000, "number of training addresses sampled from the input (0 = all)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "goroutines used for training (0 = all cores; the model is identical either way)")
 		prefix64  = flag.Bool("prefix64", false, "model only the top 64 bits (network identifiers)")
 		condition = flag.String("condition", "", "conditional browsing evidence, e.g. \"J=J1,B=B2\"")
 		modelOut  = flag.String("model", "", "write the trained model as JSON to this file")
 		genCount  = flag.Int("gen", 0, "generate this many candidate addresses from the trained model (conditioned on -condition)")
 		genOut    = flag.String("gen-out", "-", "file the -gen candidates are written to ('-' for stdout)")
-		genWork   = flag.Int("gen-workers", 0, "goroutines used for -gen (0 = all cores; the candidate stream is identical either way)")
 		htmlOut   = flag.String("html", "", "write the conditional probability browser as HTML to this file")
 		dotOut    = flag.String("dot", "", "write the Bayesian network structure as Graphviz DOT to this file")
 		quiet     = flag.Bool("q", false, "suppress the terminal report")
@@ -85,7 +83,7 @@ func main() {
 	if *trainSize > 0 && *trainSize < len(addrs) {
 		train, _ = stats.SplitTrainTest(stats.RNG(*seed), addrs, *trainSize)
 	}
-	buildOpts := core.Options{Prefix64Only: *prefix64, Workers: *workers}
+	buildOpts := core.Options{Prefix64Only: *prefix64}
 	var stages []stageTime
 	if *trace {
 		// Build reports its stages sequentially, so no lock is needed.
@@ -129,7 +127,7 @@ func main() {
 		}
 	}
 	if *genCount > 0 {
-		if err := generateCandidates(model, *genCount, *seed, *genWork, evidence, *genOut); err != nil {
+		if err := generateCandidates(model, *genCount, *seed, evidence, *genOut); err != nil {
 			fatal(err)
 		}
 	}
@@ -139,7 +137,7 @@ func main() {
 // the §5.5 generation step without a separate eipgen invocation. The
 // training addresses are not excluded here; use eipgen -exclude for the
 // paper's "new targets only" workflow.
-func generateCandidates(model *core.Model, n int, seed int64, workers int, evidence core.Evidence, outPath string) error {
+func generateCandidates(model *core.Model, n int, seed int64, evidence core.Evidence, outPath string) error {
 	out := os.Stdout
 	if outPath != "-" {
 		f, err := os.Create(outPath)
@@ -150,7 +148,7 @@ func generateCandidates(model *core.Model, n int, seed int64, workers int, evide
 		out = f
 	}
 	w := bufio.NewWriter(out)
-	opts := core.GenerateOptions{Count: n, Seed: seed, Workers: workers, Evidence: evidence}
+	opts := core.GenerateOptions{Count: n, Seed: seed, Evidence: evidence}
 	count := 0
 	line := make([]byte, 0, 64)
 	err := model.GenerateStream(opts, func(a ip6.Addr) bool {

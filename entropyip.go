@@ -170,9 +170,10 @@ type BrowseResponse = serve.BrowseResponse
 
 // GenerateRequest asks a served model for candidate addresses or /64
 // prefixes, streamed back as NDJSON. Omitting Seed (nil) makes the
-// server derive a random one and echo it in the X-Seed response header;
-// Workers bounds the request's generation parallelism (capped
-// server-side).
+// server derive a random one and echo it in the X-Seed response header.
+// The server generates on all cores; the worker count is set only
+// through Options.Workers and GenerateOptions.Workers, and a request's
+// "workers" field is accepted and ignored.
 type GenerateRequest = serve.GenerateRequest
 
 // GenerateItem is one line of the NDJSON candidate stream.

@@ -36,10 +36,13 @@ type GenerateOptions struct {
 	// safe for concurrent use when Workers != 1.
 	Stop func() bool
 	// Workers bounds the number of goroutines drawing candidates
-	// (0 = GOMAXPROCS, 1 = fully sequential). The candidate sequence is
-	// identical for every worker count: draws come from a fixed number
-	// of logical substreams that are merged in a worker-independent
-	// round-robin order.
+	// (0 = GOMAXPROCS, 1 = fully sequential; values past the 64 logical
+	// substreams act as 64). The candidate sequence is identical for
+	// every worker count: draws come from a fixed number of logical
+	// substreams that are merged in a worker-independent round-robin
+	// order. This field and Options.Workers are the only places the
+	// worker count is set: eipserved and the commands always pass 0, and
+	// the serve API accepts and ignores a request's "workers" field.
 	Workers int
 }
 
@@ -55,11 +58,6 @@ const stopPollInterval = 1024
 // stats.Split(seed, i), and the merged sequence interleaves substreams
 // round-robin per attempt.
 const genSubstreams = 64
-
-// MaxGenerateWorkers is the largest worker count the engine can put to
-// use: one per logical substream. Larger requested values behave
-// identically, so callers exposing the knob (the serve API) cap at this.
-const MaxGenerateWorkers = genSubstreams
 
 // genParallelCutoff is the Count below which generation always runs
 // sequentially: the parallel setup (one producer goroutine per

@@ -84,7 +84,8 @@ type Model struct {
 	Segments []*mining.SegmentModel
 	// Net is the Bayesian network over segment codes.
 	Net *bayes.Network
-	// Opts records the options the model was built with.
+	// Opts records the options the model was built with, except the
+	// operational Workers and OnStage, which are always zero here.
 	Opts Options
 	// TrainCount is the number of training addresses.
 	TrainCount int
@@ -174,6 +175,10 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	}
 	buildStage(opts.OnStage, "learn", now)
 
+	// The model keeps only the options that shape it, so an observer
+	// closure, and whatever it captured, does not live as long as the
+	// model.
+	opts.Workers, opts.OnStage = 0, nil
 	return newModel(&Model{
 		Profile:      profile,
 		ACR:          acr,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"entropyip/internal/ip6"
 	"entropyip/internal/synth"
@@ -79,15 +80,25 @@ func TestBuildWorkersGenerationIdentical(t *testing.T) {
 // TestOptionsWorkersNotPersisted pins the serialization contract: Workers
 // must not appear in model JSON, so the same training data produces the
 // same document whatever parallelism built it, and loaded models always
-// default to all cores.
+// default to all cores. A built model keeps neither Workers nor the
+// OnStage observer in its Opts, so a retrain from them runs on all
+// cores and the observer's closure does not outlive the build.
 func TestOptionsWorkersNotPersisted(t *testing.T) {
 	addrs, err := synth.Generate("S1", 1500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(addrs, Options{Workers: 3})
+	stages := 0
+	m, err := Build(addrs, Options{Workers: 3, OnStage: func(string, time.Duration) { stages++ }})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stages != len(BuildStages) {
+		t.Fatalf("OnStage called %d times, want %d", stages, len(BuildStages))
+	}
+	if m.Opts.Workers != 0 || m.Opts.OnStage != nil {
+		t.Fatalf("built Opts keep Workers = %d, OnStage set = %t; want 0, false",
+			m.Opts.Workers, m.Opts.OnStage != nil)
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {

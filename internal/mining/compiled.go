@@ -53,16 +53,19 @@ type compiledSegment struct {
 }
 
 // packedCode builds the packed code for a segment value from the
-// reference scan: Encode's answer when covered, EncodeNearest's otherwise.
+// reference scan. EncodeNearest gives Encode's answer when an element
+// covers v and an element at distance > 0 otherwise, so the covered bit
+// is whether its answer contains v.
 func packedCode(m *SegmentModel, v uint64) int32 {
-	if idx, ok := m.Encode(v); ok {
-		return int32(idx)<<1 | 1
-	}
 	idx, ok := m.EncodeNearest(v)
 	if !ok {
 		return -1
 	}
-	return int32(idx) << 1
+	code := int32(idx) << 1
+	if m.Values[idx].Contains(v) {
+		code |= 1
+	}
+	return code
 }
 
 // compile flattens the per-segment scans into lookup tables. The result

@@ -239,36 +239,25 @@ func TestNewMatchesPrefixOracle(t *testing.T) {
 	}
 	for name, addrs := range cases {
 		want := distinctPrefixCounts(addrs)
-		for _, workers := range []int{1, 2, 0} {
-			got := NewWorkers(addrs, workers)
-			if got.N != len(addrs) || got.Counts != want {
-				t.Fatalf("%s workers=%d: N=%d Counts=%v, want N=%d Counts=%v",
-					name, workers, got.N, got.Counts, len(addrs), want)
-			}
+		if got := New(addrs); got.N != len(addrs) || got.Counts != want {
+			t.Fatalf("%s: N=%d Counts=%v, want N=%d Counts=%v",
+				name, got.N, got.Counts, len(addrs), want)
 		}
 	}
 }
 
 // BenchmarkACR100k times the ACR series of 100k addresses with random
-// 64-bit interface identifiers under one /32. NewWorkers ignores its
-// worker count, so both sub-benchmarks run the one sequential path; the
-// two names stay because the CI gate lists them.
+// 64-bit interface identifiers under one /32.
 func BenchmarkACR100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]ip6.Addr, 100_000)
 	for i := range addrs {
 		addrs[i] = ip6.AddrFromUint64s(0x20010db8<<32|rng.Uint64()&0xffff, rng.Uint64())
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = NewWorkers(addrs, bc.workers)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = New(addrs)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // TestNewWorkersEquivalent asserts the sort+LCP-histogram ACR computation
-// matches the distinct-prefix oracle exactly for any worker count, on both
-// a spread population and a realistic skewed one (everything under a
-// single /32, the shape that starves address-space partitioning schemes).
+// matches the distinct-prefix oracle exactly, on both a spread population
+// and a realistic skewed one (everything under a single /32, the shape
+// that starves address-space partitioning schemes).
 func TestNewWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	spread := make([]ip6.Addr, 20_000)
@@ -29,17 +29,14 @@ func TestNewWorkersEquivalent(t *testing.T) {
 	for name, addrs := range map[string][]ip6.Addr{"spread": spread, "skewed": skewed} {
 		want := &Series{Counts: distinctPrefixCounts(addrs), N: len(addrs)}
 		fillACR(want)
-		for _, workers := range []int{1, 2, 4, 16, 0} {
-			got := NewWorkers(addrs, workers)
-			if got.N != want.N || got.Counts != want.Counts || got.ACR != want.ACR {
-				t.Fatalf("%s workers=%d: series differs from the distinct-prefix oracle", name, workers)
-			}
+		if got := New(addrs); got.N != want.N || got.Counts != want.Counts || got.ACR != want.ACR {
+			t.Fatalf("%s: series differs from the distinct-prefix oracle", name)
 		}
 	}
 }
 
 func TestNewWorkersEmpty(t *testing.T) {
-	got := NewWorkers(nil, 8)
+	got := New(nil)
 	if got.N != 0 || got.Counts[0] != 0 {
 		t.Fatalf("empty series: N=%d counts[0]=%d", got.N, got.Counts[0])
 	}

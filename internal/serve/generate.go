@@ -48,18 +48,12 @@ type GenerateRequest struct {
 	// core.GenerateOptions. Values above MaxAttemptsFactorLimit are
 	// rejected — the factor multiplies server CPU on low-support models.
 	MaxAttemptsFactor int `json:"max_attempts_factor,omitempty"`
-	// Workers bounds the goroutines drawing candidates for this request,
-	// capped at MaxGenerateWorkers (requests are untrusted and a worker
-	// count is a CPU multiplier). Zero selects the server's default
-	// (Options.GenerateWorkers). The candidate stream is identical for
-	// any value.
-	Workers int `json:"workers,omitempty"`
 	// Streams switches to batch mode: each entry describes one
 	// independently-seeded candidate stream, and the response carries all
 	// of them interleaved (frames tagged with a stream index in the binary
 	// encoding, {"stream":i,...} lines in NDJSON). Mutually exclusive with
-	// the top-level Count/Seed/Evidence/MaxAttemptsFactor; Version,
-	// Prefixes and Workers stay request-wide.
+	// the top-level Count/Seed/Evidence/MaxAttemptsFactor; Version and
+	// Prefixes stay request-wide.
 	Streams []GenerateStreamSpec `json:"streams,omitempty"`
 }
 
@@ -79,12 +73,6 @@ type GenerateStreamSpec struct {
 
 // MaxAttemptsFactorLimit caps the per-request MaxAttemptsFactor.
 const MaxAttemptsFactorLimit = 1000
-
-// MaxGenerateWorkers caps the per-request generation parallelism at
-// what the engine can actually use (one worker per logical substream);
-// accepting more would advertise parallelism that silently never
-// materializes.
-const MaxGenerateWorkers = core.MaxGenerateWorkers
 
 // MaxGenerateStreams caps the streams of one batch generate request at
 // what the wire format's frame stream index can address.
@@ -143,10 +131,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	enc, err := negotiateGenerateEncoding(r)
 	if err != nil {
 		writeError(w, r, http.StatusNotAcceptable, "%v", err)
-		return
-	}
-	if req.Workers < 0 || req.Workers > MaxGenerateWorkers {
-		writeError(w, r, http.StatusBadRequest, "workers must be in 0..%d", MaxGenerateWorkers)
 		return
 	}
 	streams, batch, err := s.resolveStreams(&req)
@@ -264,7 +248,7 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 			werr = sink.add(a)
 			return werr == nil
 		}
-		opts := s.generateOptions(ctx, st, req)
+		opts := s.generateOptions(ctx, st)
 		var err error
 		if req.Prefixes {
 			err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool { return add(p.Addr()) })
@@ -582,17 +566,12 @@ func seedHeader(streams []resolvedStream) string {
 // generateOptions builds the engine options for one resolved stream.
 // Without Stop, a disconnected client would keep the generator spinning
 // through duplicate draws until the attempt budget runs out.
-func (s *Server) generateOptions(ctx context.Context, st resolvedStream, req *GenerateRequest) core.GenerateOptions {
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.opts.GenerateWorkers
-	}
+func (s *Server) generateOptions(ctx context.Context, st resolvedStream) core.GenerateOptions {
 	return core.GenerateOptions{
 		Count:             st.count,
 		Seed:              st.seed,
 		Evidence:          st.evidence,
 		MaxAttemptsFactor: st.maxAttempts,
-		Workers:           workers,
 		Stop:              func() bool { return ctx.Err() != nil || s.isDraining() },
 	}
 }

@@ -156,23 +156,25 @@ func TestGeneratePerStreamErrors(t *testing.T) {
 }
 
 // TestGenerateIgnoresUnorderedField pins API compatibility for the
-// removed "unordered" request field: generation has one deterministic
-// order, and a request that still carries the field is accepted and
-// answered like the same request without it, in both encodings. Single-
-// stream bodies must be byte-identical. A batch body interleaves its
-// streams in scheduling order even between two identical requests, so
-// batch responses are compared stream by stream.
+// removed "unordered" and "workers" request fields: generation has one
+// deterministic order and always runs on all cores, and a request that
+// still carries either field, with any value, is accepted and answered
+// like the same request without it, in both encodings. Single-stream
+// bodies must be byte-identical. A batch body interleaves its streams in
+// scheduling order even between two identical requests, so batch
+// responses are compared stream by stream.
 func TestGenerateIgnoresUnorderedField(t *testing.T) {
 	s, reg := newTestServer(t, Options{})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	const (
-		// Workers 4 and a count past the parallel cutoff also exercise
-		// the parallel execution.
-		single = `{"count":1500,"seed":5,"workers":4%s}`
+		// A count past the parallel cutoff also exercises the parallel
+		// execution.
+		single = `{"count":1500,"seed":5%s}`
 		batch  = `{"streams":[{"count":40,"seed":101},{"count":40,"seed":202}]%s}`
 	)
+	fields := []string{`,"unordered":true`, `,"workers":4`, `,"workers":-1`, `,"workers":1000`}
 	encodings := []struct {
 		accept string
 		demux  func(*testing.T, []byte) map[int]*streamResult
@@ -186,30 +188,35 @@ func TestGenerateIgnoresUnorderedField(t *testing.T) {
 			// Trace frame.
 			hdr := map[string]string{"Accept": enc.accept, "Traceparent": sampledTraceparent}
 			plain := []byte(fmt.Sprintf(body, ""))
-			with := []byte(fmt.Sprintf(body, `,"unordered":true`))
 			want := doHeaders(t, s, "POST", "/v1/models/web/generate", plain, hdr)
-			got := doHeaders(t, s, "POST", "/v1/models/web/generate", with, hdr)
-			if want.Code != http.StatusOK || got.Code != http.StatusOK {
-				t.Fatalf("%s %s: status %d without the field, %d with it: %s",
-					enc.accept, with, want.Code, got.Code, got.Body.String())
+			if want.Code != http.StatusOK || want.Body.Len() == 0 {
+				t.Fatalf("%s %s: status %d, %d body bytes: %s",
+					enc.accept, plain, want.Code, want.Body.Len(), want.Body.String())
 			}
-			if want.Body.Len() == 0 {
-				t.Fatalf("%s %s: empty response", enc.accept, plain)
-			}
-			if body == single {
-				if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-					t.Errorf("%s %s: body differs from the request without the field", enc.accept, with)
+			var wantStreams map[int]*streamResult
+			if body == batch {
+				if wantStreams = enc.demux(t, want.Body.Bytes()); len(wantStreams) != 2 {
+					t.Fatalf("%s %s: %d streams, want 2", enc.accept, plain, len(wantStreams))
 				}
-				continue
 			}
-			gotStreams, wantStreams := enc.demux(t, got.Body.Bytes()), enc.demux(t, want.Body.Bytes())
-			if len(wantStreams) != 2 {
-				t.Fatalf("%s %s: %d streams, want 2", enc.accept, plain, len(wantStreams))
-			}
-			for i, w := range wantStreams {
-				g := gotStreams[i]
-				if g == nil || !g.end || fmt.Sprint(g.cands) != fmt.Sprint(w.cands) {
-					t.Errorf("%s %s: stream %d differs from the request without the field", enc.accept, with, i)
+			for _, field := range fields {
+				with := []byte(fmt.Sprintf(body, field))
+				got := doHeaders(t, s, "POST", "/v1/models/web/generate", with, hdr)
+				if got.Code != http.StatusOK {
+					t.Fatalf("%s %s: status %d: %s", enc.accept, with, got.Code, got.Body.String())
+				}
+				if body == single {
+					if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+						t.Errorf("%s %s: body differs from the request without the field", enc.accept, with)
+					}
+					continue
+				}
+				gotStreams := enc.demux(t, got.Body.Bytes())
+				for i, w := range wantStreams {
+					g := gotStreams[i]
+					if g == nil || !g.end || fmt.Sprint(g.cands) != fmt.Sprint(w.cands) {
+						t.Errorf("%s %s: stream %d differs from the request without the field", enc.accept, with, i)
+					}
 				}
 			}
 		}

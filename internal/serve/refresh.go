@@ -134,9 +134,6 @@ type Refresher struct {
 	reg  *registry.Registry
 	pool *Pool
 	opts RefreshOptions
-	// trainWorkers bounds each retrain's parallelism (0 = all cores):
-	// the server's Options.TrainWorkers, installed by serve.New.
-	trainWorkers int
 
 	// Observability wiring, installed by serve.New before traffic (tests
 	// constructing a bare Refresher get a nop logger and nil-safe metrics).
@@ -327,7 +324,6 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 			return errors.New("empty observation window")
 		}
 		opts := active.Opts
-		opts.Workers = r.trainWorkers
 		trainSpan := root.StartChild("train")
 		trainSpan.SetInt("window", int64(len(window)))
 		opts.OnStage = stageHook(r.stageHist, trainSpan, r.logger,

@@ -649,42 +649,6 @@ func TestGenerateSeedlessStreamsDiffer(t *testing.T) {
 	}
 }
 
-// TestGenerateWorkersParam checks request-level generation parallelism:
-// any accepted workers value yields the same stream, and out-of-range
-// values are rejected.
-func TestGenerateWorkersParam(t *testing.T) {
-	s, reg := newTestServer(t, Options{})
-	m := testModel(t, 1)
-	if _, err := reg.Put("web", m); err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for _, workers := range []int{1, 2, 8} {
-		w := do(t, s, "POST", "/v1/models/web/generate",
-			GenerateRequest{Count: 2000, Seed: seedPtr(11), Workers: workers})
-		if w.Code != http.StatusOK {
-			t.Fatalf("workers=%d: status %d: %s", workers, w.Code, w.Body.String())
-		}
-		if want == nil {
-			want = w.Body.Bytes()
-			continue
-		}
-		if !bytes.Equal(w.Body.Bytes(), want) {
-			t.Errorf("workers=%d: stream differs from workers=1", workers)
-		}
-	}
-	w := do(t, s, "POST", "/v1/models/web/generate",
-		GenerateRequest{Count: 10, Workers: MaxGenerateWorkers + 1})
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("over-limit workers: status %d, want 400", w.Code)
-	}
-	w = do(t, s, "POST", "/v1/models/web/generate",
-		GenerateRequest{Count: 10, Workers: -1})
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("negative workers: status %d, want 400", w.Code)
-	}
-}
-
 func TestGenerateErrors(t *testing.T) {
 	s, reg := newTestServer(t, Options{MaxGenerateCount: 100})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {

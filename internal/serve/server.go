@@ -75,19 +75,6 @@ type Options struct {
 	// streaming generate responses: NDJSON lines per write, records per
 	// binary data frame. Zero means DefaultFlushEvery.
 	FlushEvery int
-	// TrainWorkers is the default per-training-job parallelism (the
-	// core.Options.Workers each server-side build runs with) when a
-	// request does not ask for a specific value. Zero means all cores;
-	// deployments running several concurrent trainings (Workers > 1)
-	// typically set it to cores/Workers so jobs share the machine instead
-	// of oversubscribing it. The trained model is identical either way.
-	TrainWorkers int
-	// GenerateWorkers is the default per-request generation parallelism
-	// (core.GenerateOptions.Workers) when a generate request does not ask
-	// for a specific value. Zero means all cores. The emitted candidate
-	// stream is identical for any value (generation is deterministic
-	// across worker counts).
-	GenerateWorkers int
 	// Refresh configures the online ingest + drift detection + automatic
 	// model refresh loop behind POST /v1/models/{name}/observe. The zero
 	// value scores drift with default thresholds but does not retrain;
@@ -209,7 +196,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 		draining:  make(chan struct{}),
 	}
 	s.refresher.tracer = s.tracer
-	s.refresher.trainWorkers = opts.TrainWorkers
 	s.registerObservability()
 	// Model routes go through the admission rate gate; health, metrics and
 	// introspection stay ungated so load balancers and operators observe
@@ -528,24 +514,12 @@ type TrainOptions struct {
 	// MaxParents bounds the number of BN parents per segment, in
 	// 0..bayes.MaxParentsLimit (0 selects the default).
 	MaxParents int `json:"max_parents,omitempty"`
-	// Workers bounds the goroutines this training job may use, capped at
-	// MaxTrainWorkers. Zero selects the server's default (Options.
-	// TrainWorkers); the resulting model is identical for any value.
-	Workers int `json:"workers,omitempty"`
 }
 
-// MaxTrainWorkers caps the per-request training parallelism: requests are
-// untrusted and a worker count is a CPU multiplier.
-const MaxTrainWorkers = 256
-
-func (t TrainOptions) coreOptions(defaultWorkers int) core.Options {
+func (t TrainOptions) coreOptions() core.Options {
 	opts := core.Options{Prefix64Only: t.Prefix64Only}
 	opts.Segmentation.MaxNybble = t.MaxNybble
 	opts.Learn.MaxParents = t.MaxParents
-	opts.Workers = t.Workers
-	if opts.Workers == 0 {
-		opts.Workers = defaultWorkers
-	}
 	return opts
 }
 
@@ -605,11 +579,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 // train parses the posted addresses and builds the model on the worker
 // pool, so that concurrent training requests queue instead of stampeding.
 func (s *Server) train(w http.ResponseWriter, r *http.Request, name string, req PutModelRequest) {
-	if req.Options.Workers < 0 || req.Options.Workers > MaxTrainWorkers {
-		writeError(w, r, http.StatusBadRequest, "options.workers must be in 0..%d", MaxTrainWorkers)
-		return
-	}
-	buildOpts := req.Options.coreOptions(s.opts.TrainWorkers)
+	buildOpts := req.Options.coreOptions()
 	if err := buildOpts.Learn.Validate(); err != nil {
 		writeError(w, r, http.StatusBadRequest, "options: %v", err)
 		return

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -9,53 +10,40 @@ import (
 	"entropyip/internal/bayes"
 )
 
-// TestTrainWorkersOption trains the same address set with different
-// per-request worker counts (and the server-wide default) and asserts the
-// stored models are byte-identical — the serving layer's face of the
-// training pipeline's determinism guarantee.
-func TestTrainWorkersOption(t *testing.T) {
+// TestTrainIgnoresWorkersOption pins API compatibility for the removed
+// "options.workers" training field: a request that still carries it is
+// accepted and stores the same model bytes as the request without it.
+// The server trains on all cores either way.
+func TestTrainIgnoresWorkersOption(t *testing.T) {
 	lines := make([]string, 0, 1500)
 	for _, a := range testAddrs(1500, 9) {
 		lines = append(lines, a.String())
 	}
-
-	s, reg := newTestServer(t, Options{TrainWorkers: 1})
-	for i, workers := range []int{0, 1, 8} {
-		w := do(t, s, "PUT", "/v1/models/det", PutModelRequest{
-			Addresses: lines,
-			Options:   TrainOptions{Workers: workers},
-		})
+	addrs := jsonBody(t, lines)
+	s, reg := newTestServer(t, Options{})
+	for i, extra := range []string{``, `,"options":{"workers":8}`} {
+		body := fmt.Sprintf(`{"addresses":%s%s}`, addrs, extra)
+		w := doHeaders(t, s, "PUT", "/v1/models/det", []byte(body), nil)
 		if w.Code != http.StatusCreated {
-			t.Fatalf("workers=%d: status = %d: %s", workers, w.Code, w.Body.String())
+			t.Fatalf("%q: status = %d: %s", extra, w.Code, w.Body.String())
 		}
 		var resp PutModelResponse
 		decode(t, w, &resp)
 		if resp.Info.Version != i+1 {
-			t.Fatalf("workers=%d: version = %d, want %d", workers, resp.Info.Version, i+1)
+			t.Fatalf("%q: version = %d, want %d", extra, resp.Info.Version, i+1)
 		}
 	}
-	versions, err := reg.Versions("det")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(versions) != 3 {
-		t.Fatalf("%d versions, want 3", len(versions))
-	}
-	var want []byte
-	for _, v := range versions {
-		rc, _, err := reg.OpenRaw("det", v.Version)
+	var models [2][]byte
+	for i := range models {
+		rc, _, err := reg.OpenRaw("det", i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := readAll(t, rc)
+		models[i] = readAll(t, rc)
 		rc.Close()
-		if want == nil {
-			want = raw
-			continue
-		}
-		if !bytes.Equal(raw, want) {
-			t.Fatalf("version %d model bytes differ across worker counts", v.Version)
-		}
+	}
+	if !bytes.Equal(models[0], models[1]) {
+		t.Fatal("model trained with options.workers differs from the one trained without it")
 	}
 }
 
@@ -66,21 +54,6 @@ func readAll(t *testing.T, r io.Reader) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestTrainWorkersValidation rejects out-of-range worker requests before
-// any parsing or queueing happens.
-func TestTrainWorkersValidation(t *testing.T) {
-	s, _ := newTestServer(t, Options{})
-	for _, workers := range []int{-1, MaxTrainWorkers + 1} {
-		w := do(t, s, "PUT", "/v1/models/bad", PutModelRequest{
-			Addresses: []string{"2001:db8::1"},
-			Options:   TrainOptions{Workers: workers},
-		})
-		if w.Code != http.StatusBadRequest {
-			t.Fatalf("workers=%d: status = %d, want 400", workers, w.Code)
-		}
-	}
 }
 
 // TestTrainMaxParentsValidation rejects max_parents outside

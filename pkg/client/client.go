@@ -146,8 +146,6 @@ type GenerateOptions struct {
 	Version int
 	// Prefixes requests candidate /64 prefixes instead of addresses.
 	Prefixes bool
-	// Workers bounds the server-side generation parallelism.
-	Workers int
 	// Binary selects the framed binary response encoding.
 	Binary bool
 }
@@ -204,7 +202,6 @@ type generateRequest struct {
 	Evidence          map[string]string `json:"evidence,omitempty"`
 	Prefixes          bool              `json:"prefixes,omitempty"`
 	MaxAttemptsFactor int               `json:"max_attempts_factor,omitempty"`
-	Workers           int               `json:"workers,omitempty"`
 	Streams           []StreamSpec      `json:"streams,omitempty"`
 }
 
@@ -220,7 +217,6 @@ func (c *Client) Generate(ctx context.Context, model string, opts GenerateOption
 		Evidence:          opts.Evidence,
 		Prefixes:          opts.Prefixes,
 		MaxAttemptsFactor: opts.MaxAttemptsFactor,
-		Workers:           opts.Workers,
 		Streams:           opts.Streams,
 	})
 	if err != nil {
