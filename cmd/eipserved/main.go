@@ -161,8 +161,7 @@ func main() {
 				Consecutive: *driftRuns,
 				MinWindow:   *driftWindow,
 			},
-			// Refresh events are logged by the Refresher itself through the
-			// structured logger; no OnEvent callback needed.
+			// The Refresher logs its events through the structured logger.
 		},
 	})
 

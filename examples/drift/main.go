@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -55,10 +56,11 @@ func main() {
 			EvaluateEvery: 512,
 			Ingest:        entropyip.IngestConfig{WindowSize: 4096},
 			Drift:         entropyip.DriftConfig{Enter: 0.15, Consecutive: 2, MinWindow: 256},
-			OnEvent: func(model, event, detail string) {
-				fmt.Printf("  [refresh] %s: %s (%s)\n", model, event, detail)
-			},
 		},
+		// At the default Info level the log carries the refresh loop's
+		// events (drift entered, rotated, shadow rejections); successful
+		// requests log at Debug and are left out.
+		Logger: slog.New(slog.NewTextHandler(os.Stdout, nil)),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

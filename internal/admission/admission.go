@@ -32,7 +32,8 @@ import (
 	"time"
 )
 
-// Defaults used when Config fields are zero.
+// Defaults used when Config fields are zero, and the fixed bounds of
+// the tenant map.
 const (
 	// DefaultQueueDepth is how many slot waiters one tenant may have
 	// queued beyond its running slots before further requests shed.
@@ -40,11 +41,15 @@ const (
 	// DefaultMaxWait bounds how long an admission-gated request waits
 	// for a tenant slot before shedding.
 	DefaultMaxWait = 2 * time.Second
-	// DefaultIdleTTL is how long an idle tenant's limiter state is kept.
-	DefaultIdleTTL = 5 * time.Minute
-	// DefaultMaxTenants softly caps the tenant map; reaching it forces
-	// an eviction sweep on the next new tenant.
-	DefaultMaxTenants = 16384
+	// idleTTL is how long an idle tenant's state (bucket balances, slot
+	// pool) survives before eviction, and how often a new tenant's
+	// arrival sweeps the map.
+	idleTTL = 5 * time.Minute
+	// maxTenants softly caps the tenant map: reaching it triggers an
+	// immediate eviction sweep, but a sweep that frees nothing (every
+	// tenant active) still admits the new tenant — correctness over a
+	// hard cap.
+	maxTenants = 16384
 )
 
 // Config configures a Controller. The zero value disables every gate
@@ -52,23 +57,19 @@ const (
 type Config struct {
 	// RequestRate is the per-tenant steady-state request rate
 	// (requests/second) admitted to rate-limited routes. Zero or
-	// negative disables request-rate limiting.
+	// negative disables request-rate limiting. The bucket holds
+	// max(1, 2*RequestRate) requests: the burst a tenant may issue back
+	// to back after idling.
 	RequestRate float64
-	// RequestBurst is the request bucket capacity (how many requests a
-	// tenant may issue back to back after idling). Zero means
-	// max(1, ceil(2*RequestRate)).
-	RequestBurst int
 	// GenBudget is the per-tenant generation budget in candidates per
 	// second. The budget bucket lends: a request is admitted whenever
 	// the tenant is not in debt, and its full candidate count is then
 	// charged — possibly driving the balance negative — so one
 	// count=10M request costs the same budget as a thousand count=10k
 	// ones, paid off over the seconds that follow. Zero or negative
-	// disables budget accounting.
+	// disables budget accounting. The bucket holds max(1, GenBudget)
+	// candidates: one second of budget.
 	GenBudget float64
-	// GenBurst is the budget bucket capacity in candidates. Zero means
-	// ceil(GenBudget) (one second of budget).
-	GenBurst int
 	// TenantSlots is how many generation streams one tenant may run
 	// concurrently. Zero or negative disables slot gating.
 	TenantSlots int
@@ -79,14 +80,6 @@ type Config struct {
 	// MaxWait bounds how long an admission-gated request waits for a
 	// slot before shedding. Zero means DefaultMaxWait.
 	MaxWait time.Duration
-	// IdleTTL is how long an idle tenant's state (bucket balances, slot
-	// pool) survives before eviction. Zero means DefaultIdleTTL.
-	IdleTTL time.Duration
-	// MaxTenants softly caps the tenant map: reaching it triggers an
-	// immediate eviction sweep, but a sweep that frees nothing (every
-	// tenant active) still admits the new tenant — correctness over a
-	// hard cap. Zero means DefaultMaxTenants.
-	MaxTenants int
 	// Now overrides the clock for tests. Nil means time.Now.
 	Now func() time.Time
 }
@@ -110,40 +103,9 @@ func (c Config) maxWait() time.Duration {
 	return c.MaxWait
 }
 
-func (c Config) idleTTL() time.Duration {
-	if c.IdleTTL <= 0 {
-		return DefaultIdleTTL
-	}
-	return c.IdleTTL
-}
+func (c Config) requestBurst() float64 { return max(1, 2*c.RequestRate) }
 
-func (c Config) maxTenants() int {
-	if c.MaxTenants <= 0 {
-		return DefaultMaxTenants
-	}
-	return c.MaxTenants
-}
-
-func (c Config) requestBurst() float64 {
-	if c.RequestBurst > 0 {
-		return float64(c.RequestBurst)
-	}
-	b := 2 * c.RequestRate
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-func (c Config) genBurst() float64 {
-	if c.GenBurst > 0 {
-		return float64(c.GenBurst)
-	}
-	if c.GenBudget < 1 {
-		return 1
-	}
-	return c.GenBudget
-}
+func (c Config) genBurst() float64 { return max(1, c.GenBudget) }
 
 // Shed reasons carried by refusing Decisions. The strings are stable:
 // they label the eip_admission_shed_total metric and appear in error
@@ -319,18 +281,17 @@ func (c *Controller) tenant(key string) *tenant {
 	return t
 }
 
-// maybeSweepLocked evicts idle tenants when the map hit MaxTenants or
-// an IdleTTL has passed since the last sweep. Tenants holding slots or
+// maybeSweepLocked evicts idle tenants when the map hit maxTenants or
+// idleTTL has passed since the last sweep. Tenants holding slots or
 // with queued waiters survive regardless of age. Eviction order does
 // not matter (every victim is equally expired), so the map-range
 // nondeterminism is fine.
 func (c *Controller) maybeSweepLocked(now time.Time) {
-	ttl := c.cfg.idleTTL()
-	if len(c.tenants) < c.cfg.maxTenants() && now.Sub(c.lastSweep) < ttl {
+	if len(c.tenants) < maxTenants && now.Sub(c.lastSweep) < idleTTL {
 		return
 	}
 	c.lastSweep = now
-	cutoff := now.Add(-ttl).UnixNano()
+	cutoff := now.Add(-idleTTL).UnixNano()
 	for k, t := range c.tenants {
 		if t.lastSeen.Load() < cutoff && !t.busy() {
 			delete(c.tenants, k)

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -58,9 +59,9 @@ func TestDisabledConfigReturnsNil(t *testing.T) {
 
 func TestRequestRateBucket(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{RequestRate: 2, RequestBurst: 2, Now: clk.Now})
+	c := New(Config{RequestRate: 1, Now: clk.Now})
 
-	// The bucket starts full: burst admits back to back.
+	// The bucket starts full: the burst of 2 admits back to back.
 	for i := 0; i < 2; i++ {
 		if d := c.AllowRequest("t"); !d.OK {
 			t.Fatalf("request %d shed: %+v", i, d)
@@ -71,16 +72,16 @@ func TestRequestRateBucket(t *testing.T) {
 		t.Fatalf("over-burst request = %+v, want rate shed", d)
 	}
 	if d.RetryAfter <= 0 || d.RetryAfter > time.Second {
-		t.Fatalf("RetryAfter = %v, want (0, 1s] at 2 req/s", d.RetryAfter)
+		t.Fatalf("RetryAfter = %v, want (0, 1s] at 1 req/s", d.RetryAfter)
 	}
 
 	// Tokens refill at the configured rate.
-	clk.Advance(500 * time.Millisecond) // one token at 2/s
+	clk.Advance(time.Second) // one token at 1/s
 	if d := c.AllowRequest("t"); !d.OK {
 		t.Fatalf("after refill: %+v", d)
 	}
 	if d := c.AllowRequest("t"); d.OK {
-		t.Fatal("second request after half-second refill admitted, want shed")
+		t.Fatal("second request after one-second refill admitted, want shed")
 	}
 
 	// Tenants are isolated: a fresh tenant has a full bucket.
@@ -96,7 +97,7 @@ func TestRequestRateBucket(t *testing.T) {
 
 func TestGenerateBudgetLends(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{GenBudget: 1000, GenBurst: 1000, Now: clk.Now})
+	c := New(Config{GenBudget: 1000, Now: clk.Now})
 
 	// A charge far beyond burst is admitted (lending) and drives the
 	// tenant into debt.
@@ -121,6 +122,39 @@ func TestGenerateBudgetLends(t *testing.T) {
 	}
 	if st := c.Stats(); st.GenCharged != 5100 {
 		t.Errorf("GenCharged = %d, want 5100", st.GenCharged)
+	}
+}
+
+// TestDerivedBursts pins the bucket capacities derived from the rates:
+// max(1, 2*RequestRate) requests and max(1, GenBudget) candidates. They
+// decide how much a tenant may do after idling before it is shed.
+func TestDerivedBursts(t *testing.T) {
+	for _, tc := range []struct {
+		cfg      Config
+		req, gen float64
+	}{
+		{Config{RequestRate: 0.2}, 1, 1},
+		{Config{RequestRate: 3}, 6, 1},
+		{Config{GenBudget: 0.5}, 1, 1},
+		{Config{GenBudget: 1000}, 1, 1000},
+	} {
+		if got := tc.cfg.requestBurst(); got != tc.req {
+			t.Errorf("%+v: request burst = %v, want %v", tc.cfg, got, tc.req)
+		}
+		if got := tc.cfg.genBurst(); got != tc.gen {
+			t.Errorf("%+v: generation burst = %v, want %v", tc.cfg, got, tc.gen)
+		}
+	}
+
+	// The derived burst is what a fresh tenant may spend back to back.
+	c := New(Config{RequestRate: 3, Now: newFakeClock().Now})
+	for i := 0; i < 6; i++ {
+		if d := c.AllowRequest("t"); !d.OK {
+			t.Fatalf("request %d of a burst of 6 shed: %+v", i, d)
+		}
+	}
+	if d := c.AllowRequest("t"); d.OK {
+		t.Fatal("seventh request on a frozen clock admitted, want rate shed")
 	}
 }
 
@@ -253,7 +287,7 @@ func TestTenantIsolationAcrossSlots(t *testing.T) {
 
 func TestIdleTenantEviction(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{RequestRate: 1, IdleTTL: time.Minute, Now: clk.Now})
+	c := New(Config{RequestRate: 1, Now: clk.Now})
 	c.AllowRequest("a")
 	c.AllowRequest("b")
 	if st := c.Stats(); st.Tenants != 2 {
@@ -262,9 +296,9 @@ func TestIdleTenantEviction(t *testing.T) {
 
 	// Past the TTL, "a" stays hot while "b" idles; the sweep (triggered
 	// by a new tenant's creation) evicts only "b".
-	clk.Advance(61 * time.Second)
+	clk.Advance(idleTTL + time.Second)
 	c.AllowRequest("a")
-	clk.Advance(61 * time.Second)
+	clk.Advance(idleTTL + time.Second)
 	c.AllowRequest("fresh")
 	st := c.Stats()
 	if st.Evicted == 0 {
@@ -278,7 +312,7 @@ func TestIdleTenantEviction(t *testing.T) {
 		t.Error("idle tenant b survived the sweep")
 	}
 	if !aAlive {
-		// a's last activity was 61s before the sweep — also evictable.
+		// a's last activity was one TTL before the sweep — also evictable.
 		// What matters is that eviction resets its bucket rather than
 		// leaking state; re-admit must work.
 		if d := c.AllowRequest("a"); !d.OK {
@@ -289,12 +323,12 @@ func TestIdleTenantEviction(t *testing.T) {
 
 func TestBusyTenantSurvivesSweep(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{TenantSlots: 1, IdleTTL: time.Minute, Now: clk.Now})
+	c := New(Config{TenantSlots: 1, Now: clk.Now})
 	release, d := c.AcquireSlot(context.Background(), "busy")
 	if !d.OK {
 		t.Fatalf("slot: %+v", d)
 	}
-	clk.Advance(2 * time.Minute)
+	clk.Advance(2 * idleTTL)
 	c.AllowRequest("fresh") // triggers a sweep
 	c.mu.RLock()
 	_, alive := c.tenants["busy"]
@@ -307,14 +341,25 @@ func TestBusyTenantSurvivesSweep(t *testing.T) {
 
 func TestMaxTenantsForcesSweep(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{RequestRate: 1, MaxTenants: 2, IdleTTL: time.Minute, Now: clk.Now})
-	c.AllowRequest("a")
-	c.AllowRequest("b")
+	c := New(Config{RequestRate: 1, Now: clk.Now})
+	// Fill the map to one below the cap, then let a TTL sweep run that
+	// finds nobody stale yet: the next TTL sweep is a full TTL away.
+	clk.Advance(time.Minute)
+	for i := 0; i < maxTenants-1; i++ {
+		c.AllowRequest(fmt.Sprint("t", i))
+	}
+	clk.Advance(idleTTL - time.Minute)
+	c.AllowRequest("warm") // TTL sweep: nobody idle a full TTL yet
+	if st := c.Stats(); st.Tenants != maxTenants || st.Evicted != 0 {
+		t.Fatalf("after TTL sweep: %d tenants / %d evicted, want %d / 0", st.Tenants, st.Evicted, maxTenants)
+	}
+	// Well before the next TTL sweep is due, the fill tenants are stale
+	// and the map is at the cap: the next new tenant forces a sweep.
 	clk.Advance(2 * time.Minute)
-	c.AllowRequest("c") // map at cap: sweep runs, a and b are stale
+	c.AllowRequest("new")
 	st := c.Stats()
-	if st.Tenants != 1 || st.Evicted != 2 {
-		t.Errorf("after forced sweep: %+v, want 1 tenant / 2 evicted", st)
+	if st.Tenants != 2 || st.Evicted != maxTenants-1 {
+		t.Errorf("after forced sweep: %d tenants / %d evicted, want 2 / %d", st.Tenants, st.Evicted, maxTenants-1)
 	}
 }
 

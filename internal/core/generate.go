@@ -32,8 +32,10 @@ type GenerateOptions struct {
 	// duplicate or excluded draws that emit nothing); generation halts
 	// when it returns true. Servers use it to abandon work for
 	// disconnected clients. With evidence set it is polled on every
-	// attempt, without evidence every stopPollInterval draws. It must be
-	// safe for concurrent use when Workers != 1.
+	// attempt, without evidence every stopPollInterval draws. It is
+	// called only from the merge loop on the calling goroutine, at every
+	// worker count (parallel producers watch an internal done channel,
+	// not Stop), so it need not be safe for concurrent use.
 	Stop func() bool
 	// Workers bounds the number of goroutines drawing candidates
 	// (0 = GOMAXPROCS, 1 = fully sequential; values past the 64 logical

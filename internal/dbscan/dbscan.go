@@ -266,7 +266,7 @@ func newGrid(points [][]float64, eps float64) *grid {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	stats.SortByKey(keys, order)
+	stats.SortByKey(keys, order, nil, nil)
 	g := &grid{order: order, cellOf: make([]int32, n)}
 	// The distinct sorted keys are the cell keys. They are compacted into
 	// the front of keys, which never overwrites a key not yet read.

@@ -27,11 +27,6 @@ type Config struct {
 	// Consecutive is how many successive evaluations must reach Enter
 	// before the detector trips. Zero means DefaultConsecutive.
 	Consecutive int
-	// MaxLLDrop additionally trips the detector when the window's mean
-	// per-address log-likelihood falls more than this many nats below the
-	// baseline recorded at the last Reset (or first evaluation). Zero
-	// disables the likelihood trigger.
-	MaxLLDrop float64
 	// MinWindow is the smallest window the detector will judge; smaller
 	// windows are ignored (their noise would defeat the thresholds).
 	// Zero means DefaultMinWindow; negative means no minimum.
@@ -94,19 +89,16 @@ type Verdict struct {
 type Detector struct {
 	cfg Config
 
-	mu          sync.Mutex
-	drifting    bool
-	hot         int // consecutive evaluations at or above Enter
-	baselineLL  float64
-	hasBaseline bool
-	evals       int
+	mu       sync.Mutex
+	drifting bool
+	hot      int // consecutive evaluations at or above Enter
+	evals    int
 }
 
 // NewDetector returns a Detector with the given configuration.
 func NewDetector(cfg Config) *Detector { return &Detector{cfg: cfg} }
 
-// Observe judges one drift report. The first adequately sized window also
-// records the likelihood baseline when none has been set via Reset.
+// Observe judges one drift report.
 func (d *Detector) Observe(rep Report) Verdict {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -117,31 +109,17 @@ func (d *Detector) Observe(rep Report) Verdict {
 		return v
 	}
 	d.evals++
-	if !d.hasBaseline {
-		d.baselineLL = rep.MeanLogLikelihood
-		d.hasBaseline = true
-	}
 
 	enter, exit := d.cfg.enter(), d.cfg.exit()
-	llDrop := 0.0
-	if d.cfg.MaxLLDrop > 0 {
-		llDrop = llDelta(d.baselineLL, rep.MeanLogLikelihood)
-	}
-	over := rep.Score >= enter || (d.cfg.MaxLLDrop > 0 && llDrop > d.cfg.MaxLLDrop)
-
 	switch {
-	case over:
+	case rep.Score >= enter:
 		d.hot++
 		if !d.drifting && d.hot >= d.cfg.consecutive() {
 			d.drifting = true
 			v.Entered = true
 		}
-		if rep.Score >= enter {
-			v.Reason = fmt.Sprintf("score %.3f >= enter %.3f (%d/%d)", rep.Score, enter, d.hot, d.cfg.consecutive())
-		} else {
-			v.Reason = fmt.Sprintf("mean log-likelihood dropped %.2f nats below baseline (limit %.2f)", llDrop, d.cfg.MaxLLDrop)
-		}
-	case d.drifting && rep.Score <= exit && llDrop <= d.cfg.MaxLLDrop:
+		v.Reason = fmt.Sprintf("score %.3f >= enter %.3f (%d/%d)", rep.Score, enter, d.hot, d.cfg.consecutive())
+	case d.drifting && rep.Score <= exit:
 		d.drifting = false
 		d.hot = 0
 		v.Exited = true
@@ -158,16 +136,12 @@ func (d *Detector) Observe(rep Report) Verdict {
 	return v
 }
 
-// Reset clears the drifting state and records a new likelihood baseline —
-// called after a model rotation with the fresh model's fit on the live
-// window.
-func (d *Detector) Reset(baselineLL float64) {
+// Reset clears the drifting state — called after a model rotation.
+func (d *Detector) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.drifting = false
 	d.hot = 0
-	d.baselineLL = baselineLL
-	d.hasBaseline = true
 }
 
 // State reports the current drifting flag and how many windows have been

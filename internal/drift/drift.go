@@ -26,7 +26,6 @@ package drift
 
 import (
 	"fmt"
-	"math"
 
 	"entropyip/internal/core"
 	"entropyip/internal/entropy"
@@ -221,13 +220,4 @@ func (r Report) String() string {
 	}
 	return fmt.Sprintf("drift score=%.3f (worst segment %s) meanJS=%.3f meanLL=%.2f window=%d",
 		r.Score, worst, r.MeanCodeJS, r.MeanLogLikelihood, r.Window)
-}
-
-// llDelta is a small helper: how far b has fallen below a (0 when not
-// below).
-func llDelta(a, b float64) float64 {
-	if d := a - b; d > 0 && !math.IsInf(d, 0) && !math.IsNaN(d) {
-		return d
-	}
-	return 0
 }

@@ -163,68 +163,59 @@ func TestScorePrefix64OnlyMasksWindow(t *testing.T) {
 	}
 }
 
-func reportWithScore(score float64, window int, ll float64) Report {
-	return Report{Window: window, Score: score, MeanLogLikelihood: ll}
+func reportWithScore(score float64, window int) Report {
+	return Report{Window: window, Score: score}
 }
 
 func TestDetectorHysteresis(t *testing.T) {
 	d := NewDetector(Config{Enter: 0.2, Exit: 0.1, Consecutive: 2, MinWindow: -1})
 
 	// One spike does not trip it.
-	v := d.Observe(reportWithScore(0.5, 100, -10))
+	v := d.Observe(reportWithScore(0.5, 100))
 	if v.Drifting || v.Entered {
 		t.Fatalf("one spike tripped the detector: %+v", v)
 	}
 	// A calm window resets the streak.
-	if v := d.Observe(reportWithScore(0.05, 100, -10)); v.Drifting {
+	if v := d.Observe(reportWithScore(0.05, 100)); v.Drifting {
 		t.Fatalf("calm window left it drifting: %+v", v)
 	}
 	// Two consecutive spikes trip it.
-	d.Observe(reportWithScore(0.3, 100, -10))
-	v = d.Observe(reportWithScore(0.3, 100, -10))
+	d.Observe(reportWithScore(0.3, 100))
+	v = d.Observe(reportWithScore(0.3, 100))
 	if !v.Drifting || !v.Entered {
 		t.Fatalf("two spikes did not trip: %+v", v)
 	}
 	// Between exit and enter: stays drifting (hysteresis).
-	if v := d.Observe(reportWithScore(0.15, 100, -10)); !v.Drifting || v.Exited {
+	if v := d.Observe(reportWithScore(0.15, 100)); !v.Drifting || v.Exited {
 		t.Fatalf("mid-band score cleared the detector: %+v", v)
 	}
 	// At or below exit: recovers.
-	v = d.Observe(reportWithScore(0.1, 100, -10))
+	v = d.Observe(reportWithScore(0.1, 100))
 	if v.Drifting || !v.Exited {
 		t.Fatalf("exit score did not clear: %+v", v)
+	}
+	// Reset clears a drifting state and the spike streak.
+	d.Observe(reportWithScore(0.3, 100))
+	if v := d.Observe(reportWithScore(0.3, 100)); !v.Drifting {
+		t.Fatalf("two spikes did not trip again: %+v", v)
+	}
+	d.Reset()
+	if drifting, _ := d.State(); drifting {
+		t.Error("Reset left the detector drifting")
+	}
+	if v := d.Observe(reportWithScore(0.3, 100)); v.Drifting || v.Entered {
+		t.Fatalf("one spike after Reset tripped the detector: %+v", v)
 	}
 }
 
 func TestDetectorMinWindowSkips(t *testing.T) {
 	d := NewDetector(Config{Enter: 0.2, Consecutive: 1, MinWindow: 500})
-	v := d.Observe(reportWithScore(0.9, 100, -10))
+	v := d.Observe(reportWithScore(0.9, 100))
 	if !v.Skipped || v.Drifting {
 		t.Fatalf("small window was judged: %+v", v)
 	}
 	if _, evals := d.State(); evals != 0 {
 		t.Errorf("skipped window counted as evaluation")
-	}
-}
-
-func TestDetectorLikelihoodTrigger(t *testing.T) {
-	d := NewDetector(Config{Enter: 0.9, Consecutive: 1, MaxLLDrop: 2, MinWindow: -1})
-	// First window records the baseline LL (-10).
-	if v := d.Observe(reportWithScore(0.01, 100, -10)); v.Drifting {
-		t.Fatalf("baseline window tripped: %+v", v)
-	}
-	// Score stays calm but the likelihood collapses: trips anyway.
-	v := d.Observe(reportWithScore(0.01, 100, -15))
-	if !v.Drifting || !v.Entered {
-		t.Fatalf("likelihood collapse did not trip: %+v", v)
-	}
-	// Reset with a new baseline clears the state.
-	d.Reset(-15)
-	if drifting, _ := d.State(); drifting {
-		t.Error("Reset left the detector drifting")
-	}
-	if v := d.Observe(reportWithScore(0.01, 100, -15.5)); v.Drifting {
-		t.Fatalf("small drop below new baseline tripped: %+v", v)
 	}
 }
 

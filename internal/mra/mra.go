@@ -63,8 +63,11 @@ func New(addrs []ip6.Addr) *Series {
 	for i, a := range addrs {
 		hi[i], lo[i] = a.Uint64s()
 	}
-	stats.SortByKey(lo, hi)
-	stats.SortByKey(hi, lo)
+	// Both sorts carry uint64 values, so they share one scratch pair.
+	bufKeys := make([]uint64, len(addrs))
+	bufVals := make([]uint64, len(addrs))
+	stats.SortByKey(lo, hi, bufKeys, bufVals)
+	stats.SortByKey(hi, lo, bufKeys, bufVals)
 
 	var hist [ip6.NybbleCount + 1]int
 	for i := 1; i < len(hi); i++ {

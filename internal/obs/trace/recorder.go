@@ -8,13 +8,15 @@ import (
 	"time"
 )
 
-// Policy defaults. A retained trace keeps only the spans it used, copied
-// out of its MaxSpans arena, so a full ring holds at most
-// Capacity x MaxSpans x sizeof(Span) (512 x 64 x 496 B ≈ 16 MiB) and in
-// practice far less: a traced request uses a handful of spans, a few KB.
+// Policy defaults and the per-trace arena size. A retained trace keeps
+// only the spans it used, copied out of its maxSpans arena, so a full
+// ring holds at most Capacity x maxSpans x sizeof(Span)
+// (512 x 64 x 496 B ≈ 16 MiB) and in practice far less: a traced request
+// uses a handful of spans, a few KB. Spans past maxSpans are counted as
+// dropped, not recorded.
 const (
 	defaultCapacity      = 512
-	defaultMaxSpans      = 64
+	maxSpans             = 64
 	defaultSlowThreshold = 250 * time.Millisecond
 	defaultSampleEvery   = 64
 )
@@ -35,9 +37,6 @@ type Policy struct {
 	// Capacity is the number of retained traces; the oldest is evicted
 	// when a new keep finds the ring full.
 	Capacity int
-	// MaxSpans bounds each trace's span arena; spans past it are counted
-	// as dropped, not recorded.
-	MaxSpans int
 	// SlowThreshold marks a completed root span slow enough to keep.
 	SlowThreshold time.Duration
 	// SampleEvery keeps 1-in-N of traces not otherwise kept. <= 0
@@ -48,9 +47,6 @@ type Policy struct {
 func (p Policy) withDefaults() Policy {
 	if p.Capacity <= 0 {
 		p.Capacity = defaultCapacity
-	}
-	if p.MaxSpans <= 0 {
-		p.MaxSpans = defaultMaxSpans
 	}
 	if p.SlowThreshold <= 0 {
 		p.SlowThreshold = defaultSlowThreshold

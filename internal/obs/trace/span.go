@@ -135,19 +135,14 @@ func putSpanID(dst *SpanID, v uint64) {
 // no-op tracer: StartRoot returns nil and every span method on a nil span
 // is a no-op, so instrumentation costs nothing when tracing is off.
 type Tracer struct {
-	rec      *Recorder
-	maxSpans int
-	pool     sync.Pool
+	rec  *Recorder
+	pool sync.Pool
 }
 
-// NewTracer returns a tracer feeding completed traces into rec. The
-// per-trace arena size comes from rec's policy (MaxSpans).
+// NewTracer returns a tracer feeding completed traces into rec. Each
+// trace's arena holds maxSpans spans.
 func NewTracer(rec *Recorder) *Tracer {
-	maxSpans := defaultMaxSpans
-	if rec != nil && rec.policy.MaxSpans > 0 {
-		maxSpans = rec.policy.MaxSpans
-	}
-	t := &Tracer{rec: rec, maxSpans: maxSpans}
+	t := &Tracer{rec: rec}
 	t.pool.New = func() any {
 		return &traceData{spans: make([]Span, maxSpans)}
 	}

@@ -269,11 +269,11 @@ func TestRingCapacityExactNewestFirst(t *testing.T) {
 }
 
 func TestArenaOverflowDropsSpans(t *testing.T) {
-	tr, rec := newTestSetup(Policy{MaxSpans: 4, SampleEvery: 1})
+	tr, rec := newTestSetup(Policy{SampleEvery: 1})
 	root := tr.StartRoot("r", SpanContext{})
 	id := root.TraceID()
-	for i := 0; i < 10; i++ {
-		c := root.StartChild("c") // nil past slot 3; must stay safe
+	for i := 0; i < 70; i++ {
+		c := root.StartChild("c") // nil past slot 63; must stay safe
 		c.SetInt("i", int64(i))
 		c.Finish()
 	}
@@ -282,8 +282,8 @@ func TestArenaOverflowDropsSpans(t *testing.T) {
 	if !ok {
 		t.Fatal("trace not kept")
 	}
-	if len(tree.Root.Children) != 3 {
-		t.Fatalf("children = %d, want 3 (arena of 4 incl root)", len(tree.Root.Children))
+	if len(tree.Root.Children) != 63 {
+		t.Fatalf("children = %d, want 63 (arena of 64 incl root)", len(tree.Root.Children))
 	}
 	if tree.Dropped != 7 {
 		t.Fatalf("dropped = %d, want 7", tree.Dropped)

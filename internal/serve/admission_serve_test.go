@@ -35,6 +35,10 @@ func doAs(t *testing.T, s *Server, tenant, method, path string, body interface{}
 	return w
 }
 
+// frozenClock is an admission clock that never advances, so token
+// buckets do not refill during a test and the derived bursts are exact.
+func frozenClock() time.Time { return time.Unix(1_700_000_000, 0) }
+
 // decodeShed asserts a response is the 429 envelope with the
 // rate_limited code and a positive integer Retry-After header, returning
 // that header's value in seconds.
@@ -63,8 +67,8 @@ func decodeShed(t *testing.T, w *httptest.ResponseRecorder) int {
 // Retry-After — while a different tenant is untouched.
 func TestAdmissionRateGateSheds429(t *testing.T) {
 	s, reg := newTestServer(t, Options{Admission: admission.Config{
-		RequestRate:  0.001, // effectively no refill within the test
-		RequestBurst: 3,
+		RequestRate: 1.5, // burst of 3
+		Now:         frozenClock,
 	}})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
 		t.Fatal(err)
@@ -87,8 +91,8 @@ func TestAdmissionRateGateSheds429(t *testing.T) {
 // fresh bucket per junk value.
 func TestAdmissionTenantFallsBackToRemoteIP(t *testing.T) {
 	s, _ := newTestServer(t, Options{Admission: admission.Config{
-		RequestRate:  0.001,
-		RequestBurst: 2,
+		RequestRate: 1, // burst of 2
+		Now:         frozenClock,
 	}})
 	// httptest.NewRequest pins RemoteAddr to 192.0.2.1:1234, so these
 	// header-less requests share one bucket.
@@ -107,8 +111,8 @@ func TestAdmissionTenantFallsBackToRemoteIP(t *testing.T) {
 // the tenant in debt and the next is shed at the budget gate.
 func TestAdmissionGenBudgetSheds(t *testing.T) {
 	s, reg := newTestServer(t, Options{Admission: admission.Config{
-		GenBudget: 1, // ~no refill during the test
-		GenBurst:  500,
+		GenBudget: 500, // burst of 500
+		Now:       frozenClock,
 	}})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
 		t.Fatal(err)
@@ -135,8 +139,7 @@ func TestAdmissionGenBudgetSheds(t *testing.T) {
 // operators and load balancers must be able to observe saturation.
 func TestAdmissionShedIsUnmetered(t *testing.T) {
 	s, _ := newTestServer(t, Options{Admission: admission.Config{
-		RequestRate:  0.001,
-		RequestBurst: 1,
+		RequestRate: 0.001, // burst of 1, effectively no refill
 	}})
 	if w := doAs(t, s, "greedy", "GET", "/v1/models", nil); w.Code != http.StatusOK {
 		t.Fatalf("burst request = %d", w.Code)
@@ -153,8 +156,7 @@ func TestAdmissionShedIsUnmetered(t *testing.T) {
 // summary — enabled flag, tenant count, and cumulative shed count.
 func TestHealthzReportsAdmission(t *testing.T) {
 	s, _ := newTestServer(t, Options{Admission: admission.Config{
-		RequestRate:  0.001,
-		RequestBurst: 1,
+		RequestRate: 0.001, // burst of 1, effectively no refill
 	}})
 	if w := doAs(t, s, "a", "GET", "/v1/models", nil); w.Code != http.StatusOK {
 		t.Fatalf("seed request = %d", w.Code)
@@ -197,8 +199,7 @@ func TestHealthzAdmissionDisabled(t *testing.T) {
 // reason as a label.
 func TestMetricsExposeAdmissionSeries(t *testing.T) {
 	s, _ := newTestServer(t, Options{Admission: admission.Config{
-		RequestRate:  0.001,
-		RequestBurst: 1,
+		RequestRate: 0.001, // burst of 1, effectively no refill
 	}})
 	if w := doAs(t, s, "a", "GET", "/v1/models", nil); w.Code != http.StatusOK {
 		t.Fatalf("seed request = %d", w.Code)
@@ -228,7 +229,7 @@ func TestAdmissionSlotQueueSheds(t *testing.T) {
 		TenantSlots: 1,
 		QueueDepth:  0,
 		MaxWait:     10 * time.Millisecond,
-	}, FlushEvery: 1})
+	}})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func BenchmarkGenerateNDJSON(b *testing.B) {
 	out := &lockedSink{bw: bufio.NewWriter(io.Discard), ctx: context.Background()}
 	lb := getLineBuf()
 	defer putLineBuf(lb)
-	var sink candidateSink = newNDJSONSink(out, lb, 0, false, false, DefaultFlushEvery, "")
+	var sink candidateSink = newNDJSONSink(out, lb, 0, false, false, "")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -138,7 +138,7 @@ func TestDrainEmitsBinaryErrorFrame(t *testing.T) {
 // a live connection: the client reads some candidates, Drain fires, and
 // the stream must terminate promptly with the in-band error line.
 func TestDrainCutsStreamMidFlight(t *testing.T) {
-	s, reg := newTestServer(t, Options{FlushEvery: 1})
+	s, reg := newTestServer(t, Options{})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,6 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 		_, _ = bw.Write(b)
 	}
 	traceID := traceIDString(ctx)
-	flushEvery := s.opts.flushEvery()
 
 	var produced atomic.Int64
 	run := func(idx int, span *trace.Span) error {
@@ -231,7 +230,7 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 		if enc == encBinary {
 			ww := wireWriterPool.Get().(*wire.Writer)
 			defer wireWriterPool.Put(ww)
-			ww.Reset(out, idx, req.Prefixes, flushEvery)
+			ww.Reset(out, idx, req.Prefixes, DefaultFlushEvery)
 			if batch && ww.Seed(st.seed) != nil {
 				return nil
 			}
@@ -239,7 +238,7 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 		} else {
 			lb := getLineBuf()
 			defer putLineBuf(lb)
-			sink = newNDJSONSink(out, lb, idx, batch, req.Prefixes, flushEvery, traceID)
+			sink = newNDJSONSink(out, lb, idx, batch, req.Prefixes, traceID)
 		}
 		var n int64
 		var werr error
@@ -358,8 +357,8 @@ func (s *wireSink) close(msg string) error {
 }
 
 // ndjsonSink encodes a stream as NDJSON lines, collecting them in its
-// pooled lineBuf and writing each run of `every` lines to the shared sink
-// as one chunk. Batch lines open with the stream tag ({"stream":i,...})
+// pooled lineBuf and writing each run of DefaultFlushEvery lines to the
+// shared sink as one chunk. Batch lines open with the stream tag ({"stream":i,...})
 // and the stream ends with a done line; a single stream keeps the
 // untagged lines TestGenerateStreamByteIdentity pins and ends by ending
 // the body.
@@ -370,16 +369,15 @@ type ndjsonSink struct {
 	batch    bool
 	prefixes bool
 	traceID  string
-	every    int
 	lines    int
 }
 
-func newNDJSONSink(out io.Writer, lb *lineBuf, stream int, batch, prefixes bool, every int, traceID string) *ndjsonSink {
+func newNDJSONSink(out io.Writer, lb *lineBuf, stream int, batch, prefixes bool, traceID string) *ndjsonSink {
 	open := "{"
 	if batch {
 		open = `{"stream":` + strconv.Itoa(stream) + ","
 	}
-	return &ndjsonSink{out: out, lb: lb, open: open, batch: batch, prefixes: prefixes, traceID: traceID, every: every}
+	return &ndjsonSink{out: out, lb: lb, open: open, batch: batch, prefixes: prefixes, traceID: traceID}
 }
 
 func (s *ndjsonSink) add(a ip6.Addr) error {
@@ -392,7 +390,7 @@ func (s *ndjsonSink) add(a ip6.Addr) error {
 		b = a.AppendString(b)
 	}
 	s.lb.b = append(b, '"', '}', '\n')
-	if s.lines++; s.lines < s.every {
+	if s.lines++; s.lines < DefaultFlushEvery {
 		return nil
 	}
 	return s.flush()

@@ -40,9 +40,6 @@ type RefreshOptions struct {
 	// log-likelihood on the live window must exceed the active model's
 	// before it may be published. Zero means any improvement.
 	ShadowMargin float64
-	// OnEvent, if non-nil, receives loop events (evaluations that trip or
-	// clear the detector, rotations, shadow rejections) for logging.
-	OnEvent func(model, event, detail string)
 }
 
 func (o RefreshOptions) evaluateEvery() int {
@@ -167,11 +164,10 @@ func NewRefresher(reg *registry.Registry, pool *Pool, opts RefreshOptions) *Refr
 	}
 }
 
+// event logs one loop event (an evaluation that trips or clears the
+// detector, a rotation, a shadow rejection) as an Info "refresh" record.
 func (r *Refresher) event(model, event, detail string) {
 	r.logger.Info("refresh", "model", model, "event", event, "detail", detail)
-	if r.opts.OnEvent != nil {
-		r.opts.OnEvent(model, event, detail)
-	}
 }
 
 // stream returns (creating if needed) the per-model stream. The model must
@@ -341,8 +337,8 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 		// snapshot is re-taken so observations that arrived during the
 		// (potentially long) build count against the candidate too.
 		// drift.MeanLogLikelihood applies the same Prefix64Only masking as
-		// Score, so the freshLL recorded as the detector baseline is on
-		// the same scale as every later evaluation's.
+		// Score, so staleLL and freshLL are on the same scale as every
+		// evaluation's MeanLogLikelihood.
 		shadowSpan := root.StartChild("shadow.eval")
 		shadow := s.buf.Snapshot()
 		staleLL := drift.MeanLogLikelihood(active, shadow)
@@ -378,7 +374,7 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 			FreshMeanLL: freshLL,
 			Window:      len(shadow),
 		}
-		s.det.Reset(freshLL)
+		s.det.Reset()
 		s.mu.Lock()
 		s.rotations++
 		s.lastRotation = rot

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +18,7 @@ import (
 	"entropyip/internal/drift"
 	"entropyip/internal/ingest"
 	"entropyip/internal/ip6"
+	"entropyip/internal/obs"
 	"entropyip/internal/plan"
 	"entropyip/internal/scan"
 )
@@ -67,8 +70,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 	variantA := refreshPlan([]uint64{0x0001, 0x0002}, []float64{0.7, 0.3})
 	variantB := refreshPlan([]uint64{0x00a1, 0x00a2}, []float64{0.5, 0.5})
 
-	var events []string
-	var evmu sync.Mutex
+	// The loop's events are read back from the structured log.
+	var logs lockedBuffer
 	s, reg := newTestServer(t, Options{
 		Workers: 1,
 		Refresh: RefreshOptions{
@@ -76,12 +79,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 			EvaluateEvery: 512,
 			Ingest:        ingest.Config{WindowSize: 4096},
 			Drift:         drift.Config{Enter: 0.15, Consecutive: 2, MinWindow: 256},
-			OnEvent: func(model, event, detail string) {
-				evmu.Lock()
-				events = append(events, model+"/"+event)
-				evmu.Unlock()
-			},
 		},
+		Logger: obs.NewLogger(&logs, "json", slog.LevelInfo),
 	})
 
 	stale := buildOn(t, variantA, 3000, 1)
@@ -201,9 +200,17 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if st.LastRotation == nil || st.LastRotation.FreshMeanLL <= st.LastRotation.StaleMeanLL {
 		t.Errorf("last rotation = %+v, want fresh LL above stale", st.LastRotation)
 	}
-	evmu.Lock()
+	var events []string
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct{ Msg, Model, Event string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "refresh" {
+			events = append(events, rec.Model+"/"+rec.Event)
+		}
+	}
 	joined := strings.Join(events, " ")
-	evmu.Unlock()
 	if !strings.Contains(joined, "live/drift-entered") || !strings.Contains(joined, "live/rotated") {
 		t.Errorf("events = %s, want drift-entered and rotated", joined)
 	}
@@ -220,6 +227,25 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if hr.Version == "" {
 		t.Error("healthz version is empty")
 	}
+}
+
+// lockedBuffer is an io.Writer safe for the concurrent writes of a
+// server's logger.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // rotated reports whether the model has rotated at least once.

@@ -679,7 +679,7 @@ func TestGenerateErrors(t *testing.T) {
 // streams >= 10k unique candidates, reading the body incrementally —
 // the acceptance scenario for bounded-memory streaming.
 func TestGenerateEndToEnd10k(t *testing.T) {
-	s, _ := newTestServer(t, Options{FlushEvery: 256})
+	s, _ := newTestServer(t, Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

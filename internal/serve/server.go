@@ -53,8 +53,11 @@ const (
 	DefaultQueueDepth       = 8
 	DefaultMaxBodyBytes     = 64 << 20 // 64 MiB of addresses or model JSON
 	DefaultMaxGenerateCount = 10_000_000
-	DefaultFlushEvery       = 512 // candidates per flushed generate chunk
 )
+
+// DefaultFlushEvery is the number of candidates per flushed chunk of a
+// generate stream: NDJSON lines per write, records per binary data frame.
+const DefaultFlushEvery = 512
 
 // Options configures the HTTP server.
 type Options struct {
@@ -71,10 +74,6 @@ type Options struct {
 	// MaxGenerateCount caps the count of one generate request. Zero means
 	// DefaultMaxGenerateCount.
 	MaxGenerateCount int
-	// FlushEvery is the number of candidates per flushed chunk while
-	// streaming generate responses: NDJSON lines per write, records per
-	// binary data frame. Zero means DefaultFlushEvery.
-	FlushEvery int
 	// Refresh configures the online ingest + drift detection + automatic
 	// model refresh loop behind POST /v1/models/{name}/observe. The zero
 	// value scores drift with default thresholds but does not retrain;
@@ -125,13 +124,6 @@ func (o Options) maxGenerateCount() int {
 		return DefaultMaxGenerateCount
 	}
 	return o.MaxGenerateCount
-}
-
-func (o Options) flushEvery() int {
-	if o.FlushEvery <= 0 {
-		return DefaultFlushEvery
-	}
-	return o.FlushEvery
 }
 
 // Server is the HTTP front end over a model registry. It implements

@@ -39,15 +39,12 @@ func TestSoakMultiTenantAdmission(t *testing.T) {
 
 	s, reg := newTestServer(t, Options{
 		Admission: admission.Config{
-			RequestRate:  500,
-			RequestBurst: 100,
-			GenBudget:    20000,
-			GenBurst:     10000,
-			TenantSlots:  2,
-			QueueDepth:   8,
-			MaxWait:      200 * time.Millisecond,
+			RequestRate: 500,
+			GenBudget:   10000,
+			TenantSlots: 2,
+			QueueDepth:  8,
+			MaxWait:     200 * time.Millisecond,
 		},
-		FlushEvery: 64,
 	})
 	// Prebuilt variants so the rotator swaps models without paying a
 	// training run per rotation.
@@ -250,8 +247,8 @@ func TestSoakMultiTenantAdmission(t *testing.T) {
 // zero once the burst drains.
 func TestSoakShedStatsConsistent(t *testing.T) {
 	s, reg := newTestServer(t, Options{Admission: admission.Config{
-		RequestRate:  0.001,
-		RequestBurst: 5,
+		RequestRate: 2.5, // burst of 5
+		Now:         frozenClock,
 	}})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,10 @@ package stats
 // It is an LSD radix sort over byte digits. A digit that every key shares
 // needs no pass and is skipped; each other digit is counted inside its
 // own pass, and the passes alternate between the input and one scratch
-// copy of it. A non-nil vals must be as long as keys.
-func SortByKey[T any](keys []uint64, vals []T) {
+// copy of it. The scratch is bufKeys and bufVals when they are at least
+// as long as keys, so a caller sorting several times can reuse one pair;
+// otherwise it is allocated. A non-nil vals must be as long as keys.
+func SortByKey[T any](keys []uint64, vals []T, bufKeys []uint64, bufVals []T) {
 	n := len(keys)
 	var diff uint64
 	for _, k := range keys {
@@ -23,9 +25,9 @@ func SortByKey[T any](keys []uint64, vals []T) {
 			continue // every key has this digit
 		}
 		if dst == nil {
-			dst = make([]uint64, n)
+			dst = scratch(bufKeys, n)
 			if vals != nil {
-				dstVals = make([]T, n)
+				dstVals = scratch(bufVals, n)
 			}
 		}
 		var next [256]int
@@ -58,4 +60,13 @@ func SortByKey[T any](keys []uint64, vals []T) {
 		copy(keys, src)
 		copy(vals, srcVals)
 	}
+}
+
+// scratch returns buf's first n elements, or a new slice when buf is
+// shorter than n.
+func scratch[T any](buf []T, n int) []T {
+	if len(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }

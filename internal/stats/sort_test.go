@@ -30,7 +30,7 @@ func checkSortByKey(t *testing.T, name string, keys []uint64) {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	SortByKey(got, idx)
+	SortByKey(got, idx, nil, nil)
 	for i, w := range want {
 		if got[i] != w.key || idx[i] != w.idx {
 			t.Fatalf("%s (n=%d): position %d holds key %#x from index %d, want key %#x from index %d",
@@ -38,8 +38,27 @@ func checkSortByKey(t *testing.T, name string, keys []uint64) {
 		}
 	}
 
+	// Caller-supplied scratch, longer than the input and left dirty by
+	// an earlier sort, gives the same result.
+	bufKeys := make([]uint64, len(keys)+3)
+	bufIdx := make([]int32, len(keys)+3)
+	for i := range bufKeys {
+		bufKeys[i], bufIdx[i] = ^uint64(i), -1
+	}
+	got = slices.Clone(keys)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	SortByKey(got, idx, bufKeys, bufIdx)
+	for i, w := range want {
+		if got[i] != w.key || idx[i] != w.idx {
+			t.Fatalf("%s (n=%d, supplied scratch): position %d holds key %#x from index %d, want key %#x from index %d",
+				name, len(keys), i, got[i], idx[i], w.key, w.idx)
+		}
+	}
+
 	bare := slices.Clone(keys)
-	SortByKey[struct{}](bare, nil)
+	SortByKey[struct{}](bare, nil, nil, nil)
 	for i, w := range want {
 		if bare[i] != w.key {
 			t.Fatalf("%s (n=%d, nil values): position %d holds key %#x, want %#x", name, len(keys), i, bare[i], w.key)

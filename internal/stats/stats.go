@@ -28,7 +28,7 @@ type Freq struct {
 // values unchanged: it sorts a copy with SortByKey and counts the runs.
 func FreqOf(values []uint64) *Freq {
 	sorted := slices.Clone(values)
-	SortByKey[struct{}](sorted, nil)
+	SortByKey[struct{}](sorted, nil, nil, nil)
 	distinct := 0
 	for i := range sorted {
 		if i == 0 || sorted[i] != sorted[i-1] {
