@@ -9,10 +9,11 @@ import (
 
 // Sampler is a compiled forward sampler over a network: every node's CPT
 // is flattened into per-row cumulative probability tables built once, so
-// a draw is a walk over the nodes doing one row lookup and one cumulative
-// scan each — no per-draw maps, factors or allocations. A Sampler is
-// immutable after construction and safe to share across goroutines; each
-// goroutine supplies its own rand.Rand and assignment buffer.
+// a draw is a walk over the nodes doing one row lookup and one guided
+// cumulative scan each (cumTable) — no per-draw maps, factors or
+// allocations. A Sampler is immutable after construction and safe to
+// share across goroutines; each goroutine supplies its own rand.Rand and
+// assignment buffer.
 type Sampler struct {
 	nodes []samplerNode
 }
@@ -23,9 +24,8 @@ type samplerNode struct {
 	// buffer's prefix supplies every parent value.
 	parents    []int
 	parentCard []int
-	arity      int
-	// cum holds NumRows normalized cumulative rows of length arity each.
-	cum []float64
+	// rows holds one row per parent configuration.
+	rows cumTable
 }
 
 // NewSampler compiles the network into a forward sampler. Rows are
@@ -39,11 +39,10 @@ func (n *Network) NewSampler() *Sampler {
 		node := samplerNode{
 			parents:    n.Parents[i],
 			parentCard: cpt.ParentCard,
-			arity:      cpt.Arity,
-			cum:        make([]float64, len(cpt.Rows)*cpt.Arity),
+			rows:       newCumTable(cpt.Arity, len(cpt.Rows)),
 		}
 		for j, row := range cpt.Rows {
-			buildCumRow(node.cum[j*cpt.Arity:(j+1)*cpt.Arity], row)
+			node.rows.setRow(j, row)
 		}
 		s.nodes[i] = node
 	}
@@ -62,13 +61,103 @@ func (s *Sampler) SampleInto(rng *rand.Rand, buf []int) []int {
 		for k, p := range nd.parents {
 			j = j*nd.parentCard[k] + buf[p]
 		}
-		buf[i] = cumSample(rng, nd.cum[j*nd.arity:(j+1)*nd.arity])
+		buf[i] = nd.rows.sample(rng, j)
 	}
 	return buf[:len(s.nodes)]
 }
 
+// cumTable holds a node's sampling rows: normalized cumulative rows of
+// length arity, and a guide per row that lets a draw skip most of the
+// row's scan.
+//
+// A row's guide splits [0,1) into 2^bits equal buckets, at least two per
+// category. Entry j holds, shifted left by one, the first index k whose
+// cumulative value exceeds the bucket's start j/2^bits. A draw x in the
+// bucket is at least that start, so no index before k can be the first
+// whose value exceeds x, and the scan begins at k. The entry's low bit is
+// set when the value at k also reaches the bucket's end (j+1)/2^bits:
+// then k is the answer for every x in the bucket, and nothing is scanned.
+// Scaling x by 2^bits is exact, so a draw lands in its true bucket, and a
+// guided draw returns the index the plain scan from the row's first entry
+// returns, for every row and every x (TestCumTableMatchesScan).
+type cumTable struct {
+	arity int
+	bits  uint
+	scale float64 // 2^bits
+	cum   []float64
+	guide []uint32
+}
+
+// newCumTable returns a table of rows rows of the given arity, all zero
+// until setRow fills them.
+func newCumTable(arity, rows int) cumTable {
+	bits := uint(1)
+	for 1<<bits < 2*arity {
+		bits++
+	}
+	return cumTable{
+		arity: arity,
+		bits:  bits,
+		scale: float64(uint64(1) << bits),
+		cum:   make([]float64, rows*arity),
+		guide: make([]uint32, rows<<bits),
+	}
+}
+
+// row returns cumulative row r.
+func (t *cumTable) row(r int) []float64 { return t.cum[r*t.arity : (r+1)*t.arity] }
+
+// setRow fills row r, and its guide, from the probabilities p.
+func (t *cumTable) setRow(r int, p []float64) {
+	cum := t.row(r)
+	buildCumRow(cum, p)
+	guide := t.guide[r<<t.bits : (r+1)<<t.bits]
+	width := 1 / t.scale // a power of two, so every bucket edge is exact
+	k := 0
+	for j := range guide {
+		// The first index past the bucket's start never decreases from
+		// one bucket to the next, so the search resumes where it stopped.
+		start := float64(j) * width
+		for k < len(cum) && !(start < cum[k]) {
+			k++
+		}
+		e := uint32(k) << 1
+		if k < len(cum) && cum[k] >= float64(j+1)*width {
+			e |= 1
+		}
+		guide[j] = e
+	}
+}
+
+// index returns the first index of row r whose cumulative value exceeds
+// x, in [0,1), or -1 when none does.
+func (t *cumTable) index(r int, x float64) int {
+	e := t.guide[r<<t.bits+int(x*t.scale)]
+	k := int(e >> 1)
+	if e&1 != 0 {
+		return k
+	}
+	for row := t.row(r); k < len(row); k++ {
+		if x < row[k] {
+			return k
+		}
+	}
+	return -1
+}
+
+// sample draws an index from row r. A degenerate row — all zero, or with
+// cumulative mass below the drawn point from float drift — falls back to
+// a uniform draw over the categories instead of silently returning the
+// last one, which would bias generation toward high-index codes.
+func (t *cumTable) sample(rng *rand.Rand, r int) int {
+	if k := t.index(r, rng.Float64()); k >= 0 {
+		return k
+	}
+	return rng.Intn(t.arity)
+}
+
 // buildCumRow fills cum with the normalized cumulative distribution of
-// row. All-zero rows are left all-zero; cumSample treats those (and any
+// row. All-zero rows are left all-zero; sampling treats those (and any
 // residual drift past the final cumulative value) as a uniform draw.
 func buildCumRow(cum []float64, row []float64) {
 	total := 0.0
@@ -92,21 +181,6 @@ func buildCumRow(cum []float64, row []float64) {
 	}
 }
 
-// cumSample draws an index from a cumulative row. A degenerate row — all
-// zero, or with cumulative mass below the drawn point from float drift —
-// falls back to a uniform draw over the categories instead of silently
-// returning the last one, which would bias generation toward high-index
-// codes.
-func cumSample(rng *rand.Rand, cum []float64) int {
-	x := rng.Float64()
-	for k, c := range cum {
-		if x < c {
-			return k
-		}
-	}
-	return rng.Intn(len(cum))
-}
-
 // CondSampler is a compiled conditional sampler: it draws complete
 // assignments from the exact posterior P(X | evidence). The variable-
 // elimination work that conditioning requires runs ONCE at construction —
@@ -128,15 +202,13 @@ type CondSampler struct {
 }
 
 type condNode struct {
-	v     int
-	arity int
+	v int
 	// deps are the earlier unobserved variables φ_v depends on;
 	// rowStride[k] is deps[k]'s stride in the row index.
 	deps      []int
 	rowStride []int
-	// cum holds one normalized cumulative row of length arity per
-	// configuration of deps.
-	cum []float64
+	// rows holds one row per configuration of deps.
+	rows cumTable
 }
 
 // NewCondSampler compiles the network, conditioned on the evidence, into
@@ -194,7 +266,7 @@ func compileCondNode(v, arity int, phi *Factor) condNode {
 		phiStride[i] = st
 		st *= phi.Card[i]
 	}
-	nd := condNode{v: v, arity: arity}
+	nd := condNode{v: v}
 	rows := 1
 	for i, fv := range phi.Vars {
 		if i == vi {
@@ -215,7 +287,7 @@ func compileCondNode(v, arity int, phi *Factor) condNode {
 		st *= phi.Card[i]
 		k--
 	}
-	nd.cum = make([]float64, rows*arity)
+	nd.rows = newCumTable(arity, rows)
 	row := make([]float64, arity)
 	assign := make([]int, len(nd.deps))
 	for r := 0; r < rows; r++ {
@@ -238,7 +310,7 @@ func compileCondNode(v, arity int, phi *Factor) condNode {
 		for c := 0; c < arity; c++ {
 			row[c] = phi.Values[base+c*phiStride[vi]]
 		}
-		buildCumRow(nd.cum[r*arity:(r+1)*arity], row)
+		nd.rows.setRow(r, row)
 	}
 	return nd
 }
@@ -261,7 +333,7 @@ func (cs *CondSampler) SampleInto(rng *rand.Rand, buf []int) []int {
 		for k, d := range nd.deps {
 			r += buf[d] * nd.rowStride[k]
 		}
-		buf[nd.v] = cumSample(rng, nd.cum[r*nd.arity:(r+1)*nd.arity])
+		buf[nd.v] = nd.rows.sample(rng, r)
 	}
 	return buf[:cs.numVars]
 }

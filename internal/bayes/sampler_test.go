@@ -56,6 +56,76 @@ func TestSamplerMatchesNetworkSample(t *testing.T) {
 	}
 }
 
+// TestCumTableMatchesScan pins the guided lookup to the plain scan it
+// shortens: for every row, at every bucket edge of its guide, one float
+// step to either side of it, every cumulative value and its neighbours,
+// and random points, cumTable.index returns what cumIndex returns. The
+// rows include categories far narrower than a bucket, cumulative values
+// that fall exactly on bucket edges, all-zero rows, rows whose total
+// overflows to +Inf (one of them normalizing to NaN), and single
+// categories.
+func TestCumTableMatchesScan(t *testing.T) {
+	rows := [][]float64{
+		{1},
+		{0},
+		{0.25, 0.75},
+		{0.5, 0.25, 0.125, 0.125},
+		{0.6, 0.3, 0.1},
+		{0.25, 0.25},
+		{0, 0, 0},
+		{0, 1, 0, 0, 0},
+		{1e-9, 1 - 2e-9, 1e-9},
+		{math.MaxFloat64, math.MaxFloat64, 1},
+		{1, math.Inf(1), 1},
+		{0.00247, 0.00247, 0.00247, 0.00247, 0.0707, 0.0351, 0.0331, 0.0311, 0.0262, 0.646, 0.00148, 0.00148},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 20; n++ {
+		row := make([]float64, 1+rng.Intn(40))
+		for k := range row {
+			if rng.Intn(3) > 0 {
+				row[k] = rng.ExpFloat64()
+			}
+		}
+		rows = append(rows, row)
+	}
+	for ri, p := range rows {
+		tab := newCumTable(len(p), 2)
+		tab.setRow(1, p)
+		cum := tab.row(1)
+		var xs []float64
+		for j := 0; j <= int(tab.scale); j++ {
+			edge := float64(j) / tab.scale
+			xs = append(xs, edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1))
+		}
+		for _, c := range cum {
+			xs = append(xs, c, math.Nextafter(c, 0), math.Nextafter(c, 1))
+		}
+		for n := 0; n < 2000; n++ {
+			xs = append(xs, rng.Float64())
+		}
+		for _, x := range xs {
+			if x < 0 || x >= 1 || math.IsNaN(x) {
+				continue
+			}
+			if got, want := tab.index(1, x), cumIndex(cum, x); got != want {
+				t.Fatalf("row %d %v at x=%v: guided index %d, scan %d", ri, p, x, got, want)
+			}
+		}
+	}
+}
+
+// cumIndex returns the first index whose cumulative value exceeds x, or
+// -1 when none does: the plain scan the guide shortens.
+func cumIndex(cum []float64, x float64) int {
+	for k, c := range cum {
+		if x < c {
+			return k
+		}
+	}
+	return -1
+}
+
 // TestSamplerMarginals checks the compiled sampler reproduces the
 // network's marginals empirically.
 func TestSamplerMarginals(t *testing.T) {
@@ -190,9 +260,9 @@ func TestCondSamplerAllObserved(t *testing.T) {
 func TestSampleRowDegenerateUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sampleRow := func(rng *rand.Rand, row []float64) int {
-		cum := make([]float64, len(row))
-		buildCumRow(cum, row)
-		return cumSample(rng, cum)
+		tab := newCumTable(len(row), 1)
+		tab.setRow(0, row)
+		return tab.sample(rng, 0)
 	}
 	const n = 40000
 	cases := []struct {

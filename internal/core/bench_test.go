@@ -265,3 +265,43 @@ func BenchmarkLoadMaxArity(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGenerateStream1M is the paper's scanning protocol (§5.5) in
+// process: 1M candidates from a model trained on 1K synthetic R1
+// addresses, the shape of eipbench's stream workload without its wire
+// and socket. It times the whole engine (draw, decode, dedup and merge)
+// at one worker and at GOMAXPROCS, and reports the attempts the merge
+// consumed per candidate, counted where every attempt meets the
+// exclusion check.
+func BenchmarkGenerateStream1M(b *testing.B) {
+	train, err := synth.Generate("R1", 1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := Build(train, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const count = 1_000_000
+	run := func(name string, workers int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			attempts, emitted := 0, 0
+			for i := 0; i < b.N; i++ {
+				opts := GenerateOptions{Count: count, Seed: int64(i + 1), Workers: workers}
+				err := m.generate(opts, false,
+					func(ip6.Addr) bool { attempts++; return false },
+					func(ip6.Addr) bool { emitted++; return true })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if emitted != b.N*count {
+				b.Fatalf("emitted %d candidates in %d runs, want %d each", emitted, b.N, count)
+			}
+			b.ReportMetric(float64(attempts)/float64(emitted), "attempts/cand")
+		})
+	}
+	run("workers=1", 1)
+	run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), 0)
+}

@@ -176,48 +176,69 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 	return nil
 }
 
-// pollStop reports whether generation should halt at this attempt.
-func (r *genRun) pollStop(attempts int) bool {
-	if r.stop == nil {
-		return false
+// pollEvery returns how many attempts pass between Stop polls: Stop is
+// polled before attempt a (counted from 1) is drawn when a is a multiple
+// of it.
+func (r *genRun) pollEvery() int {
+	if r.perAttemptStop {
+		return 1
 	}
-	if r.perAttemptStop || attempts%stopPollInterval == 0 {
-		return r.stop()
-	}
-	return false
+	return stopPollInterval
 }
 
+// genBlock is the most attempts the merge takes in one round. It is at
+// most genSubstreams, so a block draws from each substream at most once.
+const genBlock = 64
+
 // merge is the one consume loop every execution runs: attempt k takes
-// the next draw of substream k % genSubstreams from next, and dedup,
-// exclusion, the attempt budget and Stop all apply to that merged
-// sequence. This round-robin order is the canonical candidate order, so
-// any draw source that yields each substream's draws in sequence emits
-// the same candidates.
-func (r *genRun) merge(next func(s int) ip6.Addr) {
+// the next draw of substream k % genSubstreams, and dedup, exclusion,
+// the attempt budget and Stop all apply to that merged sequence. This
+// round-robin order is the canonical candidate order, so any draw source
+// that yields each substream's draws in sequence emits the same
+// candidates.
+//
+// The merge works in blocks. fill hands it the draws of attempts first,
+// first+1, … for the whole block. The block is clipped to the candidates
+// still wanted, to the attempts still allowed and to the next Stop poll,
+// which runs before the block is drawn. So the merge draws what a loop
+// taking one attempt at a time would draw, polls Stop before the same
+// attempts, and overdraws only when yield ends the run inside a block.
+// The block then resolves in order, each attempt with its own exclusion
+// check and Add.
+func (r *genRun) merge(fill func(block []ip6.Addr, first int)) {
 	seen := ip6.NewSet(setCapacity(r.count))
+	var buf [genBlock]ip6.Addr
+	every := r.pollEvery()
 	emitted, attempts := 0, 0
 	for emitted < r.count && attempts < r.maxAttempts {
-		s := attempts % genSubstreams
-		attempts++
-		if r.pollStop(attempts) {
-			return
-		}
-		a := next(s)
-		if r.excluded(a) {
-			continue
-		}
-		if seen.Add(a) {
-			emitted++
-			if !r.yield(a) {
+		n := min(genBlock, r.count-emitted, r.maxAttempts-attempts)
+		if r.stop != nil {
+			a := attempts + 1
+			if a%every == 0 && r.stop() {
 				return
+			}
+			n = min(n, every-a%every)
+		}
+		block := buf[:n]
+		fill(block, attempts)
+		for _, a := range block {
+			attempts++
+			if r.excluded(a) {
+				continue
+			}
+			if seen.Add(a) {
+				emitted++
+				if !r.yield(a) {
+					return
+				}
 			}
 		}
 	}
 }
 
 // runSequential is the single-goroutine execution: the merge draws each
-// candidate inline from its substream's rng. The substream sources live
-// in one array seeded in place, one allocation rather than one per
+// block inline from the substreams' rngs. The substream sources live in
+// one array seeded in place, one allocation rather than one per
 // substream; each draws exactly what stats.Split(seed, i) would.
 func (r *genRun) runSequential() {
 	var srcs [genSubstreams]stats.Source
@@ -229,7 +250,11 @@ func (r *genRun) runSequential() {
 	// The sampler overwrites every code of buf on each draw, so the
 	// substreams can share one buffer.
 	buf := make([]int, r.bufLen)
-	r.merge(func(s int) ip6.Addr { return r.draw(rngs[s], buf) })
+	r.merge(func(block []ip6.Addr, first int) {
+		for i := range block {
+			block[i] = r.draw(rngs[(first+i)%genSubstreams], buf)
+		}
+	})
 }
 
 // batchSize picks how many draws producers hand over at once: large
@@ -263,14 +288,16 @@ func (r *genRun) runParallel() {
 	}
 	var cur [genSubstreams][]ip6.Addr
 	var idx [genSubstreams]int
-	r.merge(func(s int) ip6.Addr {
-		if idx[s] == len(cur[s]) {
-			cur[s] = <-chans[s]
-			idx[s] = 0
+	r.merge(func(block []ip6.Addr, first int) {
+		for i := range block {
+			s := (first + i) % genSubstreams
+			if idx[s] == len(cur[s]) {
+				cur[s] = <-chans[s]
+				idx[s] = 0
+			}
+			block[i] = cur[s][idx[s]]
+			idx[s]++
 		}
-		a := cur[s][idx[s]]
-		idx[s]++
-		return a
 	})
 }
 
