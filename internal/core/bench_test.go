@@ -272,7 +272,10 @@ func BenchmarkLoadMaxArity(b *testing.B) {
 // and socket. It times the whole engine (draw, decode, dedup and merge)
 // at one worker and at GOMAXPROCS, and reports the attempts the merge
 // consumed per candidate, counted where every attempt meets the
-// exclusion check.
+// exclusion check. The workers=2,procs=1 case runs the parallel path
+// with GOMAXPROCS pinned to 1, so its producers and merge share one
+// core: its gap to workers=1 is what the parallel path's batches and
+// channels cost, apart from any cost of running across cores.
 func BenchmarkGenerateStream1M(b *testing.B) {
 	train, err := synth.Generate("R1", 1000, 1)
 	if err != nil {
@@ -283,8 +286,11 @@ func BenchmarkGenerateStream1M(b *testing.B) {
 		b.Fatal(err)
 	}
 	const count = 1_000_000
-	run := func(name string, workers int) {
+	run := func(name string, workers, procs int) {
 		b.Run(name, func(b *testing.B) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
 			b.ReportAllocs()
 			attempts, emitted := 0, 0
 			for i := 0; i < b.N; i++ {
@@ -302,6 +308,7 @@ func BenchmarkGenerateStream1M(b *testing.B) {
 			b.ReportMetric(float64(attempts)/float64(emitted), "attempts/cand")
 		})
 	}
-	run("workers=1", 1)
-	run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), 0)
+	run("workers=1", 1, 0)
+	run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), 0, 0)
+	run("workers=2,procs=1", 2, 1)
 }

@@ -196,7 +196,7 @@ func NewWindowedWorkers(addrs []ip6.Addr, workers int) Windowed {
 	for i, a := range addrs {
 		nybs[i] = a.Nybbles()
 	}
-	parallel.ForEach(workers, ip6.NybbleCount, func(pos int) {
+	parallel.ForEach(workers, ip6.NybbleCount, func(_, pos int) {
 		maxLen := ip6.NybbleCount - pos
 		w[pos] = make([]float64, maxLen)
 		for length := 1; length <= maxLen; length++ {

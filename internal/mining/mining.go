@@ -501,14 +501,21 @@ func rangeEps(seg segment.Segment) float64 {
 // including its weighted-DBSCAN passes — so they run concurrently,
 // dispatched dynamically because per-segment cost is skewed (wide
 // high-entropy segments dominate). Each result lands at its segment's
-// index, so the output is identical for any worker count.
+// index, so the output is identical for any worker count. Each worker
+// fills one column of segment values, reused for every segment it mines
+// and freed with the call (Mine keeps no reference to its input).
 func MineAllWorkers(addrs []ip6.Addr, sg *segment.Segmentation, cfg Config, workers int) []*SegmentModel {
 	out := make([]*SegmentModel, len(sg.Segments))
-	parallel.ForEach(workers, len(sg.Segments), func(si int) {
+	cols := make([][]uint64, parallel.Workers(workers))
+	parallel.ForEach(workers, len(sg.Segments), func(worker, si int) {
+		if cols[worker] == nil {
+			cols[worker] = make([]uint64, len(addrs))
+		}
+		values := cols[worker]
 		seg := sg.Segments[si]
-		values := make([]uint64, len(addrs))
+		pl := newPlacement(seg)
 		for i, a := range addrs {
-			values[i] = seg.Value(a)
+			values[i] = pl.extract(a.Uint64s())
 		}
 		out[si] = Mine(seg, values, cfg)
 	})

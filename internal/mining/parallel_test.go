@@ -9,6 +9,7 @@ import (
 	"entropyip/internal/ip6"
 	"entropyip/internal/segment"
 	"entropyip/internal/stats"
+	"entropyip/internal/synth"
 )
 
 // miningPopulation synthesizes addresses with popular exact values, dense
@@ -33,15 +34,34 @@ func miningPopulation(n int, seed int64) []ip6.Addr {
 	return addrs
 }
 
+// TestMineAllWorkersEquivalent checks that mining through each worker's
+// reused column gives, at every worker count, the models Mine gives on a
+// freshly extracted column per segment. The synthetic populations have
+// segments from one nybble to 64 bits wide.
 func TestMineAllWorkersEquivalent(t *testing.T) {
-	addrs := miningPopulation(4000, 1)
-	profile := entropy.NewProfileWorkers(addrs, 1)
-	sg := segment.Segments(profile, segment.Config{})
-	want := MineAllWorkers(addrs, sg, Config{}, 1)
-	for _, workers := range []int{2, 5, 0} {
-		got := MineAllWorkers(addrs, sg, Config{}, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: mined models differ from sequential mining", workers)
+	names := []string{"mining", "S1", "R1", "C1"}
+	populations := [][]ip6.Addr{miningPopulation(4000, 1)}
+	for _, name := range names[1:] {
+		addrs, err := synth.Generate(name, 10_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		populations = append(populations, addrs)
+	}
+	for p, addrs := range populations {
+		sg := segment.Segments(entropy.NewProfileWorkers(addrs, 1), segment.Config{})
+		want := make([]*SegmentModel, len(sg.Segments))
+		for i, s := range sg.Segments {
+			values := make([]uint64, len(addrs))
+			for j, a := range addrs {
+				values[j] = s.Value(a)
+			}
+			want[i] = Mine(s, values, Config{})
+		}
+		for _, workers := range []int{1, 2, 5, 8, 0} {
+			if got := MineAllWorkers(addrs, sg, Config{}, workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, workers=%d: models differ from Mine on fresh columns", names[p], workers)
+			}
 		}
 	}
 }

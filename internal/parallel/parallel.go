@@ -65,13 +65,16 @@ func Shards(n, workers int) []Shard {
 	return out
 }
 
-// ForEach invokes fn(i) for every i in [0, n), running at most `workers`
-// invocations concurrently. Indices are dispatched dynamically in
-// ascending order, which balances skewed per-index costs (e.g. windowed
-// entropy positions, segments of very different arity). fn must be safe
-// for concurrent invocation with distinct indices. With workers resolved
-// to 1 (or n <= 1) everything runs on the calling goroutine.
-func ForEach(workers, n int, fn func(i int)) {
+// ForEach invokes fn(worker, i) for every i in [0, n), running at most
+// `workers` invocations concurrently. Indices are dispatched dynamically
+// in ascending order, which balances skewed per-index costs (e.g.
+// windowed entropy positions, segments of very different arity). worker
+// numbers the goroutine running the call, in [0, Workers(workers)): calls
+// with the same worker never overlap, so fn may keep per-worker scratch
+// in a slice indexed by it. fn must be safe for concurrent invocation with distinct
+// indices. With workers resolved to 1 (or n <= 1) everything runs on the
+// calling goroutine as worker 0.
+func ForEach(workers, n int, fn func(worker, i int)) {
 	w := Workers(workers)
 	if w > n {
 		w = n
@@ -82,7 +85,7 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -97,7 +100,7 @@ func ForEach(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(k, i)
 			}
 		}()
 	}

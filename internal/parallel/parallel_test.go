@@ -63,7 +63,16 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 1000
 		var hits = make([]atomic.Int32, n)
-		ForEach(workers, n, func(i int) { hits[i].Add(1) })
+		// busy[k] counts the calls running as worker k, which must never
+		// overlap.
+		busy := make([]atomic.Int32, min(workers, n))
+		ForEach(workers, n, func(worker, i int) {
+			if busy[worker].Add(1) != 1 {
+				t.Errorf("workers=%d: two calls overlap as worker %d", workers, worker)
+			}
+			hits[i].Add(1)
+			busy[worker].Add(-1)
+		})
 		for i := range hits {
 			if hits[i].Load() != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, hits[i].Load())

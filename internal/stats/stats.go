@@ -25,8 +25,20 @@ type Freq struct {
 }
 
 // FreqOf builds a frequency table from the given observations, leaving
-// values unchanged: it sorts a copy with SortByKey and counts the runs.
+// values unchanged. When the OR of the values (a bound on the largest)
+// is below 2^16 and below len(values), it counts them in a dense
+// histogram of bound+1 slots and reads the nonzero slots off in order;
+// the guard keeps a short input from scanning a histogram much larger
+// than itself. Otherwise it sorts a copy with SortByKey and counts the
+// runs. Both paths build the same table.
 func FreqOf(values []uint64) *Freq {
+	var bound uint64
+	for _, v := range values {
+		bound |= v
+	}
+	if bound < 1<<16 && bound < uint64(len(values)) && uint64(len(values)) <= math.MaxUint32 {
+		return freqDense(values, bound)
+	}
 	sorted := slices.Clone(values)
 	SortByKey[struct{}](sorted, nil, nil, nil)
 	distinct := 0
@@ -43,6 +55,30 @@ func FreqOf(values []uint64) *Freq {
 		}
 		f.entries = append(f.entries, Entry{Value: sorted[i], Count: j - i})
 		i = j
+	}
+	return f
+}
+
+// freqDense is FreqOf over values that are all at most bound: a count
+// per slot, then one ascending pass that sizes the table and one that
+// fills it. A uint32 count holds any slot because FreqOf caps
+// len(values) at MaxUint32.
+func freqDense(values []uint64, bound uint64) *Freq {
+	hist := make([]uint32, bound+1)
+	for _, v := range values {
+		hist[v]++
+	}
+	distinct := 0
+	for _, c := range hist {
+		if c != 0 {
+			distinct++
+		}
+	}
+	f := &Freq{entries: make([]Entry, 0, distinct), total: len(values)}
+	for v, c := range hist {
+		if c != 0 {
+			f.entries = append(f.entries, Entry{Value: uint64(v), Count: int(c)})
+		}
 	}
 	return f
 }

@@ -207,6 +207,47 @@ func TestFreqOfMatchesSort(t *testing.T) {
 	}
 }
 
+// TestFreqOfDenseEdges checks FreqOf at the edges of its dense-histogram
+// guard: the largest value just inside and just outside 16 bits, the
+// bound (the OR of the values) one below, equal to and one above
+// len(values), and inputs whose histogram has one occupied slot.
+func TestFreqOfDenseEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	// spread returns n values below max with max itself among them.
+	spread := func(n int, max uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(rng.Int63n(int64(max)))
+		}
+		out[rng.Intn(n)] = max
+		return out
+	}
+	checkFreqOf(t, "largest 2^16-1", spread(100_000, 1<<16-1))
+	checkFreqOf(t, "largest 2^16", spread(100_000, 1<<16))
+	// onlyBound returns n values made of bound's bits, bound among them,
+	// so that their OR is exactly bound.
+	onlyBound := func(n int, bound uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(rng.Int63n(int64(bound)+1)) & bound
+		}
+		out[0] = bound
+		return out
+	}
+	checkFreqOf(t, "bound = len", onlyBound(1000, 1000))
+	checkFreqOf(t, "bound = len-1", onlyBound(1001, 1000))
+	checkFreqOf(t, "bound = len+1", onlyBound(999, 1000))
+	for _, n := range []int{1, 2, 1000} {
+		checkFreqOf(t, fmt.Sprintf("%d zeros", n), make([]uint64, n))
+		// n-1 fills the last slot of an n-slot histogram.
+		same := make([]uint64, n)
+		for i := range same {
+			same[i] = uint64(n - 1)
+		}
+		checkFreqOf(t, fmt.Sprintf("%d of one value", n), same)
+	}
+}
+
 // FuzzFreqOf reads values as 8-byte little-endian words masked to the
 // width the first byte picks, and checks FreqOf against the reference.
 func FuzzFreqOf(f *testing.F) {
@@ -241,6 +282,24 @@ func BenchmarkFreqOf100k(b *testing.B) {
 	values := make([]uint64, 100_000)
 	for i := range values {
 		values[i] = distinct[rng.Intn(len(distinct))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		freqSink = FreqOf(values)
+	}
+}
+
+// BenchmarkFreqOf100kNarrow builds the table of 100k values below 2^16
+// drawn from 40k distinct ones, the shape of a 16-bit segment of a
+// 100k-address training set (S1's segment E holds about 46k distinct
+// values), which FreqOf counts in a dense histogram.
+func BenchmarkFreqOf100kNarrow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	distinct := rng.Perm(1 << 16)[:40_000]
+	values := make([]uint64, 100_000)
+	for i := range values {
+		values[i] = uint64(distinct[rng.Intn(len(distinct))])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -49,7 +49,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
          MetricsHotPath SpanHotPath TraceparentParse DriftScore16k DriftWindow16k
          NewCondSampler Posteriors
-         SetDedup SetContains FreqOf100k ClusterHist4096 Read100k
+         SetDedup SetContains FreqOf100k FreqOf100kNarrow ClusterHist4096 Read100k
          ParseLineBytes LoadMaxArity/4x8nybbles LoadMaxArity/1x3nybbles)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
