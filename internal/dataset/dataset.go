@@ -47,30 +47,55 @@ const MaxLineBytes = 1 << 20
 // Read parses addresses from r, one per line, in one sequential pass.
 // Lines are read as ParseLineBytes defines them: blank and '#' lines are
 // skipped, and any form accepted by ip6.ParseAddr is allowed, including
-// the fixed-width 32-hex-character form. Duplicates are removed. The
-// first malformed line fails the read with its line number. Each line is
-// parsed in the scanner's reused buffer, so steady state allocates only
-// for the collected addresses.
+// the fixed-width 32-hex-character form. Duplicates are removed, keeping
+// first-occurrence order. The first malformed line fails the read with
+// its line number. Each line is parsed in the scanner's reused buffer
+// into fixed-size chunks, which are never copied to grow; once the count
+// is known, one pass moves the chunks through a set and an output sized
+// for it.
 func Read(name string, r io.Reader) (*Dataset, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
-	var addrs []ip6.Addr
-	lineNo := 0
+	var chunks [][]ip6.Addr
+	var cur []ip6.Addr
+	n, lineNo := 0, 0
 	for scanner.Scan() {
 		lineNo++
 		a, ok, err := ParseLineBytes(scanner.Bytes())
 		if err != nil {
 			return nil, fmt.Errorf("dataset %s: line %d: %w", name, lineNo, err)
 		}
-		if ok {
-			addrs = append(addrs, a)
+		if !ok {
+			continue
 		}
+		if len(cur) == cap(cur) {
+			if cur != nil {
+				chunks = append(chunks, cur)
+			}
+			cur = make([]ip6.Addr, 0, readChunk)
+		}
+		cur = append(cur, a)
+		n++
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, fmt.Errorf("dataset %s: %w", name, err)
 	}
-	return New(name, addrs), nil
+	chunks = append(chunks, cur)
+	seen := ip6.NewSet(n)
+	addrs := make([]ip6.Addr, 0, n)
+	for i, c := range chunks {
+		for _, a := range c {
+			if seen.Add(a) {
+				addrs = append(addrs, a)
+			}
+		}
+		chunks[i] = nil // let the collector have it back
+	}
+	return &Dataset{Name: name, Addrs: addrs}, nil
 }
+
+// readChunk is the number of addresses in each of Read's chunks (64 KiB).
+const readChunk = 4096
 
 // ReadWorkers is Read. The worker count is ignored: reading is sequential.
 // It remains for callers that still pass one.
@@ -80,7 +105,7 @@ func ReadWorkers(name string, r io.Reader, workers int) (*Dataset, error) {
 
 // ParseLineBytes normalizes and parses one line of an address file:
 // whitespace is trimmed, trailing comments and /len prefix notation are
-// dropped, and the remainder is parsed with ip6.ParseAddrBytes. ok is
+// dropped, and the remainder is parsed as ip6.ParseAddrBytes does. ok is
 // false for blank and comment ('#') lines. It is the single line-format
 // definition shared by Read, streaming ingest (tail mode) and the
 // /observe handler; it does not allocate and does not retain raw, so
@@ -91,16 +116,9 @@ func ParseLineBytes(raw []byte) (a ip6.Addr, ok bool, err error) {
 		return ip6.Addr{}, false, nil
 	}
 	// The address ends at the first space or tab (a trailing comment) or
-	// '/' (prefix notation; the length is ignored). All three sort at or
-	// below '/', below every hex digit and ':', so most bytes cost one
-	// comparison.
-	for i, c := range line {
-		if c <= '/' && (c == ' ' || c == '\t' || c == '/') {
-			line = line[:i]
-			break
-		}
-	}
-	a, err = ip6.ParseAddrBytes(line)
+	// '/' (prefix notation; the length is ignored), where the parser's
+	// own walk stops.
+	a, err = ip6.ParseAddrField(line)
 	if err != nil {
 		return ip6.Addr{}, false, err
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"net/netip"
 	"strings"
 	"testing"
@@ -8,11 +9,53 @@ import (
 	"entropyip/internal/ip6"
 )
 
-// FuzzParseLineBytes pins two identities on the line parser: every parsed
-// address survives a format→parse round trip through the append APIs, and
-// net/netip agrees on the colon-form tokens. The seeds under
-// testdata/fuzz/FuzzParseLineBytes run on every plain `go test`; CI adds
-// a short coverage-guided run.
+// parseLineCut is the line format as two steps: trim, skip blank and
+// comment lines, cut at the first space, tab or '/', then parse what is
+// left with the strict ip6.ParseAddrBytes. ParseLineBytes ends the
+// address inside the parser's walk instead, and must agree with it on
+// every line.
+func parseLineCut(raw []byte) (ip6.Addr, bool, error) {
+	line := bytes.TrimSpace(raw)
+	if len(line) == 0 || line[0] == '#' {
+		return ip6.Addr{}, false, nil
+	}
+	if i := bytes.IndexAny(line, " \t/"); i >= 0 {
+		line = line[:i]
+	}
+	a, err := ip6.ParseAddrBytes(line)
+	if err != nil {
+		return ip6.Addr{}, false, err
+	}
+	return a, true, nil
+}
+
+// fieldEdges are lines where the address ends right after a byte whose
+// handling depends on what follows it: a colon, "::", an embedded IPv4
+// octet and the 32nd hex digit, each followed by a space or a '/'.
+var fieldEdges = []struct {
+	in string
+	ok bool
+}{
+	{"0::0: 0", false},
+	{"2001:db8::1:/64", false},
+	{"::ffff:192.0.2.1 # c", true},
+	{"::ffff:192.0.2.1/96", true},
+	{"::ffff:192.0.2. 1", false},
+	{"20010db8000000000000000000000001/128", true},
+	{"20010db800000000000000000000000 1", false},
+	{"20010db80000000000000000000000011/128", false},
+	{"2001:: #c", true},
+	{"::/0", true},
+	{":: x", true},
+	{"1:2:3:4:5:6:7:8:: x", false},
+}
+
+// FuzzParseLineBytes pins three identities on the line parser: it agrees
+// with parseLineCut (same address, same ok, an error in the same cases),
+// every parsed address survives a format→parse round trip through the
+// append APIs, and net/netip agrees on the colon-form tokens. The seeds
+// under testdata/fuzz/FuzzParseLineBytes run on every plain `go test`;
+// CI adds a short coverage-guided run.
 func FuzzParseLineBytes(f *testing.F) {
 	for _, seed := range []string{
 		"", "# comment", "   ", "2001:db8::1", "  2001:db8::1  ",
@@ -22,10 +65,18 @@ func FuzzParseLineBytes(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, e := range fieldEdges {
+		f.Add([]byte(e.in))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		a, ok, err := ParseLineBytes(raw)
 		if (err != nil) && ok {
 			t.Fatalf("ParseLineBytes(%q) reported ok alongside error %v", raw, err)
+		}
+		ca, cok, cerr := parseLineCut(raw)
+		if a != ca || ok != cok || (err != nil) != (cerr != nil) {
+			t.Fatalf("ParseLineBytes(%q) = (%v, %v, %v), cut then parse gives (%v, %v, %v)",
+				raw, a, ok, err, ca, cok, cerr)
 		}
 		if !ok {
 			return
@@ -117,6 +168,14 @@ func TestParseLineBytesMatchesOldSemantics(t *testing.T) {
 		}
 		if ok && a != want {
 			t.Fatalf("ParseLineBytes(%q) = %v, want %v", c.in, a, want)
+		}
+	}
+	for _, e := range fieldEdges {
+		a, ok, err := ParseLineBytes([]byte(e.in))
+		ca, cok, cerr := parseLineCut([]byte(e.in))
+		if ok != e.ok || (err != nil) == e.ok || a != ca || ok != cok || (err != nil) != (cerr != nil) {
+			t.Fatalf("ParseLineBytes(%q) = (%v, %v, %v), want ok %v; cut then parse gives (%v, %v, %v)",
+				e.in, a, ok, err, e.ok, ca, cok, cerr)
 		}
 	}
 }

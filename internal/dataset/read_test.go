@@ -34,31 +34,61 @@ func bigInput(lines int) string {
 	return sb.String()
 }
 
+// chunkInput returns a file body of n address lines, with a comment
+// every 1,000 lines. The addresses are distinct except that the first of
+// the second chunk repeats the last of the first, and the last line
+// repeats the first; at n = readChunk+1 the last line is the one address
+// in the second chunk.
+func chunkInput(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		if i%1000 == 0 {
+			sb.WriteString("# block\n")
+		}
+		v := i
+		switch {
+		case i == n-1:
+			v = 0
+		case i == readChunk:
+			v = readChunk - 1
+		}
+		fmt.Fprintf(&sb, "2001:db8:%x::%x\n", v%7, v)
+	}
+	return sb.String()
+}
+
 // TestReadMatchesLineParse asserts Read is a per-line ParseLineBytes
-// followed by ip6.Dedup: same addresses, same order, same dedup.
+// followed by ip6.Dedup: same addresses, same order, same dedup. The
+// inputs hold every line shape, and address counts at Read's chunk
+// boundary.
 func TestReadMatchesLineParse(t *testing.T) {
-	input := bigInput(20_000)
-	var want []ip6.Addr
-	for _, line := range strings.Split(input, "\n") {
-		a, ok, err := ParseLineBytes([]byte(line))
+	inputs := map[string]string{"big": bigInput(20_000)}
+	for _, n := range []int{readChunk - 1, readChunk, readChunk + 1, 2*readChunk + 1} {
+		inputs[fmt.Sprintf("%d addresses", n)] = chunkInput(n)
+	}
+	for name, input := range inputs {
+		var want []ip6.Addr
+		for _, line := range strings.Split(input, "\n") {
+			a, ok, err := ParseLineBytes([]byte(line))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				want = append(want, a)
+			}
+		}
+		want = ip6.Dedup(want)
+		got, err := Read(name, strings.NewReader(input))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
-			want = append(want, a)
+		if got.Len() != len(want) {
+			t.Fatalf("%s: %d addresses, want %d", name, got.Len(), len(want))
 		}
-	}
-	want = ip6.Dedup(want)
-	got, err := Read("big", strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != len(want) {
-		t.Fatalf("%d addresses, want %d", got.Len(), len(want))
-	}
-	for i := range want {
-		if got.Addrs[i] != want[i] {
-			t.Fatalf("address %d = %v, want %v", i, got.Addrs[i], want[i])
+		for i := range want {
+			if got.Addrs[i] != want[i] {
+				t.Fatalf("%s: address %d = %v, want %v", name, i, got.Addrs[i], want[i])
+			}
 		}
 	}
 }

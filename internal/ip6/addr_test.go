@@ -71,6 +71,9 @@ func TestParseAddrRejectsMalformed(t *testing.T) {
 		"1:2:3:4:5:6:7:1.2.3.4",
 		"1.2.3.4",
 		"::1::",
+		// A space or '/' ends an address only for ParseAddrField.
+		"2001:db8::1 ",
+		"2001:db8::1/64",
 	}
 	for _, s := range bad {
 		if a, err := ParseAddr(s); err == nil {

@@ -10,7 +10,7 @@ import (
 // embedded dotted-quad IPv4 address in the low 32 bits. It also accepts the
 // fixed-width 32-character hexadecimal form (no colons) used by the paper.
 func ParseAddr(s string) (Addr, error) {
-	return parseAddr(s)
+	return parseAddr(s, false)
 }
 
 // ParseAddrBytes is ParseAddr over a byte slice. It never converts the
@@ -18,16 +18,28 @@ func ParseAddr(s string) (Addr, error) {
 // copy it), so line-oriented readers can parse bufio slices directly. The
 // input is not retained.
 func ParseAddrBytes(b []byte) (Addr, error) {
-	return parseAddr(b)
+	return parseAddr(b, false)
 }
 
-// parseAddr is the parser shared by ParseAddr and ParseAddrBytes: one
-// implementation, generic over the input's byte representation, so the
-// string and byte-slice entry points cannot drift apart and neither pays a
+// ParseAddrField is ParseAddrBytes on the address at the start of b,
+// which ends at the first space, tab or '/' or else at the end of b:
+// what follows (a comment, a prefix length) is not read. It is
+// ParseAddrBytes of b cut at that byte, in one walk instead of a scan
+// for the cut and a parse of what is left.
+func ParseAddrField(b []byte) (Addr, error) {
+	return parseAddr(b, true)
+}
+
+// parseAddr is the parser shared by ParseAddr, ParseAddrBytes and
+// ParseAddrField: one implementation, generic over the input's byte
+// representation, so the entry points cannot drift apart and none pays a
 // conversion copy. It walks the input once, writing each group straight
 // into the result; "::" is expanded at the end by moving the groups after
-// it to the tail.
-func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
+// it to the tail. With field set, a space, tab or '/' where a group or
+// "::" has just ended ends the walk; anywhere else, such as right after
+// a single colon, it is an invalid character, as in the cut input. Error
+// messages quote the whole input.
+func parseAddr[T ~string | ~[]byte](s T, field bool) (Addr, error) {
 	var a Addr
 	if len(s) == 0 {
 		return a, fmt.Errorf("ip6: empty address")
@@ -56,7 +68,7 @@ func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
 				if n == 0 && ellipsis < 0 {
 					// Five hex digits before any colon: only the
 					// fixed-width form can still match.
-					return parseHex(s)
+					return parseHex(s, field)
 				}
 				return a, fmt.Errorf("ip6: %q: group at offset %d has more than 4 hex digits", s, start)
 			}
@@ -67,7 +79,11 @@ func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
 			if n > 6 || (ellipsis < 0 && n != 6) {
 				return a, fmt.Errorf("ip6: %q: embedded IPv4 must fill the last 32 bits", s)
 			}
-			v4, err := parseIPv4(s[start:])
+			end := len(s)
+			if field {
+				end = fieldEnd(s, i)
+			}
+			v4, err := parseIPv4(s[start:end])
 			if err != nil {
 				return a, fmt.Errorf("ip6: %q: %v", s, err)
 			}
@@ -76,6 +92,9 @@ func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
 			break
 		}
 		if i == start {
+			if field && n == ellipsis && endsField(s[i]) {
+				break // the field ends right after "::"
+			}
 			return a, fmt.Errorf("ip6: %q: invalid character %q", s, s[i])
 		}
 		a[2*n], a[2*n+1] = byte(g>>8), byte(g)
@@ -84,6 +103,9 @@ func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
 			break
 		}
 		if s[i] != ':' {
+			if field && endsField(s[i]) {
+				break
+			}
 			return a, fmt.Errorf("ip6: %q: invalid character %q", s, s[i])
 		}
 		i++
@@ -110,6 +132,22 @@ func parseAddr[T ~string | ~[]byte](s T) (Addr, error) {
 		clear(a[2*ellipsis : 16-tail])
 	}
 	return a, nil
+}
+
+// endsField reports whether c ends an address field: a space or tab
+// before a trailing comment, or the '/' of prefix notation. All three
+// sort at or below '/', below every hex digit and ':', so most bytes
+// cost one comparison.
+func endsField(c byte) bool {
+	return c <= '/' && (c == ' ' || c == '\t' || c == '/')
+}
+
+// fieldEnd returns the index of the first byte of s at or after i that
+// ends an address field, or len(s).
+func fieldEnd[T ~string | ~[]byte](s T, i int) int {
+	for ; i < len(s) && !endsField(s[i]); i++ {
+	}
+	return i
 }
 
 // badHex marks the bytes that are not hexadecimal digits in unhex.
@@ -143,9 +181,13 @@ func MustParseAddr(s string) Addr {
 
 // parseHex parses the fixed-width 32-character hexadecimal form of an IPv6
 // address (no colons), as used in the paper's Fig. 3 and by the dataset
-// files in this repository. Shorter strings are rejected.
-func parseHex[T ~string | ~[]byte](s T) (Addr, error) {
+// files in this repository. Shorter strings are rejected. With field
+// set, a space, tab or '/' right after the 32 characters ends the input.
+func parseHex[T ~string | ~[]byte](s T, field bool) (Addr, error) {
 	var a Addr
+	if field && len(s) > NybbleCount && endsField(s[NybbleCount]) {
+		s = s[:NybbleCount]
+	}
 	if len(s) != NybbleCount {
 		return a, fmt.Errorf("ip6: fixed-width form must have %d hex characters, got %d", NybbleCount, len(s))
 	}

@@ -188,8 +188,9 @@ func TestCountsDuplicates(t *testing.T) {
 // TestNewMatchesPrefixOracle checks the sort-based counts against the
 // map-of-prefixes oracle on the shapes where an off-by-one in the LCP
 // histogram would show: no addresses, one, two, just under a power of
-// two, and all duplicates; and on the shapes that run every radix pass
-// of both halves or skip all but one.
+// two, and all duplicates; on the shapes that run every radix pass of
+// both halves or skip all but one; and on runs of equal high halves at
+// both sides of the cutoff between the two ways New sorts a run.
 func TestNewMatchesPrefixOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	random := func(n int) []ip6.Addr {
@@ -237,6 +238,25 @@ func TestNewMatchesPrefixOracle(t *testing.T) {
 		// Only the top digit of hi differs.
 		"hi top byte": vary(1000, dup, true, 56),
 	}
+	// runs returns, for each length, a run of that many addresses under
+	// one fresh /64, with low halves drawn from lows values (so a small
+	// lows repeats addresses inside a run), shuffled so the sort has to
+	// gather each run.
+	runs := func(lows uint64, lengths ...int) []ip6.Addr {
+		var out []ip6.Addr
+		for _, n := range lengths {
+			hi := rng.Uint64()
+			for i := 0; i < n; i++ {
+				out = append(out, ip6.AddrFromUint64s(hi, rng.Uint64()%lows))
+			}
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	cases["one /64"] = runs(1<<63, 5000)
+	cases["one /64 with repeats"] = runs(300, 5000)
+	cases["run lengths"] = runs(1<<63, 1, 2, shortRun, shortRun+1, 1, 2, shortRun, shortRun+1)
+	cases["run lengths with repeats"] = runs(20, 1, 2, 3, shortRun, shortRun+1)
 	for name, addrs := range cases {
 		want := distinctPrefixCounts(addrs)
 		if got := New(addrs); got.N != len(addrs) || got.Counts != want {
@@ -253,6 +273,42 @@ func BenchmarkACR100k(b *testing.B) {
 	addrs := make([]ip6.Addr, 100_000)
 	for i := range addrs {
 		addrs[i] = ip6.AddrFromUint64s(0x20010db8<<32|rng.Uint64()&0xffff, rng.Uint64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = New(addrs)
+	}
+}
+
+// BenchmarkACR100kOne64 times 100k random interface identifiers in one
+// /64: a single run of equal high halves, sorted by its low halves.
+func BenchmarkACR100kOne64(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]ip6.Addr, 100_000)
+	for i := range addrs {
+		addrs[i] = ip6.AddrFromUint64s(0x20010db8<<32|0x1234, rng.Uint64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = New(addrs)
+	}
+}
+
+// BenchmarkACR100kRuns times 100k addresses spread over 1,000 /64s,
+// about 100 random interface identifiers in each: a thousand runs of
+// equal high halves, each a little above shortRun, so each is a radix
+// sort that skips no digit. It is the slowest shape of the three.
+func BenchmarkACR100kRuns(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	nets := make([]uint64, 1000)
+	for i := range nets {
+		nets[i] = 0x20010db8<<32 | rng.Uint64()&0xffffffff
+	}
+	addrs := make([]ip6.Addr, 100_000)
+	for i := range addrs {
+		addrs[i] = ip6.AddrFromUint64s(nets[rng.Intn(len(nets))], rng.Uint64())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -42,7 +42,7 @@ ALLOC_THRESHOLD="${BENCH_GATE_ALLOC_THRESHOLD:-1.30}"
 # a name exactly, so a top-level name never picks up its sub-benchmarks;
 # a sub-benchmark is gated only when listed by its full name, as the
 # LoadMaxArity shapes are.
-BENCHES=(NewProfile10k NewProfile100k ACR100k
+BENCHES=(NewProfile10k NewProfile100k ACR100k ACR100kOne64 ACR100kRuns
          MineAll100k Learn10k Learn100k Build10k Build100k
          Generate1K Generate10k Generate100k Encode100k EncodeDistinct100k
          Decode100k ParseFormat
