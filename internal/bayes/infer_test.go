@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -243,18 +244,27 @@ func TestSampleConditionalRespectsEvidence(t *testing.T) {
 	}
 }
 
+// TestSampleConditionalNoEvidenceMatchesForward pins that conditioning
+// on nothing draws the forward sampler's exact sequence, and that the
+// sequence has the network's marginal.
 func TestSampleConditionalNoEvidenceMatchesForward(t *testing.T) {
 	net := sprinklerNetwork()
-	rng := rand.New(rand.NewSource(2))
 	cs, err := net.NewCondSampler(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]int, net.NumVars())
+	fwd := net.NewSampler()
+	r1 := rand.New(rand.NewSource(2))
+	r2 := rand.New(rand.NewSource(2))
+	buf1 := make([]int, net.NumVars())
+	buf2 := make([]int, net.NumVars())
 	const n = 8000
 	wet := 0
 	for i := 0; i < n; i++ {
-		s := cs.SampleInto(rng, buf)
+		s := cs.SampleInto(r1, buf1)
+		if f := fwd.SampleInto(r2, buf2); !slices.Equal(s, f) {
+			t.Fatalf("draw %d: conditional %v, forward %v", i, s, f)
+		}
 		if s[2] == 1 {
 			wet++
 		}
@@ -338,7 +348,22 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleConditional times one draw from a CondSampler compiled
+// BenchmarkSample times one unconditional draw, the way generation
+// without evidence runs: the twin of BenchmarkSampleConditional.
+func BenchmarkSample(b *testing.B) {
+	data, vars := chainData(2000, 22)
+	net, _ := Learn(data, nil, vars, LearnConfig{})
+	rng := rand.New(rand.NewSource(1))
+	s := net.NewSampler()
+	buf := make([]int, net.NumVars())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleInto(rng, buf)
+	}
+}
+
+// BenchmarkSampleConditional times one draw from a sampler compiled
 // once for the evidence, the way generation under evidence runs.
 func BenchmarkSampleConditional(b *testing.B) {
 	data, vars := chainData(2000, 22)

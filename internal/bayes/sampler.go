@@ -7,63 +7,153 @@ import (
 	"slices"
 )
 
-// Sampler is a compiled forward sampler over a network: every node's CPT
-// is flattened into per-row cumulative probability tables built once, so
-// a draw is a walk over the nodes doing one row lookup and one guided
-// cumulative scan each (cumTable) — no per-draw maps, factors or
-// allocations. A Sampler is immutable after construction and safe to
-// share across goroutines; each goroutine supplies its own rand.Rand and
-// assignment buffer.
+// Sampler is a compiled sampler over a network, unconditional or
+// conditioned on evidence: every sampled variable's distribution given
+// earlier variables is flattened into per-row cumulative probability
+// tables built once, so a draw sets the observed variables and then walks
+// the nodes doing one row lookup and one guided cumulative scan each
+// (cumTable) — no per-draw maps, factors or allocations. A Sampler is
+// immutable after construction and safe to share across goroutines; each
+// goroutine supplies its own rand.Rand and assignment buffer.
 type Sampler struct {
+	numVars int
+	// observed holds the evidence as (variable, value) pairs in ascending
+	// variable order.
+	observed [][2]int
+	// nodes holds the sampled variables in ascending order.
 	nodes []samplerNode
 }
 
 type samplerNode struct {
-	// parents are the node's parent variable indices; under the network's
-	// ordering constraint they always precede the node, so the assignment
-	// buffer's prefix supplies every parent value.
-	parents    []int
-	parentCard []int
-	// rows holds one row per parent configuration.
+	v int
+	// deps are the earlier variables v's rows depend on; the row of a
+	// configuration is its Horner index over depCard, as in a CPT.
+	deps    []int
+	depCard []int
+	// rows holds one row per configuration of deps.
 	rows cumTable
 }
 
-// NewSampler compiles the network into a forward sampler. Rows are
-// renormalized while building the cumulative tables, so CPTs carrying
-// float drift sample without the bias a raw cumulative scan would give
-// the last category.
+// NewSampler compiles the network into an unconditional sampler. With no
+// evidence every variable is barren — none has an observed descendant —
+// so each node's rows are its CPT rows, renormalized while building the
+// cumulative tables: CPTs carrying float drift sample without the bias a
+// raw cumulative scan would give the last category.
 func (n *Network) NewSampler() *Sampler {
-	s := &Sampler{nodes: make([]samplerNode, len(n.Vars))}
-	for i := range n.Vars {
-		cpt := n.CPTs[i]
-		node := samplerNode{
-			parents:    n.Parents[i],
-			parentCard: cpt.ParentCard,
-			rows:       newCumTable(cpt.Arity, len(cpt.Rows)),
+	s := &Sampler{numVars: len(n.Vars), nodes: make([]samplerNode, len(n.Vars))}
+	for v, cpt := range n.CPTs {
+		nd := samplerNode{
+			v:       v,
+			deps:    n.Parents[v],
+			depCard: cpt.ParentCard,
+			rows:    newCumTable(cpt.Arity, len(cpt.Rows)),
 		}
-		for j, row := range cpt.Rows {
-			node.rows.setRow(j, row)
+		for r, row := range cpt.Rows {
+			nd.rows.setRow(r, row)
 		}
-		s.nodes[i] = node
+		s.nodes[v] = nd
 	}
 	return s
 }
 
-// NumVars returns the number of variables the sampler assigns.
-func (s *Sampler) NumVars() int { return len(s.nodes) }
+// NewCondSampler compiles the network, conditioned on the evidence, into
+// a sampler over the exact posterior P(X | evidence). Evidence maps
+// variable index to observed category; it may mention any variables
+// (influence flows both ways). Empty evidence returns NewSampler's
+// sampler. Otherwise the variable-elimination work that conditioning
+// requires runs once here: eliminating variables from the last to the
+// first records, for every unobserved variable v, the intermediate factor
+// φ_v over v and earlier unobserved variables, and P(x_v | x_<v, evidence)
+// is a normalized row of φ_v. Sampling is therefore a forward pass
+// identical in cost to unconditional sampling. It returns an error for
+// invalid evidence, for evidence with zero probability under the network,
+// and one wrapping ErrFactorTooLarge when the elimination would build a
+// factor past the bound.
+func (n *Network) NewCondSampler(evidence map[int]int) (*Sampler, error) {
+	if len(evidence) == 0 {
+		return n.NewSampler(), nil
+	}
+	// One backward elimination pass records φ_v for every unobserved v,
+	// in descending order.
+	var nodes []samplerNode
+	factors, err := n.eliminate(evidence, -1, func(v int, phi *Factor) {
+		nodes = append(nodes, phiNode(v, n.Vars[v].Arity, phi))
+	})
+	if err != nil {
+		return nil, err
+	}
+	// What remains are variable-free constants whose product is the
+	// evidence probability; reject impossible evidence up front rather
+	// than sampling from all-zero rows.
+	pe := 1.0
+	for _, f := range factors {
+		pe *= f.Sum()
+	}
+	if pe <= 0 || math.IsNaN(pe) {
+		return nil, fmt.Errorf("bayes: evidence has zero probability")
+	}
+	// Sampling walks the nodes ascending.
+	slices.Reverse(nodes)
+	s := &Sampler{numVars: len(n.Vars), observed: make([][2]int, 0, len(evidence)), nodes: nodes}
+	for v := range n.Vars {
+		if val, ok := evidence[v]; ok {
+			s.observed = append(s.observed, [2]int{v, val})
+		}
+	}
+	return s, nil
+}
 
-// SampleInto draws one complete assignment by ancestral sampling into
-// buf, which must have length >= NumVars, and returns buf[:NumVars].
+// phiNode turns the elimination factor φ (over v and earlier variables)
+// into v's node: its deps are φ's other variables in φ's order, so with
+// the last varying fastest, row r's entries sit at a stride of inner (the
+// configurations of the variables after v) in φ's values.
+func phiNode(v, arity int, phi *Factor) samplerNode {
+	vi := slices.Index(phi.Vars, v)
+	nd := samplerNode{
+		v:       v,
+		deps:    slices.Concat(phi.Vars[:vi], phi.Vars[vi+1:]),
+		depCard: slices.Concat(phi.Card[:vi], phi.Card[vi+1:]),
+		rows:    newCumTable(arity, len(phi.Values)/arity),
+	}
+	inner := 1
+	for _, c := range phi.Card[vi+1:] {
+		inner *= c
+	}
+	row := make([]float64, arity)
+	r := 0
+	for hi := 0; hi < len(phi.Values); hi += arity * inner {
+		for lo := range inner {
+			for c := range row {
+				row[c] = phi.Values[hi+c*inner+lo]
+			}
+			nd.rows.setRow(r, row)
+			r++
+		}
+	}
+	return nd
+}
+
+// NumVars returns the number of variables the sampler assigns.
+func (s *Sampler) NumVars() int { return s.numVars }
+
+// SampleInto draws one complete assignment into buf, which must have
+// length >= NumVars, and returns buf[:NumVars]. Observed variables are
+// set to their evidence values, then the others are drawn in ascending
+// order, so every dependency is set before the node that reads it.
 func (s *Sampler) SampleInto(rng *rand.Rand, buf []int) []int {
+	buf = buf[:s.numVars]
+	for _, o := range s.observed {
+		buf[o[0]] = o[1]
+	}
 	for i := range s.nodes {
 		nd := &s.nodes[i]
-		j := 0
-		for k, p := range nd.parents {
-			j = j*nd.parentCard[k] + buf[p]
+		r := 0
+		for k, d := range nd.deps {
+			r = r*nd.depCard[k] + buf[d]
 		}
-		buf[i] = nd.rows.sample(rng, j)
+		buf[nd.v] = nd.rows.sample(rng, r)
 	}
-	return buf[:len(s.nodes)]
+	return buf
 }
 
 // cumTable holds a node's sampling rows: normalized cumulative rows of
@@ -179,161 +269,4 @@ func buildCumRow(cum []float64, row []float64) {
 		}
 		cum[k] = c
 	}
-}
-
-// CondSampler is a compiled conditional sampler: it draws complete
-// assignments from the exact posterior P(X | evidence). The variable-
-// elimination work that conditioning requires runs ONCE at construction —
-// eliminating variables from the last to the first records, for every
-// unobserved variable v, the intermediate factor φ_v over v and a subset
-// of earlier variables; P(x_v | x_<v, evidence) is then a normalized row
-// of φ_v, precomputed here as cumulative tables. Sampling is therefore a
-// forward pass identical in cost to unconditional sampling, instead of a
-// full variable elimination per variable per draw.
-//
-// A CondSampler is immutable after construction and safe to share across
-// goroutines.
-type CondSampler struct {
-	numVars int
-	// fixed[v] is the evidence value of v, or -1 when unobserved.
-	fixed []int
-	// nodes holds the unobserved variables in ascending order.
-	nodes []condNode
-}
-
-type condNode struct {
-	v int
-	// deps are the earlier unobserved variables φ_v depends on;
-	// rowStride[k] is deps[k]'s stride in the row index.
-	deps      []int
-	rowStride []int
-	// rows holds one row per configuration of deps.
-	rows cumTable
-}
-
-// NewCondSampler compiles the network, conditioned on the evidence, into
-// a sampler over the posterior. Evidence maps variable index to observed
-// category; it may mention any variables (influence flows both ways). It
-// returns an error for invalid evidence, for evidence with zero
-// probability under the network, and one wrapping ErrFactorTooLarge when
-// the elimination would build a factor past the bound.
-func (n *Network) NewCondSampler(evidence map[int]int) (*CondSampler, error) {
-	// One backward elimination pass records φ_v for every unobserved v,
-	// in descending order.
-	var nodes []condNode
-	factors, err := n.eliminate(evidence, -1, func(v int, phi *Factor) {
-		nodes = append(nodes, compileCondNode(v, n.Vars[v].Arity, phi))
-	})
-	if err != nil {
-		return nil, err
-	}
-	// What remains are variable-free constants whose product is the
-	// evidence probability; reject impossible evidence up front rather
-	// than sampling from all-zero rows.
-	pe := 1.0
-	for _, f := range factors {
-		pe *= f.Sum()
-	}
-	if pe <= 0 || math.IsNaN(pe) {
-		return nil, fmt.Errorf("bayes: evidence has zero probability")
-	}
-	// Sampling walks the nodes ascending.
-	slices.Reverse(nodes)
-	cs := &CondSampler{numVars: len(n.Vars), fixed: make([]int, len(n.Vars)), nodes: nodes}
-	for v := range cs.fixed {
-		cs.fixed[v] = -1
-		if val, ok := evidence[v]; ok {
-			cs.fixed[v] = val
-		}
-	}
-	return cs, nil
-}
-
-// compileCondNode turns the elimination factor φ (over v and earlier
-// variables) into dense cumulative rows indexed by the dep configuration.
-func compileCondNode(v, arity int, phi *Factor) condNode {
-	vi := -1
-	for i, fv := range phi.Vars {
-		if fv == v {
-			vi = i
-			break
-		}
-	}
-	// Strides of each factor position in phi.Values (last varies fastest).
-	phiStride := make([]int, len(phi.Vars))
-	st := 1
-	for i := len(phi.Vars) - 1; i >= 0; i-- {
-		phiStride[i] = st
-		st *= phi.Card[i]
-	}
-	nd := condNode{v: v}
-	rows := 1
-	for i, fv := range phi.Vars {
-		if i == vi {
-			continue
-		}
-		nd.deps = append(nd.deps, fv)
-		rows *= phi.Card[i]
-	}
-	// Row-index strides over deps in their phi order (last varies fastest).
-	nd.rowStride = make([]int, len(nd.deps))
-	st = 1
-	k := len(nd.deps) - 1
-	for i := len(phi.Vars) - 1; i >= 0; i-- {
-		if i == vi {
-			continue
-		}
-		nd.rowStride[k] = st
-		st *= phi.Card[i]
-		k--
-	}
-	nd.rows = newCumTable(arity, rows)
-	row := make([]float64, arity)
-	assign := make([]int, len(nd.deps))
-	for r := 0; r < rows; r++ {
-		// Decode the row index into a dep assignment, then locate the
-		// factor entries for each value of v.
-		rem := r
-		for i := range assign {
-			assign[i] = rem / nd.rowStride[i]
-			rem %= nd.rowStride[i]
-		}
-		base := 0
-		k := 0
-		for i := range phi.Vars {
-			if i == vi {
-				continue
-			}
-			base += assign[k] * phiStride[i]
-			k++
-		}
-		for c := 0; c < arity; c++ {
-			row[c] = phi.Values[base+c*phiStride[vi]]
-		}
-		nd.rows.setRow(r, row)
-	}
-	return nd
-}
-
-// NumVars returns the number of variables the sampler assigns.
-func (cs *CondSampler) NumVars() int { return cs.numVars }
-
-// SampleInto draws one complete assignment from P(X | evidence) into buf,
-// which must have length >= NumVars, and returns buf[:NumVars]. Observed
-// variables are set to their evidence values.
-func (cs *CondSampler) SampleInto(rng *rand.Rand, buf []int) []int {
-	for v, val := range cs.fixed {
-		if val >= 0 {
-			buf[v] = val
-		}
-	}
-	for i := range cs.nodes {
-		nd := &cs.nodes[i]
-		r := 0
-		for k, d := range nd.deps {
-			r += buf[d] * nd.rowStride[k]
-		}
-		buf[nd.v] = nd.rows.sample(rng, r)
-	}
-	return buf[:cs.numVars]
 }

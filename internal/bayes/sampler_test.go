@@ -3,6 +3,7 @@ package bayes
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -54,6 +55,70 @@ func TestSamplerMatchesNetworkSample(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoEvidenceSamplerIsExact pins that, with no evidence, the sampler
+// compiles every node straight from its CPT: NewSampler's tables are
+// bit-equal to tables built from the CPT rows, NewCondSampler with nil or
+// empty evidence returns tables bit-equal to NewSampler's, and all three
+// draw exactly the uncompiled reference's sequence for the same rng. The
+// networks are the sprinkler and a learned one with a two-parent node.
+func TestNoEvidenceSamplerIsExact(t *testing.T) {
+	data, vars := correlatedData(5000, 31)
+	learned, err := Learn(data, nil, vars, LearnConfig{MaxParents: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(learned.Parents[3]) != 2 {
+		t.Fatalf("learned Parents[D] = %v, want two parents", learned.Parents[3])
+	}
+	for name, net := range map[string]*Network{"sprinkler": sprinklerNetwork(), "learned": learned} {
+		fwd := net.NewSampler()
+		for v, cpt := range net.CPTs {
+			want := newCumTable(cpt.Arity, len(cpt.Rows))
+			for r, row := range cpt.Rows {
+				want.setRow(r, row)
+			}
+			nd := fwd.nodes[v]
+			if nd.v != v || !slices.Equal(nd.deps, net.Parents[v]) || !sameTable(nd.rows, want) {
+				t.Fatalf("%s: NewSampler node %d is not its CPT compiled", name, v)
+			}
+		}
+		samplers := []*Sampler{fwd}
+		for _, ev := range []map[int]int{nil, {}} {
+			cs, err := net.NewCondSampler(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cs.nodes) != len(fwd.nodes) || len(cs.observed) != 0 {
+				t.Fatalf("%s: NewCondSampler(%v) has %d nodes, %d observed", name, ev, len(cs.nodes), len(cs.observed))
+			}
+			for v := range cs.nodes {
+				if a, b := cs.nodes[v], fwd.nodes[v]; a.v != b.v || !slices.Equal(a.deps, b.deps) ||
+					!slices.Equal(a.depCard, b.depCard) || !sameTable(a.rows, b.rows) {
+					t.Fatalf("%s: NewCondSampler(%v) node %d differs from NewSampler's", name, ev, v)
+				}
+			}
+			samplers = append(samplers, cs)
+		}
+		for k, s := range samplers {
+			r1 := rand.New(rand.NewSource(13))
+			r2 := rand.New(rand.NewSource(13))
+			buf1 := make([]int, net.NumVars())
+			buf2 := make([]int, net.NumVars())
+			for i := 0; i < 5000; i++ {
+				if a, b := sampleReference(net, r1, buf1), s.SampleInto(r2, buf2); !slices.Equal(a, b) {
+					t.Fatalf("%s: sampler %d draw %d = %v, reference %v", name, k, i, b, a)
+				}
+			}
+		}
+	}
+}
+
+// sameTable reports whether two cumulative tables are bit-equal.
+func sameTable(a, b cumTable) bool {
+	return a.arity == b.arity && a.bits == b.bits && slices.Equal(a.guide, b.guide) &&
+		slices.EqualFunc(a.cum, b.cum, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestCumTableMatchesScan pins the guided lookup to the plain scan it

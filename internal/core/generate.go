@@ -95,25 +95,20 @@ func setCapacity(count int) int {
 // safe for concurrent use as long as each goroutine owns its rng and buf.
 type drawFunc func(rng *rand.Rand, buf []int) ip6.Addr
 
-// newDraw compiles the model into a draw function: a forward sampler —
-// unconditional, or conditional on the evidence, whose variable-
-// elimination work runs once here instead of once per variable per draw
-// — fused with the compiled decoder, whose tables the drawn codes index
-// directly. mask64 truncates drawn addresses to their /64.
+// newDraw compiles the model into a draw function: the network's sampler
+// under the evidence — compiled from the CPTs when there is none, and
+// otherwise from the elimination factors, whose variable-elimination work
+// runs once here instead of once per variable per draw — fused with the
+// compiled decoder, whose tables the drawn codes index directly. mask64
+// truncates drawn addresses to their /64.
 func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
-	var sample func(*rand.Rand, []int) []int
-	if len(evidence) == 0 {
-		sample = m.Net.NewSampler().SampleInto
-	} else {
-		cs, err := m.Net.NewCondSampler(evidence)
-		if err != nil {
-			return nil, err
-		}
-		sample = cs.SampleInto
+	s, err := m.Net.NewCondSampler(evidence)
+	if err != nil {
+		return nil, err
 	}
 	dec := m.encoder.Decoder()
 	return func(rng *rand.Rand, buf []int) ip6.Addr {
-		a := dec.Decode(sample(rng, buf), rng)
+		a := dec.Decode(s.SampleInto(rng, buf), rng)
 		if mask64 {
 			a = ip6.Mask(a, 64)
 		}
