@@ -28,14 +28,13 @@ type GenerateOptions struct {
 	// draws even if fewer than Count unique candidates were found.
 	// Zero means the default of 20.
 	MaxAttemptsFactor int
-	// Stop, if non-nil, is polled periodically (including during runs of
-	// duplicate or excluded draws that emit nothing); generation halts
-	// when it returns true. Servers use it to abandon work for
-	// disconnected clients. With evidence set it is polled on every
-	// attempt, without evidence every stopPollInterval draws. It is
-	// called only from the merge loop on the calling goroutine, at every
-	// worker count (parallel producers watch an internal done channel,
-	// not Stop), so it need not be safe for concurrent use.
+	// Stop, if non-nil, is polled before the first attempt and then every
+	// stopPollInterval attempts (including during runs of duplicate or
+	// excluded draws that emit nothing); generation halts when it returns
+	// true. Servers use it to abandon work for disconnected clients. It
+	// is called only from the merge loop on the calling goroutine, at
+	// every worker count (parallel producers watch an internal done
+	// channel, not Stop), so it need not be safe for concurrent use.
 	Stop func() bool
 	// Workers bounds the number of goroutines drawing candidates
 	// (0 = GOMAXPROCS, 1 = fully sequential; values past the 64 logical
@@ -48,9 +47,7 @@ type GenerateOptions struct {
 	Workers int
 }
 
-// stopPollInterval is how many draws pass between Stop polls when no
-// evidence is set (evidence makes each attempt expensive enough that
-// Stop is polled on every one).
+// stopPollInterval is how many attempts pass between Stop polls.
 const stopPollInterval = 1024
 
 // genSubstreams is the fixed number of logical generator substreams. It
@@ -119,16 +116,15 @@ func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
 // genRun is one generation run: the compiled draw function plus the
 // limits and sinks shared by the sequential and parallel executions.
 type genRun struct {
-	count          int
-	maxAttempts    int
-	stop           func() bool
-	perAttemptStop bool
-	draw           drawFunc
-	excluded       func(ip6.Addr) bool
-	yield          func(ip6.Addr) bool
-	seed           int64
-	workers        int
-	bufLen         int
+	count       int
+	maxAttempts int
+	stop        func() bool
+	draw        drawFunc
+	excluded    func(ip6.Addr) bool
+	yield       func(ip6.Addr) bool
+	seed        int64
+	workers     int
+	bufLen      int
 }
 
 // generate is the engine shared by address and prefix generation: yield
@@ -149,16 +145,12 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 		count:       opts.Count,
 		maxAttempts: opts.maxAttempts(),
 		stop:        opts.Stop,
-		// With evidence every attempt is comparatively expensive, and a
-		// disconnected client must not keep cores pinned: poll per
-		// attempt instead of per stopPollInterval.
-		perAttemptStop: len(evidence) > 0,
-		draw:           draw,
-		excluded:       excluded,
-		yield:          yield,
-		seed:           opts.Seed,
-		workers:        parallel.Workers(opts.Workers),
-		bufLen:         m.Net.NumVars(),
+		draw:        draw,
+		excluded:    excluded,
+		yield:       yield,
+		seed:        opts.Seed,
+		workers:     parallel.Workers(opts.Workers),
+		bufLen:      m.Net.NumVars(),
 	}
 	if r.workers > genSubstreams {
 		r.workers = genSubstreams
@@ -169,16 +161,6 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 		r.runParallel()
 	}
 	return nil
-}
-
-// pollEvery returns how many attempts pass between Stop polls: Stop is
-// polled before attempt a (counted from 1) is drawn when a is a multiple
-// of it.
-func (r *genRun) pollEvery() int {
-	if r.perAttemptStop {
-		return 1
-	}
-	return stopPollInterval
 }
 
 // genBlock is the most attempts the merge takes in one round. It is at
@@ -194,27 +176,22 @@ const genBlock = 64
 //
 // The merge works in blocks. fill hands it the draws of attempts first,
 // first+1, … for the whole block. The block is clipped to the candidates
-// still wanted, to the attempts still allowed and to the next Stop poll,
-// which runs before the block is drawn. So the merge draws what a loop
-// taking one attempt at a time would draw, polls Stop before the same
-// attempts, and overdraws only when yield ends the run inside a block.
-// The block then resolves in order, each attempt with its own exclusion
-// check and Add.
+// still wanted, to the attempts still allowed and to the next multiple
+// of stopPollInterval, where Stop is polled before the block is drawn.
+// So the merge draws what a loop taking one attempt at a time would
+// draw, draws nothing once Stop has returned true, and overdraws only
+// when yield ends the run inside a block. The block then resolves in
+// order, each attempt with its own exclusion check and Add.
 func (r *genRun) merge(fill func(block []ip6.Addr, first int)) {
 	seen := ip6.NewSet(setCapacity(r.count))
 	var buf [genBlock]ip6.Addr
-	every := r.pollEvery()
 	emitted, attempts := 0, 0
 	for emitted < r.count && attempts < r.maxAttempts {
-		n := min(genBlock, r.count-emitted, r.maxAttempts-attempts)
-		if r.stop != nil {
-			a := attempts + 1
-			if a%every == 0 && r.stop() {
-				return
-			}
-			n = min(n, every-a%every)
+		toPoll := stopPollInterval - attempts%stopPollInterval
+		if toPoll == stopPollInterval && r.stop != nil && r.stop() {
+			return
 		}
-		block := buf[:n]
+		block := buf[:min(genBlock, r.count-emitted, r.maxAttempts-attempts, toPoll)]
 		fill(block, attempts)
 		for _, a := range block {
 			attempts++
@@ -311,16 +288,6 @@ func (r *genRun) produce(stream int, out chan<- []ip6.Addr, sem chan struct{}, d
 		}
 		b := make([]ip6.Addr, batch)
 		for i := range b {
-			if r.perAttemptStop {
-				// Expensive draws: notice cancellation mid-batch instead
-				// of finishing it.
-				select {
-				case <-done:
-					<-sem
-					return
-				default:
-				}
-			}
 			b[i] = r.draw(rng, buf)
 		}
 		<-sem

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"entropyip/internal/ip6"
 )
@@ -12,7 +11,7 @@ import (
 // genEvidence picks a valid evidence assignment on the model's last
 // segment (the IID segment of the test network, which has multiple
 // codes).
-func genEvidence(t *testing.T, m *Model) Evidence {
+func genEvidence(t testing.TB, m *Model) Evidence {
 	t.Helper()
 	sm := m.Segments[len(m.Segments)-1]
 	return Evidence{sm.Seg.Label: sm.Values[0].Code}
@@ -120,64 +119,63 @@ func TestGeneratePrefixesDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestGenerateStopLatencyWithEvidence is the cancellation regression
-// test: with evidence set, Stop is polled on every attempt (not every
-// stopPollInterval), so a disconnected client halts generation after at
-// most a handful of draws — sequentially and in parallel.
+// test under evidence: a Stop hook already true when the run starts halts
+// it before its first draw, sequentially and in parallel, so a
+// disconnected client's evidence stream emits nothing.
 func TestGenerateStopLatencyWithEvidence(t *testing.T) {
 	m, _ := buildTestModel(t, 3000, 26, Options{})
-	ev := genEvidence(t, m)
-	for _, workers := range []int{1, 4} {
-		var emitted atomic.Int64
-		var stopped atomic.Bool
-		stopped.Store(true)
-		start := time.Now()
-		err := m.GenerateStream(GenerateOptions{
-			Count:    1 << 20,
-			Seed:     1,
-			Evidence: ev,
-			Workers:  workers,
-			Stop:     func() bool { return stopped.Load() },
-		}, func(ip6.Addr) bool {
-			emitted.Add(1)
-			return true
+	checkStopFromStart(t, m, genEvidence(t, m))
+}
+
+// TestGenerateStopMidStreamWithEvidence flips Stop while candidates are
+// flowing. Stop turns true at candidate 50, inside the first
+// stopPollInterval attempts, so the run ends at the next poll, attempt
+// 1,024: it emits exactly the candidates of a run whose budget is those
+// 1,024 attempts, with and without evidence, sequentially and in
+// parallel.
+func TestGenerateStopMidStreamWithEvidence(t *testing.T) {
+	m, _ := buildTestModel(t, 3000, 27, Options{})
+	for _, ev := range []Evidence{nil, genEvidence(t, m)} {
+		want, err := m.Generate(GenerateOptions{
+			Count:             stopPollInterval,
+			Seed:              2,
+			Evidence:          ev,
+			MaxAttemptsFactor: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := emitted.Load(); n != 0 {
-			t.Errorf("workers=%d: emitted %d candidates after Stop, want 0", workers, n)
+		if len(want) <= 50 {
+			t.Fatalf("evidence=%v: %d candidates in the first %d attempts, the test needs more than 50", ev != nil, len(want), stopPollInterval)
 		}
-		if d := time.Since(start); d > 5*time.Second {
-			t.Errorf("workers=%d: generation took %v to notice Stop", workers, d)
+		for _, workers := range []int{1, 4} {
+			var stopped atomic.Bool
+			var got []ip6.Addr
+			err := m.GenerateStream(GenerateOptions{
+				Count:    1 << 20,
+				Seed:     2,
+				Evidence: ev,
+				Workers:  workers,
+				Stop:     func() bool { return stopped.Load() },
+			}, func(a ip6.Addr) bool {
+				got = append(got, a)
+				if len(got) == 50 {
+					stopped.Store(true)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("evidence=%v workers=%d: emitted %d candidates, want the %d of the first %d attempts", ev != nil, workers, len(got), len(want), stopPollInterval)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("evidence=%v workers=%d: candidate %d is %v, want %v", ev != nil, workers, i, got[i], want[i])
+				}
+			}
 		}
-	}
-}
-
-// TestGenerateStopMidStreamWithEvidence flips Stop while candidates are
-// flowing: per-attempt polling means at most one further candidate can
-// be emitted after Stop becomes true.
-func TestGenerateStopMidStreamWithEvidence(t *testing.T) {
-	m, _ := buildTestModel(t, 3000, 27, Options{})
-	var stopped atomic.Bool
-	var emitted int
-	err := m.GenerateStream(GenerateOptions{
-		Count:    1 << 20,
-		Seed:     2,
-		Evidence: genEvidence(t, m),
-		Workers:  4,
-		Stop:     func() bool { return stopped.Load() },
-	}, func(ip6.Addr) bool {
-		emitted++
-		if emitted == 50 {
-			stopped.Store(true)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emitted > 51 {
-		t.Errorf("emitted %d candidates, want <= 51 (per-attempt Stop polling)", emitted)
 	}
 }
 

@@ -143,56 +143,50 @@ func TestGenerateMatchesOracle(t *testing.T) {
 }
 
 // TestMergePollsStopBeforeDrawing pins when the blocked merge polls Stop:
-// before drawing, at the attempts a loop taking one attempt at a time
-// polls at. With Stop turning true at its third poll, the sequential
-// execution draws exactly the attempts before that poll: 2 with evidence
-// (polled every attempt) and 3*stopPollInterval-1 without. With Stop
-// already true, the parallel execution with evidence returns while every
-// producer is still inside its first draw, so the merge never waits on a
-// producer's batch to notice Stop.
+// before attempts 0, stopPollInterval, 2*stopPollInterval and so on,
+// before any of them is drawn, with and without evidence. With Stop
+// turning true at its third poll, the sequential execution draws exactly
+// the 2*stopPollInterval attempts before that poll. With Stop already
+// true, the parallel execution returns while every producer is still
+// inside its first draw, so the merge never waits on a producer's batch
+// to notice Stop.
 func TestMergePollsStopBeforeDrawing(t *testing.T) {
 	m, _ := buildTestModel(t, 3000, 26, Options{})
 	evidence, err := m.evidenceIndices(genEvidence(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(perAttempt bool, stop func() bool, draw drawFunc, workers int) *genRun {
+	run := func(stop func() bool, draw drawFunc, workers int) *genRun {
 		return &genRun{
-			count:          1 << 20,
-			maxAttempts:    20 << 20,
-			stop:           stop,
-			perAttemptStop: perAttempt,
-			draw:           draw,
-			excluded:       func(ip6.Addr) bool { return false },
-			yield:          func(ip6.Addr) bool { return true },
-			seed:           1,
-			workers:        workers,
-			bufLen:         m.Net.NumVars(),
+			count:       1 << 20,
+			maxAttempts: 20 << 20,
+			stop:        stop,
+			draw:        draw,
+			excluded:    func(ip6.Addr) bool { return false },
+			yield:       func(ip6.Addr) bool { return true },
+			seed:        1,
+			workers:     workers,
+			bufLen:      m.Net.NumVars(),
 		}
 	}
-	for _, perAttempt := range []bool{true, false} {
-		var ev map[int]int
-		want := 3*stopPollInterval - 1
-		if perAttempt {
-			ev, want = evidence, 2
-		}
+	for _, ev := range []map[int]int{nil, evidence} {
 		draw, err := m.newDraw(ev, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		draws, polls := 0, 0
-		run(perAttempt, func() bool { polls++; return polls == 3 }, func(rng *rand.Rand, buf []int) ip6.Addr {
+		run(func() bool { polls++; return polls == 3 }, func(rng *rand.Rand, buf []int) ip6.Addr {
 			draws++
 			return draw(rng, buf)
 		}, 1).runSequential()
-		if draws != want {
-			t.Errorf("evidence=%v: %d draws before Stop's third poll halted the run, want %d", perAttempt, draws, want)
+		if want := 2 * stopPollInterval; draws != want {
+			t.Errorf("evidence=%v: %d draws before Stop's third poll halted the run, want %d", ev != nil, draws, want)
 		}
 	}
 
 	gate := make(chan struct{})
 	defer close(gate)
-	r := run(true, func() bool { return true }, func(*rand.Rand, []int) ip6.Addr {
+	r := run(func() bool { return true }, func(*rand.Rand, []int) ip6.Addr {
 		<-gate
 		return ip6.Addr{}
 	}, 4)

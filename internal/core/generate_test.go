@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"entropyip/internal/ip6"
@@ -378,6 +380,27 @@ func BenchmarkGenerate1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Generate(GenerateOptions{Count: 1000, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerate1KEvidenceStop is BenchmarkGenerate1K under
+// one-segment evidence with a Stop hook shaped like the server's (a
+// context check and a drain flag): the evidence request of a scanner
+// client, run in process.
+func BenchmarkGenerate1KEvidenceStop(b *testing.B) {
+	m, err := Build(testNetwork(1000, 21), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := genEvidence(b, m)
+	ctx := context.Background()
+	var draining atomic.Bool
+	stop := func() bool { return ctx.Err() != nil || draining.Load() }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Generate(GenerateOptions{Count: 1000, Seed: int64(i), Evidence: ev, Stop: stop}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"entropyip/internal/ip6"
 )
@@ -48,26 +49,42 @@ func TestGenerateStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestGenerateStreamStop checks the Stop hook halts generation even when
-// nothing is being yielded (the disconnected-client path).
+// TestGenerateStreamStop checks that a Stop hook already true when the
+// run starts halts it before its first draw, so no candidate comes out,
+// sequentially and in parallel (the disconnected-client path).
+// TestGenerateStopLatencyWithEvidence runs the same check under evidence.
 func TestGenerateStreamStop(t *testing.T) {
-	m, _ := buildTestModel(t, 3000, 11, Options{})
-	n := 0
-	err := m.GenerateStream(GenerateOptions{
-		Count: 1 << 20,
-		Seed:  1,
-		Stop:  func() bool { return true },
-	}, func(ip6.Addr) bool {
-		n++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stop is polled every stopPollInterval draws, so at most that many
-	// candidates can be emitted before the halt is noticed.
-	if n > stopPollInterval {
-		t.Errorf("emitted %d candidates after Stop, want <= %d", n, stopPollInterval)
+	m, _ := buildTestModel(t, 3000, 26, Options{})
+	checkStopFromStart(t, m, nil)
+}
+
+// checkStopFromStart runs m with a Stop hook that is true from the start,
+// at 1 and 4 workers, and requires that nothing is emitted and that the
+// run ends promptly.
+func checkStopFromStart(t *testing.T, m *Model, ev Evidence) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		n := 0
+		start := time.Now()
+		err := m.GenerateStream(GenerateOptions{
+			Count:    1 << 20,
+			Seed:     1,
+			Evidence: ev,
+			Workers:  workers,
+			Stop:     func() bool { return true },
+		}, func(ip6.Addr) bool {
+			n++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 {
+			t.Errorf("evidence=%v workers=%d: emitted %d candidates after Stop, want 0", ev != nil, workers, n)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("evidence=%v workers=%d: generation took %v to notice Stop", ev != nil, workers, d)
+		}
 	}
 }
 

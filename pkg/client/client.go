@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -223,7 +224,7 @@ func (c *Client) Generate(ctx context.Context, model string, opts GenerateOption
 		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, "POST",
-		c.base+"/v1/models/"+model+"/generate", bytes.NewReader(body))
+		c.base+"/v1/models/"+url.PathEscape(model)+"/generate", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +470,7 @@ func (c *Client) Observe(ctx context.Context, model string, addrs []ip6.Addr) (*
 		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, "POST",
-		c.base+"/v1/models/"+model+"/observe", bytes.NewReader(buf.Bytes()))
+		c.base+"/v1/models/"+url.PathEscape(model)+"/observe", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return nil, err
 	}

@@ -172,6 +172,34 @@ func TestAPIError(t *testing.T) {
 	}
 }
 
+// TestModelNameEscaped checks that a model name carrying URL syntax
+// reaches the server as one path segment: the registry answers with its
+// not-found envelope, never with another model's candidates or a bare
+// routing status.
+func TestModelNameEscaped(t *testing.T) {
+	c := newServer(t)
+	for _, name := range []string{"web/generate?", "web?x", "web#x", "web/../web", "w%65b"} {
+		n := 0
+		_, err := c.Generate(context.Background(), name, GenerateOptions{Count: 5, Seed: seed(1)}, func(e Event) bool {
+			if e.Kind == KindCandidate {
+				n++
+			}
+			return true
+		})
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != "not_found" {
+			t.Errorf("Generate(%q): err = %v, want the not_found envelope", name, err)
+		}
+		if n != 0 {
+			t.Errorf("Generate(%q): %d candidates, want none", name, n)
+		}
+		_, err = c.Observe(context.Background(), name, testAddrs(2, 1))
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != "not_found" {
+			t.Errorf("Observe(%q): err = %v, want the not_found envelope", name, err)
+		}
+	}
+}
+
 // TestObserve pushes addresses over the binary encoding and checks they
 // all land in the window.
 func TestObserve(t *testing.T) {

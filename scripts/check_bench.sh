@@ -44,7 +44,7 @@ ALLOC_THRESHOLD="${BENCH_GATE_ALLOC_THRESHOLD:-1.30}"
 # LoadMaxArity shapes are.
 BENCHES=(NewProfile10k NewProfile100k ACR100k ACR100kOne64 ACR100kRuns
          MineAll100k Learn10k Learn100k Build10k Build100k
-         Generate1K Generate10k Generate100k Encode100k EncodeDistinct100k
+         Generate1K Generate1KEvidenceStop Generate10k Generate100k Encode100k EncodeDistinct100k
          Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
          MetricsHotPath SpanHotPath TraceparentParse DriftScore16k DriftWindow16k
