@@ -22,7 +22,7 @@
 //	POST   /v1/models/{name}/generate   stream candidates (NDJSON)
 //	POST   /v1/models/{name}/observe    ingest observed addresses (NDJSON)
 //	GET    /v1/models/{name}/drift      drift status
-//	GET    /healthz (also /v1/healthz)  liveness + version + metrics
+//	GET    /healthz (also /v1/healthz)  liveness + build version
 //	GET    /metrics                     Prometheus text exposition
 //
 // Expensive training requests (client-submitted and drift-triggered alike)

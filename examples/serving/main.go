@@ -9,7 +9,9 @@
 //  3. issues a conditional-probability browse query and checks the
 //     distributions match Model.Browse computed locally;
 //  4. streams 10,000 candidate addresses as NDJSON, consuming them line
-//     by line off the wire.
+//     by line off the wire;
+//  5. checks liveness on /healthz and counts the routes served so far
+//     from the /metrics exposition.
 //
 // Run it with:
 //
@@ -26,6 +28,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
+	"strings"
 
 	"entropyip"
 )
@@ -142,13 +146,41 @@ func main() {
 	}
 	fmt.Printf("streamed %d candidates over HTTP (first %s, last %s)\n", count, first, last)
 
-	// --- Health check with request metrics. ---
+	// --- 5. Liveness, then the request counters from /metrics. ---
 	var health entropyip.HealthResponse
 	request("GET", base+"/healthz", nil, &health)
-	fmt.Printf("healthz: %s, %d models, cache %d/%d, %d routes served\n",
-		health.Status, health.Registry.Models,
-		health.Registry.CacheEntries, health.Registry.CacheCapacity,
-		len(health.Metrics.Routes))
+	fmt.Printf("healthz: %s (version %s), %d routes served\n", health.Status, health.Version, servedRoutes(base))
+}
+
+// servedRoutes counts the routes whose eip_http_requests_total series in
+// the /metrics exposition is nonzero.
+func servedRoutes(base string) int {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		log.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	n := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		// A sample is `name{labels} value`; route labels contain spaces,
+		// so the value is what follows the last one.
+		line := sc.Text()
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || !strings.HasPrefix(line, "eip_http_requests_total{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil && v > 0 {
+			n++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return n
 }
 
 // request issues one JSON request and decodes the JSON response into out.

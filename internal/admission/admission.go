@@ -437,7 +437,7 @@ func (c *Controller) WaitSlot(ctx context.Context, key string) (func(), bool) {
 }
 
 // Stats is a point-in-time snapshot of the controller's counters, for
-// the /metrics collectors and the /healthz admission summary.
+// the eip_admission_* collectors on /metrics.
 type Stats struct {
 	// Tenants is the number of tenants currently tracked.
 	Tenants int
@@ -449,7 +449,7 @@ type Stats struct {
 	// Admitted counts requests that passed the rate gate.
 	Admitted uint64
 	// ShedRate/ShedBudget/ShedQueueFull/ShedDeadline count refusals by
-	// shed reason; Shed() sums them.
+	// shed reason.
 	ShedRate      uint64
 	ShedBudget    uint64
 	ShedQueueFull uint64
@@ -460,11 +460,6 @@ type Stats struct {
 	GenRefunded uint64
 	// Evicted counts idle tenants removed by TTL sweeps.
 	Evicted uint64
-}
-
-// Shed is the total refusal count across all reasons.
-func (s Stats) Shed() uint64 {
-	return s.ShedRate + s.ShedBudget + s.ShedQueueFull + s.ShedDeadline
 }
 
 // Stats snapshots the controller. Counters are read independently, so

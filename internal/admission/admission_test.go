@@ -393,7 +393,7 @@ func TestConcurrentGatesRaceClean(t *testing.T) {
 	if st.SlotsInUse != 0 || st.QueueDepth != 0 {
 		t.Errorf("slots/queue leaked: %+v", st)
 	}
-	if st.Shed() == 0 && st.Admitted == 0 {
+	if st.ShedRate+st.ShedBudget+st.ShedQueueFull+st.ShedDeadline == 0 && st.Admitted == 0 {
 		t.Error("no decisions recorded")
 	}
 }

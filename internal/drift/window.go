@@ -8,12 +8,15 @@ import (
 )
 
 // Window scores one live ingest buffer against its model incrementally:
-// the report Score(m, buf.Snapshot()) would return, bit for bit, at a cost
-// that grows with the slots written since the last evaluation rather than
-// with the window. It drains the buffer's change record
-// (ingest.Buffer.Drain) into per-slot encoding state (core.WindowState)
-// and per-nybble counts, both moved by delta, and builds the report with
-// the code Score uses.
+// the report Score(m, buf.Snapshot()) would return, bit for bit. What
+// scales with the slots written since the last evaluation is draining
+// the buffer's change record (ingest.Buffer.Drain) and moving the
+// per-slot encoding state (core.WindowState: its rows and code counts)
+// and the per-nybble counts by delta. The likelihood sum is still
+// O(window): core.WindowState.Encoding re-adds the cached terms of every
+// filled slot on each evaluation, to stay bit-equal to EncodeWindow's
+// addition order (ROADMAP item 10). The report is built with the code
+// Score uses.
 //
 // The state belongs to one model: an evaluation under a different
 // *core.Model (a rotation, an upload, a registry reload) rebuilds it from

@@ -152,8 +152,8 @@ func TestAdmissionShedIsUnmetered(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsAdmission: /v1/healthz carries the admission
-// summary — enabled flag, tenant count, and cumulative shed count.
+// TestHealthzReportsAdmission: the admission numbers /v1/healthz used
+// to carry (tenant count, admitted and shed totals) are on /metrics.
 func TestHealthzReportsAdmission(t *testing.T) {
 	s, _ := newTestServer(t, Options{Admission: admission.Config{
 		RequestRate: 0.001, // burst of 1, effectively no refill
@@ -162,35 +162,26 @@ func TestHealthzReportsAdmission(t *testing.T) {
 		t.Fatalf("seed request = %d", w.Code)
 	}
 	decodeShed(t, doAs(t, s, "a", "GET", "/v1/models", nil))
-	w := do(t, s, "GET", "/v1/healthz", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("healthz = %d", w.Code)
-	}
-	var h HealthResponse
-	decode(t, w, &h)
-	if !h.Admission.Enabled {
-		t.Error("healthz admission.enabled = false with admission configured")
-	}
-	if h.Admission.Tenants < 1 {
-		t.Errorf("healthz admission.tenants = %d, want >= 1", h.Admission.Tenants)
-	}
-	if h.Admission.Shed < 1 {
-		t.Errorf("healthz admission.shed = %d, want >= 1", h.Admission.Shed)
-	}
-	if h.Admission.Admitted < 1 {
-		t.Errorf("healthz admission.admitted = %d, want >= 1", h.Admission.Admitted)
+	body := scrape(t, s)
+	for _, series := range []string{
+		"eip_admission_tenants",
+		"eip_admission_admitted_total",
+		`eip_admission_shed_total{reason="rate"}`,
+	} {
+		if v := sample(t, body, series); v < 1 {
+			t.Errorf("%s = %v, want >= 1", series, v)
+		}
 	}
 }
 
-// TestHealthzAdmissionDisabled: with no admission config the summary
-// reports disabled and zeros rather than being omitted (additive schema).
+// TestHealthzAdmissionDisabled: with no admission config the exposition
+// carries no eip_admission_ series at all.
 func TestHealthzAdmissionDisabled(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	w := do(t, s, "GET", "/v1/healthz", nil)
-	var h HealthResponse
-	decode(t, w, &h)
-	if h.Admission.Enabled {
-		t.Error("healthz admission.enabled = true without admission config")
+	for _, line := range strings.Split(scrape(t, s), "\n") {
+		if strings.Contains(line, "eip_admission_") {
+			t.Errorf("admission series without admission config: %s", line)
+		}
 	}
 }
 

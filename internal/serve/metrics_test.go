@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,6 +21,24 @@ func scrape(t *testing.T, s *Server) string {
 		t.Fatalf("Content-Type = %q, want %q", ct, obs.ContentType)
 	}
 	return w.Body.String()
+}
+
+// sample returns the value of one series (its name and labels exactly
+// as exposed) in an exposition body, failing the test when the series
+// is absent.
+func sample(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: value %q: %v", series, v, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no series %s", series)
+	return 0
 }
 
 // TestMetricsEndpoint exercises the serving plane end to end and asserts
@@ -133,25 +152,24 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("expected an internal error envelope, got %+v", er.Error)
 	}
 
-	snap := s.metrics.Snapshot()
-	if snap.Panics != 1 {
-		t.Errorf("Panics = %d, want 1", snap.Panics)
+	body := scrape(t, s)
+	if v := sample(t, body, "eip_http_panics_total"); v != 1 {
+		t.Errorf("eip_http_panics_total = %v, want 1", v)
 	}
-	if snap.InFlight != 0 {
-		t.Errorf("InFlight = %d, want 0", snap.InFlight)
+	// The scrape itself is the one request in flight.
+	if v := sample(t, body, "eip_http_in_flight"); v != 1 {
+		t.Errorf("eip_http_in_flight = %v, want 1 (the scrape)", v)
 	}
-	rs, ok := snap.Routes["GET /boom"]
-	if !ok || rs.Requests != 1 || rs.Errors != 1 {
-		t.Errorf("route snapshot = %+v (present=%v), want 1 request / 1 error", rs, ok)
+	reqs := sample(t, body, `eip_http_requests_total{route="GET /boom"}`)
+	errs := sample(t, body, `eip_http_errors_total{route="GET /boom"}`)
+	if reqs != 1 || errs != 1 {
+		t.Errorf("GET /boom counters = %v requests / %v errors, want 1 / 1", reqs, errs)
 	}
 
-	// The server survives: healthz still works and reports the panic.
+	// The server survives: healthz still answers.
 	w = do(t, s, "GET", "/healthz", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz after panic: status = %d", w.Code)
-	}
-	if !strings.Contains(scrape(t, s), "eip_http_panics_total 1") {
-		t.Error("exposition missing eip_http_panics_total 1")
 	}
 }
 
@@ -168,8 +186,8 @@ func TestPanicAfterWriteKeepsStatus(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("status = %d, want the already-committed 202", w.Code)
 	}
-	if s.metrics.Snapshot().Panics != 1 {
-		t.Error("late panic not counted")
+	if v := sample(t, scrape(t, s), "eip_http_panics_total"); v != 1 {
+		t.Errorf("late panic: eip_http_panics_total = %v, want 1", v)
 	}
 }
 

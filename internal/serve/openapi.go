@@ -130,7 +130,7 @@ var apiOperations = []apiOperation{
 	{
 		Method: "GET", Path: "/v1/healthz",
 		Summary:       "Liveness and build info",
-		Description:   "Liveness plus build version, registry stats, request metrics and refresh-loop summary. Also served at `/healthz`.",
+		Description:   "Liveness and build version: `status` (always `ok`, also while the server drains) and `version`; every metric is on `/metrics`. Also served at `/healthz`.",
 		ResponseTypes: []string{ctJSON},
 		Statuses:      []int{200},
 	},

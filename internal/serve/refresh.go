@@ -87,19 +87,6 @@ type DriftStatus struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// RefreshSummary is the aggregate ingest/drift view exposed in healthz.
-type RefreshSummary struct {
-	// Models is the number of models receiving observations.
-	Models int `json:"models"`
-	// Drifting is how many of them are currently flagged as drifted.
-	Drifting int `json:"drifting"`
-	// Rotations and ShadowRejects sum the per-model counters.
-	Rotations     int `json:"rotations"`
-	ShadowRejects int `json:"shadow_rejects"`
-	// Observed sums every address offered across all models.
-	Observed uint64 `json:"observed"`
-}
-
 // modelStream is the per-model state of the refresh loop.
 type modelStream struct {
 	name string
@@ -436,8 +423,8 @@ func (r *Refresher) Status(name string) (DriftStatus, bool) {
 	return s.status(), true
 }
 
-// status reads the stream's observable state, the one read Status,
-// Summary and collect share.
+// status reads the stream's observable state, the one read Status and
+// collect share.
 func (s *modelStream) status() DriftStatus {
 	drifting, evaluations := s.det.State()
 	s.mu.Lock()
@@ -469,21 +456,6 @@ func (r *Refresher) statuses() []DriftStatus {
 		out[i] = s.status()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
-	return out
-}
-
-// Summary aggregates all streams for healthz.
-func (r *Refresher) Summary() RefreshSummary {
-	sts := r.statuses()
-	out := RefreshSummary{Models: len(sts)}
-	for _, st := range sts {
-		if st.Drifting {
-			out.Drifting++
-		}
-		out.Observed += st.Ingest.Observed
-		out.Rotations += st.Rotations
-		out.ShadowRejects += st.ShadowRejects
-	}
 	return out
 }
 

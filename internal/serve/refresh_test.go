@@ -215,17 +215,17 @@ func TestRefreshEndToEnd(t *testing.T) {
 		t.Errorf("events = %s, want drift-entered and rotated", joined)
 	}
 
-	// Healthz aggregates the loop.
-	rec := do(t, s, http.MethodGet, "/v1/healthz", nil)
-	var hr HealthResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
-		t.Fatal(err)
+	// The refresh series carry the loop: one rotation at least, and one
+	// model stream.
+	body := scrape(t, s)
+	if v := sample(t, body, `eip_refresh_rotations_total{model="live"}`); v < 1 {
+		t.Errorf(`eip_refresh_rotations_total{model="live"} = %v, want >= 1`, v)
 	}
-	if hr.Refresh.Models != 1 || hr.Refresh.Rotations < 1 {
-		t.Errorf("healthz refresh summary = %+v", hr.Refresh)
+	if n := strings.Count(body, "\neip_ingest_observed_total{"); n != 1 {
+		t.Errorf("%d eip_ingest_observed_total series, want 1 (model live)", n)
 	}
-	if hr.Version == "" {
-		t.Error("healthz version is empty")
+	if v := sample(t, body, `eip_ingest_observed_total{model="live"}`); v < 1 {
+		t.Errorf(`eip_ingest_observed_total{model="live"} = %v, want >= 1`, v)
 	}
 }
 

@@ -814,6 +814,8 @@ func TestModelInfoAndDelete(t *testing.T) {
 	}
 }
 
+// TestHealthzReportsMetrics: the per-route request and error counts and
+// the registry size /healthz used to carry are on /metrics.
 func TestHealthzReportsMetrics(t *testing.T) {
 	s, reg := newTestServer(t, Options{})
 	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
@@ -823,25 +825,54 @@ func TestHealthzReportsMetrics(t *testing.T) {
 	do(t, s, "POST", "/v1/models/web/browse", BrowseRequest{})
 	do(t, s, "POST", "/v1/models/missing/browse", BrowseRequest{})
 
-	w := do(t, s, "GET", "/healthz", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d", w.Code)
+	body := scrape(t, s)
+	if v := sample(t, body, "eip_registry_models"); v != 1 {
+		t.Errorf("eip_registry_models = %v, want 1", v)
 	}
-	var h HealthResponse
-	decode(t, w, &h)
-	if h.Status != "ok" {
-		t.Errorf("status = %q", h.Status)
+	const browse = `{route="POST /v1/models/{name}/browse"}`
+	reqs := sample(t, body, "eip_http_requests_total"+browse)
+	errs := sample(t, body, "eip_http_errors_total"+browse)
+	if reqs != 2 || errs != 1 {
+		t.Errorf("browse route = %v requests / %v errors, want 2 / 1", reqs, errs)
 	}
-	if h.Registry.Models != 1 {
-		t.Errorf("registry models = %d", h.Registry.Models)
+	const list = `{route="GET /v1/models"}`
+	reqs = sample(t, body, "eip_http_requests_total"+list)
+	errs = sample(t, body, "eip_http_errors_total"+list)
+	if reqs != 1 || errs != 0 {
+		t.Errorf("list route = %v requests / %v errors, want 1 / 0", reqs, errs)
 	}
-	browse := h.Metrics.Routes["POST /v1/models/{name}/browse"]
-	if browse.Requests != 2 || browse.Errors != 1 {
-		t.Errorf("browse route metrics = %+v", browse)
+}
+
+// TestHealthzShape: /healthz and /v1/healthz answer liveness only,
+// exactly {"status":"ok","version":...}, on a fresh server and on a
+// draining one.
+func TestHealthzShape(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	check := func(when string) {
+		t.Helper()
+		for _, path := range []string{"/healthz", "/v1/healthz"} {
+			w := do(t, s, "GET", path, nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s %s: status = %d, want 200", when, path, w.Code)
+			}
+			raw := w.Body.String()
+			var body map[string]json.RawMessage
+			decode(t, w, &body)
+			if len(body) != 2 {
+				t.Errorf("%s %s: body %s, want exactly the keys status and version", when, path, strings.TrimSpace(raw))
+			}
+			var status, version string
+			if err := json.Unmarshal(body["status"], &status); err != nil || status != "ok" {
+				t.Errorf("%s %s: status = %s, want \"ok\"", when, path, body["status"])
+			}
+			if err := json.Unmarshal(body["version"], &version); err != nil || version == "" {
+				t.Errorf("%s %s: version = %s, want a non-empty string", when, path, body["version"])
+			}
+		}
 	}
-	if h.Metrics.Routes["GET /v1/models"].Requests != 1 {
-		t.Errorf("list route metrics = %+v", h.Metrics.Routes["GET /v1/models"])
-	}
+	check("fresh")
+	s.Drain()
+	check("draining")
 }
 
 func TestBodySizeLimit(t *testing.T) {

@@ -21,7 +21,7 @@
 //	POST   /v1/models/{name}/observe      ingest observed addresses (NDJSON,
 //	                                      or binary via Content-Type)
 //	GET    /v1/models/{name}/drift        drift status of the model
-//	GET    /healthz (alias /v1/healthz)   liveness + version + metrics
+//	GET    /healthz (alias /v1/healthz)   liveness + build version
 package serve
 
 import (
@@ -676,65 +676,16 @@ func (s *Server) handleDriftStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// HealthResponse is the body of GET /healthz.
+// HealthResponse is the body of GET /healthz: liveness and the build
+// version. Every metric is on GET /metrics.
 type HealthResponse struct {
 	Status string `json:"status"`
 	// Version identifies the build (module version + VCS revision).
 	Version string `json:"version"`
-	// Registry summarizes the model store and its cache.
-	Registry registry.Stats `json:"registry"`
-	// Metrics summarizes request handling since startup.
-	Metrics MetricsSnapshot `json:"metrics"`
-	// Refresh summarizes the online ingest/drift/refresh loop.
-	Refresh RefreshSummary `json:"refresh"`
-	// Admission summarizes admission control, so load-balancer health
-	// checks can see saturation (rising shed counts, deep queues) before
-	// hard failure.
-	Admission AdmissionSummary `json:"admission"`
-}
-
-// AdmissionSummary is the admission-control section of /healthz.
-type AdmissionSummary struct {
-	// Enabled is false when no admission gate is configured (the other
-	// fields then stay zero).
-	Enabled bool `json:"enabled"`
-	// Tenants is how many tenants currently hold limiter state.
-	Tenants int `json:"tenants"`
-	// QueueDepth is how many requests are waiting for a tenant slot
-	// right now, across all tenants.
-	QueueDepth int `json:"queue_depth"`
-	// SlotsInUse is how many generation streams hold tenant slots.
-	SlotsInUse int `json:"slots_in_use"`
-	// Admitted counts requests past the rate gate since startup.
-	Admitted uint64 `json:"admitted"`
-	// Shed counts refused requests since startup, all gates combined.
-	Shed uint64 `json:"shed"`
-}
-
-func (s *Server) admissionSummary() AdmissionSummary {
-	if s.adm == nil {
-		return AdmissionSummary{}
-	}
-	st := s.adm.Stats()
-	return AdmissionSummary{
-		Enabled:    true,
-		Tenants:    st.Tenants,
-		QueueDepth: st.QueueDepth,
-		SlotsInUse: st.SlotsInUse,
-		Admitted:   st.Admitted,
-		Shed:       st.Shed(),
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:    "ok",
-		Version:   buildinfo.Version(),
-		Registry:  s.reg.Stats(),
-		Metrics:   s.metrics.Snapshot(),
-		Refresh:   s.refresher.Summary(),
-		Admission: s.admissionSummary(),
-	})
+	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: buildinfo.Version()})
 }
 
 // decodeBody decodes a JSON request body with a size cap, writing a 4xx

@@ -268,7 +268,7 @@ func TestSoakShedStatsConsistent(t *testing.T) {
 		t.Fatalf("admitted=%d shed=%d, want 5/15", got200, got429)
 	}
 	st := s.adm.Stats()
-	if st.Admitted != 5 || st.Shed() != 15 || st.ShedRate != 15 {
+	if st.Admitted != 5 || st.ShedRate+st.ShedBudget+st.ShedQueueFull+st.ShedDeadline != 15 || st.ShedRate != 15 {
 		t.Fatalf("controller stats %+v disagree with observed 5 admitted / 15 rate-shed", st)
 	}
 	if st.QueueDepth != 0 || st.SlotsInUse != 0 {
