@@ -10,7 +10,8 @@
 //     from an entry point through static intra-package calls (including
 //     calls made inside closures of those functions) must not call
 //     fmt.Sprintf/Errorf/… or encoding/json, must not concatenate
-//     strings inside a loop, and must not `make` inside a loop.
+//     strings inside a loop, must not `make` inside a loop, and must not
+//     append to a package-level variable.
 //     fmt calls whose result feeds directly into panic(...) are exempt:
 //     a panicking path is terminal, not steady state.
 //
@@ -250,6 +251,16 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, key string, strict bool) {
 					"string concatenation inside a loop on the %s %s; use append on a byte slice or strings.Builder, or annotate //eip:alloc-ok <why>",
 					tier, key)
 			}
+			if strict && len(n.Lhs) == len(n.Rhs) {
+				for i, rhs := range n.Rhs {
+					call, ok := analysis.Unparen(rhs).(*ast.CallExpr)
+					if ok && isBuiltinCall(pass, call, "append") && isPackageVar(pass, n.Lhs[i]) {
+						pass.Reportf(n.Pos(),
+							"append to a package-level variable on the %s %s grows it on every call; keep the buffer in the caller or a reused field, or annotate //eip:alloc-ok <why>",
+							tier, key)
+					}
+				}
+			}
 		}
 		return true
 	}
@@ -291,6 +302,22 @@ func isBuiltinCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = pass.TypesInfo.Uses[id].(*types.Builtin)
 	return ok
+}
+
+// isPackageVar reports whether e names a package-level variable, of this
+// package or, qualified, of another.
+func isPackageVar(pass *analysis.Pass, e ast.Expr) bool {
+	var id *ast.Ident
+	switch e := analysis.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return false
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 func isStringType(pass *analysis.Pass, e ast.Expr) bool {

@@ -10,7 +10,7 @@ import (
 func TestHotpath(t *testing.T) {
 	const pkg = "entropyip/internal/analysis/testdata/src/hotpath"
 	a := hotpath.New(hotpath.Config{
-		EntryPoints: []string{pkg + ".AppendRecord", pkg + ".Renamed"},
+		EntryPoints: []string{pkg + ".AppendRecord", pkg + ".Metrics.panicked", pkg + ".Renamed"},
 		WarmFuncs:   []string{pkg + ".Handle", pkg + ".HandleJustified", pkg + ".Gone.Handle"},
 	})
 	analysistest.Run(t, "../testdata/src/hotpath", a)

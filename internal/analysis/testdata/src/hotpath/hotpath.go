@@ -1,8 +1,9 @@
 // Package hotpathtest is the golden fixture for the hotpath analyzer.
-// The test config declares AppendRecord a zero-alloc entry point and
-// Handle a warm handler. It also names Renamed and Gone.Handle, which
-// this package does not declare: a stale name is reported at the package
-// clause instead of silently switching its check off.
+// The test config declares AppendRecord and Metrics.panicked zero-alloc
+// entry points and Handle a warm handler. It also names Renamed and
+// Gone.Handle, which this package does not declare: a stale name is
+// reported at the package clause instead of silently switching its check
+// off.
 package hotpathtest // want `entry point \S+\.Renamed matches no function` `warm function \S+\.Gone\.Handle matches no function`
 
 import (
@@ -58,6 +59,20 @@ func Handle(lines [][]byte) string {
 // warm handler: the warm tier does not follow calls.
 func summarize(lines [][]byte) string {
 	return fmt.Sprintf("%d lines", len(lines))
+}
+
+// panics is package-level state the strict tier must not grow.
+var panics []string
+
+// Metrics mirrors a request middleware whose panic accounting is a
+// declared entry point.
+type Metrics struct{ count int }
+
+func (m *Metrics) panicked(route string) {
+	m.count++
+	panics = append(panics, route) // want `append to a package-level variable on the zero-alloc path Metrics\.panicked`
+	local := append([]string(nil), route)
+	_ = local
 }
 
 // HandleJustified shows the escape hatch on a warm handler.

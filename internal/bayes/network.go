@@ -583,36 +583,22 @@ func (n *Network) NewScorer() *Scorer {
 // panics, as CPT.RowIndex does.
 func (s *Scorer) Add(ll float64, codes []int) float64 {
 	for i := range s.nodes {
-		ll += s.term(i, codes)
+		nd := &s.nodes[i]
+		r := 0
+		for k, p := range nd.parents {
+			v, card := codes[p], nd.cards[k]
+			if v < 0 || v >= card {
+				panic(fmt.Sprintf("bayes: parent value %d out of range (card %d)", v, card))
+			}
+			r = r*card + v
+		}
+		v := codes[i]
+		if v < 0 || v >= nd.arity {
+			panic(fmt.Sprintf("bayes: value %d of node %d out of range (arity %d)", v, i, nd.arity))
+		}
+		ll += nd.logp[r*nd.arity+v]
 	}
 	return ll
-}
-
-// Terms writes node i's log-likelihood term of one row of codes to
-// dst[i]: the values Add adds, in the order it adds them. dst must have
-// one entry per variable. Out-of-range values panic as in Add.
-func (s *Scorer) Terms(dst []float64, codes []int) {
-	for i := range s.nodes {
-		dst[i] = s.term(i, codes)
-	}
-}
-
-// term returns node i's log-CPT entry for the row of codes.
-func (s *Scorer) term(i int, codes []int) float64 {
-	nd := &s.nodes[i]
-	r := 0
-	for k, p := range nd.parents {
-		v, card := codes[p], nd.cards[k]
-		if v < 0 || v >= card {
-			panic(fmt.Sprintf("bayes: parent value %d out of range (card %d)", v, card))
-		}
-		r = r*card + v
-	}
-	v := codes[i]
-	if v < 0 || v >= nd.arity {
-		panic(fmt.Sprintf("bayes: value %d of node %d out of range (arity %d)", v, i, nd.arity))
-	}
-	return nd.logp[r*nd.arity+v]
 }
 
 // Edges returns all directed edges (parent, child) of the network.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -14,18 +15,19 @@ import (
 )
 
 // refWindow is what the readable reference computes for a window: every
-// address's categorical vector plus the per-window summaries.
+// address's categorical vector and within-density total, plus the
+// per-window counts.
 type refWindow struct {
-	vecs             [][]int
-	codeCounts       [][]int
-	clamped          []int
-	withinLogDensity float64
+	vecs       [][]int
+	within     []float64
+	codeCounts [][]int
+	clamped    []int
 }
 
-// refEncodeWindow is the pre-compiled-encoder EncodeWindow, kept verbatim
-// as the reference: EncodeWindow on the compiled encoder and the log-CPT
-// scorer must produce bit-identical counts AND likelihood terms (drift
-// scores and shadow evaluations cannot move).
+// refEncodeWindow is the pre-compiled-encoder EncodeWindow, kept as the
+// reference: EncodeWindow on the compiled encoder and the log-CPT scorer
+// must produce identical counts and bit-identical per-address terms
+// (drift scores and shadow evaluations cannot move).
 func refEncodeWindow(m *Model, addrs []ip6.Addr) *refWindow {
 	w := &refWindow{
 		codeCounts: make([][]int, len(m.Segments)),
@@ -36,14 +38,15 @@ func refEncodeWindow(m *Model, addrs []ip6.Addr) *refWindow {
 	}
 	for _, a := range addrs {
 		vec := make([]int, len(m.Segments))
+		within := 0.0
 		for i, sm := range m.Segments {
 			value := sm.Seg.Value(a)
 			idx, ok := sm.Encode(value)
 			if ok {
-				w.withinLogDensity -= math.Log(float64(sm.Values[idx].Width()))
+				within -= math.Log(float64(sm.Values[idx].Width()))
 			} else {
 				w.clamped[i]++
-				w.withinLogDensity += outOfSupportLogProb(sm.Seg.Width)
+				within += outOfSupportLogProb(sm.Seg.Width)
 				if idx, ok = sm.EncodeNearest(value); !ok {
 					idx = 0
 				}
@@ -52,8 +55,21 @@ func refEncodeWindow(m *Model, addrs []ip6.Addr) *refWindow {
 			w.codeCounts[i][idx]++
 		}
 		w.vecs = append(w.vecs, vec)
+		w.within = append(w.within, within)
 	}
 	return w
+}
+
+// refFixedSum is the window summation rule written with math/big: each
+// address's total rounded to 2^-32 nats, the integers summed exactly and
+// the sum read back in nats.
+func refFixedSum(totals []float64) float64 {
+	sum := new(big.Int)
+	for _, x := range totals {
+		sum.Add(sum, big.NewInt(int64(math.Round(x*0x1p32))))
+	}
+	f, _ := new(big.Float).SetInt(sum).Float64()
+	return f * 0x1p-32
 }
 
 // mapLogLikelihood is the map-based Bayesian-network log-likelihood loop
@@ -144,16 +160,22 @@ func TestEncodeWindowMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		// Bit-identical, not approximately equal: the same terms
-		// accumulate in the same order.
-		if got.WithinLogDensity != want.withinLogDensity {
-			t.Fatalf("%s: WithinLogDensity = %v, reference %v", name, got.WithinLogDensity, want.withinLogDensity)
+		// Bit-identical, not approximately equal: every address's terms
+		// accumulate in the same order, and the rounded totals sum
+		// exactly.
+		within := refFixedSum(want.within)
+		if got.WithinLogDensity != within {
+			t.Fatalf("%s: WithinLogDensity = %v, reference %v", name, got.WithinLogDensity, within)
 		}
-		bn := mapLogLikelihood(m.Net, want.vecs)
+		bnTotals := make([]float64, len(want.vecs))
+		for i, vec := range want.vecs {
+			bnTotals[i] = mapLogLikelihood(m.Net, [][]int{vec})
+		}
+		bn := refFixedSum(bnTotals)
 		if got.BNLogLikelihood != bn {
 			t.Fatalf("%s: BNLogLikelihood = %v, map-based reference %v", name, got.BNLogLikelihood, bn)
 		}
-		if ref := bn + want.withinLogDensity; got.LogLikelihood() != ref {
+		if ref := bn + within; got.LogLikelihood() != ref {
 			t.Fatalf("%s: LogLikelihood = %v, reference %v", name, got.LogLikelihood(), ref)
 		}
 	}
@@ -213,9 +235,9 @@ func TestEncodeWindowConcurrentFirstUse(t *testing.T) {
 			if got, err := fresh.Generate(genOpts); err != nil || !reflect.DeepEqual(got, wantGen) {
 				t.Errorf("concurrent Generate: %d candidates, err %v; differs from the built model's", len(got), err)
 			}
-			st := fresh.NewWindowState(len(window))
-			for i, a := range window {
-				st.Set(i, a)
+			st := fresh.NewWindowState()
+			for _, a := range window {
+				st.Add(a)
 			}
 			sameEncoding(t, "concurrent window state", st.Encoding(), want)
 			if got, err := fresh.Marginals(); err != nil || !reflect.DeepEqual(got, wantMarg) {

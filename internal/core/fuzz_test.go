@@ -81,8 +81,8 @@ func FuzzLoad(f *testing.F) {
 
 // checkWindowState runs a model's window state over a 64-address window
 // of generated and random addresses, the random ones mostly outside the
-// mined support, then replaces half the slots. After each step the
-// replayed encoding must equal EncodeWindow on the same addresses, bit
+// mined support, then replaces half the addresses. After each step the
+// state's encoding must equal EncodeWindow on the same addresses, bit
 // for bit.
 func checkWindowState(t *testing.T, m *Model) {
 	t.Helper()
@@ -98,14 +98,16 @@ func checkWindowState(t *testing.T, m *Model) {
 			window[i] = random()
 		}
 	}
-	st := m.NewWindowState(n)
-	for i, a := range window {
-		st.Set(i, a)
+	st := m.NewWindowState()
+	for _, a := range window {
+		st.Add(a)
 	}
 	sameEncoding(t, "filled", st.Encoding(), m.EncodeWindow(window))
 	for i := 0; i < n; i += 2 {
+		old := window[i]
 		window[i] = random()
-		st.Set(i, window[i])
+		st.Add(window[i])
+		st.Remove(old)
 	}
 	sameEncoding(t, "half replaced", st.Encoding(), m.EncodeWindow(window))
 }

@@ -417,57 +417,29 @@ type WindowEncoding struct {
 	Clamped []int
 	// BNLogLikelihood is the Bayesian-network log-likelihood (nats) of
 	// the addresses' categorical vectors (out-of-support values clamped
-	// to the nearest code, as the compiled encoder does), summed in
-	// address order.
+	// to the nearest code, as the compiled encoder does): each address's
+	// total rounded to 2^-32 nats and summed exactly, so it does not
+	// depend on the order of the addresses (WindowState).
 	BNLogLikelihood float64
-	// WithinLogDensity is the accumulated within-value log-density
-	// (nats): 0 per exact value, -log w per range of width w, and the
-	// out-of-support floor per clamped value.
+	// WithinLogDensity is the within-value log-density (nats), rounded
+	// and summed the same way: 0 per exact value, -log w per range of
+	// width w, and the out-of-support floor per clamped value.
 	WithinLogDensity float64
 }
 
 // EncodeWindow encodes a window of addresses once, collecting everything
-// drift scoring and AddressLogLikelihood need. Drift scoring calls this
-// per evaluation on the ingest request path, so an address costs one read
-// of its two 64-bit halves, a table lookup per segment in the compiled
-// encoder (mining.CompiledEncoder) and one in the model's log-CPTs
-// (bayes.Scorer). The addresses' vectors pass through one reused buffer:
-// the allocations are per window and per segment, none per address.
+// drift scoring and AddressLogLikelihood need: a fresh WindowState with
+// each address added. Drift scoring calls this on the ingest request
+// path, so an address costs one read of its two 64-bit halves, a table
+// lookup per segment in the compiled encoder (mining.CompiledEncoder) and
+// one in the model's log-CPTs (bayes.Scorer). The allocations are per
+// window and per segment, none per address.
 func (m *Model) EncodeWindow(addrs []ip6.Addr) *WindowEncoding {
-	c := m.encoder.Compiled()
-	sc := m.scorer
-	cols := len(m.Segments)
-	w := &WindowEncoding{
-		CodeCounts: make([][]int, cols),
-		Clamped:    make([]int, cols),
-	}
-	for i, sm := range m.Segments {
-		w.CodeCounts[i] = make([]int, sm.Arity())
-	}
-	outOfSupport := make([]float64, cols)
-	for i, sm := range m.Segments {
-		outOfSupport[i] = outOfSupportLogProb(sm.Seg.Width)
-	}
-	vec := make([]int, cols)
+	s := m.NewWindowState()
 	for _, a := range addrs {
-		hi, lo := a.Uint64s()
-		for i := range vec {
-			idx, covered := c.EncodeSegment(i, hi, lo)
-			if covered {
-				w.WithinLogDensity -= c.LogWidth(i, idx)
-			} else {
-				w.Clamped[i]++
-				w.WithinLogDensity += outOfSupport[i]
-				if idx < 0 {
-					idx = 0 // unreachable: mined segments have arity >= 1
-				}
-			}
-			vec[i] = idx
-			w.CodeCounts[i][idx]++
-		}
-		w.BNLogLikelihood = sc.Add(w.BNLogLikelihood, vec)
+		s.Add(a)
 	}
-	return w
+	return s.Encoding()
 }
 
 // LogLikelihood returns the BN-plus-within-density log-likelihood (nats)

@@ -2,120 +2,151 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
 	"entropyip/internal/ip6"
+	"entropyip/internal/synth"
 )
 
-// checkRows asserts the window state's row invariants: each row's count
-// is the number of filled slots referring to it, live counts the rows in
-// use, no two rows hold the same vector, and dead rows never outnumber
-// both the live ones and the rebuild floor.
-func checkRows(t *testing.T, s *WindowState) {
-	t.Helper()
-	refs := make([]int, s.rows.Len())
-	filled := 0
-	for _, r := range s.slots {
-		if r != noRow {
-			refs[r]++
-			filled++
-		}
-	}
-	if filled != s.Len() {
-		t.Fatalf("%d slots filled, Len = %d", filled, s.Len())
-	}
-	live := 0
-	seen := map[string]bool{}
-	for r, n := range refs {
-		if c := s.rows.Count(r); c != n {
-			t.Fatalf("row %d counted %d times, %d slots refer to it", r, c, n)
-		}
-		if n > 0 {
-			live++
-		}
-		key := fmt.Sprint(s.rows.Row(r))
-		if seen[key] {
-			t.Fatalf("row %d duplicates another row's vector", r)
-		}
-		seen[key] = true
-	}
-	if live != s.live {
-		t.Fatalf("%d rows in use, live = %d", live, s.live)
-	}
-	if dead := s.rows.Len() - live; dead > live && dead > rebuildFloor {
-		t.Fatalf("%d dead rows beside %d live ones", dead, live)
-	}
-}
-
-// TestWindowStateMatchesEncodeWindow churns random slots of a window state
-// with held-out, foreign and random addresses. At checkpoints the state's
-// encoding must equal EncodeWindow over the filled slots in slot order,
-// bit for bit, and its rows must stay consistent.
+// TestWindowStateMatchesEncodeWindow churns random slots of a window with
+// held-out, foreign and random addresses, the random ones mostly outside
+// the mined support: a slot's new address is added, then the one it held
+// is removed. After every Add and every Remove the state's encoding must
+// equal EncodeWindow over the addresses it holds, bit for bit.
 func TestWindowStateMatchesEncodeWindow(t *testing.T) {
 	for _, tc := range []struct{ train, window string }{
 		{"S1", "S1"}, {"S1", "C1"}, {"C1", "R1"},
 	} {
 		m, pool := windowCase(t, tc.train, tc.window)
-		const slots = 512
+		const slots = 64
 		rng := rand.New(rand.NewSource(4))
-		st := m.NewWindowState(slots / 2) // grows past its size hint
-		mirror := make([]ip6.Addr, slots)
-		filled := make([]bool, slots)
-		for step := 1; step <= 6000; step++ {
-			slot := rng.Intn(slots)
-			mirror[slot], filled[slot] = pool[rng.Intn(len(pool))], true
-			st.Set(slot, mirror[slot])
-			if step%500 != 0 {
+		st := m.NewWindowState()
+		var mirror []ip6.Addr
+		check := func(step int, what string, extra ...ip6.Addr) {
+			t.Helper()
+			window := append(append([]ip6.Addr{}, mirror...), extra...)
+			if st.Len() != len(window) {
+				t.Fatalf("%s/%s step %d: Len = %d, want %d", tc.train, tc.window, step, st.Len(), len(window))
+			}
+			what = fmt.Sprintf("%s/%s step %d, after %s", tc.train, tc.window, step, what)
+			sameEncoding(t, what, st.Encoding(), m.EncodeWindow(window))
+		}
+		for step := 0; step < 1500; step++ {
+			a := pool[rng.Intn(len(pool))]
+			st.Add(a)
+			if len(mirror) < slots {
+				mirror = append(mirror, a)
+				check(step, "Add")
 				continue
 			}
-			var window []ip6.Addr
-			for i, a := range mirror {
-				if filled[i] {
-					window = append(window, a)
-				}
-			}
-			if st.Len() != len(window) {
-				t.Fatalf("%s/%s: Len = %d, want %d", tc.train, tc.window, st.Len(), len(window))
-			}
-			sameEncoding(t, tc.train+"/"+tc.window, st.Encoding(), m.EncodeWindow(window))
-			checkRows(t, st)
+			check(step, "Add", a)
+			slot := rng.Intn(slots)
+			st.Remove(mirror[slot])
+			mirror[slot] = a
+			check(step, "Remove")
+		}
+		for len(mirror) > 0 {
+			st.Remove(mirror[len(mirror)-1])
+			mirror = mirror[:len(mirror)-1]
+		}
+		check(1500, "emptying")
+	}
+}
+
+// TestEncodeWindowOrderIndependent shuffles each window: the encoding
+// must not move by one bit, because each address's terms are rounded
+// once and summed exactly.
+func TestEncodeWindowOrderIndependent(t *testing.T) {
+	for _, tc := range []struct{ train, window string }{
+		{"S1", "S1"}, {"S5", "C1"}, {"C1", "R1"},
+	} {
+		m, pool := windowCase(t, tc.train, tc.window)
+		want := m.EncodeWindow(pool)
+		rng := rand.New(rand.NewSource(9))
+		for round := 0; round < 3; round++ {
+			shuffled := append([]ip6.Addr{}, pool...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			sameEncoding(t, fmt.Sprintf("%s/%s shuffle %d", tc.train, tc.window, round), m.EncodeWindow(shuffled), want)
 		}
 	}
 }
 
-// TestWindowStateRebuild cycles a small window through random addresses,
-// whose vectors rarely repeat, so rows die faster than they come back and
-// the state must rebuild its rows again and again. The tally never holds
-// more than twice the live rows plus the floor, and the encoding equals
-// EncodeWindow bit for bit after every Set, just before and just after
-// each rebuild included.
-func TestWindowStateRebuild(t *testing.T) {
-	m, _ := windowCase(t, "S1", "S1")
-	const slots = 32
-	st := m.NewWindowState(slots)
-	window := make([]ip6.Addr, slots)
-	rng := rand.New(rand.NewSource(11))
-	rebuilds := 0
-	for step := 0; step < 3000; step++ {
-		slot := step % slots
-		rng.Read(window[slot][:])
-		before := st.rows.Len()
-		st.Set(slot, window[slot])
-		if n := st.rows.Len(); n > 2*st.live+rebuildFloor {
-			t.Fatalf("step %d: %d rows for %d live ones", step, n, st.live)
-		}
-		if st.rows.Len() < before {
-			rebuilds++
-			checkRows(t, st)
-		}
-		if step >= slots-1 {
-			sameEncoding(t, fmt.Sprintf("step %d", step), st.Encoding(), m.EncodeWindow(window))
-		}
+// TestFixedSumWorstCase adds the largest total one address can contribute
+// to a window sum, 2^20 times: past 2^16 addresses an int64 would have
+// overflowed. The 128-bit sum must equal the exact product and read as
+// it in nats, and removing every address must bring it back to an exact
+// zero.
+func TestFixedSumWorstCase(t *testing.T) {
+	// A bound on either total of one address: at most 32 segments, each
+	// charged the scorer's 1e-300 floor and the out-of-support floor of
+	// the widest segment there can be.
+	worst := 32 * (math.Log(1e-300) + outOfSupportLogProb(32))
+	if worst > -1<<14 || worst < -1<<15 {
+		t.Fatalf("worst-case address total %v nats, want within (-2^15, -2^14]", worst)
 	}
-	if rebuilds < 3 {
-		t.Fatalf("%d rebuilds in 3000 Sets, want at least 3", rebuilds)
+	x := toFixed(worst)
+	const n = 1 << 20
+	var s fixedSum
+	for i := 0; i < n; i++ {
+		s.add(x)
 	}
-	checkRows(t, st)
-	t.Logf("%d rebuilds", rebuilds)
+	want := new(big.Int).Mul(big.NewInt(x), big.NewInt(n))
+	got := new(big.Int).Lsh(new(big.Int).SetUint64(s.hi), 64)
+	got.Add(got, new(big.Int).SetUint64(s.lo))
+	got.Sub(got, new(big.Int).Lsh(big.NewInt(int64(s.hi>>63)), 128)) // two's complement
+	if got.Cmp(want) != 0 {
+		t.Fatalf("sum of %d worst-case totals = %v units, want %v", n, got, want)
+	}
+	if f, w := s.nats(), float64(x)*n*fixedUnit; f != w {
+		t.Fatalf("sum reads %v nats, want %v", f, w)
+	}
+	for i := 0; i < n; i++ {
+		s.add(-x)
+	}
+	if s != (fixedSum{}) || s.nats() != 0 {
+		t.Fatalf("after removing every address the sum is %+v (%v nats), want exact zero", s, s.nats())
+	}
+}
+
+// BenchmarkWindowStateAdd is the drift window's per-address step on the
+// serving window: one Remove and one Add per op on a window state filled
+// with 16,384 held-out S5 addresses under a 1K-trained S5 model, each op
+// swapping a window address for one of another S5 draw.
+// Steady state must be 0 allocs/op (gated strictly by
+// scripts/check_bench.sh).
+func BenchmarkWindowStateAdd(b *testing.B) {
+	const window = 16_384
+	addrs, err := synth.Generate("S5", 1000+window, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	other, err := synth.Generate("S5", window, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := Build(addrs[:1000], Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// S5 has fewer distinct addresses than the window; the pools repeat.
+	held, next := make([]ip6.Addr, window), make([]ip6.Addr, window)
+	for i := range held {
+		held[i] = addrs[1000+i%(len(addrs)-1000)]
+		next[i] = other[i%len(other)]
+	}
+	st := m.NewWindowState()
+	for _, a := range held {
+		st.Add(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % window
+		st.Remove(held[j])
+		st.Add(next[j])
+		held[j], next[j] = next[j], held[j]
+	}
 }

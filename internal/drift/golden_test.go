@@ -43,8 +43,8 @@ func goldenDriftModel(tb testing.TB) (m *core.Model, s5, c1 []ip6.Addr) {
 // reports updates these hashes and says why.
 func TestScoreGoldenReportHashes(t *testing.T) {
 	golden := map[string]string{
-		"S5": "1324c50fe68d1d2290c7b985a85b00d2ae5c7c11c91df14cca0138a8cb5ce3fe",
-		"C1": "5fb3684f6a47d46d936489822a11e970657fcc9c1c790c5cc36173a4f55a2de8",
+		"S5": "64ae2ea2975de1e09ce57e330a6976ecac5c4ffbd76a1f98de98438351c41c30",
+		"C1": "7a2471c34356446340d20a0fb151b6abfc5713359af2e841ab6780a05aefd211",
 	}
 	m, s5, c1 := goldenDriftModel(t)
 	for _, tc := range []struct {

@@ -5,25 +5,26 @@ import (
 
 	"entropyip/internal/core"
 	"entropyip/internal/ingest"
+	"entropyip/internal/ip6"
 )
 
 // Window scores one live ingest buffer against its model incrementally:
-// the report Score(m, buf.Snapshot()) would return, bit for bit. What
-// scales with the slots written since the last evaluation is draining
-// the buffer's change record (ingest.Buffer.Drain) and moving the
-// per-slot encoding state (core.WindowState: its rows and code counts)
-// and the per-nybble counts by delta. The likelihood sum is still
-// O(window): core.WindowState.Encoding re-adds the cached terms of every
-// filled slot on each evaluation, to stay bit-equal to EncodeWindow's
-// addition order (ROADMAP item 10). The report is built with the code
-// Score uses.
+// the report Score(m, buf.Snapshot()) would return, bit for bit. An
+// evaluation drains the buffer's change record (ingest.Buffer.Drain) and,
+// for each slot written since the last one, adds the slot's current
+// address to the encoding state (core.WindowState) and the per-nybble
+// counts and removes the address it held before. The likelihood sums are
+// exact and order-independent, so they move by delta too, and the cost of
+// an evaluation grows with the slots written, not with the window; the
+// report is then built with the code Score uses.
 //
 // The state belongs to one model: an evaluation under a different
 // *core.Model (a rotation, an upload, a registry reload) rebuilds it from
-// the whole window (ingest.Buffer.DrainAll). Prefix64Only models are
-// scored by Score on a snapshot instead, because their window is masked
-// to /64s and deduplicated, and which address represents a /64 changes
-// with every eviction.
+// the whole window (ingest.Buffer.DrainAll). For a Prefix64Only model,
+// Score masks the window to /64s and counts each /64 once, so the Window
+// keeps a reference count per /64: an address enters the state and the
+// nybble counts masked, and only when its /64's count rises from zero,
+// and leaves them only when the count falls back to zero.
 //
 // A Window serves one buffer, which it must be the only one to drain. The
 // zero value is ready to use, and Score is safe for concurrent use.
@@ -32,6 +33,9 @@ type Window struct {
 	model *core.Model
 	state *core.WindowState
 	nyb   nybbleCounts
+	// per64 counts the window's addresses in each /64 for a Prefix64Only
+	// model; it is nil for any other.
+	per64 map[ip6.Addr]int
 	// changes is Drain's reused result.
 	changes []ingest.Change
 }
@@ -40,31 +44,45 @@ type Window struct {
 func (w *Window) Score(m *core.Model, buf *ingest.Buffer) (Report, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if m.Opts.Prefix64Only {
-		w.model, w.state = nil, nil
-		return Score(m, buf.Snapshot())
-	}
-	withNybble := hasNybble(m)
 	if m != w.model {
-		w.model, w.nyb = m, nybbleCounts{}
-		w.state = m.NewWindowState(buf.Stats().WindowCapacity)
-		for slot, a := range buf.DrainAll() {
-			if withNybble {
-				w.nyb.add(a, 1)
-			}
-			w.state.Set(slot, a)
+		w.model, w.nyb, w.per64 = m, nybbleCounts{}, nil
+		w.state = m.NewWindowState()
+		if m.Opts.Prefix64Only {
+			w.per64 = make(map[ip6.Addr]int)
+		}
+		for _, a := range buf.DrainAll() {
+			w.count(a, 1)
 		}
 	} else {
 		w.changes = buf.Drain(w.changes[:0])
 		for _, c := range w.changes {
-			if withNybble {
-				if c.HadPrev {
-					w.nyb.add(c.Prev, -1)
-				}
-				w.nyb.add(c.Cur, 1)
+			w.count(c.Cur, 1)
+			if c.HadPrev {
+				w.count(c.Prev, -1)
 			}
-			w.state.Set(c.Slot, c.Cur)
 		}
 	}
 	return report(m, w.state.Len(), w.state.Encoding(), &w.nyb)
+}
+
+// count adds address a to the window (d = 1) or removes it (d = -1).
+func (w *Window) count(a ip6.Addr, d int) {
+	if w.per64 != nil {
+		a = ip6.Mask(a, 64)
+		n := w.per64[a] + d
+		if n == 0 {
+			delete(w.per64, a)
+		} else {
+			w.per64[a] = n
+		}
+		if n != d && n != 0 { // the /64 was counted before and still is
+			return
+		}
+	}
+	w.nyb.add(a, d)
+	if d > 0 {
+		w.state.Add(a)
+	} else {
+		w.state.Remove(a)
+	}
 }

@@ -3,6 +3,7 @@ package drift
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -109,8 +110,9 @@ func TestWindowIntervalLongerThanWindow(t *testing.T) {
 	}
 }
 
-// TestWindowPrefix64Only checks the snapshot path Prefix64Only models
-// take: their masked, deduplicated window is scored by Score itself.
+// TestWindowPrefix64Only checks the per-/64 reference count Prefix64Only
+// models take: their window is masked to /64s and deduplicated, and the
+// Window's report must still equal Score on a snapshot.
 func TestWindowPrefix64Only(t *testing.T) {
 	p := testPlan([]uint64{0x0001, 0x0002, 0x0003}, []float64{0.5, 0.3, 0.2})
 	rng := rand.New(rand.NewSource(7))
@@ -123,6 +125,38 @@ func TestWindowPrefix64Only(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		buf.AddBatch(draw(p, rng, 500))
 		checkWindow(t, &w, m, buf, "prefix64")
+	}
+}
+
+// TestWindowPrefix64OnlyChurn runs S5 → C1 → S1 traffic, which spans
+// thousands of /64s, through a 2,048-address window with the per-/64 cap
+// at 3, so slots are evicted and capped in place and a /64 enters and
+// leaves the window many times. The scoring model swaps between
+// Prefix64Only models of S5 and C1 and a full S5 model; after every batch
+// the Window's report must equal Score(m, Snapshot()) byte for byte.
+func TestWindowPrefix64OnlyChurn(t *testing.T) {
+	s5, c1, s1 := driftTraffic(t, 6000)
+	var models []*core.Model
+	for _, tc := range []struct {
+		train []ip6.Addr
+		opts  core.Options
+	}{{s5, core.Options{Prefix64Only: true}}, {c1, core.Options{Prefix64Only: true}}, {s5, core.Options{}}} {
+		m, err := core.Build(tc.train[:1000], tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	buf := ingest.New(ingest.Config{WindowSize: 2048, MaxPer64: 3})
+	var w Window
+	traffic := append(append(append([]ip6.Addr{}, s5[1000:]...), c1[1000:]...), s1...)
+	for i := 0; i < len(traffic); i += 500 {
+		buf.AddBatch(traffic[i:min(i+500, len(traffic))])
+		m := models[0]
+		if b := i / 500; b%8 >= 5 {
+			m = models[1+b/8%2]
+		}
+		checkWindow(t, &w, m, buf, fmt.Sprintf("prefix64 churn, batch %d", i/500))
 	}
 }
 
@@ -175,18 +209,22 @@ func TestWindowEmpty(t *testing.T) {
 	checkWindow(t, &w, m, ingest.New(ingest.Config{}), "empty")
 }
 
-// TestWindowStateBytesGoldenC1 bounds the per-slot state of the golden C1
-// window (16,384 C1 addresses against the S5 model) at 512 KiB.
-func TestWindowStateBytesGoldenC1(t *testing.T) {
-	m, _, c1 := goldenDriftModel(t)
-	st := m.NewWindowState(goldenWindowSize)
-	for i, a := range c1 {
-		st.Set(i, a)
+// TestWindowStateAllocsGoldenC1 fills a window state with the golden C1
+// window (16,384 C1 addresses against the S5 model) and pins that moving
+// it by one address, one Remove and one Add, allocates nothing.
+func TestWindowStateAllocsGoldenC1(t *testing.T) {
+	m, s5, c1 := goldenDriftModel(t)
+	st := m.NewWindowState()
+	for _, a := range c1 {
+		st.Add(a)
 	}
-	if n := st.Bytes(); n > 512<<10 {
-		t.Errorf("window state of the golden C1 window holds %d bytes, want <= %d", n, 512<<10)
-	} else {
-		t.Logf("window state of the golden C1 window: %d bytes", n)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		st.Remove(c1[i])
+		st.Add(s5[i])
+		i++
+	}); n != 0 {
+		t.Fatalf("Remove plus Add allocates %v times, want 0", n)
 	}
 }
 

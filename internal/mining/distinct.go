@@ -24,8 +24,8 @@ import (
 func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, counts []int) {
 	c := e.Compiled()
 	cols := len(e.Models)
-	parts := parallel.MapShards(workers, len(addrs), func(s parallel.Shard) *Tally {
-		t := NewTally(cols, 0)
+	parts := parallel.MapShards(workers, len(addrs), func(s parallel.Shard) *tally {
+		t := newTally(cols, 0)
 		vec := make([]int, cols)
 		vec32 := make([]int32, cols)
 		for _, a := range addrs[s.Start:s.End] {
@@ -33,7 +33,7 @@ func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, c
 			for i, v := range vec {
 				vec32[i] = int32(v)
 			}
-			t.Add(vec32, 1)
+			t.add(vec32, 1)
 		}
 		return t
 	})
@@ -44,12 +44,12 @@ func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, c
 	if len(parts) > 1 {
 		n := 0
 		for _, p := range parts {
-			n += p.Len()
+			n += p.len()
 		}
-		t = NewTally(cols, n)
+		t = newTally(cols, n)
 		for _, p := range parts {
 			for r, w := range p.counts {
-				t.Add(p.Row(r), w)
+				t.add(p.row(r), w)
 			}
 		}
 	}
@@ -57,17 +57,16 @@ func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, c
 	for i, v := range t.codes {
 		flat[i] = int(v)
 	}
-	rows = make([][]int, t.Len())
+	rows = make([][]int, t.len())
 	for r := range rows {
 		rows[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
 	}
 	return rows, t.counts
 }
 
-// Tally counts distinct code vectors of one width. Rows are numbered in
-// order of first insertion and keep their number for the tally's life: a
-// row whose count falls to zero stays, and Add counts it again if its
-// vector returns. The vectors sit back to back in codes with their counts
+// tally counts distinct code vectors of one width. Rows are numbered in
+// order of first insertion and keep their number for the tally's life,
+// whatever their count. The vectors sit back to back in codes with their counts
 // in a parallel slice; slots is a flat open-addressing index over them, in
 // the style of ip6.Set: a power-of-two table filled to at most 3/4 and
 // probed linearly from the slot the hash's top bits pick. A slot holds r+1
@@ -77,7 +76,7 @@ func (e *Encoder) EncodeDistinct(addrs []ip6.Addr, workers int) (rows [][]int, c
 // by a client (uploaded training addresses, observed traffic) cannot drive
 // the index into long probe chains. The seed decides only where a row sits
 // in the index, never row numbers or counts.
-type Tally struct {
+type tally struct {
 	cols   int
 	keys   []uint64 // per-column hash multipliers
 	codes  []int32
@@ -90,14 +89,14 @@ type Tally struct {
 // minTallySlots is the smallest index a tally allocates.
 const minTallySlots = 64
 
-// NewTally returns an empty tally of vectors cols codes wide, with room
+// newTally returns an empty tally of vectors cols codes wide, with room
 // for n distinct vectors below the index's load limit.
-func NewTally(cols, n int) *Tally {
+func newTally(cols, n int) *tally {
 	size := minTallySlots
 	for size/4*3 < n {
 		size *= 2
 	}
-	t := &Tally{
+	t := &tally{
 		cols:   cols,
 		keys:   make([]uint64, cols),
 		codes:  make([]int32, 0, n*cols),
@@ -119,35 +118,23 @@ func NewTally(cols, n int) *Tally {
 }
 
 // alloc gives the tally an empty index of size slots, a power of two.
-func (t *Tally) alloc(size int) {
+func (t *tally) alloc(size int) {
 	t.slots = make([]uint32, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	t.limit = size / 4 * 3
 }
 
-// Len returns the number of rows, counted or not.
-func (t *Tally) Len() int { return len(t.counts) }
+// len returns the number of rows, counted or not.
+func (t *tally) len() int { return len(t.counts) }
 
-// Row returns the codes of row r; the caller must not modify them.
-func (t *Tally) Row(r int) []int32 {
+// row returns the codes of row r; the caller must not modify them.
+func (t *tally) row(r int) []int32 {
 	return t.codes[r*t.cols : (r+1)*t.cols : (r+1)*t.cols]
 }
 
-// Count returns how many times row r is counted.
-func (t *Tally) Count(r int) int { return t.counts[r] }
-
-// Uncount removes one count from row r. The row stays in the tally.
-func (t *Tally) Uncount(r int) { t.counts[r]-- }
-
-// Bytes returns the memory the tally holds, counted from the capacities
-// of its slices.
-func (t *Tally) Bytes() int {
-	return 8*cap(t.keys) + 4*cap(t.codes) + 8*cap(t.counts) + 4*cap(t.slots)
-}
-
-// Add counts vec w more times and returns its row. A vector seen for the
-// first time is copied in as row Len()-1.
-func (t *Tally) Add(vec []int32, w int) int {
+// add counts vec w more times and returns its row. A vector seen for the
+// first time is copied in as row len()-1.
+func (t *tally) add(vec []int32, w int) int {
 	mask := len(t.slots) - 1
 	for i := int(t.hash(vec) >> t.shift); ; i = (i + 1) & mask {
 		s := int(t.slots[i])
@@ -160,7 +147,7 @@ func (t *Tally) Add(vec []int32, w int) int {
 			}
 			return len(t.counts) - 1
 		}
-		if equalCodes(t.Row(s-1), vec) {
+		if equalCodes(t.row(s-1), vec) {
 			t.counts[s-1] += w
 			return s - 1
 		}
@@ -168,11 +155,11 @@ func (t *Tally) Add(vec []int32, w int) int {
 }
 
 // grow doubles the index and re-places every row by its hash.
-func (t *Tally) grow() {
+func (t *tally) grow() {
 	t.alloc(2 * len(t.slots))
 	mask := len(t.slots) - 1
 	for r := range t.counts {
-		i := int(t.hash(t.Row(r)) >> t.shift)
+		i := int(t.hash(t.row(r)) >> t.shift)
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -184,7 +171,7 @@ func (t *Tally) grow() {
 // with every product independent of the others, and the sum multiplied
 // into 128 bits by a large odd constant and the product's two words
 // folded, so every bit of it reaches the top bits that pick a slot.
-func (t *Tally) hash(vec []int32) uint64 {
+func (t *tally) hash(vec []int32) uint64 {
 	var h uint64
 	for i, c := range vec {
 		h += uint64(c) * t.keys[i]

@@ -109,29 +109,27 @@ func TestEncodeDistinct(t *testing.T) {
 // tally must still tell them apart by their codes, including across the
 // index's growth, and count a row again after its count fell to zero.
 func TestTallyConfirmsCollisions(t *testing.T) {
-	tl := NewTally(2, 0)
+	tl := newTally(2, 0)
 	clear(tl.keys) // every vector hashes alike
 	for round := 0; round < 2; round++ {
 		for v := 0; v < 100; v++ {
-			if r := tl.Add([]int32{int32(v), int32(v % 7)}, 1); r != v {
+			if r := tl.add([]int32{int32(v), int32(v % 7)}, 1); r != v {
 				t.Fatalf("vector %d: row %d, want %d", v, r, v)
 			}
 		}
 	}
-	if tl.Len() != 100 {
-		t.Fatalf("%d distinct vectors, want 100", tl.Len())
+	if tl.len() != 100 {
+		t.Fatalf("%d distinct vectors, want 100", tl.len())
 	}
-	for v := 0; v < tl.Len(); v++ {
-		if c := tl.Count(v); c != 2 || !reflect.DeepEqual(tl.Row(v), []int32{int32(v), int32(v % 7)}) {
-			t.Fatalf("vector %d: row %v count %d, want [%d %d] twice", v, tl.Row(v), c, v, v%7)
+	for v := 0; v < tl.len(); v++ {
+		if c := tl.counts[v]; c != 2 || !reflect.DeepEqual(tl.row(v), []int32{int32(v), int32(v % 7)}) {
+			t.Fatalf("vector %d: row %v count %d, want [%d %d] twice", v, tl.row(v), c, v, v%7)
 		}
 	}
-	tl.Uncount(5)
-	tl.Uncount(5)
-	if c := tl.Count(5); c != 0 {
-		t.Fatalf("row 5 counted %d times after two uncounts, want 0", c)
+	if r := tl.add([]int32{5, 5}, -2); r != 5 || tl.counts[5] != 0 {
+		t.Fatalf("taking two counts off: row %d count %d, want row 5 count 0", r, tl.counts[5])
 	}
-	if r := tl.Add([]int32{5, 5}, 3); r != 5 || tl.Count(5) != 3 || tl.Len() != 100 {
-		t.Fatalf("returning vector: row %d count %d of %d rows, want row 5 count 3 of 100", r, tl.Count(5), tl.Len())
+	if r := tl.add([]int32{5, 5}, 3); r != 5 || tl.counts[5] != 3 || tl.len() != 100 {
+		t.Fatalf("returning vector: row %d count %d of %d rows, want row 5 count 3 of 100", r, tl.counts[5], tl.len())
 	}
 }

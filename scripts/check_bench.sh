@@ -48,6 +48,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k ACR100kOne64 ACR100kRuns
          Decode100k ParseFormat
          ObserveIngest GenerateNDJSON GenerateBinary100k ObserveBinary10k
          MetricsHotPath SpanHotPath TraceparentParse DriftScore16k DriftWindow16k
+         WindowStateAdd
          Sample NewCondSampler Posteriors
          SetDedup SetContains FreqOf100k FreqOf100kNarrow ClusterHist4096 Read100k
          ParseLineBytes LoadMaxArity/4x8nybbles LoadMaxArity/1x3nybbles)
@@ -56,7 +57,7 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k ACR100kOne64 ACR100kRuns
 # exactly 0, base entry or not.
 ZERO_ALLOC=(Encode100k Decode100k ParseFormat ObserveIngest GenerateNDJSON
             GenerateBinary100k ObserveBinary10k MetricsHotPath SpanHotPath
-            TraceparentParse SetContains ParseLineBytes Sample)
+            TraceparentParse SetContains ParseLineBytes Sample WindowStateAdd)
 
 if command -v benchstat >/dev/null 2>&1; then
     echo "== benchstat base vs new (informational) =="
