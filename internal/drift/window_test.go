@@ -230,7 +230,9 @@ func TestWindowStateAllocsGoldenC1(t *testing.T) {
 
 // BenchmarkDriftWindow16k is one incremental evaluation on the serving
 // window: 1,024 of 16,384 slots hold new held-out S5 addresses per op, and
-// the Window scores the buffer against a 1K-trained S5 model.
+// the Window scores the buffer against a 1K-trained S5 model. The held-out
+// S5 window these batches come from holds 12,550 addresses, not 16,384
+// (see goldenDriftModel).
 func BenchmarkDriftWindow16k(b *testing.B) {
 	m, s5, _ := goldenDriftModel(b)
 	buf := ingest.New(ingest.Config{WindowSize: goldenWindowSize})

@@ -46,10 +46,8 @@ func AddrFrom16(b [16]byte) Addr { return Addr(b) }
 // AddrFromUint64s builds an address from its high and low 64-bit halves.
 func AddrFromUint64s(hi, lo uint64) Addr {
 	var a Addr
-	for i := 0; i < 8; i++ {
-		a[i] = byte(hi >> (56 - 8*i))
-		a[8+i] = byte(lo >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(a[:8], hi)
+	binary.BigEndian.PutUint64(a[8:], lo)
 	return a
 }
 
@@ -185,9 +183,26 @@ func (a Addr) Field(start, width int) uint64 {
 }
 
 // SetField writes the width lowest nybbles of v into the address at nybble
-// positions [start, start+width) and returns the result.
+// positions [start, start+width) and returns the result. It is the inverse
+// of Addr.Field: one mask-and-or on each of the address's two 64-bit
+// halves. It panics on the same invalid fields as Nybbles.SetField.
 func (a Addr) SetField(start, width int, v uint64) Addr {
-	return a.Nybbles().SetField(start, width, v).Addr()
+	if width < 0 || width > 16 || start < 0 || start+width > NybbleCount {
+		panic(fmt.Sprintf("ip6: invalid nybble field [%d,%d)", start, start+width))
+	}
+	hi, lo := a.Uint64s()
+	// m masks the field's value; p is as in Field. A shift by 64 or more
+	// yields 0, so a width-0 field and the half a field misses are left
+	// untouched.
+	m := ^uint64(0) >> (64 - 4*uint(width))
+	v &= m
+	if p := uint(4 * (NybbleCount - start - width)); p >= 64 {
+		hi = hi&^(m<<(p-64)) | v<<(p-64)
+	} else {
+		lo = lo&^(m<<p) | v<<p
+		hi = hi&^(m>>(64-p)) | v>>(64-p)
+	}
+	return AddrFromUint64s(hi, lo)
 }
 
 // Compare returns -1, 0 or +1 depending on whether a sorts before, equal

@@ -223,8 +223,35 @@ func TestFieldMatchesNybbles(t *testing.T) {
 	}
 }
 
-// TestFieldPanicsLikeNybbles checks that Addr.Field rejects exactly the
-// fields Nybbles.Field rejects.
+// TestSetFieldMatchesNybbles checks the halves-based Addr.SetField
+// against the nybble round trip Nybbles().SetField(...).Addr() for every
+// start and every width from 0 to 16: fields inside either half, fields
+// straddling bit 64, and values carrying bits above the field's width, on
+// random addresses plus the all-zero and all-ones ones.
+func TestSetFieldMatchesNybbles(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	addrs := []Addr{{}, AddrFromUint64s(^uint64(0), ^uint64(0))}
+	for i := 0; i < 50; i++ {
+		var a Addr
+		rng.Read(a[:])
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		for _, v := range []uint64{0, ^uint64(0), 0x0123456789abcdef, rng.Uint64()} {
+			for width := 0; width <= 16; width++ {
+				for start := 0; start+width <= NybbleCount; start++ {
+					got := a.SetField(start, width, v)
+					if want := a.Nybbles().SetField(start, width, v).Addr(); got != want {
+						t.Fatalf("%v: SetField(%d,%d,%x) = %v, Nybbles().SetField %v", a, start, width, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFieldPanicsLikeNybbles checks that Addr.Field and Addr.SetField
+// reject exactly the fields Nybbles.Field and Nybbles.SetField reject.
 func TestFieldPanicsLikeNybbles(t *testing.T) {
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
@@ -239,6 +266,11 @@ func TestFieldPanicsLikeNybbles(t *testing.T) {
 		want := panics(func() { a.Nybbles().Field(c.start, c.width) })
 		if got != want {
 			t.Errorf("Field(%d,%d) panics = %v, Nybbles().Field panics = %v", c.start, c.width, got, want)
+		}
+		got = panics(func() { a.SetField(c.start, c.width, 1) })
+		want = panics(func() { a.Nybbles().SetField(c.start, c.width, 1) })
+		if got != want {
+			t.Errorf("SetField(%d,%d) panics = %v, Nybbles().SetField panics = %v", c.start, c.width, got, want)
 		}
 	}
 }

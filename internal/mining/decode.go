@@ -9,13 +9,14 @@ import (
 
 // CompiledDecoder is the flat-table form of Encoder.Decode, the decode
 // half of candidate generation. The readable decode (DecodeReference)
-// writes every segment through Segment.Set, which expands the whole
-// address into 32 nybbles, sets the field and packs it back: two Nybbles
-// round trips per segment per candidate. Compiling resolves each segment
-// once into a placement over the address's two 64-bit halves, and each
-// mined element into either a pre-placed constant (exact values) or a
-// (base, span) pair (ranges). A candidate then costs one OR per exact
-// segment, and one bounded draw plus one placement per range segment.
+// writes every segment through Segment.Set, which checks the field,
+// splits the address into its two 64-bit halves, masks the value in and
+// packs the address back: one unpack and repack per segment per
+// candidate. Compiling resolves each segment once into a placement over
+// the two halves, and each mined element into either a pre-placed
+// constant (exact values) or a (base, span) pair (ranges). A candidate
+// then costs one OR per exact segment, and one bounded draw plus one
+// placement per range segment, and the address is packed once.
 //
 // The draws are Value.Sample's, from the same rng calls in the same
 // order, so a compiled decode is byte-identical to the readable one for

@@ -656,9 +656,10 @@ func (e *Encoder) Decode(vec []int, rng *rand.Rand) (ip6.Addr, error) {
 }
 
 // DecodeReference is the readable decode: every selected element's value
-// written through Segment.Set, one Nybbles round trip per segment. It is
-// kept only as the test oracle and benchmark baseline of the compiled
-// decoder, which answers identically for every rng state.
+// written through Segment.Set, which splits the address into its two
+// 64-bit halves, mask-and-ors the value in and packs the halves back, once
+// per segment. It is kept only as the test oracle and benchmark baseline
+// of the compiled decoder, which answers identically for every rng state.
 func (e *Encoder) DecodeReference(vec []int, rng *rand.Rand) (ip6.Addr, error) {
 	if err := e.checkVec(vec); err != nil {
 		return ip6.Addr{}, err

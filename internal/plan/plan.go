@@ -5,6 +5,9 @@
 // nybble range of the address and drawing its value from a generator; a
 // Mixture combines several plans with weights (the "addressing variants"
 // the paper discovers inside real operators, e.g. S1's four variants).
+// Generators see only the rng and the field width, so a coupling between
+// fields ("this IID style only appears under these subnets") is written
+// as mixture variants, one plan per combination.
 //
 // Plans serve two roles: they synthesize datasets for training and they
 // define the target universes that the scanning experiments probe.
@@ -13,19 +16,17 @@ package plan
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"entropyip/internal/ip6"
 )
 
-// Generator produces the value of one field. Generators may inspect the
-// partially built address (fields are applied in order), which is how
-// cross-field couplings such as "this IID style only appears under these
-// subnets" are expressed.
+// Generator produces the value of one field from the rng alone; it does
+// not see the other fields. Couplings between fields are mixture variants
+// (see the package doc).
 type Generator interface {
-	// Value returns the field value for the address built so far. width is
-	// the field width in nybbles; the value must fit in it.
-	Value(rng *rand.Rand, partial ip6.Addr, width int) uint64
+	// Value returns a field value. width is the field width in nybbles;
+	// bits of the value above it are dropped.
+	Value(rng *rand.Rand, width int) uint64
 }
 
 // Field is one nybble-aligned region of the address with its generator.
@@ -62,14 +63,23 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// One draws a single address from the plan.
+// One draws a single address from the plan, which must be valid (see
+// Validate). The fields are written into the address's two 64-bit halves
+// as ip6.Addr.SetField writes them, one mask-and-or each, and the address
+// is built once at the end.
 func (p *Plan) One(rng *rand.Rand) ip6.Addr {
-	var a ip6.Addr
+	var hi, lo uint64
 	for _, f := range p.Fields {
-		v := f.Gen.Value(rng, a, f.Width)
-		a = a.SetField(f.Start, f.Width, v)
+		m := ^uint64(0) >> (64 - 4*uint(f.Width))
+		v := f.Gen.Value(rng, f.Width) & m
+		if s := uint(4 * (ip6.NybbleCount - f.Start - f.Width)); s >= 64 {
+			hi = hi&^(m<<(s-64)) | v<<(s-64)
+		} else {
+			lo = lo&^(m<<s) | v<<s
+			hi = hi&^(m>>(64-s)) | v>>(64-s)
+		}
 	}
-	return a
+	return ip6.AddrFromUint64s(hi, lo)
 }
 
 // Component is one weighted variant of a mixture.
@@ -126,7 +136,10 @@ func (m *Mixture) One(rng *rand.Rand) ip6.Addr {
 }
 
 // GenerateUnique draws until n unique addresses are produced or the attempt
-// budget (n×20) is exhausted.
+// budget (n×20 draws) is exhausted. In the second case it returns fewer
+// than n addresses and no error: a mixture whose support is smaller than n,
+// or whose draws repeat often, comes back short, and callers that need n
+// must check len.
 func (m *Mixture) GenerateUnique(rng *rand.Rand, n int) []ip6.Addr {
 	seen := ip6.NewSet(n)
 	out := make([]ip6.Addr, 0, n)
@@ -144,7 +157,7 @@ func (m *Mixture) GenerateUnique(rng *rand.Rand, n int) []ip6.Addr {
 // constGen returns a fixed value.
 type constGen uint64
 
-func (c constGen) Value(*rand.Rand, ip6.Addr, int) uint64 { return uint64(c) }
+func (c constGen) Value(*rand.Rand, int) uint64 { return uint64(c) }
 
 // Const returns a generator that always produces v.
 func Const(v uint64) Generator { return constGen(v) }
@@ -188,13 +201,28 @@ func UniformChoice(values ...uint64) Generator {
 	return Choice(values, w)
 }
 
-func (g *weightedGen) Value(rng *rand.Rand, _ ip6.Addr, _ int) uint64 {
-	x := rng.Float64() * g.totalWt
-	i := sort.SearchFloat64s(g.cum, x)
+func (g *weightedGen) Value(rng *rand.Rand, _ int) uint64 {
+	i := lowerBound(g.cum, rng.Float64()*g.totalWt)
 	if i >= len(g.values) {
 		i = len(g.values) - 1
 	}
 	return g.values[i]
+}
+
+// lowerBound returns the smallest i with cum[i] >= x, or len(cum) if there
+// is none: sort.SearchFloat64s without the closure call per probe, small
+// enough to inline into Choice's draw.
+func lowerBound(cum []float64, x float64) int {
+	i, j := 0, len(cum)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if cum[h] < x {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // uniformGen draws uniformly from [lo, hi].
@@ -209,7 +237,7 @@ func Uniform(lo, hi uint64) Generator {
 	return uniformGen{lo: lo, hi: hi}
 }
 
-func (g uniformGen) Value(rng *rand.Rand, _ ip6.Addr, _ int) uint64 {
+func (g uniformGen) Value(rng *rand.Rand, _ int) uint64 {
 	span := g.hi - g.lo
 	if span == ^uint64(0) {
 		return rng.Uint64()
@@ -231,7 +259,7 @@ type randomGen struct{}
 // the field (pseudo-random segments such as SLAAC privacy IIDs).
 func Random() Generator { return randomGen{} }
 
-func (randomGen) Value(rng *rand.Rand, _ ip6.Addr, width int) uint64 {
+func (randomGen) Value(rng *rand.Rand, width int) uint64 {
 	v := rng.Uint64()
 	if width >= 16 {
 		return v
@@ -240,16 +268,18 @@ func (randomGen) Value(rng *rand.Rand, _ ip6.Addr, width int) uint64 {
 }
 
 // funcGen wraps an arbitrary function.
-type funcGen func(rng *rand.Rand, partial ip6.Addr, width int) uint64
+type funcGen func(rng *rand.Rand, width int) uint64
 
 // Func returns a generator backed by the given function; it is the escape
-// hatch for couplings that the other combinators cannot express.
-func Func(f func(rng *rand.Rand, partial ip6.Addr, width int) uint64) Generator {
+// hatch for value distributions the other combinators cannot express. Like
+// every generator it sees only the rng and the field width; couplings
+// between fields are mixture variants.
+func Func(f func(rng *rand.Rand, width int) uint64) Generator {
 	return funcGen(f)
 }
 
-func (f funcGen) Value(rng *rand.Rand, partial ip6.Addr, width int) uint64 {
-	return f(rng, partial, width)
+func (f funcGen) Value(rng *rand.Rand, width int) uint64 {
+	return f(rng, width)
 }
 
 // SLAACPrivacy returns a generator for pseudo-random interface identifiers
@@ -257,7 +287,7 @@ func (f funcGen) Value(rng *rand.Rand, partial ip6.Addr, width int) uint64 {
 // universal/local ("u") bit forced to zero. The forced bit is what produces
 // the paper's characteristic entropy dip at bits 68-72 (Fig. 6).
 func SLAACPrivacy() Generator {
-	return Func(func(rng *rand.Rand, _ ip6.Addr, width int) uint64 {
+	return Func(func(rng *rand.Rand, width int) uint64 {
 		v := rng.Uint64()
 		if width >= 16 {
 			// Clear the u bit: bit 6 of the first IID byte, i.e. bit 57 of
@@ -275,7 +305,7 @@ func EUI64(ouis ...uint32) Generator {
 	if len(ouis) == 0 {
 		panic("plan: EUI64 needs at least one OUI")
 	}
-	return Func(func(rng *rand.Rand, _ ip6.Addr, _ int) uint64 {
+	return Func(func(rng *rand.Rand, _ int) uint64 {
 		oui := uint64(ouis[rng.Intn(len(ouis))]) & 0xffffff
 		nic := rng.Uint64() & 0xffffff
 		iid := oui<<40 | 0xfffe<<24 | nic
@@ -290,7 +320,7 @@ func EUI64(ouis ...uint32) Generator {
 // bits of the field in hexadecimal form — the dual-stack aliasing pattern
 // the paper finds in S1.
 func EmbeddedIPv4Hex(firstOctet byte) Generator {
-	return Func(func(rng *rand.Rand, _ ip6.Addr, _ int) uint64 {
+	return Func(func(rng *rand.Rand, _ int) uint64 {
 		v4 := uint64(firstOctet)<<24 | uint64(rng.Uint32()&0x00ffffff)
 		return v4
 	})
@@ -309,7 +339,7 @@ func EmbeddedIPv4DecimalPool(base uint32, hostBits int) Generator {
 	if hostBits > 0 {
 		mask = uint32(1)<<uint(hostBits) - 1
 	}
-	return Func(func(rng *rand.Rand, _ ip6.Addr, _ int) uint64 {
+	return Func(func(rng *rand.Rand, _ int) uint64 {
 		v4 := base&^mask | rng.Uint32()&mask
 		var iid uint64
 		for shift := 24; shift >= 0; shift -= 8 {

@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"entropyip/internal/ip6"
@@ -109,7 +110,7 @@ func TestMixtureValidateErrors(t *testing.T) {
 }
 
 func TestConstAndZero(t *testing.T) {
-	if Const(42).Value(rng(1), ip6.Addr{}, 4) != 42 {
+	if Const(42).Value(rng(1), 4) != 42 {
 		t.Error("Const wrong")
 	}
 }
@@ -119,7 +120,7 @@ func TestChoiceDistribution(t *testing.T) {
 	r := rng(5)
 	counts := map[uint64]int{}
 	for i := 0; i < 30000; i++ {
-		counts[g.Value(r, ip6.Addr{}, 4)]++
+		counts[g.Value(r, 4)]++
 	}
 	if math.Abs(float64(counts[1])/30000-0.7) > 0.02 {
 		t.Errorf("P(1) = %v", float64(counts[1])/30000)
@@ -131,7 +132,7 @@ func TestChoiceDistribution(t *testing.T) {
 	u := UniformChoice(7, 9)
 	c7 := 0
 	for i := 0; i < 10000; i++ {
-		if u.Value(r, ip6.Addr{}, 4) == 7 {
+		if u.Value(r, 4) == 7 {
 			c7++
 		}
 	}
@@ -163,7 +164,7 @@ func TestUniformBounds(t *testing.T) {
 	g := Uniform(100, 200)
 	r := rng(6)
 	for i := 0; i < 2000; i++ {
-		v := g.Value(r, ip6.Addr{}, 4)
+		v := g.Value(r, 4)
 		if v < 100 || v > 200 {
 			t.Fatalf("value %d out of range", v)
 		}
@@ -171,31 +172,31 @@ func TestUniformBounds(t *testing.T) {
 	// Swapped bounds are normalized.
 	g2 := Uniform(50, 10)
 	for i := 0; i < 100; i++ {
-		v := g2.Value(r, ip6.Addr{}, 4)
+		v := g2.Value(r, 4)
 		if v < 10 || v > 50 {
 			t.Fatalf("value %d out of swapped range", v)
 		}
 	}
 	// Full 64-bit range does not hang.
-	_ = Uniform(0, ^uint64(0)).Value(r, ip6.Addr{}, 16)
+	_ = Uniform(0, ^uint64(0)).Value(r, 16)
 }
 
 func TestRandomRespectsWidth(t *testing.T) {
 	g := Random()
 	r := rng(7)
 	for i := 0; i < 1000; i++ {
-		if v := g.Value(r, ip6.Addr{}, 2); v > 0xff {
+		if v := g.Value(r, 2); v > 0xff {
 			t.Fatalf("2-nybble random value %x out of range", v)
 		}
 	}
-	_ = g.Value(r, ip6.Addr{}, 16) // full width must not mask
+	_ = g.Value(r, 16) // full width must not mask
 }
 
 func TestSLAACPrivacyClearsUBit(t *testing.T) {
 	g := SLAACPrivacy()
 	r := rng(9)
 	for i := 0; i < 1000; i++ {
-		iid := g.Value(r, ip6.Addr{}, 16)
+		iid := g.Value(r, 16)
 		if iid&(1<<57) != 0 {
 			t.Fatal("u bit must be cleared in privacy IIDs")
 		}
@@ -242,7 +243,7 @@ func TestEmbeddedIPv4Hex(t *testing.T) {
 	g := EmbeddedIPv4Hex(127)
 	r := rng(11)
 	for i := 0; i < 200; i++ {
-		v := g.Value(r, ip6.Addr{}, 8)
+		v := g.Value(r, 8)
 		if v>>24 != 127 {
 			t.Fatalf("first octet = %d, want 127", v>>24)
 		}
@@ -280,17 +281,53 @@ func TestDecimalAsHexWord(t *testing.T) {
 	}
 }
 
+// TestFuncGenerator checks that a Func generator's value lands in its
+// field, masked to the field's width, and that later fields overwrite
+// what earlier ones wrote to the same nybbles: one inside the high half
+// and one straddling bit 64.
 func TestFuncGenerator(t *testing.T) {
-	g := Func(func(_ *rand.Rand, partial ip6.Addr, _ int) uint64 {
-		return partial.Field(0, 4) + 1
+	g := Func(func(_ *rand.Rand, width int) uint64 {
+		return 0xf1230 + uint64(width)
 	})
 	p := &Plan{Name: "f", Fields: []Field{
-		{Name: "a", Start: 0, Width: 4, Gen: Const(7)},
-		{Name: "b", Start: 4, Width: 4, Gen: g},
+		{Name: "net", Start: 0, Width: 16, Gen: Const(0x20010db8fffff0ff)},
+		{Name: "iid", Start: 16, Width: 16, Gen: Const(^uint64(0))},
+		{Name: "mid", Start: 14, Width: 4, Gen: g},
+		{Name: "zero", Start: 4, Width: 2, Gen: Const(0)},
 	}}
 	a := p.One(rng(14))
-	if a.Field(4, 4) != 8 {
-		t.Errorf("Func generator did not see the partial address: %v", a)
+	if got := a.Field(14, 4); got != 0x1234 {
+		t.Errorf("Func field = %x, want 1234 (0xf1234 masked to 4 nybbles): %v", got, a)
+	}
+	if hi, lo := a.Uint64s(); hi != 0x200100b8fffff012 || lo != 0x34ffffffffffffff {
+		t.Errorf("address = %016x %016x, want 200100b8fffff012 34ffffffffffffff", hi, lo)
+	}
+}
+
+// TestChoiceMatchesSearch checks lowerBound, Choice's inlined search,
+// against sort.SearchFloat64s on random cumulative weight rows that
+// include zero weights (repeated cut points), for random draws and for
+// draws exactly on every cut point.
+func TestChoiceMatchesSearch(t *testing.T) {
+	r := rng(15)
+	for row := 0; row < 500; row++ {
+		cum := make([]float64, 1+r.Intn(40))
+		total := 0.0
+		for i := range cum {
+			if r.Intn(3) > 0 {
+				total += r.Float64()
+			}
+			cum[i] = total
+		}
+		xs := append([]float64{0, total}, cum...)
+		for i := 0; i < 50; i++ {
+			xs = append(xs, r.Float64()*total)
+		}
+		for _, x := range xs {
+			if got, want := lowerBound(cum, x), sort.SearchFloat64s(cum, x); got != want {
+				t.Fatalf("cum %v, x %v: lowerBound = %d, sort.SearchFloat64s = %d", cum, x, got, want)
+			}
+		}
 	}
 }
 

@@ -133,7 +133,11 @@ func Names() []string {
 }
 
 // Generate synthesizes n unique addresses from the named archetype.
-// If n <= 0 the archetype's DefaultSize is used.
+// If n <= 0 the archetype's DefaultSize is used. Generation stops after
+// n×20 draws (plan.Mixture.GenerateUnique); an archetype whose support
+// runs out first returns fewer than n addresses and no error, as S5 does
+// at its default size (13,747 of 20,000 at seed 1). Callers that need n
+// addresses must check len.
 func Generate(name string, n int, seed int64) ([]ip6.Addr, error) {
 	spec, ok := ByName(name)
 	if !ok {

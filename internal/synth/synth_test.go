@@ -61,6 +61,26 @@ func TestGenerateErrorsAndDefaults(t *testing.T) {
 	}
 }
 
+// TestGenerateDefaultSizesShortOnlyS5 pins which archetypes come back
+// short at their default size: Generate returns fewer than n addresses,
+// without an error, when the n×20 draw budget runs out first. At seed 1
+// only S5 does, with 13,747 of its 20,000.
+func TestGenerateDefaultSizesShortOnlyS5(t *testing.T) {
+	for _, s := range Catalog() {
+		addrs, err := Generate(s.Name, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.DefaultSize
+		if s.Name == "S5" {
+			want = 13_747
+		}
+		if len(addrs) != want {
+			t.Errorf("%s: Generate(0, 1) returned %d addresses, want %d (DefaultSize %d)", s.Name, len(addrs), want, s.DefaultSize)
+		}
+	}
+}
+
 func TestGenerateUniqueAndDeterministic(t *testing.T) {
 	a, err := Generate("S1", 3000, 42)
 	if err != nil {
@@ -308,6 +328,17 @@ func TestAllDatasetsGenerateCleanly(t *testing.T) {
 			if !set.Add(a) {
 				t.Errorf("%s generated duplicates", s.Name)
 			}
+		}
+	}
+}
+
+// BenchmarkGenerateS5Default synthesizes S5 at its DefaultSize, seed 1:
+// the support runs out first, so every op spends the whole 20×n draw
+// budget, as the observe benchmark workload's set-up does.
+func BenchmarkGenerateS5Default(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate("S5", 0, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -37,7 +37,8 @@ PKGS=(./internal/entropy ./internal/mra ./internal/mining
       ./internal/bayes ./internal/core ./internal/drift
       ./internal/ip6 ./internal/serve ./internal/obs
       ./internal/obs/trace ./internal/wire ./internal/stats
-      ./internal/dbscan ./internal/dataset ./pkg/client)
+      ./internal/dbscan ./internal/dataset ./internal/plan
+      ./internal/synth ./pkg/client)
 
 # bench DIR: one pass over the packages DIR has.
 bench() {

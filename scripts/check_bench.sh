@@ -51,7 +51,8 @@ BENCHES=(NewProfile10k NewProfile100k ACR100k ACR100kOne64 ACR100kRuns
          WindowStateAdd
          Sample NewCondSampler Posteriors
          SetDedup SetContains FreqOf100k FreqOf100kNarrow ClusterHist4096 Read100k
-         ParseLineBytes LoadMaxArity/4x8nybbles LoadMaxArity/1x3nybbles)
+         ParseLineBytes LoadMaxArity/4x8nybbles LoadMaxArity/1x3nybbles
+         MixtureGenerate GenerateC3 GenerateS5Default)
 
 # Serving-plane paths with a zero-allocation contract: allocs/op must be
 # exactly 0, base entry or not.
